@@ -259,6 +259,13 @@ def _resolve_init(args: argparse.Namespace) -> QubitInit:
     return QubitInit.from_theta(float(args.theta), r=r, phi=phi)
 
 
+def _finite(value, flag: str) -> float:
+    v = float(value)
+    if not math.isfinite(v):
+        raise ConfigError(f"{flag} must be finite")
+    return v
+
+
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -311,7 +318,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     bath = _resolve_bath(args, spectrum)
     init = _resolve_init(args)
     scenario = Scenario(spectrum=spectrum, bath=bath, init=init)
-    t_max = scenario.default_t_max if args.t_max is None else float(args.t_max)
+    t_max = scenario.default_t_max if args.t_max is None else _finite(args.t_max, "--t-max")
     if t_max <= 0:
         raise ConfigError("--t-max must be positive")
     points = 2048 if args.points is None else int(args.points)
@@ -357,7 +364,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     bath = _resolve_bath(args, spectrum)
     a_steps = 21 if args.a_steps is None else int(args.a_steps)
     r_steps = 2 if args.r_steps is None else int(args.r_steps)
-    t_max = None if args.t_max is None else float(args.t_max)
+    t_max = None if args.t_max is None else _finite(args.t_max, "--t-max")
     rows = optimize_initial_state(
         spectrum, bath, t_max=t_max, a_steps=a_steps, r_steps=r_steps
     )
@@ -488,7 +495,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     replicas = 1000 if args.replicas is None else int(args.replicas)
     seed = 0 if args.seed is None else int(args.seed)
     if args.t is not None:
-        t = float(args.t)
+        t = _finite(args.t, "--t")
     else:
         best = maximize_qfi_over_time(scenario)
         t = best.t_star
@@ -587,6 +594,12 @@ def main(argv=None) -> int:
     except ModelIntegrityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OverflowError as exc:  # float overflow past the edge of the physical domain
+        print(
+            f"error: inputs outside the supported range ({type(exc).__name__}: {exc})",
+            file=sys.stderr,
+        )
+        return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

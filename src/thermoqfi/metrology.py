@@ -17,13 +17,15 @@ import numpy as np
 from .dynamics import QubitInit, qubit_relaxation_rate
 from .errors import DomainError, EstimatorUndefinedError
 from .qfi import (
+    _qfi_kernel,
+    _qubit_model,
     beta_derivative_qubit,
     diagonal_qfi,
     qfi_values,
     qubit_qfi,
     thermal_qfi,
 )
-from .spectrum import Bath, Spectrum, _readonly, thermal_distribution
+from .spectrum import MAX_EXP_BETA_OMEGA, Bath, Spectrum, _readonly, thermal_distribution
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -32,6 +34,15 @@ _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 ASYMPTOTIC_MARGIN = 1e-6
 
 BOUNDARY_ATOL = 1e-12
+
+# States per block when a scan evaluates its time grid: the block's
+# temporaries (about ten arrays of _SCAN_BLOCK x n_grid doubles) stay near the
+# size of one trace, so peak memory does not grow with the number of states.
+_SCAN_BLOCK = 8
+
+
+def _default_t_max(spectrum: Spectrum, bath: Bath) -> float:
+    return 20.0 / abs(qubit_relaxation_rate(spectrum, bath))
 
 
 @dataclass(frozen=True)
@@ -76,7 +87,7 @@ class Scenario:
 
     @property
     def default_t_max(self) -> float:
-        return 20.0 / abs(self.relaxation_rate)
+        return _default_t_max(self.spectrum, self.bath)
 
 
 @dataclass(frozen=True)
@@ -156,23 +167,41 @@ def classify_region(a: float, pi2: float) -> RegionLabel:
     return RegionLabel(region=region, thermal_boundary=thermal, inversion_boundary=inversion)
 
 
-def golden_section_maximize(f, lo: float, hi: float, tol: float):
-    """Golden-section search for a maximum of a unimodal f on [lo, hi]."""
-    if not (hi > lo and tol > 0):
+def golden_section_maximize(f, lo, hi, tol: float):
+    """Golden-section search for a maximum of a unimodal f on [lo, hi].
+
+    With scalar lo and hi, f takes and returns floats and (x, f(x)) are
+    returned as floats. With arrays, every element is its own search: f maps
+    an array of points to an array of values, element for element, and each
+    element makes the same comparisons and updates as the scalar search, so
+    it ends on the same bits. An element stops moving once its bracket is
+    within tol; f is still evaluated there until every element has stopped.
+    """
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo = np.array(lo, dtype=float, ndmin=1)
+    hi = np.array(hi, dtype=float, ndmin=1)
+    if not (np.all(hi > lo) and tol > 0):
         raise DomainError("need hi > lo and tol > 0")
+    fv = (lambda x: np.array([f(float(x[0]))])) if scalar else f
     x1 = hi - _INV_PHI * (hi - lo)
     x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > tol:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _INV_PHI * (hi - lo)
-            f2 = f(x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _INV_PHI * (hi - lo)
-            f1 = f(x1)
+    f1, f2 = fv(x1), fv(x2)
+    active = hi - lo > tol
+    while np.any(active):
+        rise = f1 < f2
+        up, down = active & rise, active & ~rise
+        lo = np.where(up, x1, lo)
+        hi = np.where(down, x2, hi)
+        x1, x2 = np.where(up, x2, x1), np.where(down, x1, x2)
+        f1, f2 = np.where(up, f2, f1), np.where(down, f1, f2)
+        probe = np.where(up, lo + _INV_PHI * (hi - lo), hi - _INV_PHI * (hi - lo))
+        f_probe = fv(probe)
+        x2, f2 = np.where(up, probe, x2), np.where(up, f_probe, f2)
+        x1, f1 = np.where(down, probe, x1), np.where(down, f_probe, f1)
+        active = hi - lo > tol
     x = (lo + hi) / 2.0
+    if scalar:
+        x = float(x[0])
     return x, f(x)
 
 
@@ -190,6 +219,60 @@ class OptimalTime:
     asymptotic: bool
 
 
+def _peak_times(
+    spectrum: Spectrum,
+    bath: Bath,
+    inits: list[QubitInit],
+    t_max: float | None = None,
+    n_grid: int = 2048,
+) -> list[OptimalTime]:
+    """Optimal measurement time of every initial state in one batched scan.
+
+    The model, the window and the asymptote are built once. The time grid is
+    evaluated in blocks of _SCAN_BLOCK states through the shared QFI kernel,
+    and all interior peaks are then refined together by one elementwise
+    golden section. Every element takes the same steps as a one-state scan.
+    """
+    default = _default_t_max(spectrum, bath)
+    if t_max is None:
+        t_max = default
+    t_max = float(t_max)
+    if not math.isfinite(t_max):
+        raise DomainError("t_max must be finite")
+    if t_max < default * (1.0 - 1e-12):
+        raise DomainError("t_max must cover at least twenty relaxation times")
+    n_grid = max(512, int(n_grid))
+    times = np.linspace(0.0, t_max, n_grid)
+    model = _qubit_model(spectrum, bath)
+    margin = ASYMPTOTIC_MARGIN * thermal_qfi(spectrum, bath.beta)
+    a = np.array([init.a for init in inits], dtype=float)
+    mod2_0 = np.array([abs(init.rho12_0) ** 2 for init in inits], dtype=float)
+    peak = np.empty(a.size, dtype=np.intp)
+    f_peak = np.empty(a.size)
+    tail = np.empty(a.size)
+    for start in range(0, a.size, _SCAN_BLOCK):
+        block = slice(start, start + _SCAN_BLOCK)
+        values = _qfi_kernel(model, a[block, None], mod2_0[block, None], times)
+        i = np.argmax(values, axis=1)
+        peak[block] = i
+        f_peak[block] = values[np.arange(i.size), i]
+        tail[block] = values[:, -1]
+    results = [OptimalTime(t_star=t_max, f_star=float(f), asymptotic=True) for f in tail]
+    interior = np.flatnonzero(~(f_peak - tail <= margin))
+    if interior.size:
+        i = peak[interior]
+        a_in, mod2_in = a[interior], mod2_0[interior]
+        t_star, f_star = golden_section_maximize(
+            lambda t: _qfi_kernel(model, a_in, mod2_in, t),
+            times[i - 1],
+            times[i + 1],
+            1e-8 * t_max,
+        )
+        for k, t, f in zip(interior, t_star.tolist(), f_star.tolist()):
+            results[k] = OptimalTime(t_star=t, f_star=f, asymptotic=False)
+    return results
+
+
 def maximize_qfi_over_time(
     scenario: Scenario, t_max: float | None = None, n_grid: int = 2048
 ) -> OptimalTime:
@@ -199,30 +282,10 @@ def maximize_qfi_over_time(
     stand-in for the asymptote. When no interior point beats the tail by more
     than ASYMPTOTIC_MARGIN * asymptote, the supremum is reported at t_max with
     the asymptotic flag (monotone hot-region traces; inverted traces whose
-    local peak stays below the asymptote).
+    local peak stays below the asymptote). This is the one-state call of the
+    batched scan behind optimize_initial_state, so both agree bit for bit.
     """
-    default = scenario.default_t_max
-    if t_max is None:
-        t_max = default
-    if t_max < default * (1.0 - 1e-12):
-        raise DomainError("t_max must cover at least twenty relaxation times")
-    n_grid = max(512, int(n_grid))
-    times = np.linspace(0.0, t_max, n_grid)
-    values = qfi_values(scenario.init, scenario.spectrum, scenario.bath, times)
-    tail = float(values[-1])
-    i = int(np.argmax(values))
-    if values[i] - tail <= ASYMPTOTIC_MARGIN * scenario.asymptote:
-        return OptimalTime(t_star=float(t_max), f_star=tail, asymptotic=True)
-
-    def f(t: float) -> float:
-        return float(
-            qfi_values(scenario.init, scenario.spectrum, scenario.bath, np.array([t]))[0]
-        )
-
-    t_star, f_star = golden_section_maximize(
-        f, float(times[i - 1]), float(times[i + 1]), 1e-8 * t_max
-    )
-    return OptimalTime(t_star=t_star, f_star=f_star, asymptotic=False)
+    return _peak_times(scenario.spectrum, scenario.bath, [scenario.init], t_max, n_grid)[0]
 
 
 @dataclass(frozen=True)
@@ -246,31 +309,31 @@ def optimize_initial_state(
 ) -> list[StateRanking]:
     """Scan (a, r) on a uniform grid and rank by peak QFI.
 
-    Sorted by f_star descending; ties break toward smaller a, then smaller r,
-    so the ranking is deterministic.
+    All states go through one batched scan: the time grid is evaluated a
+    fixed block of states at a time, so peak memory does not grow with the
+    number of states, and the interior peaks are refined together. Each row
+    equals maximize_qfi_over_time on that state. Sorted by f_star descending;
+    ties break toward smaller a, then smaller r, so the ranking is
+    deterministic.
     """
     if a_steps < 2 or r_steps < 1:
         raise DomainError("need a_steps >= 2 and r_steps >= 1")
     pi2 = float(thermal_distribution(spectrum, bath.beta).pi[1])
-    a_grid = np.linspace(0.0, 1.0, a_steps)
-    r_grid = np.linspace(0.0, 1.0, r_steps) if r_steps > 1 else np.array([0.0])
-    rows = []
-    for r in r_grid:
-        for a in a_grid:
-            scenario = Scenario(
-                spectrum=spectrum, bath=bath, init=QubitInit(a=float(a), r=float(r))
-            )
-            best = maximize_qfi_over_time(scenario, t_max=t_max)
-            rows.append(
-                StateRanking(
-                    a=float(a),
-                    r=float(r),
-                    t_star=best.t_star,
-                    f_star=best.f_star,
-                    asymptotic=best.asymptotic,
-                    region=classify_region(float(a), pi2),
-                )
-            )
+    a_grid = np.linspace(0.0, 1.0, a_steps).tolist()
+    r_grid = np.linspace(0.0, 1.0, r_steps).tolist() if r_steps > 1 else [0.0]
+    states = [(a, r) for r in r_grid for a in a_grid]
+    peaks = _peak_times(spectrum, bath, [QubitInit(a=a, r=r) for a, r in states], t_max)
+    rows = [
+        StateRanking(
+            a=a,
+            r=r,
+            t_star=best.t_star,
+            f_star=best.f_star,
+            asymptotic=best.asymptotic,
+            region=classify_region(a, pi2),
+        )
+        for (a, r), best in zip(states, peaks)
+    ]
     rows.sort(key=lambda row: (-row.f_star, row.a, row.r))
     return rows
 
@@ -312,6 +375,11 @@ def _p2_of_beta(beta: float, omega: float, gamma: float, a: float, t: float) -> 
 
 
 def _check_monotone(omega, gamma, a, t, lo, hi, n_samples=65):
+    if hi * omega > MAX_EXP_BETA_OMEGA:
+        raise DomainError(
+            f"the beta bracket reaches beta*omega = {hi * omega:g}; the MLE supports "
+            f"beta*omega <= {MAX_EXP_BETA_OMEGA:g}"
+        )
     betas = np.linspace(lo, hi, n_samples)
     ys = [_p2_of_beta(float(b), omega, gamma, a, t) for b in betas]
     diffs = np.diff(ys)
@@ -422,7 +490,9 @@ def cramer_rao_report(
     is the optimal one (classical Fisher information equals the QFI), so the
     saturation claim is meaningful. Replica i draws its count from an
     independent generator seeded with [seed, i]; the report is deterministic
-    for a fixed seed.
+    for a fixed seed. The estimate depends on the count alone, so each
+    distinct count is bisected once and shared by every replica that drew
+    it (a few hundred counts cover tens of thousands of replicas).
     """
     if scenario.init.r != 0.0:
         raise DomainError(
@@ -431,6 +501,8 @@ def cramer_rao_report(
         )
     if n_replicas < 2:
         raise DomainError("n_replicas must be at least 2")
+    if m_experiments < 1:
+        raise DomainError("m_experiments must be a positive integer")
     if t is None:
         best = maximize_qfi_over_time(scenario)
         t = best.t_star
@@ -457,12 +529,15 @@ def cramer_rao_report(
     p2_true = min(1.0, max(0.0, _population_at(scenario, t)))
     estimates = np.empty(n_replicas)
     clamped = 0
+    by_count: dict[int, MleResult] = {}
     for i in range(n_replicas):
         rng = np.random.default_rng([seed, i])
         k = int(rng.binomial(m_experiments, p2_true))
-        result = _bisect_beta(
-            k / m_experiments, omega, gamma, a, t, lo, hi, y_lo, y_hi
-        )
+        result = by_count.get(k)
+        if result is None:
+            result = by_count[k] = _bisect_beta(
+                k / m_experiments, omega, gamma, a, t, lo, hi, y_lo, y_hi
+            )
         estimates[i] = result.beta_hat
         clamped += int(result.clamped)
     variance = float(np.var(estimates, ddof=1))

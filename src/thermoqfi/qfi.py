@@ -28,49 +28,41 @@ FD_STEP_MAX = 1e-3
 
 @dataclass(frozen=True)
 class _QubitModel:
-    """Scalar ingredients of the closed-form qubit solution at fixed (beta, gamma)."""
+    """Scalar ingredients of the closed-form qubit solution at fixed (beta, gamma).
+
+    The initial state enters separately (a, rho12(0)), so one model serves
+    every state of a scan.
+    """
 
     omega: float
     gamma: float
-    a: float
-    r: float
     pi2: float
     lam: float      # relaxation eigenvalue gamma/(pi2 - pi1) < 0
     dpi2: float     # d pi2 / d beta = -(1 - pi2) pi2 omega < 0
-    rho12_0: complex
 
 
-def _qubit_model(init: QubitInit, spectrum: Spectrum, bath: Bath) -> _QubitModel:
+def _qubit_model(spectrum: Spectrum, bath: Bath) -> _QubitModel:
     if spectrum.n_levels != 2:
         raise DomainError("closed-form qubit machinery requires a two-level spectrum")
     omega = spectrum.gap(1, 2)
     pi2 = float(thermal_distribution(spectrum, bath.beta).pi[1])
     lam = bath.gamma / (2.0 * pi2 - 1.0)
     dpi2 = -(1.0 - pi2) * pi2 * omega
-    return _QubitModel(
-        omega=omega,
-        gamma=bath.gamma,
-        a=init.a,
-        r=init.r,
-        pi2=pi2,
-        lam=lam,
-        dpi2=dpi2,
-        rho12_0=init.rho12_0,
-    )
+    return _QubitModel(omega=omega, gamma=bath.gamma, pi2=pi2, lam=lam, dpi2=dpi2)
 
 
-def _populations2(m: _QubitModel, t):
-    return m.pi2 - np.exp(m.lam * t) * (m.pi2 - m.a)
+def _populations2(m: _QubitModel, a, t):
+    return m.pi2 - np.exp(m.lam * t) * (m.pi2 - a)
 
 
-def _delta(m: _QubitModel, t):
+def _delta(m: _QubitModel, a, t):
     """Relaxation weight of the population derivative: d p2/d beta = dpi2 * delta.
 
     delta = 1 - e^{lam t} + (2/gamma) t lam^2 e^{lam t} (pi2 - a); the 1/gamma
     comes from d lam/d beta = -(2 lam^2/gamma) dpi2 and makes the trace a
     function of gamma*t only.
     """
-    return -np.expm1(m.lam * t) + (2.0 / m.gamma) * m.lam**2 * t * np.exp(m.lam * t) * (m.pi2 - m.a)
+    return -np.expm1(m.lam * t) + (2.0 / m.gamma) * m.lam**2 * t * np.exp(m.lam * t) * (m.pi2 - a)
 
 
 def _alpha(m: _QubitModel, t):
@@ -78,8 +70,47 @@ def _alpha(m: _QubitModel, t):
     return -(m.lam**2) * t / m.gamma * m.dpi2
 
 
-def _coherence(m: _QubitModel, t):
-    return m.rho12_0 * np.exp(m.lam * t / 2.0) * np.exp(1j * m.omega * t)
+def _coherence(m: _QubitModel, rho12_0: complex, t):
+    return rho12_0 * np.exp(m.lam * t / 2.0) * np.exp(1j * m.omega * t)
+
+
+def _qfi_kernel(m: _QubitModel, a, mod2_0, t) -> np.ndarray:
+    """Closed-form qubit QFI total, broadcast over states and times.
+
+    a (initial excited population) and mod2_0 = |rho12(0)|^2 broadcast
+    against the times t, e.g. shape (states, 1) against (n_times,). Every
+    t-only factor (the exponentials, alpha) is formed on t alone before it
+    meets a, so each element carries the same bits as a single-state call.
+    Times must be finite and nonnegative. Where D = p2(1-p2) - |rho12|^2 is
+    at or below EPS_GUARD (pure state) the total is 0.
+    """
+    t = np.asarray(t, dtype=float)
+    if not np.all(np.isfinite(t)):
+        raise DomainError("times must be finite")
+    if np.any(t < 0):
+        raise DomainError("times must be nonnegative")
+    p2 = _populations2(m, a, t)
+    mod2 = mod2_0 * np.exp(m.lam * t)
+    alpha = _alpha(m, t)
+    g = m.dpi2 * _delta(m, a, t)
+    denom = (1.0 - p2) * p2 - mod2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        total = _qfi_total(p2, mod2, alpha, g, denom)
+    return np.where(denom <= EPS_GUARD, 0.0, total)
+
+
+def _qfi_total(p2, mod2, alpha, g, denom):
+    """total = g^2/D + 4 m (alpha^2 (1-p2) p2 - alpha (1-2 p2) g - g^2)/D.
+
+    With m = |rho12|^2 and D = (1-p2) p2 - m; floats or broadcast arrays.
+    """
+    return (
+        g**2 / denom
+        + 4.0
+        * mod2
+        * (alpha**2 * (1.0 - p2) * p2 - alpha * (1.0 - 2.0 * p2) * g - g**2)
+        / denom
+    )
 
 
 @dataclass(frozen=True)
@@ -161,11 +192,11 @@ def beta_derivative_qubit(
     """
     if t < 0:
         raise DomainError("t must be nonnegative")
-    m = _qubit_model(init, spectrum, bath)
-    delta = float(_delta(m, t))
+    m = _qubit_model(spectrum, bath)
+    delta = float(_delta(m, init.a, t))
     alpha = float(_alpha(m, t))
     g = m.dpi2 * delta
-    d_coherence = complex(alpha * _coherence(m, t))
+    d_coherence = complex(alpha * _coherence(m, init.rho12_0, t))
     return DerivativeBundle(
         d_populations=np.array([-g, g]),
         d_coherence=d_coherence,
@@ -187,12 +218,13 @@ def finite_difference_state_derivative(
         raise DomainError(f"h must lie in [{FD_STEP_MIN:g}, {FD_STEP_MAX:g}]")
     if t < 0:
         raise DomainError("t must be nonnegative")
-    up = _qubit_model(init, spectrum, Bath(beta=bath.beta + h, gamma=bath.gamma))
-    dn = _qubit_model(init, spectrum, Bath(beta=bath.beta - h, gamma=bath.gamma))
+    up = _qubit_model(spectrum, Bath(beta=bath.beta + h, gamma=bath.gamma))
+    dn = _qubit_model(spectrum, Bath(beta=bath.beta - h, gamma=bath.gamma))
     # p1 = 1 - p2 identically, so difference p2 once; forming 1-p2 on each
     # side separately would leak rounding of size eps/(2h) into the sum.
-    dp2 = float((_populations2(up, t) - _populations2(dn, t)) / (2.0 * h))
-    d_coherence = complex((_coherence(up, t) - _coherence(dn, t)) / (2.0 * h))
+    dp2 = float((_populations2(up, init.a, t) - _populations2(dn, init.a, t)) / (2.0 * h))
+    rho12_0 = init.rho12_0
+    d_coherence = complex((_coherence(up, rho12_0, t) - _coherence(dn, rho12_0, t)) / (2.0 * h))
     alpha = float(t / 2.0 * (up.lam - dn.lam) / (2.0 * h))
     dpi2 = (up.pi2 - dn.pi2) / (2.0 * h)
     delta = dp2 / dpi2
@@ -300,13 +332,13 @@ def qubit_sld(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> SldM
       l12 = (2 alpha (1-rho22) rho22 - (1-2 rho22) g)/D * rho12
     Falls back to the eigenbasis solver when D vanishes (pure state, t=0).
     """
-    model = _qubit_model(init, spectrum, bath)
+    model = _qubit_model(spectrum, bath)
     if t < 0:
         raise DomainError("t must be nonnegative")
-    p2 = float(_populations2(model, t))
-    rho12 = complex(_coherence(model, t))
+    p2 = float(_populations2(model, init.a, t))
+    rho12 = complex(_coherence(model, init.rho12_0, t))
     mod2 = abs(rho12) ** 2
-    delta = float(_delta(model, t))
+    delta = float(_delta(model, init.a, t))
     alpha = float(_alpha(model, t))
     g = model.dpi2 * delta
     d_mat = np.array(
@@ -338,12 +370,12 @@ def qubit_qfi(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> QfiR
     appears). At the pure-state point (t=0, r=1) D vanishes while the
     numerator vanishes faster; the continuous limit F=0 is returned flagged.
     """
-    model = _qubit_model(init, spectrum, bath)
+    model = _qubit_model(spectrum, bath)
     if t < 0:
         raise DomainError("t must be nonnegative")
-    p2 = float(_populations2(model, t))
-    mod2 = abs(model.rho12_0) ** 2 * math.exp(model.lam * t)
-    delta = float(_delta(model, t))
+    p2 = float(_populations2(model, init.a, t))
+    mod2 = abs(init.rho12_0) ** 2 * math.exp(model.lam * t)
+    delta = float(_delta(model, init.a, t))
     alpha = float(_alpha(model, t))
     g = model.dpi2 * delta
     denom = (1.0 - p2) * p2 - mod2
@@ -352,13 +384,7 @@ def qubit_qfi(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> QfiR
         return QfiResult(
             total=0.0, diagonal_part=0.0, coherence_gain=0.0, sld=sld, pure_state=True
         )
-    total = (
-        g**2 / denom
-        + 4.0
-        * mod2
-        * (alpha**2 * (1.0 - p2) * p2 - alpha * (1.0 - 2.0 * p2) * g - g**2)
-        / denom
-    )
+    total = _qfi_total(p2, mod2, alpha, g, denom)
     diagonal_part = g**2 / ((1.0 - p2) * p2)
     return QfiResult(
         total=total,
@@ -369,41 +395,29 @@ def qubit_qfi(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> QfiR
 
 
 def qfi_values(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> np.ndarray:
-    """Vectorized qubit QFI over a time grid (totals only, no SLD assembly)."""
-    model = _qubit_model(init, spectrum, bath)
-    t = np.asarray(times, dtype=float)
-    if np.any(t < 0):
-        raise DomainError("times must be nonnegative")
-    p2 = _populations2(model, t)
-    mod2 = abs(model.rho12_0) ** 2 * np.exp(model.lam * t)
-    alpha = _alpha(model, t)
-    g = model.dpi2 * _delta(model, t)
-    denom = (1.0 - p2) * p2 - mod2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        total = (
-            g**2 / denom
-            + 4.0
-            * mod2
-            * (alpha**2 * (1.0 - p2) * p2 - alpha * (1.0 - 2.0 * p2) * g - g**2)
-            / denom
-        )
-    return np.where(denom <= EPS_GUARD, 0.0, total)
+    """Vectorized qubit QFI over a time grid (totals only, no SLD assembly).
+
+    The single-state call of the shared kernel; NaN, infinite or negative
+    times raise DomainError.
+    """
+    model = _qubit_model(spectrum, bath)
+    return _qfi_kernel(model, init.a, abs(init.rho12_0) ** 2, times)
 
 
 def trace_arrays(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> dict:
     """All per-time trace quantities on a grid, keyed by output column name."""
-    model = _qubit_model(init, spectrum, bath)
+    model = _qubit_model(spectrum, bath)
     t = np.asarray(times, dtype=float)
-    values = qfi_values(init, spectrum, bath, t)
+    values = _qfi_kernel(model, init.a, abs(init.rho12_0) ** 2, t)
     asymptote = thermal_qfi(spectrum, bath.beta)
-    delta = _delta(model, t)
+    delta = _delta(model, init.a, t)
     g = model.dpi2 * delta
     return {
         "t": t,
         "F": values,
         "F_norm": values / asymptote,
-        "p2": _populations2(model, t),
-        "abs_rho12": np.abs(model.rho12_0) * np.exp(model.lam * t / 2.0),
+        "p2": _populations2(model, init.a, t),
+        "abs_rho12": np.abs(init.rho12_0) * np.exp(model.lam * t / 2.0),
         "dbeta_p2": g,
         "alpha": _alpha(model, t),
         "delta": delta,

@@ -18,6 +18,14 @@ from .errors import DomainError, ModelIntegrityError, NoStationaryStateError
 # |eigenvalue| <= NULL_EIGENVALUE_RTOL * ||A||_2 counts as the null mode.
 NULL_EIGENVALUE_RTOL = 1e-8
 
+# Largest beta*omega at which exp(beta*omega) is finite in double precision
+# (the true limit is about 709.78).
+MAX_EXP_BETA_OMEGA = 709.0
+
+# Largest beta*omega at which the Gibbs weight exp(-beta*omega) is still a
+# positive double (it underflows to zero near 745.13).
+MAX_GIBBS_BETA_OMEGA = 745.0
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)
@@ -169,7 +177,7 @@ def thermal_ratio(beta: float, omega: float) -> float:
     if not (omega > 0 and math.isfinite(omega)):
         raise DomainError("omega must be positive")
     x = beta * omega
-    if x > 709.0:  # expm1 overflows; the occupation is far below subnormal
+    if x > MAX_EXP_BETA_OMEGA:  # expm1 overflows; the occupation is far below subnormal
         return 0.0
     return 1.0 / math.expm1(x)
 
@@ -187,6 +195,12 @@ def thermal_distribution(spectrum: Spectrum, beta: float) -> ThermalDistribution
     weights = np.exp(-beta * shifted)
     z_shifted = math.fsum(weights)
     pi = weights / z_shifted
+    if np.any(pi <= 0):
+        # omega here is the top level's gap above the ground level
+        raise DomainError(
+            f"Gibbs weights underflow to zero at beta*omega = {beta * shifted[-1]:g}; "
+            f"the supported range is beta*omega <= {MAX_GIBBS_BETA_OMEGA:g}"
+        )
     # Z itself is shift-covariant: Z = Z_shifted * exp(-beta*eps_1). The populations
     # above are the overflow-safe quantity; Z may saturate for extreme eps_1.
     with np.errstate(over="ignore", under="ignore"):

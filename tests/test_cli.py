@@ -167,6 +167,33 @@ class TestArgumentRules:
         rc, _, err = run_cli(capsys, ["trace", *REF, "--a", "1.5"])
         assert rc == 2
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            # the default bracket (beta/4, 4 beta) reaches beta*omega = 800
+            (["estimate", "--omega12", "1", "--beta", "200", "--gamma", "1", "--a", "0",
+              "--t", "1"], "beta*omega <= 709"),
+            (["trace", "--omega12", "1", "--beta", "1", "--gamma", "1e200", "--a", "0.3",
+              "--points", "4"], "OverflowError"),
+            (["estimate", *REF, "--a", "0", "--m-experiments", "0"], "m_experiments"),
+            (["trace", "--omega12", "1", "--beta", "800", "--gamma", "1", "--a", "0.3"],
+             "beta*omega <= 745"),
+            (["trace", *REF, "--a", "0.3", "--points", "3", "--t-max", "nan"],
+             "--t-max must be finite"),
+            (["optimize", *REF, "--t-max", "inf"], "--t-max must be finite"),
+            (["estimate", *REF, "--a", "0", "--t", "nan"], "--t must be finite"),
+            (["estimate", *REF, "--a", "0", "--t=-inf"], "--t must be finite"),
+        ],
+    )
+    def test_edge_inputs_end_in_one_error_line(self, capsys, argv, message):
+        rc, out, err = run_cli(capsys, argv)
+        assert rc == 2
+        assert out == ""
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert message in lines[0]
+        assert "Traceback" not in err
+
     def test_unwritable_output_maps_to_exit_3(self, tmp_path, capsys):
         rc, _, err = run_cli(
             capsys,

@@ -21,10 +21,11 @@ from thermoqfi import (
     mle_beta,
     optimize_initial_state,
     qfi_trace,
+    qfi_values,
     qubit_qfi,
     simulate_measurements,
 )
-from thermoqfi.metrology import golden_section_maximize, golden_section_minimize
+from thermoqfi.metrology import OptimalTime, golden_section_maximize, golden_section_minimize
 
 from conftest import reference_scenario
 
@@ -135,6 +136,22 @@ class TestGoldenSection:
             golden_section_maximize(lambda x: x, 1.0, 0.0, 1e-8)
         with pytest.raises(DomainError):
             golden_section_maximize(lambda x: x, 0.0, 1.0, 0.0)
+        with pytest.raises(DomainError):
+            golden_section_maximize(lambda x: x, np.array([0.0, 1.0]), np.array([1.0, 1.0]), 1e-8)
+
+    def test_elementwise_matches_scalar_searches(self):
+        # Brackets of different widths stop after different numbers of steps;
+        # each element must still end on the bits of its own scalar search.
+        centers = np.array([0.3, 1.7, -2.2, 0.05])
+        lo = centers - np.array([0.5, 2.0, 0.01, 0.3])
+        hi = centers + np.array([1.0, 0.4, 0.02, 0.3])
+        x, fx = golden_section_maximize(lambda t: np.cos(t - centers), lo, hi, 1e-9)
+        for k, c in enumerate(centers):
+            xs, fs = golden_section_maximize(
+                lambda t: float(np.cos(np.array([t - c]))[0]), float(lo[k]), float(hi[k]), 1e-9
+            )
+            assert isinstance(xs, float)
+            assert (x[k], fx[k]) == (xs, fs)
 
 
 class TestMaximizeQfi:
@@ -168,6 +185,33 @@ class TestMaximizeQfi:
         with pytest.raises(DomainError, match="twenty relaxation times"):
             maximize_qfi_over_time(reference_scenario(), t_max=2.0)
 
+    @pytest.mark.parametrize("t_max", [math.inf, math.nan])
+    def test_rejects_non_finite_window(self, t_max):
+        with pytest.raises(DomainError, match="finite"):
+            maximize_qfi_over_time(reference_scenario(), t_max=t_max)
+
+    @pytest.mark.parametrize("a,r", [(0.0, 0.0), (0.1, 0.0), (0.1, 1.0), (0.35, 0.5), (0.8, 0.0)])
+    def test_matches_scalar_grid_and_golden_section(self, a, r):
+        # Reference: one qfi_values call on the grid, then a scalar golden
+        # section over one-point qfi_values calls.
+        s = reference_scenario(a=a, r=r)
+        t_max = s.default_t_max
+        times = np.linspace(0.0, t_max, 2048)
+        values = qfi_values(s.init, s.spectrum, s.bath, times)
+        i = int(np.argmax(values))
+        best = maximize_qfi_over_time(s)
+        if values[i] - values[-1] <= 1e-6 * s.asymptote:
+            assert best == OptimalTime(t_star=t_max, f_star=float(values[-1]), asymptotic=True)
+            return
+
+        def f(t):
+            return float(qfi_values(s.init, s.spectrum, s.bath, np.array([t]))[0])
+
+        t_star, f_star = golden_section_maximize(
+            f, float(times[i - 1]), float(times[i + 1]), 1e-8 * t_max
+        )
+        assert best == OptimalTime(t_star=t_star, f_star=f_star, asymptotic=False)
+
 
 class TestOptimizeInitialState:
     def test_ranking_order_and_ties(self):
@@ -196,6 +240,24 @@ class TestOptimizeInitialState:
         rows1 = optimize_initial_state(s.spectrum, s.bath, a_steps=4, r_steps=1)
         rows2 = optimize_initial_state(s.spectrum, s.bath, a_steps=4, r_steps=1)
         assert rows1 == rows2
+
+    @pytest.mark.parametrize("t_max", [None, 17.5])
+    def test_rows_equal_per_state_maximization(self, t_max):
+        # 13 x 3 = 39 states is not a multiple of the scan block, and the grid
+        # holds r = 1 and the boundary rows a = pi2 = 1/4 and a = 1/2.
+        s = reference_scenario()
+        rows = optimize_initial_state(s.spectrum, s.bath, t_max=t_max, a_steps=13, r_steps=3)
+        assert len(rows) == 39
+        assert any(row.region.thermal_boundary for row in rows)
+        assert any(row.region.inversion_boundary for row in rows)
+        assert {row.r for row in rows} == {0.0, 0.5, 1.0}
+        assert any(not row.asymptotic for row in rows) and any(row.asymptotic for row in rows)
+        for row in rows:
+            scenario = Scenario(spectrum=s.spectrum, bath=s.bath, init=QubitInit(a=row.a, r=row.r))
+            best = maximize_qfi_over_time(scenario, t_max=t_max)
+            assert row.t_star == best.t_star
+            assert row.f_star == best.f_star
+            assert row.asymptotic == best.asymptotic
 
     def test_validation(self):
         s = reference_scenario()
@@ -372,3 +434,30 @@ class TestCramerRao:
     def test_validation(self):
         with pytest.raises(DomainError, match="n_replicas"):
             cramer_rao_report(reference_scenario(), n_replicas=1)
+
+    def test_estimates_equal_per_replica_mle(self):
+        # A bracket this narrow clamps many replicas at either edge, so the
+        # count memo serves clamped and bisected estimates alike.
+        s = reference_scenario()
+        t, m, n, seed = 1.0, 200, 150, 4
+        bracket = (1.05, 1.15)
+        report = cramer_rao_report(
+            s, t=t, m_experiments=m, n_replicas=n, seed=seed, bracket=bracket
+        )
+        expected = [
+            mle_beta(
+                simulate_measurements(s, t, m, [seed, i]),
+                m, s.spectrum, s.bath.gamma, s.init, t, bracket,
+            )
+            for i in range(n)
+        ]
+        assert report.run.beta_hats.tolist() == [e.beta_hat for e in expected]
+        assert report.clamped_count == sum(e.clamped for e in expected)
+        assert 0 < report.clamped_count < n
+
+    def test_bracket_beyond_exp_range_is_a_domain_error(self):
+        s = Scenario.qubit(omega12=1.0, beta=200.0, gamma=1.0, a=0.0)
+        with pytest.raises(DomainError, match="709"):
+            cramer_rao_report(s, t=1.0, m_experiments=100, n_replicas=10)
+        with pytest.raises(DomainError, match="709"):
+            mle_beta(5, 10, s.spectrum, 1.0, s.init, 1.0, (100.0, 710.0))

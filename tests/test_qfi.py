@@ -314,6 +314,11 @@ class TestQfiValues:
         with pytest.raises(DomainError):
             qfi_values(QubitInit(a=0.1), SPECTRUM, BATH, [-1.0, 0.5])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_times(self, bad):
+        with pytest.raises(DomainError, match="finite"):
+            qfi_values(QubitInit(a=0.1), SPECTRUM, BATH, [0.5, bad])
+
 
 class TestDecomposition:
     def test_matches_closed_form_qubit(self):

@@ -95,6 +95,14 @@ class TestThermalDistribution:
         shifted = thermal_distribution(Spectrum(energies=(100.0, 100.7, 101.9)), 1.3)
         np.testing.assert_allclose(shifted.pi, base.pi, rtol=0, atol=1e-15)
 
+    def test_underflow_names_the_supported_range(self):
+        # Accepted up to where exp(-beta*omega) underflows (near 745.13).
+        assert thermal_distribution(Spectrum.qubit(1.0), 745.0).pi[1] > 0.0
+        with pytest.raises(DomainError, match=r"beta\*omega = 800.*beta\*omega <= 745"):
+            thermal_distribution(Spectrum.qubit(1.0), 800.0)
+        with pytest.raises(DomainError, match=r"beta\*omega = 900"):
+            thermal_distribution(Spectrum(energies=(0.0, 1.0, 3.0)), 300.0)
+
     def test_populations_nonincreasing(self):
         rng = np.random.default_rng(11)
         for _ in range(20):
