@@ -15,9 +15,11 @@ are rendered with repr (shortest round-trip) and JSON keys are sorted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,6 +42,10 @@ from .spectrum import Bath, Spectrum
 from .validate import check_names, run_checks
 
 SCHEMA_VERSION = "1"
+
+# Rows per write of the table writer: enough to amortize the per-block work,
+# few enough that one block's strings stay near a megabyte.
+_BLOCK_ROWS = 8192
 
 TRACE_COLUMNS = ("t", "F", "F_norm", "p2", "abs_rho12", "dbeta_p2", "alpha", "delta")
 
@@ -278,12 +284,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv_document(columns, rows) -> str:
-    lines = [",".join(columns)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _json_safe(value):
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
@@ -305,12 +305,77 @@ def _json_document(payload: dict) -> str:
     return json.dumps(_json_safe(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _emit(text: str, out: str | None) -> None:
+@contextlib.contextmanager
+def _sink(out: str | None):
+    """The write function of --out, or of sys.stdout as it is when called."""
     if out is None or out == "-":
-        sys.stdout.write(text)
+        yield sys.stdout.write
     else:
         with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            yield fh.write
+
+
+def _emit(text: str, out: str | None) -> None:
+    with _sink(out) as write:
+        write(text)
+
+
+class _RowLayout(NamedTuple):
+    """How _write_rows joins cells into rows.
+
+    A row is prefix + sep.join(cells) + suffix, and rows are separated by
+    between. nonfinite replaces nan/inf float cells; None keeps their repr,
+    as _cell does.
+    """
+
+    prefix: str
+    sep: str
+    suffix: str
+    between: str
+    nonfinite: str | None
+
+
+_CSV_ROWS = _RowLayout("", ",", "\n", "", None)
+
+# A row of a top-level "rows" array exactly as json.dumps(indent=2) lays it out.
+_JSON_ROWS = _RowLayout("    [\n      ", ",\n      ", "\n    ]", ",\n", "null")
+
+
+def _column_cells(column, nonfinite: str | None):
+    """The cells of one column slice, with one rendering decision per column.
+
+    A float array is rendered by repr over tolist() (what _cell does to each
+    float); any other column keeps _cell's per-value rules for bool, None,
+    int and str.
+    """
+    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+        values = column.tolist()
+        if nonfinite is None or np.isfinite(column).all():
+            return map(repr, values)
+        return [repr(v) if math.isfinite(v) else nonfinite for v in values]
+    return map(_cell, column)
+
+
+def _write_rows(write, columns, layout: _RowLayout) -> None:
+    """Write equal-length columns as rows, one write call per _BLOCK_ROWS rows.
+
+    No string larger than one block is built, so memory does not grow with
+    the number of rows.
+    """
+    joiner = layout.suffix + layout.between + layout.prefix
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        cells = [
+            _column_cells(column[start : start + _BLOCK_ROWS], layout.nonfinite)
+            for column in columns
+        ]
+        block = joiner.join(map(layout.sep.join, zip(*cells)))
+        write((layout.between if start else "") + layout.prefix + block + layout.suffix)
+
+
+def _emit_csv(names, columns, out: str | None) -> None:
+    with _sink(out) as write:
+        write(",".join(names) + "\n")
+        _write_rows(write, columns, _CSV_ROWS)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -326,36 +391,37 @@ def cmd_trace(args: argparse.Namespace) -> int:
         raise ConfigError("--points must be at least 2")
     times = np.linspace(0.0, t_max, points)
     cols = trace_arrays(init, spectrum, bath, times)
-    fmt = args.format or "csv"
-    if fmt == "csv":
-        rows = zip(*(cols[name] for name in TRACE_COLUMNS))
-        text = _csv_document(TRACE_COLUMNS, rows)
-    else:
-        payload = {
-            "schema_version": SCHEMA_VERSION,
-            "kind": "trace",
-            "params": {
-                "omega12": spectrum.gap(1, 2),
-                "beta": bath.beta,
-                "gamma": bath.gamma,
-                "a": init.a,
-                "r": init.r,
-                "phi": init.phi,
-                "t_max": t_max,
-                "points": points,
-            },
-            "derived": {
-                "pi2": scenario.pi2,
-                "lambda": scenario.relaxation_rate,
-                "asymptote": scenario.asymptote,
-            },
-            "columns": list(TRACE_COLUMNS),
-            "rows": [
-                [float(cols[name][i]) for name in TRACE_COLUMNS] for i in range(points)
-            ],
-        }
-        text = _json_document(payload)
-    _emit(text, args.out)
+    columns = [cols[name] for name in TRACE_COLUMNS]
+    if (args.format or "csv") == "csv":
+        _emit_csv(TRACE_COLUMNS, columns, args.out)
+        return 0
+    payload = {
+        "schema_version": SCHEMA_VERSION,
+        "kind": "trace",
+        "params": {
+            "omega12": spectrum.gap(1, 2),
+            "beta": bath.beta,
+            "gamma": bath.gamma,
+            "a": init.a,
+            "r": init.r,
+            "phi": init.phi,
+            "t_max": t_max,
+            "points": points,
+        },
+        "derived": {
+            "pi2": scenario.pi2,
+            "lambda": scenario.relaxation_rate,
+            "asymptote": scenario.asymptote,
+        },
+        "columns": list(TRACE_COLUMNS),
+        "rows": [],
+    }
+    # The rows are streamed into the place of the empty list in the document.
+    head, tail = _json_document(payload).split('"rows": []')
+    with _sink(args.out) as write:
+        write(head + '"rows": [\n')
+        _write_rows(write, columns, _JSON_ROWS)
+        write("\n  ]" + tail)
     return 0
 
 
@@ -374,7 +440,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             (row.a, row.r, row.t_star, row.f_star, row.asymptotic, row.region.region)
             for row in rows
         ]
-        text = _csv_document(OPTIMIZE_COLUMNS, table)
+        _emit_csv(OPTIMIZE_COLUMNS, list(zip(*table)), args.out)
     else:
         scenario = Scenario(spectrum=spectrum, bath=bath, init=QubitInit(a=0.0))
         payload = {
@@ -403,8 +469,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 for row in rows
             ],
         }
-        text = _json_document(payload)
-    _emit(text, args.out)
+        _emit(_json_document(payload), args.out)
     return 0
 
 
@@ -530,8 +595,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         }
     fmt = args.format or "json"
     if fmt == "csv":
-        row = [results[name] for name in ESTIMATE_COLUMNS]
-        text = _csv_document(ESTIMATE_COLUMNS, [row])
+        _emit_csv(ESTIMATE_COLUMNS, [[results[name]] for name in ESTIMATE_COLUMNS], args.out)
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -549,8 +613,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             },
             "results": results,
         }
-        text = _json_document(payload)
-    _emit(text, args.out)
+        _emit(_json_document(payload), args.out)
     return 0
 
 

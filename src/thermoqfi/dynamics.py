@@ -18,6 +18,8 @@ from scipy.linalg import expm
 
 from .errors import DomainError, ModelIntegrityError
 from .spectrum import (
+    MAX_GIBBS_BETA_OMEGA,
+    MIN_BETA_OMEGA,
     Bath,
     RateMatrix,
     Spectrum,
@@ -206,12 +208,28 @@ def propagate_coherence(c: float, omega: float, rho12_0: complex, t: float) -> c
     return rho12_0 * math.exp(-c * t) * cmath.exp(1j * omega * t)
 
 
+def _relaxation_rate_from_gap(gamma: float, population_gap: float, beta_omega: float) -> float:
+    """lambda = gamma / population_gap, with population_gap = pi_2 - pi_1 as the caller forms it.
+
+    At high enough temperature (beta*omega, given for the message, below
+    about 1e-16) the two populations round to 1/2 and the gap to zero; that
+    raises DomainError naming the supported beta*omega range.
+    """
+    if population_gap == 0:
+        raise DomainError(
+            f"beta*omega = {beta_omega:g} is too small: both thermal populations round "
+            "to 1/2 and the relaxation rate gamma/(pi2 - pi1) is undefined; the supported "
+            f"range is {MIN_BETA_OMEGA:g} <= beta*omega <= {MAX_GIBBS_BETA_OMEGA:g}"
+        )
+    return gamma / population_gap
+
+
 def qubit_relaxation_rate(spectrum: Spectrum, bath: Bath) -> float:
     """The single decaying eigenvalue lambda = gamma/(pi_2 - pi_1) < 0 of the qubit generator."""
     if spectrum.n_levels != 2:
         raise DomainError("relaxation rate closed form requires a two-level spectrum")
     pi = thermal_distribution(spectrum, bath.beta).pi
-    return bath.gamma / (pi[1] - pi[0])
+    return _relaxation_rate_from_gap(bath.gamma, pi[1] - pi[0], bath.beta * spectrum.gap(1, 2))
 
 
 def qubit_state(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> DensityMatrix:
@@ -225,7 +243,7 @@ def qubit_state(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> De
     if t < 0:
         raise DomainError("t must be nonnegative")
     pi2 = float(thermal_distribution(spectrum, bath.beta).pi[1])
-    lam = bath.gamma / (2.0 * pi2 - 1.0)
+    lam = _relaxation_rate_from_gap(bath.gamma, 2.0 * pi2 - 1.0, bath.beta * spectrum.gap(1, 2))
     decay = math.exp(lam * t)
     p2 = pi2 - decay * (pi2 - init.a)
     rho12 = init.rho12_0 * math.exp(lam * t / 2.0) * cmath.exp(1j * spectrum.gap(1, 2) * t)
@@ -368,7 +386,7 @@ def gad_master_comparison(
         spectrum = Spectrum.qubit(omega12)
         bath = Bath(beta=beta, gamma=gamma)
         pi2 = float(thermal_distribution(spectrum, beta).pi[1])
-        lam = gamma / (2.0 * pi2 - 1.0)
+        lam = _relaxation_rate_from_gap(gamma, 2.0 * pi2 - 1.0, beta * omega12)
         t_compare = (1.0 + n12) * tau_tilde / abs(lam)
         p2_master = pi2 - math.exp(lam * t_compare) * (pi2 - a0)
     rel_diff = abs(p2_gad - p2_master) / max(abs(p2_master), 1e-300)

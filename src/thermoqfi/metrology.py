@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import QubitInit, qubit_relaxation_rate
+from .dynamics import QubitInit, _relaxation_rate_from_gap, qubit_relaxation_rate
 from .errors import DomainError, EstimatorUndefinedError
 from .qfi import (
     _qfi_kernel,
@@ -370,7 +370,7 @@ class MleResult:
 
 def _p2_of_beta(beta: float, omega: float, gamma: float, a: float, t: float) -> float:
     pi2 = 1.0 / (1.0 + math.exp(beta * omega))
-    lam = gamma / (2.0 * pi2 - 1.0)
+    lam = _relaxation_rate_from_gap(gamma, 2.0 * pi2 - 1.0, beta * omega)
     return pi2 - math.exp(lam * t) * (pi2 - a)
 
 

@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import DensityMatrix, QubitInit, as_state, qubit_state
+from .dynamics import (
+    DensityMatrix,
+    QubitInit,
+    _relaxation_rate_from_gap,
+    as_state,
+    qubit_state,
+)
 from .errors import DomainError, ModelIntegrityError
 from .spectrum import Bath, Spectrum, _readonly, thermal_distribution
 
@@ -46,7 +52,7 @@ def _qubit_model(spectrum: Spectrum, bath: Bath) -> _QubitModel:
         raise DomainError("closed-form qubit machinery requires a two-level spectrum")
     omega = spectrum.gap(1, 2)
     pi2 = float(thermal_distribution(spectrum, bath.beta).pi[1])
-    lam = bath.gamma / (2.0 * pi2 - 1.0)
+    lam = _relaxation_rate_from_gap(bath.gamma, 2.0 * pi2 - 1.0, bath.beta * omega)
     dpi2 = -(1.0 - pi2) * pi2 * omega
     return _QubitModel(omega=omega, gamma=bath.gamma, pi2=pi2, lam=lam, dpi2=dpi2)
 
@@ -82,21 +88,32 @@ def _qfi_kernel(m: _QubitModel, a, mod2_0, t) -> np.ndarray:
     t-only factor (the exponentials, alpha) is formed on t alone before it
     meets a, so each element carries the same bits as a single-state call.
     Times must be finite and nonnegative. Where D = p2(1-p2) - |rho12|^2 is
-    at or below EPS_GUARD (pure state) the total is 0.
+    at or below EPS_GUARD (pure state) the total is 0. Times so late that the
+    closed form overflows double precision raise DomainError.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise DomainError("times must be finite")
     if np.any(t < 0):
         raise DomainError("times must be nonnegative")
-    p2 = _populations2(m, a, t)
-    mod2 = mod2_0 * np.exp(m.lam * t)
-    alpha = _alpha(m, t)
-    g = m.dpi2 * _delta(m, a, t)
-    denom = (1.0 - p2) * p2 - mod2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        p2 = _populations2(m, a, t)
+        mod2 = mod2_0 * np.exp(m.lam * t)
+        alpha = _alpha(m, t)
+        g = m.dpi2 * _delta(m, a, t)
+        denom = (1.0 - p2) * p2 - mod2
         total = _qfi_total(p2, mod2, alpha, g, denom)
-    return np.where(denom <= EPS_GUARD, 0.0, total)
+    values = np.where(denom <= EPS_GUARD, 0.0, total)
+    _check_finite(values, t)
+    return values
+
+
+def _check_finite(values, t) -> None:
+    if not np.all(np.isfinite(values)):
+        raise DomainError(
+            f"the closed form overflows double precision on times up to {np.max(t):g}; "
+            "shorten the time window"
+        )
 
 
 def _qfi_total(p2, mod2, alpha, g, denom):
@@ -405,23 +422,31 @@ def qfi_values(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> np.nda
 
 
 def trace_arrays(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> dict:
-    """All per-time trace quantities on a grid, keyed by output column name."""
+    """All per-time trace quantities on a grid, keyed by output column name.
+
+    Every column is finite: a window on which any of them overflows raises
+    DomainError.
+    """
     model = _qubit_model(spectrum, bath)
     t = np.asarray(times, dtype=float)
     values = _qfi_kernel(model, init.a, abs(init.rho12_0) ** 2, t)
     asymptote = thermal_qfi(spectrum, bath.beta)
-    delta = _delta(model, init.a, t)
-    g = model.dpi2 * delta
-    return {
-        "t": t,
-        "F": values,
-        "F_norm": values / asymptote,
-        "p2": _populations2(model, init.a, t),
-        "abs_rho12": np.abs(init.rho12_0) * np.exp(model.lam * t / 2.0),
-        "dbeta_p2": g,
-        "alpha": _alpha(model, t),
-        "delta": delta,
-    }
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = _delta(model, init.a, t)
+        g = model.dpi2 * delta
+        cols = {
+            "t": t,
+            "F": values,
+            "F_norm": values / asymptote,
+            "p2": _populations2(model, init.a, t),
+            "abs_rho12": np.abs(init.rho12_0) * np.exp(model.lam * t / 2.0),
+            "dbeta_p2": g,
+            "alpha": _alpha(model, t),
+            "delta": delta,
+        }
+    for column in cols.values():
+        _check_finite(column, t)
+    return cols
 
 
 def qfi_decomposition(rho: DensityMatrix | np.ndarray, drho) -> QfiResult:

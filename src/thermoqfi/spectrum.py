@@ -26,6 +26,12 @@ MAX_EXP_BETA_OMEGA = 709.0
 # positive double (it underflows to zero near 745.13).
 MAX_GIBBS_BETA_OMEGA = 745.0
 
+# Smallest beta*omega at which the qubit closed forms are guaranteed to hold.
+# Below about 4.5e-17 both Gibbs populations round to 1/2 (below about 3.3e-16
+# for the MLE's 1/(1 + e^{beta*omega}), whose bracket reaches beta/4), and the
+# relaxation rate gamma/(pi2 - pi1) divides by zero.
+MIN_BETA_OMEGA = 2e-15
+
 
 def _readonly(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, copy=True)

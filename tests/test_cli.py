@@ -1,13 +1,30 @@
 """End-to-end command-line behavior: formats, config merging, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import shutil
 import subprocess
 
+import numpy as np
 import pytest
 
-from thermoqfi.cli import ESTIMATE_COLUMNS, OPTIMIZE_COLUMNS, TRACE_COLUMNS, main
+from thermoqfi import QubitInit, Scenario
+from thermoqfi.qfi import trace_arrays
+from thermoqfi.cli import (
+    _BLOCK_ROWS,
+    _CSV_ROWS,
+    _JSON_ROWS,
+    ESTIMATE_COLUMNS,
+    OPTIMIZE_COLUMNS,
+    SCHEMA_VERSION,
+    TRACE_COLUMNS,
+    _cell,
+    _json_safe,
+    _write_rows,
+    main,
+)
 
 REF = ["--omega12", "1", "--beta", "1.0986122886681098", "--gamma", "1"]
 
@@ -16,6 +33,55 @@ def run_cli(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def reference_csv(columns, rows) -> str:
+    """The row-by-row CSV join the block writer must reproduce byte for byte."""
+    lines = [",".join(columns)]
+    lines.extend(",".join(_cell(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def reference_json(payload) -> str:
+    return json.dumps(_json_safe(payload), indent=2, sort_keys=True) + "\n"
+
+
+TRACE_STATE = ["--a", "0.3", "--r", "0.5", "--phi", "0.7"]
+
+
+def reference_trace(points: int, fmt: str) -> str:
+    """The trace document of REF + TRACE_STATE, built row by row from the library."""
+    scenario = Scenario.qubit(
+        omega12=1.0, beta=1.0986122886681098, gamma=1.0, a=0.3, r=0.5, phi=0.7
+    )
+    init = QubitInit(a=0.3, r=0.5, phi=0.7)
+    t_max = scenario.default_t_max
+    cols = trace_arrays(init, scenario.spectrum, scenario.bath, np.linspace(0.0, t_max, points))
+    if fmt == "csv":
+        return reference_csv(TRACE_COLUMNS, zip(*(cols[name] for name in TRACE_COLUMNS)))
+    return reference_json(
+        {
+            "schema_version": SCHEMA_VERSION,
+            "kind": "trace",
+            "params": {
+                "omega12": 1.0,
+                "beta": 1.0986122886681098,
+                "gamma": 1.0,
+                "a": 0.3,
+                "r": 0.5,
+                "phi": 0.7,
+                "t_max": t_max,
+                "points": points,
+            },
+            "derived": {
+                "pi2": scenario.pi2,
+                "lambda": scenario.relaxation_rate,
+                "asymptote": scenario.asymptote,
+            },
+            "columns": list(TRACE_COLUMNS),
+            "rows": [[float(cols[name][i]) for name in TRACE_COLUMNS] for i in range(points)],
+        }
+    )
 
 
 class TestTrace:
@@ -78,6 +144,81 @@ class TestTrace:
         rc, out, _ = run_cli(capsys, args)
         assert rc == 0
         assert out == path.read_text()
+
+
+class TestBlockWriter:
+    """The block writer against the row-by-row reference it replaced."""
+
+    @pytest.mark.parametrize(
+        "points", [2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_trace_matches_reference(self, tmp_path, capsys, points, fmt):
+        expected = reference_trace(points, fmt)
+        args = ["trace", *REF, *TRACE_STATE, "--points", str(points), "--format", fmt]
+        rc, out, err = run_cli(capsys, args)
+        assert (rc, err) == (0, "")
+        assert out == expected
+        path = tmp_path / f"trace.{fmt}"
+        assert main([*args, "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_bytes() == expected.encode()
+
+    def test_optimize_csv_matches_reference(self, capsys):
+        args = ["optimize", *REF, "--a-steps", "7", "--r-steps", "3"]
+        rc, out, _ = run_cli(capsys, args)
+        assert rc == 0
+        rows = [[row[name] for name in OPTIMIZE_COLUMNS] for row in json.loads(out)["rows"]]
+        rc, out, _ = run_cli(capsys, [*args, "--format", "csv"])
+        assert rc == 0
+        assert out == reference_csv(OPTIMIZE_COLUMNS, rows)
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            ["--a", "0", "--replicas", "50", "--m-experiments", "500"],  # full MLE run
+            ["--a", "0.1", "--r", "1", "--t", "1"],  # bound only: None cells
+            ["--a", "0", "--t", "0", "--replicas", "10"],  # no information
+        ],
+    )
+    def test_estimate_csv_matches_reference(self, capsys, state):
+        args = ["estimate", *REF, *state]
+        rc, out, _ = run_cli(capsys, args)
+        assert rc == 0
+        results = json.loads(out)["results"]
+        rc, out, _ = run_cli(capsys, [*args, "--format", "csv"])
+        assert rc == 0
+        expected = reference_csv(ESTIMATE_COLUMNS, [[results[n] for n in ESTIMATE_COLUMNS]])
+        assert out == expected
+
+    def test_nonfinite_cells(self):
+        # non-finite values at both sides of each block edge
+        n = 2 * _BLOCK_ROWS + 1
+        first = np.linspace(-1.0, 1.0, n)
+        second = np.arange(n, dtype=float) / 7.0
+        edges = (0, _BLOCK_ROWS - 1, _BLOCK_ROWS, n - 1)
+        for i, value in zip(edges, (np.nan, np.inf, -np.inf, np.nan)):
+            first[i] = value
+            second[n - 1 - i] = value
+        rows = list(zip(first.tolist(), second.tolist()))
+        json_out = io.StringIO()
+        _write_rows(json_out.write, [first, second], _JSON_ROWS)
+        document = reference_json({"rows": rows})
+        assert document == '{\n  "rows": [\n' + json_out.getvalue() + "\n  ]\n}\n"
+        assert "null" in json_out.getvalue()
+        csv_out = io.StringIO()
+        csv_out.write("x,y\n")
+        _write_rows(csv_out.write, [first, second], _CSV_ROWS)
+        assert csv_out.getvalue() == reference_csv(["x", "y"], rows)
+
+    def test_output_follows_redirected_stdout(self, capsys):
+        points = _BLOCK_ROWS + 1
+        redirected = io.StringIO()
+        with contextlib.redirect_stdout(redirected):
+            rc = main(["trace", *REF, *TRACE_STATE, "--points", str(points)])
+        assert rc == 0
+        assert capsys.readouterr().out == ""
+        assert redirected.getvalue() == reference_trace(points, "csv")
 
 
 class TestConfig:
@@ -183,8 +324,23 @@ class TestArgumentRules:
             (["optimize", *REF, "--t-max", "inf"], "--t-max must be finite"),
             (["estimate", *REF, "--a", "0", "--t", "nan"], "--t must be finite"),
             (["estimate", *REF, "--a", "0", "--t=-inf"], "--t must be finite"),
+            # beta*omega so small that pi2 rounds to 1/2: lambda = gamma/(2 pi2 - 1)
+            (["estimate", "--omega12", "1", "--beta", "1e-300", "--gamma", "1", "--a", "0"],
+             "2e-15 <= beta*omega <= 745"),
+            (["experiment", "--n12", "1e300"], "beta*omega = 1e-300 is too small"),
+            # the MLE bracket (beta/4, 4 beta) reaches beta*omega = 2.5e-16
+            (["estimate", "--omega12", "1", "--beta", "1e-15", "--gamma", "1", "--a", "0",
+              "--t", "1"], "beta*omega = 2.5e-16 is too small"),
+            # finite windows on which the closed form overflows to nan
+            (["trace", *REF, "--a", "0.3", "--points", "4", "--t-max", "1e308"],
+             "shorten the time window"),
+            (["optimize", *REF, "--t-max", "1e300"], "shorten the time window"),
+            # F is forced to 0 (D below the guard) while delta overflows
+            (["trace", "--omega12", "1", "--beta", "100", "--gamma", "2", "--a", "0.3",
+              "--points", "4", "--t-max", "1e308"], "shorten the time window"),
         ],
     )
+    @pytest.mark.filterwarnings("error")
     def test_edge_inputs_end_in_one_error_line(self, capsys, argv, message):
         rc, out, err = run_cli(capsys, argv)
         assert rc == 2
@@ -194,13 +350,31 @@ class TestArgumentRules:
         assert message in lines[0]
         assert "Traceback" not in err
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["trace", *REF, "--a", "0", "--points", "1000", "--t-max", "1e6"],
+            ["optimize", *REF, "--a-steps", "3", "--r-steps", "1", "--t-max", "1e6"],
+        ],
+    )
+    def test_long_finite_window_is_accepted(self, capsys, argv):
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, err) == (0, "")
+        assert "nan" not in out and "inf" not in out and "null" not in out
+
     def test_unwritable_output_maps_to_exit_3(self, tmp_path, capsys):
-        rc, _, err = run_cli(
-            capsys,
-            ["trace", *REF, "--a", "0", "--points", "4",
-             "--out", str(tmp_path / "nodir" / "x.csv")],
-        )
-        assert rc == 3
+        for argv in (
+            ["trace", *REF, "--a", "0", "--points", "4"],
+            # more rows than one block of the streaming writer
+            ["trace", *REF, "--a", "0", "--points", "20000"],
+            ["trace", *REF, "--a", "0", "--points", "20000", "--format", "json"],
+        ):
+            rc, out, err = run_cli(capsys, [*argv, "--out", str(tmp_path / "nodir" / "x.csv")])
+            assert rc == 3
+            assert out == ""
+            lines = err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: ")
 
 
 class TestOptimize:
