@@ -82,7 +82,6 @@ THETA_PRESETS = {
 
 _CONFIG_KEYS = (
     "omega12",
-    "energies",
     "beta",
     "n12",
     "gamma",
@@ -112,9 +111,6 @@ class ConfigError(Exception):
 
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega12", type=float, default=None, help="two-level gap")
-    p.add_argument(
-        "--energies", default=None, help="comma-separated level energies (ascending)"
-    )
     p.add_argument("--beta", type=float, default=None, help="inverse bath temperature")
     p.add_argument(
         "--n12", type=float, default=None, help="thermal occupation of the gap (sets beta)"
@@ -217,23 +213,10 @@ def _merge_config(args: argparse.Namespace) -> None:
             setattr(args, key, value)
 
 
-def _parse_energies(raw) -> tuple[float, ...]:
-    if isinstance(raw, (list, tuple)):
-        return tuple(float(x) for x in raw)
-    try:
-        return tuple(float(x) for x in str(raw).split(","))
-    except ValueError as exc:
-        raise ConfigError(f"cannot parse energies {raw!r}") from exc
-
-
 def _resolve_spectrum(args: argparse.Namespace) -> Spectrum:
-    has_omega = args.omega12 is not None
-    has_energies = getattr(args, "energies", None) is not None
-    if has_omega == has_energies:
-        raise ConfigError("provide exactly one of --omega12 or --energies")
-    if has_omega:
-        return Spectrum.qubit(float(args.omega12))
-    return Spectrum(energies=_parse_energies(args.energies))
+    if args.omega12 is None:
+        raise ConfigError("provide --omega12")
+    return Spectrum.qubit(float(args.omega12))
 
 
 def _resolve_bath(args: argparse.Namespace, spectrum: Spectrum) -> Bath:
@@ -492,7 +475,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         beta = beta_from_thermal_ratio(n12, omega12)
         bath = Bath(beta=beta, gamma=gamma)
         traces = []
-        for theta, theta_label in THETA_PRESETS[label if label in THETA_PRESETS else "cold"]:
+        for theta, theta_label in THETA_PRESETS[label]:
             init = QubitInit.from_theta(theta, r=r)
             scenario = Scenario(spectrum=spectrum, bath=bath, init=init)
             t_max = scenario.default_t_max

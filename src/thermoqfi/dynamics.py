@@ -12,6 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -25,9 +26,9 @@ from .spectrum import (
     Spectrum,
     TransitionMatrix,
     _as_generator,
+    _gibbs_underflow,
     _readonly,
     rate_matrix,
-    thermal_distribution,
     transition_matrix,
 )
 
@@ -208,28 +209,69 @@ def propagate_coherence(c: float, omega: float, rho12_0: complex, t: float) -> c
     return rho12_0 * math.exp(-c * t) * cmath.exp(1j * omega * t)
 
 
-def _relaxation_rate_from_gap(gamma: float, population_gap: float, beta_omega: float) -> float:
-    """lambda = gamma / population_gap, with population_gap = pi_2 - pi_1 as the caller forms it.
+class _QubitModel(NamedTuple):
+    """The closed-form qubit relaxation at fixed gap, temperature and coupling.
 
-    At high enough temperature (beta*omega, given for the message, below
-    about 1e-16) the two populations round to 1/2 and the gap to zero; that
-    raises DomainError naming the supported beta*omega range.
+    pi2 = w/(1 + w) with w = e^{-beta omega} is the thermal excited population
+    (the bits thermal_distribution gives), lam = gamma/(pi2 - pi1) =
+    gamma/(2 pi2 - 1) < 0 the relaxation eigenvalue and dpi2 = d pi2/d beta =
+    -(1 - pi2) pi2 omega. The initial state enters each method separately, so
+    one model serves every state of a scan; times are floats or arrays.
     """
-    if population_gap == 0:
+
+    omega: float
+    gamma: float
+    pi2: float
+    lam: float
+    dpi2: float
+
+    def decay(self, t):
+        """e^{lam t}: the factor by which pi2 - p2 and |rho12|^2 shrink."""
+        return np.exp(self.lam * t)
+
+    def p2(self, a, t):
+        """Excited population p2(t) = pi2 - e^{lam t} (pi2 - a), from p2(0) = a."""
+        return self.pi2 - self.decay(t) * (self.pi2 - a)
+
+    def envelope(self, c, t):
+        """c e^{lam t/2}: for c = |rho12(0)| this is |rho12(t)|."""
+        return c * np.exp(self.lam * t / 2.0)
+
+    def rho12(self, rho12_0, t):
+        """Coherence rho12(t): decays at |lam|/2 while rotating at the gap frequency."""
+        return self.envelope(rho12_0, t) * np.exp(1j * self.omega * t)
+
+
+def _qubit_model(omega: float, beta: float, gamma: float) -> _QubitModel:
+    """The qubit model; the one place where pi2, lam and dpi2 are formed.
+
+    Supports MIN_BETA_OMEGA <= beta*omega <= MAX_GIBBS_BETA_OMEGA and raises
+    DomainError outside: below, both populations round to about 1/2 and
+    2 pi2 - 1 loses its digits; above, the Gibbs weight underflows to zero.
+    """
+    x = beta * omega
+    if x < MIN_BETA_OMEGA:
         raise DomainError(
-            f"beta*omega = {beta_omega:g} is too small: both thermal populations round "
-            "to 1/2 and the relaxation rate gamma/(pi2 - pi1) is undefined; the supported "
-            f"range is {MIN_BETA_OMEGA:g} <= beta*omega <= {MAX_GIBBS_BETA_OMEGA:g}"
+            f"beta*omega = {x:g} is too small: both thermal populations round to 1/2 "
+            "and the relaxation rate gamma/(pi2 - pi1) is undefined; the supported range "
+            f"is {MIN_BETA_OMEGA:g} <= beta*omega <= {MAX_GIBBS_BETA_OMEGA:g}"
         )
-    return gamma / population_gap
+    if x > MAX_GIBBS_BETA_OMEGA:
+        raise _gibbs_underflow(x)
+    w = float(np.exp(-x))
+    pi2 = w / (1.0 + w)
+    return _QubitModel(omega, gamma, pi2, gamma / (2.0 * pi2 - 1.0), -(1.0 - pi2) * pi2 * omega)
+
+
+def _qubit_model_of(spectrum: Spectrum, bath: Bath) -> _QubitModel:
+    if spectrum.n_levels != 2:
+        raise DomainError("the closed-form qubit model requires a two-level spectrum")
+    return _qubit_model(spectrum.gap(1, 2), bath.beta, bath.gamma)
 
 
 def qubit_relaxation_rate(spectrum: Spectrum, bath: Bath) -> float:
     """The single decaying eigenvalue lambda = gamma/(pi_2 - pi_1) < 0 of the qubit generator."""
-    if spectrum.n_levels != 2:
-        raise DomainError("relaxation rate closed form requires a two-level spectrum")
-    pi = thermal_distribution(spectrum, bath.beta).pi
-    return _relaxation_rate_from_gap(bath.gamma, pi[1] - pi[0], bath.beta * spectrum.gap(1, 2))
+    return _qubit_model_of(spectrum, bath).lam
 
 
 def qubit_state(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> DensityMatrix:
@@ -238,15 +280,11 @@ def qubit_state(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> De
     Populations relax toward the thermal pair at rate |lambda|; the coherence
     decays at |lambda|/2 while rotating at the gap frequency.
     """
-    if spectrum.n_levels != 2:
-        raise DomainError("qubit_state requires a two-level spectrum")
+    model = _qubit_model_of(spectrum, bath)
     if t < 0:
         raise DomainError("t must be nonnegative")
-    pi2 = float(thermal_distribution(spectrum, bath.beta).pi[1])
-    lam = _relaxation_rate_from_gap(bath.gamma, 2.0 * pi2 - 1.0, bath.beta * spectrum.gap(1, 2))
-    decay = math.exp(lam * t)
-    p2 = pi2 - decay * (pi2 - init.a)
-    rho12 = init.rho12_0 * math.exp(lam * t / 2.0) * cmath.exp(1j * spectrum.gap(1, 2) * t)
+    p2 = float(model.p2(init.a, t))
+    rho12 = complex(model.rho12(init.rho12_0, t))
     return DensityMatrix(
         elements=np.array([[1.0 - p2, rho12], [rho12.conjugate(), p2]])
     )
@@ -383,12 +421,10 @@ def gad_master_comparison(
         t_compare = 0.0
         lam = 0.0
     else:
-        spectrum = Spectrum.qubit(omega12)
-        bath = Bath(beta=beta, gamma=gamma)
-        pi2 = float(thermal_distribution(spectrum, beta).pi[1])
-        lam = _relaxation_rate_from_gap(gamma, 2.0 * pi2 - 1.0, beta * omega12)
+        model = _qubit_model(omega12, beta, gamma)
+        lam = model.lam
         t_compare = (1.0 + n12) * tau_tilde / abs(lam)
-        p2_master = pi2 - math.exp(lam * t_compare) * (pi2 - a0)
+        p2_master = float(model.p2(a0, t_compare))
     rel_diff = abs(p2_gad - p2_master) / max(abs(p2_master), 1e-300)
     return {
         "n12": n12,

@@ -14,18 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import QubitInit, _relaxation_rate_from_gap, qubit_relaxation_rate
+from .dynamics import (
+    QubitInit,
+    _qubit_model,
+    _qubit_model_of,
+    _QubitModel,
+    qubit_relaxation_rate,
+)
 from .errors import DomainError, EstimatorUndefinedError
 from .qfi import (
     _qfi_kernel,
-    _qubit_model,
     beta_derivative_qubit,
     diagonal_qfi,
     qfi_values,
     qubit_qfi,
     thermal_qfi,
 )
-from .spectrum import MAX_EXP_BETA_OMEGA, Bath, Spectrum, _readonly, thermal_distribution
+from .spectrum import MAX_EXP_BETA_OMEGA, Bath, Spectrum, _readonly
 
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -74,8 +79,12 @@ class Scenario:
         )
 
     @property
+    def _model(self) -> _QubitModel:
+        return _qubit_model_of(self.spectrum, self.bath)
+
+    @property
     def pi2(self) -> float:
-        return float(thermal_distribution(self.spectrum, self.bath.beta).pi[1])
+        return self._model.pi2
 
     @property
     def relaxation_rate(self) -> float:
@@ -243,7 +252,7 @@ def _peak_times(
         raise DomainError("t_max must cover at least twenty relaxation times")
     n_grid = max(512, int(n_grid))
     times = np.linspace(0.0, t_max, n_grid)
-    model = _qubit_model(spectrum, bath)
+    model = _qubit_model_of(spectrum, bath)
     margin = ASYMPTOTIC_MARGIN * thermal_qfi(spectrum, bath.beta)
     a = np.array([init.a for init in inits], dtype=float)
     mod2_0 = np.array([abs(init.rho12_0) ** 2 for init in inits], dtype=float)
@@ -252,7 +261,7 @@ def _peak_times(
     tail = np.empty(a.size)
     for start in range(0, a.size, _SCAN_BLOCK):
         block = slice(start, start + _SCAN_BLOCK)
-        values = _qfi_kernel(model, a[block, None], mod2_0[block, None], times)
+        values = _qfi_kernel(model, a[block, None], mod2_0[block, None], times).total
         i = np.argmax(values, axis=1)
         peak[block] = i
         f_peak[block] = values[np.arange(i.size), i]
@@ -263,7 +272,7 @@ def _peak_times(
         i = peak[interior]
         a_in, mod2_in = a[interior], mod2_0[interior]
         t_star, f_star = golden_section_maximize(
-            lambda t: _qfi_kernel(model, a_in, mod2_in, t),
+            lambda t: _qfi_kernel(model, a_in, mod2_in, t).total,
             times[i - 1],
             times[i + 1],
             1e-8 * t_max,
@@ -318,7 +327,7 @@ def optimize_initial_state(
     """
     if a_steps < 2 or r_steps < 1:
         raise DomainError("need a_steps >= 2 and r_steps >= 1")
-    pi2 = float(thermal_distribution(spectrum, bath.beta).pi[1])
+    pi2 = _qubit_model_of(spectrum, bath).pi2
     a_grid = np.linspace(0.0, 1.0, a_steps).tolist()
     r_grid = np.linspace(0.0, 1.0, r_steps).tolist() if r_steps > 1 else [0.0]
     states = [(a, r) for r in r_grid for a in a_grid]
@@ -341,14 +350,8 @@ def optimize_initial_state(
 def classical_fisher_information(scenario: Scenario, t: float) -> float:
     """Fisher information of the two-outcome population measurement at time t."""
     bundle = beta_derivative_qubit(scenario.init, scenario.spectrum, scenario.bath, t)
-    model_p2 = _population_at(scenario, t)
+    model_p2 = float(scenario._model.p2(scenario.init.a, t))
     return diagonal_qfi([1.0 - model_p2, model_p2], bundle.d_populations)
-
-
-def _population_at(scenario: Scenario, t: float) -> float:
-    pi2 = scenario.pi2
-    lam = scenario.relaxation_rate
-    return pi2 - math.exp(lam * t) * (pi2 - scenario.init.a)
 
 
 def simulate_measurements(scenario: Scenario, t: float, m_experiments: int, seed) -> int:
@@ -357,7 +360,7 @@ def simulate_measurements(scenario: Scenario, t: float, m_experiments: int, seed
         raise DomainError("m_experiments must be a positive integer")
     if t < 0:
         raise DomainError("t must be nonnegative")
-    p2 = min(1.0, max(0.0, _population_at(scenario, t)))
+    p2 = min(1.0, max(0.0, float(scenario._model.p2(scenario.init.a, t))))
     rng = np.random.default_rng(seed)
     return int(rng.binomial(m_experiments, p2))
 
@@ -368,12 +371,6 @@ class MleResult:
     clamped: bool
 
 
-def _p2_of_beta(beta: float, omega: float, gamma: float, a: float, t: float) -> float:
-    pi2 = 1.0 / (1.0 + math.exp(beta * omega))
-    lam = _relaxation_rate_from_gap(gamma, 2.0 * pi2 - 1.0, beta * omega)
-    return pi2 - math.exp(lam * t) * (pi2 - a)
-
-
 def _check_monotone(omega, gamma, a, t, lo, hi, n_samples=65):
     if hi * omega > MAX_EXP_BETA_OMEGA:
         raise DomainError(
@@ -381,7 +378,7 @@ def _check_monotone(omega, gamma, a, t, lo, hi, n_samples=65):
             f"beta*omega <= {MAX_EXP_BETA_OMEGA:g}"
         )
     betas = np.linspace(lo, hi, n_samples)
-    ys = [_p2_of_beta(float(b), omega, gamma, a, t) for b in betas]
+    ys = [float(_qubit_model(omega, b, gamma).p2(a, t)) for b in betas.tolist()]
     diffs = np.diff(ys)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise EstimatorUndefinedError(
@@ -400,7 +397,7 @@ def _bisect_beta(target, omega, gamma, a, t, lo, hi, y_lo, y_hi) -> MleResult:
         return MleResult(beta_hat=lo if decreasing else hi, clamped=True)
     while hi - lo > 1e-10:
         mid = (lo + hi) / 2.0
-        y = _p2_of_beta(mid, omega, gamma, a, t)
+        y = _qubit_model(omega, mid, gamma).p2(a, t)
         if (y > target) == decreasing:
             lo = mid
         else:
@@ -526,7 +523,7 @@ def cramer_rao_report(
     gamma = scenario.bath.gamma
     a = scenario.init.a
     y_lo, y_hi = _check_monotone(omega, gamma, a, t, lo, hi)
-    p2_true = min(1.0, max(0.0, _population_at(scenario, t)))
+    p2_true = min(1.0, max(0.0, float(scenario._model.p2(a, t))))
     estimates = np.empty(n_replicas)
     clamped = 0
     by_count: dict[int, MleResult] = {}

@@ -11,16 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import (
-    DensityMatrix,
-    QubitInit,
-    _relaxation_rate_from_gap,
-    as_state,
-    qubit_state,
-)
+from .dynamics import DensityMatrix, QubitInit, _qubit_model_of, _QubitModel, as_state
 from .errors import DomainError, ModelIntegrityError
 from .spectrum import Bath, Spectrum, _readonly, thermal_distribution
 
@@ -32,64 +27,32 @@ FD_STEP_MIN = 1e-8
 FD_STEP_MAX = 1e-3
 
 
-@dataclass(frozen=True)
-class _QubitModel:
-    """Scalar ingredients of the closed-form qubit solution at fixed (beta, gamma).
+class _Terms(NamedTuple):
+    """Per-time ingredients of the closed-form qubit QFI, SLD and derivative."""
 
-    The initial state enters separately (a, rho12(0)), so one model serves
-    every state of a scan.
-    """
-
-    omega: float
-    gamma: float
-    pi2: float
-    lam: float      # relaxation eigenvalue gamma/(pi2 - pi1) < 0
-    dpi2: float     # d pi2 / d beta = -(1 - pi2) pi2 omega < 0
+    p2: np.ndarray      # excited population
+    mod2: np.ndarray    # |rho12|^2
+    alpha: np.ndarray   # coherence log-derivative: d rho12/d beta = alpha * rho12(t)
+    delta: np.ndarray   # relaxation weight: d p2/d beta = dpi2 * delta
+    g: np.ndarray       # d p2/d beta
+    denom: np.ndarray   # D = (1 - p2) p2 - |rho12|^2
+    total: np.ndarray   # the QFI; 0 where D is at or below EPS_GUARD (pure state)
 
 
-def _qubit_model(spectrum: Spectrum, bath: Bath) -> _QubitModel:
-    if spectrum.n_levels != 2:
-        raise DomainError("closed-form qubit machinery requires a two-level spectrum")
-    omega = spectrum.gap(1, 2)
-    pi2 = float(thermal_distribution(spectrum, bath.beta).pi[1])
-    lam = _relaxation_rate_from_gap(bath.gamma, 2.0 * pi2 - 1.0, bath.beta * omega)
-    dpi2 = -(1.0 - pi2) * pi2 * omega
-    return _QubitModel(omega=omega, gamma=bath.gamma, pi2=pi2, lam=lam, dpi2=dpi2)
-
-
-def _populations2(m: _QubitModel, a, t):
-    return m.pi2 - np.exp(m.lam * t) * (m.pi2 - a)
-
-
-def _delta(m: _QubitModel, a, t):
-    """Relaxation weight of the population derivative: d p2/d beta = dpi2 * delta.
-
-    delta = 1 - e^{lam t} + (2/gamma) t lam^2 e^{lam t} (pi2 - a); the 1/gamma
-    comes from d lam/d beta = -(2 lam^2/gamma) dpi2 and makes the trace a
-    function of gamma*t only.
-    """
-    return -np.expm1(m.lam * t) + (2.0 / m.gamma) * m.lam**2 * t * np.exp(m.lam * t) * (m.pi2 - a)
-
-
-def _alpha(m: _QubitModel, t):
-    """Coherence log-derivative: d rho12/d beta = alpha * rho12(t)."""
-    return -(m.lam**2) * t / m.gamma * m.dpi2
-
-
-def _coherence(m: _QubitModel, rho12_0: complex, t):
-    return rho12_0 * np.exp(m.lam * t / 2.0) * np.exp(1j * m.omega * t)
-
-
-def _qfi_kernel(m: _QubitModel, a, mod2_0, t) -> np.ndarray:
-    """Closed-form qubit QFI total, broadcast over states and times.
+def _qfi_kernel(m: _QubitModel, a, mod2_0, t) -> _Terms:
+    """Closed-form qubit QFI and its per-time terms, broadcast over states and times.
 
     a (initial excited population) and mod2_0 = |rho12(0)|^2 broadcast
     against the times t, e.g. shape (states, 1) against (n_times,). Every
     t-only factor (the exponentials, alpha) is formed on t alone before it
     meets a, so each element carries the same bits as a single-state call.
-    Times must be finite and nonnegative. Where D = p2(1-p2) - |rho12|^2 is
-    at or below EPS_GUARD (pure state) the total is 0. Times so late that the
-    closed form overflows double precision raise DomainError.
+    Times must be finite and nonnegative. Times so late that the closed form
+    overflows double precision raise DomainError.
+
+    delta = 1 - e^{lam t} + (2/gamma) t lam^2 e^{lam t} (pi2 - a); the 1/gamma
+    comes from d lam/d beta = -(2 lam^2/gamma) dpi2 and makes the trace a
+    function of gamma*t only. The total is
+    g^2/D + 4 m (alpha^2 (1-p2) p2 - alpha (1-2 p2) g - g^2)/D with m = |rho12|^2.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
@@ -97,15 +60,23 @@ def _qfi_kernel(m: _QubitModel, a, mod2_0, t) -> np.ndarray:
     if np.any(t < 0):
         raise DomainError("times must be nonnegative")
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        p2 = _populations2(m, a, t)
-        mod2 = mod2_0 * np.exp(m.lam * t)
-        alpha = _alpha(m, t)
-        g = m.dpi2 * _delta(m, a, t)
+        decay = m.decay(t)
+        p2 = m.p2(a, t)
+        mod2 = mod2_0 * decay
+        alpha = -(m.lam**2) * t / m.gamma * m.dpi2
+        delta = -np.expm1(m.lam * t) + (2.0 / m.gamma) * m.lam**2 * t * decay * (m.pi2 - a)
+        g = m.dpi2 * delta
         denom = (1.0 - p2) * p2 - mod2
-        total = _qfi_total(p2, mod2, alpha, g, denom)
-    values = np.where(denom <= EPS_GUARD, 0.0, total)
-    _check_finite(values, t)
-    return values
+        total = (
+            g**2 / denom
+            + 4.0
+            * mod2
+            * (alpha**2 * (1.0 - p2) * p2 - alpha * (1.0 - 2.0 * p2) * g - g**2)
+            / denom
+        )
+    total = np.where(denom <= EPS_GUARD, 0.0, total)
+    _check_finite(total, t)
+    return _Terms(p2, mod2, alpha, delta, g, denom, total)
 
 
 def _check_finite(values, t) -> None:
@@ -116,18 +87,13 @@ def _check_finite(values, t) -> None:
         )
 
 
-def _qfi_total(p2, mod2, alpha, g, denom):
-    """total = g^2/D + 4 m (alpha^2 (1-p2) p2 - alpha (1-2 p2) g - g^2)/D.
-
-    With m = |rho12|^2 and D = (1-p2) p2 - m; floats or broadcast arrays.
-    """
-    return (
-        g**2 / denom
-        + 4.0
-        * mod2
-        * (alpha**2 * (1.0 - p2) * p2 - alpha * (1.0 - 2.0 * p2) * g - g**2)
-        / denom
-    )
+def _qubit_point(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float):
+    """The kernel's terms (as floats) and rho12(t) of one state at one time."""
+    if t < 0:
+        raise DomainError("t must be nonnegative")
+    m = _qubit_model_of(spectrum, bath)
+    terms = _qfi_kernel(m, init.a, abs(init.rho12_0) ** 2, t)
+    return _Terms(*map(float, terms)), complex(m.rho12(init.rho12_0, t))
 
 
 @dataclass(frozen=True)
@@ -207,18 +173,12 @@ def beta_derivative_qubit(
     d rho12 = alpha * rho12(t). Validated against central finite differences
     of the propagated state (see finite_difference_state_derivative).
     """
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    m = _qubit_model(spectrum, bath)
-    delta = float(_delta(m, init.a, t))
-    alpha = float(_alpha(m, t))
-    g = m.dpi2 * delta
-    d_coherence = complex(alpha * _coherence(m, init.rho12_0, t))
+    terms, rho12 = _qubit_point(init, spectrum, bath, t)
     return DerivativeBundle(
-        d_populations=np.array([-g, g]),
-        d_coherence=d_coherence,
-        alpha=alpha,
-        delta=delta,
+        d_populations=np.array([-terms.g, terms.g]),
+        d_coherence=terms.alpha * rho12,
+        alpha=terms.alpha,
+        delta=terms.delta,
     )
 
 
@@ -235,13 +195,13 @@ def finite_difference_state_derivative(
         raise DomainError(f"h must lie in [{FD_STEP_MIN:g}, {FD_STEP_MAX:g}]")
     if t < 0:
         raise DomainError("t must be nonnegative")
-    up = _qubit_model(spectrum, Bath(beta=bath.beta + h, gamma=bath.gamma))
-    dn = _qubit_model(spectrum, Bath(beta=bath.beta - h, gamma=bath.gamma))
+    up = _qubit_model_of(spectrum, Bath(beta=bath.beta + h, gamma=bath.gamma))
+    dn = _qubit_model_of(spectrum, Bath(beta=bath.beta - h, gamma=bath.gamma))
     # p1 = 1 - p2 identically, so difference p2 once; forming 1-p2 on each
     # side separately would leak rounding of size eps/(2h) into the sum.
-    dp2 = float((_populations2(up, init.a, t) - _populations2(dn, init.a, t)) / (2.0 * h))
+    dp2 = float((up.p2(init.a, t) - dn.p2(init.a, t)) / (2.0 * h))
     rho12_0 = init.rho12_0
-    d_coherence = complex((_coherence(up, rho12_0, t) - _coherence(dn, rho12_0, t)) / (2.0 * h))
+    d_coherence = complex((up.rho12(rho12_0, t) - dn.rho12(rho12_0, t)) / (2.0 * h))
     alpha = float(t / 2.0 * (up.lam - dn.lam) / (2.0 * h))
     dpi2 = (up.pi2 - dn.pi2) / (2.0 * h)
     delta = dp2 / dpi2
@@ -349,21 +309,17 @@ def qubit_sld(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> SldM
       l12 = (2 alpha (1-rho22) rho22 - (1-2 rho22) g)/D * rho12
     Falls back to the eigenbasis solver when D vanishes (pure state, t=0).
     """
-    model = _qubit_model(spectrum, bath)
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    p2 = float(_populations2(model, init.a, t))
-    rho12 = complex(_coherence(model, init.rho12_0, t))
-    mod2 = abs(rho12) ** 2
-    delta = float(_delta(model, init.a, t))
-    alpha = float(_alpha(model, t))
-    g = model.dpi2 * delta
+    return _sld(*_qubit_point(init, spectrum, bath, t))
+
+
+def _sld(terms: _Terms, rho12: complex) -> SldMatrix:
+    p2, mod2, alpha, g, denom = terms.p2, terms.mod2, terms.alpha, terms.g, terms.denom
     d_mat = np.array(
         [[-g, alpha * rho12], [alpha * rho12.conjugate(), g]], dtype=complex
     )
-    denom = (1.0 - p2) * p2 - mod2
+    rho = np.array([[1.0 - p2, rho12], [rho12.conjugate(), p2]], dtype=complex)
     if abs(denom) < EPS_GUARD:
-        result = sld_general(qubit_state(init, spectrum, bath, t), d_mat)
+        result = sld_general(rho, d_mat)
         return SldMatrix(
             elements=result.elements, residual=result.residual, from_fallback=True
         )
@@ -371,7 +327,6 @@ def qubit_sld(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> SldM
     l22 = (-2.0 * g * mod2 - 2.0 * alpha * (1.0 - p2) * mod2 + (1.0 - p2) * g) / denom
     l12 = (2.0 * alpha * (1.0 - p2) * p2 - (1.0 - 2.0 * p2) * g) / denom * rho12
     l = np.array([[l11, l12], [l12.conjugate(), l22]], dtype=complex)
-    rho = np.array([[1.0 - p2, rho12], [rho12.conjugate(), p2]], dtype=complex)
     residual = float(np.linalg.norm(d_mat - (l @ rho + rho @ l) / 2.0))
     tol = 1e-9 * (1.0 + float(np.linalg.norm(d_mat)))
     if residual > tol:
@@ -387,26 +342,17 @@ def qubit_qfi(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> QfiR
     appears). At the pure-state point (t=0, r=1) D vanishes while the
     numerator vanishes faster; the continuous limit F=0 is returned flagged.
     """
-    model = _qubit_model(spectrum, bath)
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    p2 = float(_populations2(model, init.a, t))
-    mod2 = abs(init.rho12_0) ** 2 * math.exp(model.lam * t)
-    delta = float(_delta(model, init.a, t))
-    alpha = float(_alpha(model, t))
-    g = model.dpi2 * delta
-    denom = (1.0 - p2) * p2 - mod2
-    sld = qubit_sld(init, spectrum, bath, t)
-    if denom <= EPS_GUARD:
+    terms, rho12 = _qubit_point(init, spectrum, bath, t)
+    sld = _sld(terms, rho12)
+    if terms.denom <= EPS_GUARD:
         return QfiResult(
             total=0.0, diagonal_part=0.0, coherence_gain=0.0, sld=sld, pure_state=True
         )
-    total = _qfi_total(p2, mod2, alpha, g, denom)
-    diagonal_part = g**2 / ((1.0 - p2) * p2)
+    diagonal_part = terms.g**2 / ((1.0 - terms.p2) * terms.p2)
     return QfiResult(
-        total=total,
+        total=terms.total,
         diagonal_part=diagonal_part,
-        coherence_gain=total - diagonal_part,
+        coherence_gain=terms.total - diagonal_part,
         sld=sld,
     )
 
@@ -417,8 +363,8 @@ def qfi_values(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> np.nda
     The single-state call of the shared kernel; NaN, infinite or negative
     times raise DomainError.
     """
-    model = _qubit_model(spectrum, bath)
-    return _qfi_kernel(model, init.a, abs(init.rho12_0) ** 2, times)
+    model = _qubit_model_of(spectrum, bath)
+    return _qfi_kernel(model, init.a, abs(init.rho12_0) ** 2, times).total
 
 
 def trace_arrays(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> dict:
@@ -427,22 +373,20 @@ def trace_arrays(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> dict
     Every column is finite: a window on which any of them overflows raises
     DomainError.
     """
-    model = _qubit_model(spectrum, bath)
+    model = _qubit_model_of(spectrum, bath)
     t = np.asarray(times, dtype=float)
-    values = _qfi_kernel(model, init.a, abs(init.rho12_0) ** 2, t)
+    terms = _qfi_kernel(model, init.a, abs(init.rho12_0) ** 2, t)
     asymptote = thermal_qfi(spectrum, bath.beta)
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = _delta(model, init.a, t)
-        g = model.dpi2 * delta
         cols = {
             "t": t,
-            "F": values,
-            "F_norm": values / asymptote,
-            "p2": _populations2(model, init.a, t),
-            "abs_rho12": np.abs(init.rho12_0) * np.exp(model.lam * t / 2.0),
-            "dbeta_p2": g,
-            "alpha": _alpha(model, t),
-            "delta": delta,
+            "F": terms.total,
+            "F_norm": terms.total / asymptote,
+            "p2": terms.p2,
+            "abs_rho12": model.envelope(np.abs(init.rho12_0), t),
+            "dbeta_p2": terms.g,
+            "alpha": terms.alpha,
+            "delta": terms.delta,
         }
     for column in cols.values():
         _check_finite(column, t)

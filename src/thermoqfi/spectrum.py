@@ -26,10 +26,9 @@ MAX_EXP_BETA_OMEGA = 709.0
 # positive double (it underflows to zero near 745.13).
 MAX_GIBBS_BETA_OMEGA = 745.0
 
-# Smallest beta*omega at which the qubit closed forms are guaranteed to hold.
-# Below about 4.5e-17 both Gibbs populations round to 1/2 (below about 3.3e-16
-# for the MLE's 1/(1 + e^{beta*omega}), whose bracket reaches beta/4), and the
-# relaxation rate gamma/(pi2 - pi1) divides by zero.
+# Smallest beta*omega the qubit closed forms accept. Below about 4.5e-17 both
+# Gibbs populations round to 1/2 and the relaxation rate gamma/(pi2 - pi1)
+# divides by zero; this bound keeps a margin of digits in pi2 - pi1.
 MIN_BETA_OMEGA = 2e-15
 
 
@@ -188,6 +187,13 @@ def thermal_ratio(beta: float, omega: float) -> float:
     return 1.0 / math.expm1(x)
 
 
+def _gibbs_underflow(beta_omega: float) -> DomainError:
+    return DomainError(
+        f"Gibbs weights underflow to zero at beta*omega = {beta_omega:g}; "
+        f"the supported range is beta*omega <= {MAX_GIBBS_BETA_OMEGA:g}"
+    )
+
+
 def thermal_distribution(spectrum: Spectrum, beta: float) -> ThermalDistribution:
     """Gibbs distribution over the spectrum at inverse temperature beta.
 
@@ -203,10 +209,7 @@ def thermal_distribution(spectrum: Spectrum, beta: float) -> ThermalDistribution
     pi = weights / z_shifted
     if np.any(pi <= 0):
         # omega here is the top level's gap above the ground level
-        raise DomainError(
-            f"Gibbs weights underflow to zero at beta*omega = {beta * shifted[-1]:g}; "
-            f"the supported range is beta*omega <= {MAX_GIBBS_BETA_OMEGA:g}"
-        )
+        raise _gibbs_underflow(beta * shifted[-1])
     # Z itself is shift-covariant: Z = Z_shifted * exp(-beta*eps_1). The populations
     # above are the overflow-safe quantity; Z may saturate for extreme eps_1.
     with np.errstate(over="ignore", under="ignore"):

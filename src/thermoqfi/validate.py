@@ -16,6 +16,7 @@ import numpy as np
 from .dynamics import (
     DensityMatrix,
     QubitInit,
+    _qubit_model,
     evolve_state,
     gad_apply,
     gad_fixed_point,
@@ -359,13 +360,12 @@ def _check_partial_thermal_init(rng, inject: bool):
         gamma = float(rng.uniform(0.2, 3.0))
         spectrum = Spectrum.qubit(omega)
         bath = Bath(beta=beta, gamma=gamma)
-        pi2 = float(thermal_distribution(spectrum, beta).pi[1])
-        init = QubitInit(a=pi2)
-        lam = gamma / (2.0 * pi2 - 1.0)
-        t = float(rng.uniform(0.0, 10.0 / abs(lam)))
+        model = _qubit_model(omega, beta, gamma)
+        init = QubitInit(a=model.pi2)
+        t = float(rng.uniform(0.0, 10.0 / abs(model.lam)))
         bundle = beta_derivative_qubit(init, spectrum, bath, t)
         dpi = thermal_population_derivative(spectrum, beta)
-        expected = -np.expm1(lam * t) * dpi
+        expected = -np.expm1(model.lam * t) * dpi
         worst = max(worst, float(np.max(np.abs(bundle.d_populations - expected))))
     passed = worst <= 1e-10
     return passed, f"worst |partial - (1-e^(lam t)) d(pi)| = {worst:.3e} (tol 1e-10)"

@@ -112,6 +112,27 @@ class TestTrace:
         assert doc["derived"]["lambda"] == pytest.approx(-2.0, rel=1e-15)
         assert doc["derived"]["asymptote"] == pytest.approx(0.1875, rel=1e-15)
 
+    @pytest.mark.parametrize("beta", [0.2, 0.6, 1.0, 1.4, 1.8, 2.2, 2.6, 3.0])
+    def test_derived_constants_reproduce_the_columns(self, capsys, beta):
+        # p2, |rho12| and the default window come from the pi2 and lambda
+        # that the document reports, bit for bit
+        a, r, phi = 0.1, 0.6, 0.4
+        rc, out, _ = run_cli(
+            capsys,
+            ["trace", "--omega12", "1", "--beta", repr(beta), "--gamma", "1.3",
+             "--a", repr(a), "--r", repr(r), "--phi", repr(phi),
+             "--points", "64", "--format", "json"],
+        )
+        assert rc == 0
+        doc = json.loads(out)
+        pi2, lam = doc["derived"]["pi2"], doc["derived"]["lambda"]
+        rows = np.array(doc["rows"])
+        t, p2, abs_rho12 = (rows[:, TRACE_COLUMNS.index(c)] for c in ("t", "p2", "abs_rho12"))
+        assert np.array_equal(p2, pi2 - np.exp(lam * t) * (pi2 - a))
+        abs_rho12_0 = abs(QubitInit(a=a, r=r, phi=phi).rho12_0)
+        assert np.array_equal(abs_rho12, abs_rho12_0 * np.exp(lam * t / 2.0))
+        assert t[-1] == 20.0 / abs(lam)
+
     def test_theta_matches_population_form(self, capsys):
         # sin^2(pi/6) rounds to 0.25 - 1 ulp, so compare numerically
         theta = str(math.pi / 3.0)
@@ -295,14 +316,12 @@ class TestArgumentRules:
         assert rc == 2
         assert "--gamma or --tau-tilde" in err
 
-    def test_spectrum_requires_exactly_one_form(self, capsys):
-        rc, _, err = run_cli(
-            capsys,
-            ["trace", "--omega12", "1", "--energies", "0,1", "--beta", "1",
-             "--gamma", "1", "--a", "0"],
-        )
-        assert rc == 2
-        assert "--omega12 or --energies" in err
+    def test_energies_flag_is_gone(self, capsys):
+        # --energies a,b printed what --omega12 (b - a) prints; it was removed
+        with pytest.raises(SystemExit) as exc:
+            main(["trace", "--energies", "0,1", "--beta", "1", "--gamma", "1", "--a", "0"])
+        assert exc.value.code == 2
+        assert "--energies" in capsys.readouterr().err
 
     def test_domain_error_maps_to_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, ["trace", *REF, "--a", "1.5"])
@@ -328,9 +347,9 @@ class TestArgumentRules:
             (["estimate", "--omega12", "1", "--beta", "1e-300", "--gamma", "1", "--a", "0"],
              "2e-15 <= beta*omega <= 745"),
             (["experiment", "--n12", "1e300"], "beta*omega = 1e-300 is too small"),
-            # the MLE bracket (beta/4, 4 beta) reaches beta*omega = 2.5e-16
+            # below the supported range at the true beta, before any bracket
             (["estimate", "--omega12", "1", "--beta", "1e-15", "--gamma", "1", "--a", "0",
-              "--t", "1"], "beta*omega = 2.5e-16 is too small"),
+              "--t", "1"], "beta*omega = 1e-15 is too small"),
             # finite windows on which the closed form overflows to nan
             (["trace", *REF, "--a", "0.3", "--points", "4", "--t-max", "1e308"],
              "shorten the time window"),

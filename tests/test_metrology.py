@@ -455,6 +455,48 @@ class TestCramerRao:
         assert report.clamped_count == sum(e.clamped for e in expected)
         assert 0 < report.clamped_count < n
 
+    def test_mle_inverts_the_population_counts_are_drawn_from(self, monkeypatch):
+        # At the true beta the MLE's p2 must be the very population the
+        # binomial counts are drawn from. With m = 2**80 experiments a count
+        # fraction equals that population exactly, and brackets ending at the
+        # true beta on either side both clamp to it only if the MLE reaches
+        # that population there bit for bit.
+        rng = np.random.default_rng(2405)
+        cases = []
+        for _ in range(200):
+            omega = float(rng.uniform(0.3, 3.0))
+            beta = float(rng.uniform(0.2, 3.0)) / omega
+            gamma = float(rng.uniform(0.2, 3.0))
+            # region C over the whole bracket keeps p2 monotone in beta
+            a = float(rng.uniform(0.1, 0.95)) * Scenario.qubit(omega, 2 * beta, gamma, 0.0).pi2
+            s = Scenario.qubit(omega, beta, gamma, a)
+            cases.append((s, float(rng.uniform(0.05, 5.0)) / abs(s.relaxation_rate)))
+
+        drawn = []
+        real_rng = np.random.default_rng
+
+        class Recorder:
+            def __init__(self, seed):
+                self._rng = real_rng(seed)
+
+            def binomial(self, n, p):
+                drawn.append(p)
+                return self._rng.binomial(n, p)
+
+        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        m = 2**80
+        for s, t in cases:
+            beta = s.bath.beta
+            drawn.clear()
+            cramer_rao_report(
+                s, t=t, m_experiments=10, n_replicas=2, bracket=(beta / 2.0, 2.0 * beta)
+            )
+            counts = int(drawn[0] * m)
+            assert counts / m == drawn[0]
+            for bracket in ((beta / 2.0, beta), (beta, 2.0 * beta)):
+                res = mle_beta(counts, m, s.spectrum, s.bath.gamma, s.init, t, bracket)
+                assert res.clamped and res.beta_hat == beta
+
     def test_bracket_beyond_exp_range_is_a_domain_error(self):
         s = Scenario.qubit(omega12=1.0, beta=200.0, gamma=1.0, a=0.0)
         with pytest.raises(DomainError, match="709"):
