@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DomainError, ModelIntegrityError
 from .spectrum import (
@@ -32,8 +31,15 @@ from .spectrum import (
     transition_matrix,
 )
 
+# Below this beta*omega the relaxation rate is formed as -gamma/tanh(beta*omega/2)
+# rather than gamma/(2 pi2 - 1): the difference loses about log2(1/(beta*omega))
+# bits there (6e-9 relative at 1e-8), tanh none. Above it the subtractive form
+# loses at most a few ulps and is kept, so lam, and every window and trace
+# formed from it, is unchanged across the conditioned range beta*omega >= 0.2.
+TANH_BETA_OMEGA = 1e-2
+
 # Eigenvector-matrix condition number beyond which the eigendecomposition
-# propagator is abandoned for scaling-and-squaring.
+# propagator rejects the generator as defective or too ill-conditioned.
 EIG_CONDITION_LIMIT = 1e12
 
 
@@ -141,28 +147,17 @@ def as_state(rho: DensityMatrix | np.ndarray) -> DensityMatrix:
     return DensityMatrix(elements=np.asarray(rho, dtype=complex))
 
 
-def propagation_method(a: TransitionMatrix | np.ndarray) -> str:
-    """Which propagator branch applies to this generator: 'eig' or 'expm'.
-
-    Valid generators are similar to symmetric matrices by detailed balance and
-    always take the eigendecomposition branch; 'expm' covers near-defective
-    input (eigenvector condition number beyond EIG_CONDITION_LIMIT).
-    """
-    mat = _as_generator(a)
-    _, vectors = np.linalg.eig(mat)
-    if np.linalg.cond(vectors) > EIG_CONDITION_LIMIT:
-        return "expm"
-    return "eig"
-
-
 def propagate_populations(
     a: TransitionMatrix | np.ndarray, p0, t: float
 ) -> np.ndarray:
     """Populations exp(A t) p0 via eigendecomposition of the generator.
 
-    Falls back to scaling-and-squaring when the eigenvector matrix is too
-    ill-conditioned (see propagation_method). The result is clipped of
-    negative rounding dust and renormalized to unit sum.
+    Detailed-balance generators are similar to symmetric matrices and always
+    diagonalize with a well-conditioned eigenvector matrix. A generator whose
+    eigenvector matrix has condition number beyond EIG_CONDITION_LIMIT is
+    defective or too close to it (such as an equal-rate decay cascade) and is
+    rejected with DomainError. The result is clipped of negative rounding
+    dust and renormalized to unit sum.
     """
     if t < 0:
         raise DomainError("t must be nonnegative")
@@ -175,10 +170,14 @@ def propagate_populations(
     if t == 0.0:
         return p0.copy()
     values, vectors = np.linalg.eig(mat)
-    if np.linalg.cond(vectors) > EIG_CONDITION_LIMIT:
-        p = expm(mat * t) @ p0
-    else:
-        p = (vectors @ (np.exp(values * t) * np.linalg.solve(vectors, p0.astype(complex)))).real
+    condition = np.linalg.cond(vectors)
+    if not condition <= EIG_CONDITION_LIMIT:
+        raise DomainError(
+            "the generator is defective or too ill-conditioned to eigendecompose "
+            f"(eigenvector condition number {condition:.3g} > {EIG_CONDITION_LIMIT:g}); "
+            "detailed-balance generators from transition_matrix always diagonalize"
+        )
+    p = (vectors @ (np.exp(values * t) * np.linalg.solve(vectors, p0.astype(complex)))).real
     if np.min(p) < -1e-10:
         raise ModelIntegrityError(f"propagated populations went negative: min {np.min(p):.3e}")
     p = np.clip(p, 0.0, None)
@@ -214,9 +213,10 @@ class _QubitModel(NamedTuple):
 
     pi2 = w/(1 + w) with w = e^{-beta omega} is the thermal excited population
     (the bits thermal_distribution gives), lam = gamma/(pi2 - pi1) =
-    gamma/(2 pi2 - 1) < 0 the relaxation eigenvalue and dpi2 = d pi2/d beta =
-    -(1 - pi2) pi2 omega. The initial state enters each method separately, so
-    one model serves every state of a scan; times are floats or arrays.
+    -gamma/tanh(beta omega/2) < 0 the relaxation eigenvalue and
+    dpi2 = d pi2/d beta = -(1 - pi2) pi2 omega. The initial state enters each
+    method separately, so one model serves every state of a scan; times are
+    floats or arrays.
     """
 
     omega: float
@@ -242,25 +242,42 @@ class _QubitModel(NamedTuple):
         return self.envelope(rho12_0, t) * np.exp(1j * self.omega * t)
 
 
-def _qubit_model(omega: float, beta: float, gamma: float) -> _QubitModel:
+def _qubit_model(omega: float, beta, gamma: float) -> _QubitModel:
     """The qubit model; the one place where pi2, lam and dpi2 are formed.
 
     Supports MIN_BETA_OMEGA <= beta*omega <= MAX_GIBBS_BETA_OMEGA and raises
-    DomainError outside: below, both populations round to about 1/2 and
-    2 pi2 - 1 loses its digits; above, the Gibbs weight underflows to zero.
+    DomainError outside: below, both populations round to about 1/2; above,
+    the Gibbs weight underflows to zero. beta may be an array (the MLE inverts
+    many counts at once); the model's pi2, lam and dpi2 are then arrays of the
+    same shape, elementwise bitwise equal to the scalar models.
+
+    The population gap 2 pi2 - 1 = -tanh(beta omega/2) cancels at high
+    temperature, so below TANH_BETA_OMEGA it is taken from the tanh form.
     """
     x = beta * omega
-    if x < MIN_BETA_OMEGA:
+    batch = isinstance(x, np.ndarray)
+    x_lo, x_hi = (x.min(), x.max()) if batch else (x, x)
+    if x_lo < MIN_BETA_OMEGA:
         raise DomainError(
-            f"beta*omega = {x:g} is too small: both thermal populations round to 1/2 "
+            f"beta*omega = {x_lo:g} is too small: both thermal populations round to 1/2 "
             "and the relaxation rate gamma/(pi2 - pi1) is undefined; the supported range "
             f"is {MIN_BETA_OMEGA:g} <= beta*omega <= {MAX_GIBBS_BETA_OMEGA:g}"
         )
-    if x > MAX_GIBBS_BETA_OMEGA:
-        raise _gibbs_underflow(x)
-    w = float(np.exp(-x))
+    if x_hi > MAX_GIBBS_BETA_OMEGA:
+        raise _gibbs_underflow(x_hi)
+    w = np.exp(-x)
     pi2 = w / (1.0 + w)
-    return _QubitModel(omega, gamma, pi2, gamma / (2.0 * pi2 - 1.0), -(1.0 - pi2) * pi2 * omega)
+    gap = 2.0 * pi2 - 1.0
+    hot = x < TANH_BETA_OMEGA
+    if batch:
+        gap = np.where(hot, -np.tanh(x / 2.0), gap)
+    elif hot:
+        gap = -np.tanh(x / 2.0)
+    lam = gamma / gap
+    dpi2 = -(1.0 - pi2) * pi2 * omega
+    if batch:
+        return _QubitModel(omega, gamma, pi2, lam, dpi2)
+    return _QubitModel(omega, gamma, float(pi2), float(lam), float(dpi2))
 
 
 def _qubit_model_of(spectrum: Spectrum, bath: Bath) -> _QubitModel:

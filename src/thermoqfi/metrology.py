@@ -377,32 +377,42 @@ def _check_monotone(omega, gamma, a, t, lo, hi, n_samples=65):
             f"the beta bracket reaches beta*omega = {hi * omega:g}; the MLE supports "
             f"beta*omega <= {MAX_EXP_BETA_OMEGA:g}"
         )
-    betas = np.linspace(lo, hi, n_samples)
-    ys = [float(_qubit_model(omega, b, gamma).p2(a, t)) for b in betas.tolist()]
+    ys = _qubit_model(omega, np.linspace(lo, hi, n_samples), gamma).p2(a, t)
     diffs = np.diff(ys)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise EstimatorUndefinedError(
             f"p2 is not strictly monotone in beta on [{lo:g}, {hi:g}] at t={t!r}; "
             "the binomial MLE is not identifiable at this measurement time"
         )
-    return ys[0], ys[-1]
+    return float(ys[0]), float(ys[-1])
 
 
-def _bisect_beta(target, omega, gamma, a, t, lo, hi, y_lo, y_hi) -> MleResult:
+def _bisect_beta(targets, omega, gamma, a, t, lo, hi, y_lo, y_hi):
+    """Invert p2(t; beta) = target for every target at once, to 1e-10 in beta.
+
+    Each element halves its own bracket, starting from the shared [lo, hi],
+    until it is no wider than 1e-10, so it takes the steps a scalar bisection
+    of that target takes. Targets outside the attainable range clamp to the
+    nearer bracket edge. Returns the estimates and the clamped flags.
+    """
     decreasing = y_lo > y_hi
     y_min, y_max = (y_hi, y_lo) if decreasing else (y_lo, y_hi)
-    if target <= y_min:
-        return MleResult(beta_hat=hi if decreasing else lo, clamped=True)
-    if target >= y_max:
-        return MleResult(beta_hat=lo if decreasing else hi, clamped=True)
-    while hi - lo > 1e-10:
-        mid = (lo + hi) / 2.0
-        y = _qubit_model(omega, mid, gamma).p2(a, t)
-        if (y > target) == decreasing:
-            lo = mid
-        else:
-            hi = mid
-    return MleResult(beta_hat=(lo + hi) / 2.0, clamped=False)
+    targets = np.asarray(targets, dtype=float)
+    los = np.full(targets.shape, lo)
+    his = np.full(targets.shape, hi)
+    active = his - los > 1e-10
+    while np.any(active):
+        mids = (los + his) / 2.0
+        to_lo = (_qubit_model(omega, mids, gamma).p2(a, t) > targets) == decreasing
+        los = np.where(active & to_lo, mids, los)
+        his = np.where(active & ~to_lo, mids, his)
+        active = his - los > 1e-10
+    below = targets <= y_min
+    above = targets >= y_max
+    estimates = (los + his) / 2.0
+    estimates[below] = hi if decreasing else lo
+    estimates[above] = lo if decreasing else hi
+    return estimates, below | above
 
 
 def mle_beta(
@@ -434,9 +444,10 @@ def mle_beta(
         )
     omega = spectrum.gap(1, 2)
     y_lo, y_hi = _check_monotone(omega, gamma, init.a, t, lo, hi)
-    return _bisect_beta(
-        counts / m_experiments, omega, gamma, init.a, t, lo, hi, y_lo, y_hi
+    estimates, clamped = _bisect_beta(
+        [counts / m_experiments], omega, gamma, init.a, t, lo, hi, y_lo, y_hi
     )
+    return MleResult(beta_hat=float(estimates[0]), clamped=bool(clamped[0]))
 
 
 @dataclass(frozen=True)
@@ -487,9 +498,9 @@ def cramer_rao_report(
     is the optimal one (classical Fisher information equals the QFI), so the
     saturation claim is meaningful. Replica i draws its count from an
     independent generator seeded with [seed, i]; the report is deterministic
-    for a fixed seed. The estimate depends on the count alone, so each
-    distinct count is bisected once and shared by every replica that drew
-    it (a few hundred counts cover tens of thousands of replicas).
+    for a fixed seed. The estimate depends on the count alone, so the
+    distinct counts (a few hundred cover tens of thousands of replicas) are
+    bisected together, once each, and shared by every replica that drew them.
     """
     if scenario.init.r != 0.0:
         raise DomainError(
@@ -524,19 +535,18 @@ def cramer_rao_report(
     a = scenario.init.a
     y_lo, y_hi = _check_monotone(omega, gamma, a, t, lo, hi)
     p2_true = min(1.0, max(0.0, float(scenario._model.p2(a, t))))
-    estimates = np.empty(n_replicas)
-    clamped = 0
-    by_count: dict[int, MleResult] = {}
-    for i in range(n_replicas):
-        rng = np.random.default_rng([seed, i])
-        k = int(rng.binomial(m_experiments, p2_true))
-        result = by_count.get(k)
-        if result is None:
-            result = by_count[k] = _bisect_beta(
-                k / m_experiments, omega, gamma, a, t, lo, hi, y_lo, y_hi
-            )
-        estimates[i] = result.beta_hat
-        clamped += int(result.clamped)
+    counts = np.array(
+        [
+            np.random.default_rng([seed, i]).binomial(m_experiments, p2_true)
+            for i in range(n_replicas)
+        ]
+    )
+    distinct, replica_of = np.unique(counts, return_inverse=True)
+    by_count, clamped_by_count = _bisect_beta(
+        [k / m_experiments for k in distinct.tolist()], omega, gamma, a, t, lo, hi, y_lo, y_hi
+    )
+    estimates = by_count[replica_of]
+    clamped = int(np.count_nonzero(clamped_by_count[replica_of]))
     variance = float(np.var(estimates, ddof=1))
     run = EstimationRun(
         m_experiments=m_experiments,

@@ -4,8 +4,11 @@ import contextlib
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -563,6 +566,39 @@ class TestValidate:
     def test_unknown_injection_name(self, capsys):
         rc, _, err = run_cli(capsys, ["validate", "--inject-fault", "bogus"])
         assert rc == 2
+
+
+# Runs in a fresh interpreter: imports the package, then every subcommand
+# through cli.main, asserting after each step that scipy was never loaded.
+_IMPORT_PROBE = """
+import sys
+import thermoqfi
+import thermoqfi.cli
+assert "scipy" not in sys.modules, "import"
+ref = ["--omega12", "1", "--beta", "1.0986122886681098", "--gamma", "1"]
+for argv in (
+    ["trace", *ref, "--a", "0.3", "--r", "0.5"],
+    ["optimize", *ref],
+    ["experiment"],
+    ["estimate", *ref, "--a", "0"],
+    ["validate"],
+):
+    assert thermoqfi.cli.main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv
+"""
+
+
+class TestImportFootprint:
+    def test_scipy_is_never_loaded(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE],
+            capture_output=True,
+            text=True,
+            timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestInstalledScript:

@@ -3,6 +3,7 @@
 import cmath
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -26,7 +27,6 @@ from thermoqfi import (
     gamma_from_tau_tilde,
     propagate_coherence,
     propagate_populations,
-    propagation_method,
     qubit_relaxation_rate,
     qubit_state,
     rate_matrix,
@@ -130,27 +130,32 @@ class TestPropagatePopulations:
             p, thermal_distribution(spectrum, bath.beta).pi, rtol=0, atol=1e-10
         )
 
-    def test_expm_fallback_on_defective_cascade(self):
+    def test_defective_cascade_is_rejected(self):
         # The equal-rate decay chain 3 -> 2 -> 1 is the textbook defective
         # generator: its secular t*exp(-t) term has no eigendecomposition, so
-        # the propagator must switch to the matrix exponential.
+        # the propagator must refuse it rather than return a wrong vector.
         a = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
-        assert propagation_method(a) == "expm"
-        t = 2.0
-        p = propagate_populations(a, np.array([0.0, 0.0, 1.0]), t)
-        expected = np.array(
-            [
-                1.0 - math.exp(-t) - t * math.exp(-t),
-                t * math.exp(-t),
-                math.exp(-t),
-            ]
-        )
-        np.testing.assert_allclose(p, expected, rtol=0, atol=1e-12)
+        with pytest.raises(DomainError, match="defective or too ill-conditioned"):
+            propagate_populations(a, np.array([0.0, 0.0, 1.0]), 2.0)
 
-    def test_eig_method_on_regular_models(self):
-        spectrum, bath = _reference_parts()
-        a = transition_matrix(rate_matrix(spectrum, bath))
-        assert propagation_method(a) == "eig"
+    def test_low_temperature_models_match_matrix_exponential(self):
+        # Detailed-balance generators diagonalize even when the Gibbs weights
+        # span beta*(E_N - E_1) up to about 270, far outside the conditioned
+        # box of random_nlevel_model.
+        rng = np.random.default_rng(41)
+        for _ in range(60):
+            n = int(rng.integers(2, 7))
+            energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 2.0, size=n - 1))])
+            spread = math.exp(rng.uniform(math.log(20.0), math.log(270.0)))
+            spectrum = Spectrum(energies=tuple(energies))
+            bath = Bath(beta=spread / energies[-1], gamma=float(rng.uniform(0.2, 3.0)))
+            a = transition_matrix(rate_matrix(spectrum, bath))
+            p0 = rng.uniform(0.1, 1.0, size=n)
+            p0 /= p0.sum()
+            t = float(rng.uniform(0.0, 3.0))
+            np.testing.assert_allclose(
+                propagate_populations(a, p0, t), expm(a.a * t) @ p0, rtol=0, atol=1e-12
+            )
 
     def test_domain(self):
         spectrum, bath = _reference_parts()
@@ -209,6 +214,17 @@ class TestQubitState:
     def test_relaxation_rate(self):
         spectrum, bath = _reference_parts()
         assert qubit_relaxation_rate(spectrum, bath) == pytest.approx(-2.0, rel=1e-15)
+
+    def test_relaxation_rate_at_high_temperature(self):
+        # 2*pi2 - 1 cancels as beta*omega -> 0; lambda = -gamma/tanh(beta*omega/2)
+        # must keep full precision down to the smallest accepted beta*omega.
+        for x in np.geomspace(1e-3, 2e-15, 60).tolist():
+            for omega, gamma in ((1.0, 0.7), (2.5, 1e-3), (0.4, 1e4)):
+                beta = x / omega
+                lam = qubit_relaxation_rate(Spectrum.qubit(omega), Bath(beta=beta, gamma=gamma))
+                with mpmath.workdps(40):
+                    exact = -mpmath.mpf(gamma) / mpmath.tanh(mpmath.mpf(beta) * omega / 2)
+                    assert abs((lam - exact) / exact) <= 3e-16, x
 
     def test_reference_population_trajectory(self):
         spectrum, bath = _reference_parts()

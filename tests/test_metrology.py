@@ -25,9 +25,34 @@ from thermoqfi import (
     qubit_qfi,
     simulate_measurements,
 )
-from thermoqfi.metrology import OptimalTime, golden_section_maximize, golden_section_minimize
+from thermoqfi.dynamics import _qubit_model
+from thermoqfi.metrology import (
+    OptimalTime,
+    _bisect_beta,
+    _check_monotone,
+    golden_section_maximize,
+    golden_section_minimize,
+)
 
 from conftest import reference_scenario
+
+
+def _scalar_mle(target, omega, gamma, a, t, lo, hi):
+    """Reference bisection: one scalar model per halving, as in a plain loop."""
+    y_lo = _qubit_model(omega, lo, gamma).p2(a, t)
+    y_hi = _qubit_model(omega, hi, gamma).p2(a, t)
+    decreasing = y_lo > y_hi
+    if target <= min(y_lo, y_hi):
+        return (hi if decreasing else lo), True
+    if target >= max(y_lo, y_hi):
+        return (lo if decreasing else hi), True
+    while hi - lo > 1e-10:
+        mid = (lo + hi) / 2.0
+        if (_qubit_model(omega, mid, gamma).p2(a, t) > target) == decreasing:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0, False
 
 
 def _p2_closed_form(beta, omega, gamma, a, t):
@@ -357,6 +382,20 @@ class TestMleBeta:
         with pytest.raises(DomainError):
             mle_beta(5, 10, s.spectrum, 1.0, s.init, 1.0, (0.0, 1.0))
 
+    @pytest.mark.parametrize("k", [18, 20, 24])
+    def test_each_target_stops_where_the_scalar_loop_does(self, k):
+        # After k halvings of a bracket 2**k * 1e-10 wide, each target's
+        # width sits within rounding of the 1e-10 stop, so some targets halve
+        # once more than others; the array bisection must stop each on its own.
+        omega, gamma, a, t = 1.0, 1.0, 0.05, 0.7
+        lo, hi = 1.0, 1.0 + 2.0**k * 1e-10
+        y_lo, y_hi = _check_monotone(omega, gamma, a, t, lo, hi)
+        targets = np.linspace(y_hi, y_lo, 2001)[1:-1]
+        estimates, clamped = _bisect_beta(targets, omega, gamma, a, t, lo, hi, y_lo, y_hi)
+        expected = [_scalar_mle(y, omega, gamma, a, t, lo, hi) for y in targets.tolist()]
+        assert estimates.tolist() == [e[0] for e in expected]
+        assert not clamped.any()
+
 
 class TestEstimationRun:
     def test_validation(self):
@@ -454,6 +493,37 @@ class TestCramerRao:
         assert report.run.beta_hats.tolist() == [e.beta_hat for e in expected]
         assert report.clamped_count == sum(e.clamped for e in expected)
         assert 0 < report.clamped_count < n
+
+    def test_estimates_equal_scalar_bisection(self):
+        # The distinct counts are bisected as one array; every estimate must
+        # equal the scalar loop's bit for bit, including models whose bracket
+        # straddles the tanh switch of the relaxation rate (beta*omega = 1e-2)
+        # and narrow brackets that clamp replicas at either edge.
+        rng = np.random.default_rng(2411)
+        clamped = 0
+        for k in range(40):
+            omega = float(rng.uniform(0.3, 3.0))
+            x = 0.01 * float(rng.uniform(0.5, 2.0)) if k % 4 == 0 else float(rng.uniform(0.2, 3.0))
+            beta, gamma = x / omega, float(rng.uniform(0.2, 3.0))
+            a = float(rng.uniform(0.1, 0.95)) * Scenario.qubit(omega, 4 * beta, gamma, 0.0).pi2
+            s = Scenario.qubit(omega, beta, gamma, a)
+            t = float(rng.uniform(0.05, 3.0)) / abs(s.relaxation_rate)
+            lo, hi = (beta / 4.0, 4.0 * beta) if k % 3 else (0.97 * beta, 1.03 * beta)
+            m, n, seed = int(rng.integers(100, 10**6)), 300, int(rng.integers(2**32))
+            report = cramer_rao_report(
+                s, t=t, m_experiments=m, n_replicas=n, seed=seed, bracket=(lo, hi)
+            )
+            by_count = {}
+            expected = []
+            for i in range(n):
+                c = simulate_measurements(s, t, m, [seed, i])
+                if c not in by_count:
+                    by_count[c] = _scalar_mle(c / m, omega, gamma, a, t, lo, hi)
+                expected.append(by_count[c])
+            assert report.run.beta_hats.tolist() == [e[0] for e in expected]
+            assert report.clamped_count == sum(e[1] for e in expected)
+            clamped += report.clamped_count
+        assert clamped > 0
 
     def test_mle_inverts_the_population_counts_are_drawn_from(self, monkeypatch):
         # At the true beta the MLE's p2 must be the very population the
