@@ -45,6 +45,26 @@ BOUNDARY_ATOL = 1e-12
 # size of one trace, so peak memory does not grow with the number of states.
 _SCAN_BLOCK = 8
 
+# Replicas per block when cramer_rao_report seeds its streams: a block's
+# SeedSequence pools and PCG64 states (Python ints) stay a few hundred kB, so
+# the peak memory of estimate neither grows with the number of replicas nor
+# exceeds that of one generator per replica (blocks of 4096 added 0.9 MB to a
+# 20k-replica estimate, all 20k at once about 8 MB).
+_REPLICA_BLOCK = 1024
+
+# SeedSequence entropy mixing (NEP 19, after O'Neill's seed_seq_fe) and PCG64
+# seeding (O'Neill 2014) as numpy implements them; see _replica_counts.
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_SEED_POOL_SIZE = 4
+_SEED_INIT_A = 0x43B0D7E5
+_SEED_MULT_A = 0x931E8875
+_SEED_INIT_B = 0x8B51F9DD
+_SEED_MULT_B = 0x58F38DED
+_SEED_MIX_MULT_L = 0xCA01F9DD
+_SEED_MIX_MULT_R = 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
 
 def _default_t_max(spectrum: Spectrum, bath: Bath) -> float:
     return 20.0 / abs(qubit_relaxation_rate(spectrum, bath))
@@ -365,6 +385,91 @@ def simulate_measurements(scenario: Scenario, t: float, m_experiments: int, seed
     return int(rng.binomial(m_experiments, p2))
 
 
+def _seed_hashmix(value: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:
+    value = value ^ np.uint32(hash_const)
+    hash_const = (hash_const * _SEED_MULT_A) & _MASK32
+    value = value * np.uint32(hash_const)
+    return value ^ (value >> np.uint32(16)), hash_const
+
+
+def _seed_mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    result = np.uint32(_SEED_MIX_MULT_L) * x - np.uint32(_SEED_MIX_MULT_R) * y
+    return result ^ (result >> np.uint32(16))
+
+
+def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
+    """PCG64 (state, inc) of default_rng([seed, i]) for start <= i < stop < 2**32.
+
+    The entropy is the seed's little-endian 32-bit words followed by the one
+    word of i. The SeedSequence pool is mixed for every i at once in uint32
+    arithmetic (the hash constants do not depend on the data, so they are
+    shared), generate_state(4, uint64) is drawn from it, and the four words
+    (initstate high/low, initseq high/low) seed PCG64's 128-bit LCG:
+    inc = initseq << 1 | 1, state = (inc + initstate) * M + inc mod 2**128.
+    """
+    seed_words = []
+    while True:
+        seed_words.append(seed & _MASK32)
+        seed >>= 32
+        if not seed:
+            break
+    n = stop - start
+    entropy = [np.full(n, word, dtype=np.uint32) for word in seed_words]
+    entropy.append(np.arange(start, stop, dtype=np.uint32))
+    hash_const = _SEED_INIT_A
+    pool = []
+    for dst in range(_SEED_POOL_SIZE):
+        word = entropy[dst] if dst < len(entropy) else np.zeros(n, dtype=np.uint32)
+        mixed, hash_const = _seed_hashmix(word, hash_const)
+        pool.append(mixed)
+    for src in range(_SEED_POOL_SIZE):
+        for dst in range(_SEED_POOL_SIZE):
+            if src != dst:
+                mixed, hash_const = _seed_hashmix(pool[src], hash_const)
+                pool[dst] = _seed_mix(pool[dst], mixed)
+    for src in range(_SEED_POOL_SIZE, len(entropy)):
+        for dst in range(_SEED_POOL_SIZE):
+            mixed, hash_const = _seed_hashmix(entropy[src], hash_const)
+            pool[dst] = _seed_mix(pool[dst], mixed)
+    hash_const = _SEED_INIT_B
+    halves = []
+    for dst in range(8):
+        word = pool[dst % _SEED_POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = (hash_const * _SEED_MULT_B) & _MASK32
+        word = word * np.uint32(hash_const)
+        halves.append((word ^ (word >> np.uint32(16))).astype(np.uint64))
+    words = [(halves[2 * k] | halves[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
+    states = []
+    for state_hi, state_lo, seq_hi, seq_lo in zip(*words):
+        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+        states.append((((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
+    return states
+
+
+def _replica_counts(seed: int, n_replicas: int, m_experiments: int, p: float) -> np.ndarray:
+    """Binomial(m_experiments, p) counts of replicas 0..n_replicas-1.
+
+    Replica i draws exactly what np.random.default_rng([seed, i]) would draw:
+    its PCG64 state is derived as SeedSequence would derive it and set on one
+    reused generator, _REPLICA_BLOCK replicas at a time. Requires seed >= 0
+    and n_replicas <= 2**32 (so that i is one 32-bit entropy word).
+    """
+    bit_generator = np.random.PCG64()
+    generator = np.random.Generator(bit_generator)
+    counts = np.empty(n_replicas, dtype=np.int64)
+    for start in range(0, n_replicas, _REPLICA_BLOCK):
+        stop = min(start + _REPLICA_BLOCK, n_replicas)
+        for i, (state, inc) in enumerate(_pcg64_states(seed, start, stop), start):
+            bit_generator.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            counts[i] = generator.binomial(m_experiments, p)
+    return counts
+
+
 @dataclass(frozen=True)
 class MleResult:
     beta_hat: float
@@ -496,11 +601,14 @@ def cramer_rao_report(
 
     Only diagonal initial states qualify: for r = 0 the population measurement
     is the optimal one (classical Fisher information equals the QFI), so the
-    saturation claim is meaningful. Replica i draws its count from an
-    independent generator seeded with [seed, i]; the report is deterministic
-    for a fixed seed. The estimate depends on the count alone, so the
-    distinct counts (a few hundred cover tens of thousands of replicas) are
-    bisected together, once each, and shared by every replica that drew them.
+    saturation claim is meaningful. Replica i draws exactly the count that
+    np.random.default_rng([seed, i]) would draw, so the report is
+    deterministic for a fixed seed; seed must be an integer >= 0 and
+    n_replicas at most 2**32 (one 32-bit entropy word per replica index). The
+    streams are seeded without constructing a generator per replica (see
+    _replica_counts). The estimate depends on the count alone, so the distinct
+    counts (a few hundred cover tens of thousands of replicas) are bisected
+    together, once each, and shared by every replica that drew them.
     """
     if scenario.init.r != 0.0:
         raise DomainError(
@@ -509,6 +617,10 @@ def cramer_rao_report(
         )
     if n_replicas < 2:
         raise DomainError("n_replicas must be at least 2")
+    if n_replicas > 2**32:
+        raise DomainError("n_replicas must be at most 2**32")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError("seed must be a nonnegative integer")
     if m_experiments < 1:
         raise DomainError("m_experiments must be a positive integer")
     if t is None:
@@ -535,12 +647,7 @@ def cramer_rao_report(
     a = scenario.init.a
     y_lo, y_hi = _check_monotone(omega, gamma, a, t, lo, hi)
     p2_true = min(1.0, max(0.0, float(scenario._model.p2(a, t))))
-    counts = np.array(
-        [
-            np.random.default_rng([seed, i]).binomial(m_experiments, p2_true)
-            for i in range(n_replicas)
-        ]
-    )
+    counts = _replica_counts(int(seed), n_replicas, m_experiments, p2_true)
     distinct, replica_of = np.unique(counts, return_inverse=True)
     by_count, clamped_by_count = _bisect_beta(
         [k / m_experiments for k in distinct.tolist()], omega, gamma, a, t, lo, hi, y_lo, y_hi

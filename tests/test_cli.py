@@ -360,6 +360,11 @@ class TestArgumentRules:
             # F is forced to 0 (D below the guard) while delta overflows
             (["trace", "--omega12", "1", "--beta", "100", "--gamma", "2", "--a", "0.3",
               "--points", "4", "--t-max", "1e308"], "shorten the time window"),
+            (["estimate", "--omega12", "1", "--beta", "1", "--gamma", "1", "--a", "0.1",
+              "--seed", "-1"], "seed must be a nonnegative integer"),
+            # replica indices past one 32-bit entropy word; rejected before drawing
+            (["estimate", *REF, "--a", "0", "--t", "1", "--replicas", "4294967297"],
+             "n_replicas must be at most 2**32"),
         ],
     )
     @pytest.mark.filterwarnings("error")

@@ -25,11 +25,15 @@ from thermoqfi import (
     qubit_qfi,
     simulate_measurements,
 )
+from thermoqfi import metrology
 from thermoqfi.dynamics import _qubit_model
 from thermoqfi.metrology import (
+    _REPLICA_BLOCK,
     OptimalTime,
     _bisect_beta,
     _check_monotone,
+    _pcg64_states,
+    _replica_counts,
     golden_section_maximize,
     golden_section_minimize,
 )
@@ -543,17 +547,13 @@ class TestCramerRao:
             cases.append((s, float(rng.uniform(0.05, 5.0)) / abs(s.relaxation_rate)))
 
         drawn = []
-        real_rng = np.random.default_rng
+        real_counts = metrology._replica_counts
 
-        class Recorder:
-            def __init__(self, seed):
-                self._rng = real_rng(seed)
+        def recording_counts(seed, n_replicas, m_experiments, p):
+            drawn.append(p)
+            return real_counts(seed, n_replicas, m_experiments, p)
 
-            def binomial(self, n, p):
-                drawn.append(p)
-                return self._rng.binomial(n, p)
-
-        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        monkeypatch.setattr(metrology, "_replica_counts", recording_counts)
         m = 2**80
         for s, t in cases:
             beta = s.bath.beta
@@ -573,3 +573,69 @@ class TestCramerRao:
             cramer_rao_report(s, t=1.0, m_experiments=100, n_replicas=10)
         with pytest.raises(DomainError, match="709"):
             mle_beta(5, 10, s.spectrum, 1.0, s.init, 1.0, (100.0, 710.0))
+
+    @pytest.mark.parametrize("seed", [-1, -(2**64), 1.5, [1, 2]])
+    def test_seed_must_be_a_nonnegative_integer(self, monkeypatch, seed):
+        monkeypatch.setattr(metrology, "_replica_counts", _must_not_draw)
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+            cramer_rao_report(reference_scenario(), t=1.0, n_replicas=10, seed=seed)
+
+    def test_replicas_past_one_entropy_word_are_rejected_first(self, monkeypatch):
+        # Rejected before the optimal time is searched or anything is drawn.
+        monkeypatch.setattr(metrology, "_replica_counts", _must_not_draw)
+        monkeypatch.setattr(metrology, "maximize_qfi_over_time", _must_not_draw)
+        with pytest.raises(DomainError, match="n_replicas must be at most 2\\*\\*32"):
+            cramer_rao_report(reference_scenario(), n_replicas=2**32 + 1)
+
+
+def _must_not_draw(*args, **kwargs):
+    raise AssertionError("called after invalid input")
+
+
+def _reference_counts(seed, n, m, p):
+    return [int(np.random.default_rng([seed, i]).binomial(m, p)) for i in range(n)]
+
+
+class TestReplicaStreams:
+    # One to six 32-bit entropy words, on both sides of the pool size 4 of
+    # SeedSequence (the replica index adds one word).
+    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**160 + 17]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_states_equal_numpy_seeding(self, seed):
+        # 9 x 11,112 = 100,008 (seed, i) pairs, incl. the last 32-bit indices
+        for start, stop in ((0, 11000), (2**32 - 112, 2**32)):
+            derived = _pcg64_states(seed, start, stop)
+            expected = []
+            for i in range(start, stop):
+                state = np.random.PCG64([seed, i]).state["state"]
+                expected.append((state["state"], state["inc"]))
+            assert derived == expected
+
+    @pytest.mark.parametrize(
+        "n", [_REPLICA_BLOCK - 1, _REPLICA_BLOCK, _REPLICA_BLOCK + 1, 2 * _REPLICA_BLOCK + 1]
+    )
+    def test_counts_equal_simulated_measurements_across_blocks(self, n):
+        s = reference_scenario()
+        t, m, seed = 0.7, 5000, 2**64 + 3
+        p2 = min(1.0, max(0.0, float(s._model.p2(s.init.a, t))))
+        counts = _replica_counts(seed, n, m, p2)
+        assert counts.dtype == np.int64 and counts.shape == (n,)
+        assert counts.tolist() == [simulate_measurements(s, t, m, [seed, i]) for i in range(n)]
+
+    @pytest.mark.parametrize(
+        "m,p",
+        [
+            (10, 0.5),  # m p <= 30: inversion
+            (10**6, 1e-9),  # inversion at a tiny p
+            (10**6, 0.5),  # BTPE
+            (10**6, 0.97),  # BTPE on q = 1 - p
+            (40, 0.9),  # inversion on q = 1 - p
+            (1000, 0.0),
+            (1000, 1.0),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [0, 7, 2**128 + 5])
+    def test_counts_equal_default_rng_draws(self, m, p, seed):
+        n = 1000
+        assert _replica_counts(seed, n, m, p).tolist() == _reference_counts(seed, n, m, p)
