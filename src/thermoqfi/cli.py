@@ -33,6 +33,7 @@ from .dynamics import (
 from .errors import DomainError, EstimatorUndefinedError, ModelIntegrityError
 from .metrology import (
     Scenario,
+    _check_run,
     cramer_rao_report,
     maximize_qfi_over_time,
     optimize_initial_state,
@@ -542,6 +543,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     m_experiments = 10000 if args.m_experiments is None else int(args.m_experiments)
     replicas = 1000 if args.replicas is None else int(args.replicas)
     seed = 0 if args.seed is None else int(args.seed)
+    _check_run(m_experiments, replicas, seed)
     if args.t is not None:
         t = _finite(args.t, "--t")
     else:

@@ -1,10 +1,11 @@
 """Estimation-protocol layer: traces, optimal probing times, and saturation runs.
 
 Everything here treats the evolved qubit as a thermometer for the inverse
-bath temperature: QFI traces over time, golden-section refinement of the
-optimal measurement time, ranking of initial states, region classification
-of the initial excited-state population, and a binomial Monte-Carlo check
-that the maximum-likelihood estimator saturates the Cramer-Rao bound.
+bath temperature: QFI traces over time, the optimal measurement time as a
+root of dF/dt, ranking of initial states, region classification of the
+initial excited-state population, and a binomial Monte-Carlo check that the
+maximum-likelihood estimator saturates the Cramer-Rao bound. One bisection,
+_bisect, serves both the peak times and the estimator.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .dynamics import (
 from .errors import DomainError, EstimatorUndefinedError
 from .qfi import (
     _qfi_kernel,
+    _qfi_slope,
     beta_derivative_qubit,
     diagonal_qfi,
     qfi_values,
@@ -31,8 +33,6 @@ from .qfi import (
     thermal_qfi,
 )
 from .spectrum import MAX_EXP_BETA_OMEGA, Bath, Spectrum, _readonly
-
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 # Peaks closer to the tail value than this fraction of the asymptote are
 # treated as asymptotic plateaus rather than interior maxima.
@@ -196,47 +196,29 @@ def classify_region(a: float, pi2: float) -> RegionLabel:
     return RegionLabel(region=region, thermal_boundary=thermal, inversion_boundary=inversion)
 
 
-def golden_section_maximize(f, lo, hi, tol: float):
-    """Golden-section search for a maximum of a unimodal f on [lo, hi].
+def _bisect(above, lo, hi, tol: float = 0.0) -> np.ndarray:
+    """Elementwise bisection of the brackets [lo, hi] for the points above marks.
 
-    With scalar lo and hi, f takes and returns floats and (x, f(x)) are
-    returned as floats. With arrays, every element is its own search: f maps
-    an array of points to an array of values, element for element, and each
-    element makes the same comparisons and updates as the scalar search, so
-    it ends on the same bits. An element stops moving once its bracket is
-    within tol; f is still evaluated there until every element has stopped.
+    above maps an array of midpoints to booleans, True where the sought point
+    lies above the midpoint. It is evaluated at midpoints only, so the ends
+    of a bracket are never probed while it can still be split. Every element
+    halves its own bracket, so it takes the steps a scalar bisection of that
+    bracket takes, and stops once its width is at most tol or once its
+    midpoint is no longer strictly inside (the bracket is then two adjacent
+    floats). Returns the final midpoints, shaped like lo.
     """
-    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
-    lo = np.array(lo, dtype=float, ndmin=1)
-    hi = np.array(hi, dtype=float, ndmin=1)
-    if not (np.all(hi > lo) and tol > 0):
-        raise DomainError("need hi > lo and tol > 0")
-    fv = (lambda x: np.array([f(float(x[0]))])) if scalar else f
-    x1 = hi - _INV_PHI * (hi - lo)
-    x2 = lo + _INV_PHI * (hi - lo)
-    f1, f2 = fv(x1), fv(x2)
-    active = hi - lo > tol
+    lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    if not (np.all(np.isfinite(lo) & np.isfinite(hi) & (hi > lo)) and tol >= 0):
+        raise DomainError("need finite brackets with hi > lo and tol >= 0")
+    mid = (lo + hi) / 2.0
+    active = (hi - lo > tol) & (lo < mid) & (mid < hi)
     while np.any(active):
-        rise = f1 < f2
-        up, down = active & rise, active & ~rise
-        lo = np.where(up, x1, lo)
-        hi = np.where(down, x2, hi)
-        x1, x2 = np.where(up, x2, x1), np.where(down, x1, x2)
-        f1, f2 = np.where(up, f2, f1), np.where(down, f1, f2)
-        probe = np.where(up, lo + _INV_PHI * (hi - lo), hi - _INV_PHI * (hi - lo))
-        f_probe = fv(probe)
-        x2, f2 = np.where(up, probe, x2), np.where(up, f_probe, f2)
-        x1, f1 = np.where(down, probe, x1), np.where(down, f_probe, f1)
-        active = hi - lo > tol
-    x = (lo + hi) / 2.0
-    if scalar:
-        x = float(x[0])
-    return x, f(x)
-
-
-def golden_section_minimize(f, lo: float, hi: float, tol: float):
-    x, fneg = golden_section_maximize(lambda t: -f(t), lo, hi, tol)
-    return x, -fneg
+        up = above(mid)
+        lo = np.where(active & up, mid, lo)
+        hi = np.where(active & ~up, mid, hi)
+        mid = (lo + hi) / 2.0
+        active = (hi - lo > tol) & (lo < mid) & (mid < hi)
+    return mid
 
 
 @dataclass(frozen=True)
@@ -258,9 +240,10 @@ def _peak_times(
     """Optimal measurement time of every initial state in one batched scan.
 
     The model, the window and the asymptote are built once. The time grid is
-    evaluated in blocks of _SCAN_BLOCK states through the shared QFI kernel,
-    and all interior peaks are then refined together by one elementwise
-    golden section. Every element takes the same steps as a one-state scan.
+    evaluated in blocks of _SCAN_BLOCK states through the shared QFI kernel.
+    The closed-form dF/dt changes sign between the grid neighbours of each
+    interior grid maximum; all peaks are bisected together on that sign down
+    to adjacent floats. Every element takes the same steps as a one-state scan.
     """
     default = _default_t_max(spectrum, bath)
     if t_max is None:
@@ -291,12 +274,10 @@ def _peak_times(
     if interior.size:
         i = peak[interior]
         a_in, mod2_in = a[interior], mod2_0[interior]
-        t_star, f_star = golden_section_maximize(
-            lambda t: _qfi_kernel(model, a_in, mod2_in, t).total,
-            times[i - 1],
-            times[i + 1],
-            1e-8 * t_max,
+        t_star = _bisect(
+            lambda t: _qfi_slope(model, a_in, mod2_in, t) > 0, times[i - 1], times[i + 1]
         )
+        f_star = _qfi_kernel(model, a_in, mod2_in, t_star).total
         for k, t, f in zip(interior, t_star.tolist(), f_star.tolist()):
             results[k] = OptimalTime(t_star=t, f_star=f, asymptotic=False)
     return results
@@ -305,14 +286,16 @@ def _peak_times(
 def maximize_qfi_over_time(
     scenario: Scenario, t_max: float | None = None, n_grid: int = 2048
 ) -> OptimalTime:
-    """Grid scan plus golden-section refinement of the QFI over time.
+    """Grid scan of the QFI over time, an interior peak refined as a root of dF/dt.
 
     The window must cover at least 20/|lambda| so the tail is a faithful
     stand-in for the asymptote. When no interior point beats the tail by more
     than ASYMPTOTIC_MARGIN * asymptote, the supremum is reported at t_max with
     the asymptotic flag (monotone hot-region traces; inverted traces whose
-    local peak stays below the asymptote). This is the one-state call of the
-    batched scan behind optimize_initial_state, so both agree bit for bit.
+    local peak stays below the asymptote). Otherwise t_star is found to a few
+    ulps, where a search on F itself could only resolve about sqrt(eps). This
+    is the one-state call of the batched scan behind optimize_initial_state,
+    so both agree bit for bit.
     """
     return _peak_times(scenario.spectrum, scenario.bath, [scenario.init], t_max, n_grid)[0]
 
@@ -476,48 +459,43 @@ class MleResult:
     clamped: bool
 
 
-def _check_monotone(omega, gamma, a, t, lo, hi, n_samples=65):
+def _mle_inverse(spectrum, gamma, init, t, bracket):
+    """The inverse of p2(t; beta) on the bracket, for arrays of targets.
+
+    p2 must be strictly monotone in beta on the bracket; that is checked here,
+    on 65 samples, before any target is drawn. The returned function bisects
+    each target on its own copy of the bracket until it is no wider than
+    1e-10 in beta or is two adjacent floats (wider than 1e-10 above
+    beta = 2**19); targets outside the attainable range clamp to the nearer
+    bracket edge. It returns the estimates and the clamped flags.
+    """
+    omega, a, (lo, hi) = spectrum.gap(1, 2), init.a, map(float, bracket)
     if hi * omega > MAX_EXP_BETA_OMEGA:
         raise DomainError(
             f"the beta bracket reaches beta*omega = {hi * omega:g}; the MLE supports "
             f"beta*omega <= {MAX_EXP_BETA_OMEGA:g}"
         )
-    ys = _qubit_model(omega, np.linspace(lo, hi, n_samples), gamma).p2(a, t)
+    ys = _qubit_model(omega, np.linspace(lo, hi, 65), gamma).p2(a, t)
     diffs = np.diff(ys)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise EstimatorUndefinedError(
             f"p2 is not strictly monotone in beta on [{lo:g}, {hi:g}] at t={t!r}; "
             "the binomial MLE is not identifiable at this measurement time"
         )
-    return float(ys[0]), float(ys[-1])
+    decreasing = bool(diffs[0] < 0)
 
+    def invert(targets):
+        targets = np.asarray(targets, dtype=float)
+        estimates = _bisect(
+            lambda beta: (_qubit_model(omega, beta, gamma).p2(a, t) > targets) == decreasing,
+            np.full_like(targets, lo), np.full_like(targets, hi), 1e-10
+        )
+        below, above = targets <= ys.min(), targets >= ys.max()
+        estimates[below] = hi if decreasing else lo
+        estimates[above] = lo if decreasing else hi
+        return estimates, below | above
 
-def _bisect_beta(targets, omega, gamma, a, t, lo, hi, y_lo, y_hi):
-    """Invert p2(t; beta) = target for every target at once, to 1e-10 in beta.
-
-    Each element halves its own bracket, starting from the shared [lo, hi],
-    until it is no wider than 1e-10, so it takes the steps a scalar bisection
-    of that target takes. Targets outside the attainable range clamp to the
-    nearer bracket edge. Returns the estimates and the clamped flags.
-    """
-    decreasing = y_lo > y_hi
-    y_min, y_max = (y_hi, y_lo) if decreasing else (y_lo, y_hi)
-    targets = np.asarray(targets, dtype=float)
-    los = np.full(targets.shape, lo)
-    his = np.full(targets.shape, hi)
-    active = his - los > 1e-10
-    while np.any(active):
-        mids = (los + his) / 2.0
-        to_lo = (_qubit_model(omega, mids, gamma).p2(a, t) > targets) == decreasing
-        los = np.where(active & to_lo, mids, los)
-        his = np.where(active & ~to_lo, mids, his)
-        active = his - los > 1e-10
-    below = targets <= y_min
-    above = targets >= y_max
-    estimates = (los + his) / 2.0
-    estimates[below] = hi if decreasing else lo
-    estimates[above] = lo if decreasing else hi
-    return estimates, below | above
+    return invert
 
 
 def mle_beta(
@@ -531,10 +509,11 @@ def mle_beta(
 ) -> MleResult:
     """Binomial maximum-likelihood estimate of beta from an excited-state count.
 
-    Inverts p2(t; beta) = counts/m by bisection to within 1e-10 in beta. The
-    map must be strictly monotone on the bracket (checked on a 65-point
-    sample); a target outside the attainable range clamps to the nearer
-    bracket edge and sets the clamped flag.
+    Inverts p2(t; beta) = counts/m by bisection to within 1e-10 in beta (or
+    to adjacent floats, where those are further apart). The map must be
+    strictly monotone on the bracket (checked on a 65-point sample); a target
+    outside the attainable range clamps to the nearer bracket edge and sets
+    the clamped flag.
     """
     if not (0 <= counts <= m_experiments):
         raise DomainError("counts must lie in [0, m_experiments]")
@@ -547,11 +526,7 @@ def mle_beta(
         raise EstimatorUndefinedError(
             f"p2 carries no beta dependence at t={t!r}; the MLE is undefined"
         )
-    omega = spectrum.gap(1, 2)
-    y_lo, y_hi = _check_monotone(omega, gamma, init.a, t, lo, hi)
-    estimates, clamped = _bisect_beta(
-        [counts / m_experiments], omega, gamma, init.a, t, lo, hi, y_lo, y_hi
-    )
+    estimates, clamped = _mle_inverse(spectrum, gamma, init, t, bracket)([counts / m_experiments])
     return MleResult(beta_hat=float(estimates[0]), clamped=bool(clamped[0]))
 
 
@@ -574,6 +549,18 @@ class EstimationRun:
         if not (self.variance >= 0):
             raise DomainError("variance must be nonnegative")
         object.__setattr__(self, "beta_hats", _readonly(samples))
+
+
+def _check_run(m_experiments: int, n_replicas: int, seed) -> None:
+    """Reject replica-run settings before anything is searched or drawn."""
+    if n_replicas < 2:
+        raise DomainError("n_replicas must be at least 2")
+    if n_replicas > 2**32:
+        raise DomainError("n_replicas must be at most 2**32")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError("seed must be a nonnegative integer")
+    if m_experiments < 1:
+        raise DomainError("m_experiments must be a positive integer")
 
 
 @dataclass(frozen=True)
@@ -615,14 +602,7 @@ def cramer_rao_report(
             "saturation analysis requires r = 0; for coherent states report "
             "the bound only"
         )
-    if n_replicas < 2:
-        raise DomainError("n_replicas must be at least 2")
-    if n_replicas > 2**32:
-        raise DomainError("n_replicas must be at most 2**32")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise DomainError("seed must be a nonnegative integer")
-    if m_experiments < 1:
-        raise DomainError("m_experiments must be a positive integer")
+    _check_run(m_experiments, n_replicas, seed)
     if t is None:
         best = maximize_qfi_over_time(scenario)
         t = best.t_star
@@ -641,17 +621,11 @@ def cramer_rao_report(
     beta_true = scenario.bath.beta
     if bracket is None:
         bracket = (beta_true / 4.0, beta_true * 4.0)
-    lo, hi = float(bracket[0]), float(bracket[1])
-    omega = scenario.spectrum.gap(1, 2)
-    gamma = scenario.bath.gamma
-    a = scenario.init.a
-    y_lo, y_hi = _check_monotone(omega, gamma, a, t, lo, hi)
-    p2_true = min(1.0, max(0.0, float(scenario._model.p2(a, t))))
+    invert = _mle_inverse(scenario.spectrum, scenario.bath.gamma, scenario.init, t, bracket)
+    p2_true = min(1.0, max(0.0, float(scenario._model.p2(scenario.init.a, t))))
     counts = _replica_counts(int(seed), n_replicas, m_experiments, p2_true)
     distinct, replica_of = np.unique(counts, return_inverse=True)
-    by_count, clamped_by_count = _bisect_beta(
-        [k / m_experiments for k in distinct.tolist()], omega, gamma, a, t, lo, hi, y_lo, y_hi
-    )
+    by_count, clamped_by_count = invert([k / m_experiments for k in distinct.tolist()])
     estimates = by_count[replica_of]
     clamped = int(np.count_nonzero(clamped_by_count[replica_of]))
     variance = float(np.var(estimates, ddof=1))

@@ -79,6 +79,30 @@ def _qfi_kernel(m: _QubitModel, a, mod2_0, t) -> _Terms:
     return _Terms(p2, mod2, alpha, delta, g, denom, total)
 
 
+def _qfi_slope(m: _QubitModel, a, mod2_0, t) -> np.ndarray:
+    """Exact t-derivative of the kernel's total, broadcast like it; 0 where it clamps.
+
+    With e = e^{lam t}: p2' = -lam e (pi2 - a), m' = lam m, alpha' = -lam^2 dpi2/gamma,
+    delta' = -lam e + (2/gamma) lam^2 (pi2 - a) e (1 + lam t), D' = (1 - 2 p2) p2' - m'.
+    Kept out of the kernel so that only a refinement, not a grid scan, pays for it.
+    """
+    k = _qfi_kernel(m, a, mod2_0, t)
+    p2, mod2, alpha, g = k.p2, k.mod2, k.alpha, k.g
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        decay = m.decay(t)
+        dp2 = -m.lam * decay * (m.pi2 - a)
+        dmod2 = m.lam * mod2
+        dalpha = -(m.lam**2) / m.gamma * m.dpi2
+        dg = -m.dpi2 * m.lam * (decay + 2.0 / m.gamma * (1.0 + m.lam * t) * dp2)
+        w, v = 1.0 - 2.0 * p2, (1.0 - p2) * p2
+        q = alpha**2 * v - alpha * w * g - g**2
+        dq = (alpha * (2.0 * dalpha * v + alpha * w * dp2 + 2.0 * dp2 * g - w * dg)
+              - dalpha * w * g - 2.0 * g * dg)
+        dnum = 2.0 * g * dg + 4.0 * (dmod2 * q + mod2 * dq)
+        slope = (dnum - k.total * (w * dp2 - dmod2)) / k.denom
+    return np.where(k.denom <= EPS_GUARD, 0.0, slope)
+
+
 def _check_finite(values, t) -> None:
     if not np.all(np.isfinite(values)):
         raise DomainError(

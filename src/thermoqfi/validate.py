@@ -25,13 +25,9 @@ from .dynamics import (
     qubit_state,
 )
 from .errors import DomainError, ModelIntegrityError
-from .metrology import (
-    Scenario,
-    golden_section_minimize,
-    maximize_qfi_over_time,
-    qfi_trace,
-)
+from .metrology import Scenario, _bisect, maximize_qfi_over_time, qfi_trace
 from .qfi import (
+    _qfi_slope,
     beta_derivative_qubit,
     finite_difference_state_derivative,
     qfi_decomposition,
@@ -319,13 +315,10 @@ def _check_region_phenotypes(rng, inject: bool):
     inv_ok = local_max is not None and v[local_max] < inv.asymptote
     if inv_ok:
         j = local_max + int(np.argmin(v[local_max:]))
-
-        def f(t: float) -> float:
-            return float(qfi_values(inv.init, inv.spectrum, inv.bath, np.array([t]))[0])
-
-        t_dip, f_dip = golden_section_minimize(
-            f, float(trace.times[j - 1]), float(trace.times[j + 1]), 1e-8
-        )
+        model, a, mod2_0 = inv._model, inv.init.a, abs(inv.init.rho12_0) ** 2
+        bracket = trace.times[j - 1], trace.times[j + 1]
+        t_dip = float(_bisect(lambda t: _qfi_slope(model, a, mod2_0, t) < 0, *bracket))
+        f_dip = float(qfi_values(inv.init, inv.spectrum, inv.bath, np.array([t_dip]))[0])
         inv_ok = (
             f_dip <= 1e-8 * inv.asymptote
             and abs(v[-1] - inv.asymptote) <= 1e-6 * inv.asymptote

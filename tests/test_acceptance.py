@@ -39,7 +39,8 @@ from thermoqfi import (
     thermal_distribution,
     transition_matrix,
 )
-from thermoqfi.metrology import golden_section_minimize
+from thermoqfi.metrology import _bisect
+from thermoqfi.qfi import _qfi_slope
 
 from conftest import random_nlevel_model, random_scenario, random_time, reference_scenario
 
@@ -240,14 +241,11 @@ def test_criterion_06_region_phenotypes():
         j = peak + int(np.argmin(values[peak:]))
         assert j < times.size - 1
 
-        def f(t):
-            return float(
-                qfi_values(inverted.init, inverted.spectrum, inverted.bath, [t])[0]
-            )
-
-        t_dip, f_dip = golden_section_minimize(
-            f, float(times[j - 1]), float(times[j + 1]), 1e-10
+        model = inverted._model
+        t_dip = float(
+            _bisect(lambda t: _qfi_slope(model, 0.8, 0.0, t) < 0, times[j - 1], times[j + 1])
         )
+        f_dip = float(qfi_values(inverted.init, inverted.spectrum, inverted.bath, [t_dip])[0])
         assert f_dip <= 1e-8 * asymptote
         tail = float(values[-1])
         assert tail > values[j]

@@ -365,6 +365,13 @@ class TestArgumentRules:
             # replica indices past one 32-bit entropy word; rejected before drawing
             (["estimate", *REF, "--a", "0", "--t", "1", "--replicas", "4294967297"],
              "n_replicas must be at most 2**32"),
+            # the bound-only path (r != 0) checks the run settings too
+            (["estimate", *REF, "--a", "0.1", "--r", "1", "--t", "1", "--m-experiments", "0"],
+             "m_experiments must be a positive integer"),
+            (["estimate", *REF, "--a", "0.1", "--r", "1", "--t", "1", "--m-experiments", "-3"],
+             "m_experiments must be a positive integer"),
+            (["estimate", *REF, "--a", "0.1", "--r", "1", "--t", "1", "--seed", "-1",
+              "--replicas", "-5"], "n_replicas must be at least 2"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -447,13 +454,26 @@ class TestEstimate:
         assert not results["bound_only"]
         assert not results["no_information"]
         assert results["clamped_count"] == 0
-        assert results["ratio"] == pytest.approx(1.0848184418774214, rel=1e-12)
+        assert results["ratio"] == pytest.approx(1.084818458543799, rel=1e-12)
         assert results["f_classical"] == pytest.approx(
             results["f_quantum"], rel=1e-12
         )
-        assert results["measurement_time"] == pytest.approx(
-            0.7242273401034078, abs=1e-6
+        assert results["measurement_time"] == pytest.approx(0.72422736049842, rel=1e-14)
+
+    def test_bracket_beyond_2_19_ends(self):
+        # The default bracket (5e5, 8e6) lies where adjacent floats are wider
+        # than the MLE's 1e-10 stop. A child process with a timeout turns a
+        # search that never ends into a failure.
+        proc = subprocess.run(
+            [sys.executable, "-m", "thermoqfi.cli", "estimate", "--omega12", "1e-6",
+             "--beta", "2e6", "--gamma", "1", "--a", "0", "--replicas", "10", "--t", "1"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
         )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["results"]["clamped_count"] == 0
 
     def test_bound_only_for_coherent_state(self, capsys):
         rc, out, _ = run_cli(

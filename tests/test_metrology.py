@@ -1,7 +1,12 @@
 """Protocol layer: traces, optimal times, state ranking, MLE, Cramer-Rao."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -29,13 +34,10 @@ from thermoqfi import metrology
 from thermoqfi.dynamics import _qubit_model
 from thermoqfi.metrology import (
     _REPLICA_BLOCK,
-    OptimalTime,
-    _bisect_beta,
-    _check_monotone,
+    _bisect,
+    _mle_inverse,
     _pcg64_states,
     _replica_counts,
-    golden_section_maximize,
-    golden_section_minimize,
 )
 
 from conftest import reference_scenario
@@ -147,54 +149,128 @@ class TestRegionClassification:
             classify_region(0.3, 0.0)
 
 
-class TestGoldenSection:
-    def test_locates_parabola_vertex(self):
-        x, fx = golden_section_maximize(lambda x: -((x - 1.3) ** 2), 0.0, 2.0, 1e-10)
-        assert x == pytest.approx(1.3, abs=1e-9)
-        assert fx == pytest.approx(0.0, abs=1e-18)
+class TestBisect:
+    def test_elementwise_matches_scalar_calls(self):
+        # Brackets of unequal width stop after different numbers of halvings;
+        # each element must still end on the bits of its own scalar bisection.
+        roots = np.array([0.3, 1.7, -2.2, 0.05, 1e-3])
+        lo = roots - np.array([0.5, 2.0, 0.01, 0.3, 1e-3])
+        hi = roots + np.array([1.0, 0.4, 0.02, 0.3, 2.0])
+        for tol in (0.0, 1e-9):
+            x = _bisect(lambda m: np.sin(m - roots) < 0, lo, hi, tol)
+            for k, root in enumerate(roots.tolist()):
+                xs = _bisect(lambda m: np.sin(m - root) < 0, lo[k], hi[k], tol)
+                assert xs.shape == ()
+                assert x[k] == xs
+                assert abs(xs - root) <= max(tol, 4 * np.spacing(abs(root)))
 
-    def test_minimize_wrapper(self):
-        # The +2 offset caps the locatable precision at sqrt(eps * 2) ~ 2e-8:
-        # closer to the vertex the quadratic term falls below the value's ulp.
-        x, fx = golden_section_minimize(lambda x: (x - 0.4) ** 2 + 2.0, 0.0, 1.0, 1e-10)
-        assert x == pytest.approx(0.4, abs=1e-6)
-        assert fx == pytest.approx(2.0, rel=1e-15)
+    def test_tolerance_stop(self):
+        x = _bisect(lambda m: m < 1.3, 0.0, 2.0, 1e-6)
+        assert abs(x - 1.3) <= 1e-6
+        assert abs(x - 1.3) > 1e-12
+
+    def test_stops_on_adjacent_floats(self):
+        # Near 2**40 adjacent floats are 2.4e-4 apart, far wider than tol, so
+        # only the split rule can end the search: it stops with the bracket
+        # two adjacent floats and the midpoint rounded onto one of them.
+        target = 2.0**40 + 0.3
+        calls = []
+
+        def below_target(m):
+            calls.append(m)
+            assert len(calls) < 200, "the bisection does not end"
+            return m < target
+
+        x = _bisect(below_target, 2.0**39, 2.0**41, 1e-10)
+        assert x in (np.nextafter(target, -math.inf), target)
+        evaluated = []
+
+        def above(m):
+            evaluated.append(m.copy())
+            return np.zeros(m.shape, dtype=bool)
+
+        lo = np.array([1.0, 5.0])
+        x = _bisect(above, lo, np.nextafter(lo, np.inf))
+        assert x.tolist() == lo.tolist() and evaluated == []
+
+    def test_never_probes_a_bracket_end(self):
+        probes = []
+
+        def above(m):
+            probes.append(float(m))
+            return m < 0.25
+
+        _bisect(above, 0.0, 1.0)
+        assert probes and 0.0 < min(probes) and max(probes) < 1.0
 
     def test_domain(self):
+        above = lambda m: m < 0.5  # noqa: E731
         with pytest.raises(DomainError):
-            golden_section_maximize(lambda x: x, 1.0, 0.0, 1e-8)
+            _bisect(above, 1.0, 0.0)
         with pytest.raises(DomainError):
-            golden_section_maximize(lambda x: x, 0.0, 1.0, 0.0)
+            _bisect(above, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
         with pytest.raises(DomainError):
-            golden_section_maximize(lambda x: x, np.array([0.0, 1.0]), np.array([1.0, 1.0]), 1e-8)
+            _bisect(above, 0.0, math.inf)
+        with pytest.raises(DomainError):
+            _bisect(above, math.nan, 1.0)
+        with pytest.raises(DomainError):
+            _bisect(above, 0.0, 1.0, -1e-8)
+        with pytest.raises(DomainError):
+            _bisect(above, 0.0, 1.0, math.nan)
 
-    def test_elementwise_matches_scalar_searches(self):
-        # Brackets of different widths stop after different numbers of steps;
-        # each element must still end on the bits of its own scalar search.
-        centers = np.array([0.3, 1.7, -2.2, 0.05])
-        lo = centers - np.array([0.5, 2.0, 0.01, 0.3])
-        hi = centers + np.array([1.0, 0.4, 0.02, 0.3])
-        x, fx = golden_section_maximize(lambda t: np.cos(t - centers), lo, hi, 1e-9)
-        for k, c in enumerate(centers):
-            xs, fs = golden_section_maximize(
-                lambda t: float(np.cos(np.array([t - c]))[0]), float(lo[k]), float(hi[k]), 1e-9
-            )
-            assert isinstance(xs, float)
-            assert (x[k], fx[k]) == (xs, fs)
+
+def _mp_peak_time(scenario: Scenario, t0: float) -> float:
+    """The mpmath root of dF/dt within 1e-3 relative of t0, F in Bloch-vector form.
+
+    F = |d_beta r|^2 + (r . d_beta r)^2/(1 - |r|^2) for the Bloch vector
+    r = (2|rho12|, 0, 1 - 2 p2) of the relaxing qubit at fixed initial state;
+    both derivatives are taken numerically at 40 digits.
+    """
+    omega, beta, gamma = scenario.spectrum.gap(1, 2), scenario.bath.beta, scenario.bath.gamma
+    a, r = scenario.init.a, scenario.init.r
+    with mpmath.workdps(40):
+        omega, beta, gamma, a, r = map(mpmath.mpf, (omega, beta, gamma, a, r))
+
+        def bloch(b, t):
+            w = mpmath.exp(-b * omega)
+            pi2 = w / (1 + w)
+            lam = -gamma / mpmath.tanh(b * omega / 2)
+            p2 = pi2 - mpmath.exp(lam * t) * (pi2 - a)
+            return 2 * r * mpmath.sqrt(a * (1 - a)) * mpmath.exp(lam * t / 2), 1 - 2 * p2
+
+        def qfi(t):
+            x, z = bloch(beta, t)
+            dx = mpmath.diff(lambda b: bloch(b, t)[0], beta)
+            dz = mpmath.diff(lambda b: bloch(b, t)[1], beta)
+            return dx**2 + dz**2 + (x * dx + z * dz) ** 2 / (1 - x**2 - z**2)
+
+        bracket = (mpmath.mpf(t0) * (1 - 1e-3), mpmath.mpf(t0) * (1 + 1e-3))
+        return float(mpmath.findroot(lambda t: mpmath.diff(qfi, t), bracket, solver="anderson"))
+
+
+INTERIOR_PEAKS = [
+    (1.0, math.log(3.0), 1.0, 0.0, 0.0),
+    (1.0, math.log(3.0), 1.0, 0.1, 0.0),
+    (1.0, math.log(3.0), 1.0, 0.1, 1.0),
+    (1.0, math.log(3.0), 1.0, 0.2, 0.5),
+    (2.3, 0.9, 0.4, 0.05, 0.7),
+    (0.5, 4.0, 2.5, 0.0, 0.0),
+    (1.7, 0.15, 30.0, 0.3, 0.9),
+]
 
 
 class TestMaximizeQfi:
     def test_ground_start_interior_peak(self):
         best = maximize_qfi_over_time(reference_scenario())
         assert not best.asymptotic
-        assert best.t_star == pytest.approx(0.7242273401034078, abs=1e-7)
+        assert best.t_star == pytest.approx(0.72422736049842, rel=1e-14)
         assert best.f_star == pytest.approx(0.27769162815121534, rel=1e-10)
 
     def test_cold_region_peak_beats_asymptote(self):
         s = reference_scenario(a=0.1)
         best = maximize_qfi_over_time(s)
         assert not best.asymptotic
-        assert best.t_star == pytest.approx(1.1417526544472771, abs=1e-6)
+        assert best.t_star == pytest.approx(1.1417526467733779, rel=1e-14)
         assert best.f_star / s.asymptote == pytest.approx(1.1241011132034258, rel=1e-9)
 
     def test_hot_region_is_asymptotic(self):
@@ -219,27 +295,24 @@ class TestMaximizeQfi:
         with pytest.raises(DomainError, match="finite"):
             maximize_qfi_over_time(reference_scenario(), t_max=t_max)
 
-    @pytest.mark.parametrize("a,r", [(0.0, 0.0), (0.1, 0.0), (0.1, 1.0), (0.35, 0.5), (0.8, 0.0)])
-    def test_matches_scalar_grid_and_golden_section(self, a, r):
-        # Reference: one qfi_values call on the grid, then a scalar golden
-        # section over one-point qfi_values calls.
-        s = reference_scenario(a=a, r=r)
-        t_max = s.default_t_max
-        times = np.linspace(0.0, t_max, 2048)
-        values = qfi_values(s.init, s.spectrum, s.bath, times)
-        i = int(np.argmax(values))
+    @pytest.mark.parametrize("omega,beta,gamma,a,r", INTERIOR_PEAKS)
+    def test_peak_time_is_the_root_of_the_slope(self, omega, beta, gamma, a, r):
+        s = Scenario.qubit(omega, beta, gamma, a, r=r)
         best = maximize_qfi_over_time(s)
-        if values[i] - values[-1] <= 1e-6 * s.asymptote:
-            assert best == OptimalTime(t_star=t_max, f_star=float(values[-1]), asymptotic=True)
-            return
+        assert not best.asymptotic
+        assert best.t_star == pytest.approx(_mp_peak_time(s, best.t_star), rel=1e-14)
+        assert best.f_star == float(qfi_values(s.init, s.spectrum, s.bath, [best.t_star])[0])
 
-        def f(t):
-            return float(qfi_values(s.init, s.spectrum, s.bath, np.array([t]))[0])
-
-        t_star, f_star = golden_section_maximize(
-            f, float(times[i - 1]), float(times[i + 1]), 1e-8 * t_max
-        )
-        assert best == OptimalTime(t_star=t_star, f_star=f_star, asymptotic=False)
+    @pytest.mark.parametrize("omega,beta,gamma,a,r", INTERIOR_PEAKS)
+    def test_peak_time_ignores_the_grid(self, omega, beta, gamma, a, r):
+        s = Scenario.qubit(omega, beta, gamma, a, r=r)
+        best = maximize_qfi_over_time(s)
+        for moved in (
+            maximize_qfi_over_time(s, t_max=np.nextafter(s.default_t_max, math.inf)),
+            maximize_qfi_over_time(s, n_grid=4096),
+        ):
+            assert not moved.asymptotic
+            assert moved.t_star == pytest.approx(best.t_star, rel=1e-14)
 
 
 class TestOptimizeInitialState:
@@ -328,8 +401,34 @@ class TestSimulateMeasurements:
             simulate_measurements(s, -1.0, 10, 1)
 
 
+_LARGE_BETA_MLE = """
+from thermoqfi import Scenario, mle_beta
+s = Scenario.qubit(omega12=1e-6, beta=2e6, gamma=1.0, a=0.0)
+m = 10**6
+counts = round(m * float(s._model.p2(0.0, 1.0)))
+res = mle_beta(counts, m, s.spectrum, 1.0, s.init, 1.0, (5e5, 8e6))
+print(res.beta_hat, res.clamped)
+"""
+
+
 class TestMleBeta:
     BRACKET = (math.log(3.0) / 4.0, math.log(3.0) * 4.0)
+
+    def test_bracket_beyond_2_19_ends(self):
+        # Above beta = 2**19 adjacent floats lie further apart than the 1e-10
+        # stop, so the bisection must end on them. It runs in a child process
+        # so that a search that never ends fails on the timeout.
+        proc = subprocess.run(
+            [sys.executable, "-c", _LARGE_BETA_MLE],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env={**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")},
+        )
+        assert proc.returncode == 0, proc.stderr
+        beta_hat, clamped = proc.stdout.split()
+        assert float(beta_hat) == pytest.approx(2e6, rel=1e-3)
+        assert clamped == "False"
 
     def test_inverts_population_map(self):
         s = reference_scenario()
@@ -393,9 +492,11 @@ class TestMleBeta:
         # once more than others; the array bisection must stop each on its own.
         omega, gamma, a, t = 1.0, 1.0, 0.05, 0.7
         lo, hi = 1.0, 1.0 + 2.0**k * 1e-10
-        y_lo, y_hi = _check_monotone(omega, gamma, a, t, lo, hi)
+        y_lo = _qubit_model(omega, lo, gamma).p2(a, t)
+        y_hi = _qubit_model(omega, hi, gamma).p2(a, t)
         targets = np.linspace(y_hi, y_lo, 2001)[1:-1]
-        estimates, clamped = _bisect_beta(targets, omega, gamma, a, t, lo, hi, y_lo, y_hi)
+        invert = _mle_inverse(Spectrum.qubit(omega), gamma, QubitInit(a=a), t, (lo, hi))
+        estimates, clamped = invert(targets)
         expected = [_scalar_mle(y, omega, gamma, a, t, lo, hi) for y in targets.tolist()]
         assert estimates.tolist() == [e[0] for e in expected]
         assert not clamped.any()
@@ -444,7 +545,7 @@ class TestCramerRao:
         assert report.bound == pytest.approx(
             1.0 / (2000 * report.f_classical), rel=1e-15
         )
-        assert report.ratio == pytest.approx(1.0848184418774214, rel=1e-12)
+        assert report.ratio == pytest.approx(1.084818458543799, rel=1e-12)
         assert 0.8 <= report.ratio <= 1.3
 
     def test_deterministic(self):
@@ -470,9 +571,7 @@ class TestCramerRao:
         report = cramer_rao_report(
             reference_scenario(), m_experiments=200, n_replicas=20, seed=5
         )
-        assert report.run.measurement_time == pytest.approx(
-            0.7242273401034078, abs=1e-6
-        )
+        assert report.run.measurement_time == pytest.approx(0.72422736049842, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(DomainError, match="n_replicas"):
@@ -567,7 +666,9 @@ class TestCramerRao:
                 res = mle_beta(counts, m, s.spectrum, s.bath.gamma, s.init, t, bracket)
                 assert res.clamped and res.beta_hat == beta
 
-    def test_bracket_beyond_exp_range_is_a_domain_error(self):
+    def test_bracket_beyond_exp_range_is_a_domain_error(self, monkeypatch):
+        # cramer_rao_report checks the bracket before it draws any replica
+        monkeypatch.setattr(metrology, "_replica_counts", _must_not_draw)
         s = Scenario.qubit(omega12=1.0, beta=200.0, gamma=1.0, a=0.0)
         with pytest.raises(DomainError, match="709"):
             cramer_rao_report(s, t=1.0, m_experiments=100, n_replicas=10)
