@@ -81,31 +81,6 @@ THETA_PRESETS = {
     ),
 }
 
-_CONFIG_KEYS = (
-    "omega12",
-    "beta",
-    "n12",
-    "gamma",
-    "tau_tilde",
-    "a",
-    "theta",
-    "r",
-    "phi",
-    "t",
-    "t_max",
-    "points",
-    "a_steps",
-    "r_steps",
-    "m_experiments",
-    "replicas",
-    "seed",
-    "out",
-    "format",
-    "checks",
-    "inject_fault",
-)
-
-
 class ConfigError(Exception):
     """Invalid or conflicting run configuration."""
 
@@ -131,13 +106,13 @@ def _add_state_args(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--theta", type=float, default=None, help="preparation angle (a = sin^2(theta/2))"
     )
-    p.add_argument("--r", type=float, default=None, help="relative coherence in [0, 1]")
-    p.add_argument("--phi", type=float, default=None, help="coherence phase")
+    p.add_argument("--r", type=float, default=0.0, help="relative coherence in [0, 1]")
+    p.add_argument("--phi", type=float, default=0.0, help="coherence phase")
 
 
-def _add_output_args(p: argparse.ArgumentParser) -> None:
+def _add_output_args(p: argparse.ArgumentParser, fmt: str) -> None:
     p.add_argument("--out", default=None, help="output path ('-' or absent: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=None)
+    p.add_argument("--format", choices=("csv", "json"), default=fmt)
     p.add_argument("--config", default=None, help="JSON file with defaults for any flag")
 
 
@@ -152,34 +127,36 @@ def build_parser() -> argparse.ArgumentParser:
     _add_model_args(p)
     _add_state_args(p)
     p.add_argument("--t-max", type=float, default=None, dest="t_max")
-    p.add_argument("--points", type=int, default=None, help="grid size (default 2048)")
-    _add_output_args(p)
+    p.add_argument("--points", type=int, default=2048, help="grid size (default %(default)s)")
+    _add_output_args(p, "csv")
 
     p = sub.add_parser("optimize", help="rank initial states by peak QFI")
     _add_model_args(p)
     p.add_argument("--t-max", type=float, default=None, dest="t_max")
-    p.add_argument("--a-steps", type=int, default=None, dest="a_steps")
-    p.add_argument("--r-steps", type=int, default=None, dest="r_steps")
-    _add_output_args(p)
+    p.add_argument("--a-steps", type=int, default=21, dest="a_steps")
+    p.add_argument("--r-steps", type=int, default=2, dest="r_steps")
+    _add_output_args(p, "json")
 
     p = sub.add_parser("experiment", help="preset cold/hot bath study with GAD comparison")
-    p.add_argument("--omega12", type=float, default=None)
+    p.add_argument("--omega12", type=float, default=5.0)
     p.add_argument("--n12", type=float, default=None, help="single bath occupation override")
     p.add_argument(
-        "--tau-tilde", type=float, default=None, dest="tau_tilde", help="collision time"
+        "--tau-tilde", type=float, default=0.05, dest="tau_tilde", help="collision time"
     )
-    p.add_argument("--r", type=float, default=None, help="coherence of the preparations")
-    p.add_argument("--points", type=int, default=None, help="trace grid size (default 512)")
-    _add_output_args(p)
+    p.add_argument("--r", type=float, default=1.0, help="coherence of the preparations")
+    p.add_argument(
+        "--points", type=int, default=512, help="trace grid size (default %(default)s)"
+    )
+    _add_output_args(p, "json")
 
     p = sub.add_parser("estimate", help="Cramer-Rao saturation report")
     _add_model_args(p)
     _add_state_args(p)
     p.add_argument("--t", type=float, default=None, help="measurement time (default: peak)")
-    p.add_argument("--m-experiments", type=int, default=None, dest="m_experiments")
-    p.add_argument("--replicas", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    _add_output_args(p)
+    p.add_argument("--m-experiments", type=int, default=10000, dest="m_experiments")
+    p.add_argument("--replicas", type=int, default=1000)
+    p.add_argument("--seed", type=int, default=0)
+    _add_output_args(p, "json")
 
     p = sub.add_parser("validate", help="run the named invariant checks")
     p.add_argument("--checks", default=None, help="comma-separated subset of check names")
@@ -195,29 +172,38 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_config(args: argparse.Namespace) -> None:
-    path = getattr(args, "config", None)
-    if not path:
-        return
+def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> list[str]:
+    """The --config file of command as the flags it stands for.
+
+    Each non-null key becomes one --key-with-dashes=value token, so argparse
+    gives every value its flag's conversion, choices and error. The valid keys
+    are the parser's own dests; a key of another subcommand is ignored.
+    """
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ConfigError(f"config {path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path}: top level must be an object")
-    unknown = sorted(set(data) - set(_CONFIG_KEYS))
+    dests = {
+        name: set(vars(parser.parse_args([name]))) - {"command", "config"}
+        for name in _COMMANDS
+    }
+    unknown = sorted(set(data) - set().union(*dests.values()))
     if unknown:
         raise ConfigError(f"config {path}: unknown keys: {', '.join(unknown)}")
-    for key, value in data.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
+    return [
+        f"--{key.replace('_', '-')}={value}"
+        for key, value in data.items()
+        if key in dests[command] and value is not None
+    ]
 
 
 def _resolve_spectrum(args: argparse.Namespace) -> Spectrum:
     if args.omega12 is None:
         raise ConfigError("provide --omega12")
-    return Spectrum.qubit(float(args.omega12))
+    return Spectrum.qubit(args.omega12)
 
 
 def _resolve_bath(args: argparse.Namespace, spectrum: Spectrum) -> Bath:
@@ -226,14 +212,12 @@ def _resolve_bath(args: argparse.Namespace, spectrum: Spectrum) -> Bath:
     if has_beta == has_n12:
         raise ConfigError("provide exactly one of --beta or --n12")
     omega = spectrum.gap(1, 2)
-    beta = float(args.beta) if has_beta else beta_from_thermal_ratio(float(args.n12), omega)
+    beta = args.beta if has_beta else beta_from_thermal_ratio(args.n12, omega)
     has_gamma = args.gamma is not None
     has_tau = args.tau_tilde is not None
     if has_gamma == has_tau:
         raise ConfigError("provide exactly one of --gamma or --tau-tilde")
-    gamma = (
-        float(args.gamma) if has_gamma else gamma_from_tau_tilde(float(args.tau_tilde), omega)
-    )
+    gamma = args.gamma if has_gamma else gamma_from_tau_tilde(args.tau_tilde, omega)
     return Bath(beta=beta, gamma=gamma)
 
 
@@ -242,18 +226,15 @@ def _resolve_init(args: argparse.Namespace) -> QubitInit:
     has_theta = args.theta is not None
     if has_a == has_theta:
         raise ConfigError("provide exactly one of --a or --theta")
-    r = 0.0 if args.r is None else float(args.r)
-    phi = 0.0 if args.phi is None else float(args.phi)
     if has_a:
-        return QubitInit(a=float(args.a), r=r, phi=phi)
-    return QubitInit.from_theta(float(args.theta), r=r, phi=phi)
+        return QubitInit(a=args.a, r=args.r, phi=args.phi)
+    return QubitInit.from_theta(args.theta, r=args.r, phi=args.phi)
 
 
-def _finite(value, flag: str) -> float:
-    v = float(value)
-    if not math.isfinite(v):
+def _finite(value: float, flag: str) -> float:
+    if not math.isfinite(value):
         raise ConfigError(f"{flag} must be finite")
-    return v
+    return value
 
 
 def _cell(value) -> str:
@@ -370,13 +351,12 @@ def cmd_trace(args: argparse.Namespace) -> int:
     t_max = scenario.default_t_max if args.t_max is None else _finite(args.t_max, "--t-max")
     if t_max <= 0:
         raise ConfigError("--t-max must be positive")
-    points = 2048 if args.points is None else int(args.points)
-    if points < 2:
+    if args.points < 2:
         raise ConfigError("--points must be at least 2")
-    times = np.linspace(0.0, t_max, points)
+    times = np.linspace(0.0, t_max, args.points)
     cols = trace_arrays(init, spectrum, bath, times)
     columns = [cols[name] for name in TRACE_COLUMNS]
-    if (args.format or "csv") == "csv":
+    if args.format == "csv":
         _emit_csv(TRACE_COLUMNS, columns, args.out)
         return 0
     payload = {
@@ -390,7 +370,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
             "r": init.r,
             "phi": init.phi,
             "t_max": t_max,
-            "points": points,
+            "points": args.points,
         },
         "derived": {
             "pi2": scenario.pi2,
@@ -412,14 +392,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_optimize(args: argparse.Namespace) -> int:
     spectrum = _resolve_spectrum(args)
     bath = _resolve_bath(args, spectrum)
-    a_steps = 21 if args.a_steps is None else int(args.a_steps)
-    r_steps = 2 if args.r_steps is None else int(args.r_steps)
     t_max = None if args.t_max is None else _finite(args.t_max, "--t-max")
     rows = optimize_initial_state(
-        spectrum, bath, t_max=t_max, a_steps=a_steps, r_steps=r_steps
+        spectrum, bath, t_max=t_max, a_steps=args.a_steps, r_steps=args.r_steps
     )
-    fmt = args.format or "json"
-    if fmt == "csv":
+    if args.format == "csv":
         table = [
             (row.a, row.r, row.t_star, row.f_star, row.asymptotic, row.region.region)
             for row in rows
@@ -435,8 +412,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 "beta": bath.beta,
                 "gamma": bath.gamma,
                 "t_max": scenario.default_t_max if t_max is None else t_max,
-                "a_steps": a_steps,
-                "r_steps": r_steps,
+                "a_steps": args.a_steps,
+                "r_steps": args.r_steps,
             },
             "derived": {"pi2": scenario.pi2, "asymptote": scenario.asymptote},
             "rows": [
@@ -458,15 +435,12 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    if (args.format or "json") != "json":
+    if args.format != "json":
         raise ConfigError("experiment emits a structured document; use --format json")
-    omega12 = 5.0 if args.omega12 is None else float(args.omega12)
-    tau_tilde = 0.05 if args.tau_tilde is None else float(args.tau_tilde)
-    r = 1.0 if args.r is None else float(args.r)
-    points = 512 if args.points is None else int(args.points)
+    omega12, tau_tilde, r, points = args.omega12, args.tau_tilde, args.r, args.points
     if points < 2:
         raise ConfigError("--points must be at least 2")
-    n12_values = [float(args.n12)] if args.n12 is not None else [5.5, 9.5]
+    n12_values = [args.n12] if args.n12 is not None else [5.5, 9.5]
     spectrum = Spectrum.qubit(omega12)
     gamma = gamma_from_tau_tilde(tau_tilde, omega12)
 
@@ -540,9 +514,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     bath = _resolve_bath(args, spectrum)
     init = _resolve_init(args)
     scenario = Scenario(spectrum=spectrum, bath=bath, init=init)
-    m_experiments = 10000 if args.m_experiments is None else int(args.m_experiments)
-    replicas = 1000 if args.replicas is None else int(args.replicas)
-    seed = 0 if args.seed is None else int(args.seed)
+    m_experiments, replicas, seed = args.m_experiments, args.replicas, args.seed
     _check_run(m_experiments, replicas, seed)
     if args.t is not None:
         t = _finite(args.t, "--t")
@@ -578,8 +550,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "no_information": report.no_information,
             "bound_only": False,
         }
-    fmt = args.format or "json"
-    if fmt == "csv":
+    if args.format == "csv":
         _emit_csv(ESTIMATE_COLUMNS, [[results[name]] for name in ESTIMATE_COLUMNS], args.out)
     else:
         payload = {
@@ -605,7 +576,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 def cmd_validate(args: argparse.Namespace) -> int:
     names = None
     if args.checks is not None:
-        names = tuple(s.strip() for s in str(args.checks).split(",") if s.strip())
+        names = tuple(s.strip() for s in args.checks.split(",") if s.strip())
     results = run_checks(names=names, inject_fault=args.inject_fault)
     width = max(len(name) for name in check_names())
     lines = [
@@ -629,14 +600,15 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        _merge_config(args)
+        if args.config:
+            # config flags go right after the subcommand, so the user's own win
+            config = _config_argv(parser, args.command, args.config)
+            args = parser.parse_args([argv[0], *config, *argv[1:]])
         return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, EstimatorUndefinedError) as exc:
+    except (ConfigError, DomainError, EstimatorUndefinedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ModelIntegrityError as exc:

@@ -11,7 +11,7 @@ _bisect, serves both the peak times and the estimator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,7 +126,7 @@ class QfiTrace:
     times: np.ndarray
     values: np.ndarray
     asymptote: float
-    normalized: np.ndarray = None
+    normalized: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         t = np.asarray(self.times, dtype=float)
@@ -143,12 +143,7 @@ class QfiTrace:
             raise DomainError("asymptote must be a positive finite number")
         object.__setattr__(self, "times", _readonly(t))
         object.__setattr__(self, "values", _readonly(v))
-        if self.normalized is None:
-            object.__setattr__(self, "normalized", _readonly(v / self.asymptote))
-        else:
-            object.__setattr__(
-                self, "normalized", _readonly(np.asarray(self.normalized, dtype=float))
-            )
+        object.__setattr__(self, "normalized", _readonly(v / self.asymptote))
 
 
 def qfi_trace(scenario: Scenario, t_max: float | None = None, n_points: int = 2048) -> QfiTrace:
@@ -462,14 +457,17 @@ class MleResult:
 def _mle_inverse(spectrum, gamma, init, t, bracket):
     """The inverse of p2(t; beta) on the bracket, for arrays of targets.
 
-    p2 must be strictly monotone in beta on the bracket; that is checked here,
-    on 65 samples, before any target is drawn. The returned function bisects
-    each target on its own copy of the bracket until it is no wider than
-    1e-10 in beta or is two adjacent floats (wider than 1e-10 above
-    beta = 2**19); targets outside the attainable range clamp to the nearer
-    bracket edge. It returns the estimates and the clamped flags.
+    The bracket must satisfy 0 < lo < hi and p2 must be strictly monotone in
+    beta on it; both are checked here (monotonicity on 65 samples) before any
+    target is drawn. The returned function bisects each target on its own
+    copy of the bracket until it is no wider than 1e-10 in beta or is two
+    adjacent floats (wider than 1e-10 above beta = 2**19); targets outside
+    the attainable range clamp to the nearer bracket edge. It returns the
+    estimates and the clamped flags.
     """
     omega, a, (lo, hi) = spectrum.gap(1, 2), init.a, map(float, bracket)
+    if not (0.0 < lo < hi):
+        raise DomainError("bracket must satisfy 0 < lo < hi")
     if hi * omega > MAX_EXP_BETA_OMEGA:
         raise DomainError(
             f"the beta bracket reaches beta*omega = {hi * omega:g}; the MLE supports "
@@ -519,9 +517,6 @@ def mle_beta(
         raise DomainError("counts must lie in [0, m_experiments]")
     if m_experiments < 1:
         raise DomainError("m_experiments must be a positive integer")
-    lo, hi = float(bracket[0]), float(bracket[1])
-    if not (0.0 < lo < hi):
-        raise DomainError("bracket must satisfy 0 < lo < hi")
     if t <= 0:
         raise EstimatorUndefinedError(
             f"p2 carries no beta dependence at t={t!r}; the MLE is undefined"

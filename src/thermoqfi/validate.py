@@ -449,6 +449,8 @@ def run_checks(
             + ", ".join(sorted(INJECTABLE_CHECKS))
         )
     selected = check_names() if names is None else tuple(names)
+    if not selected:
+        raise DomainError("no checks selected")
     unknown = [n for n in selected if n not in check_names()]
     if unknown:
         raise DomainError(f"unknown checks: {', '.join(unknown)}")

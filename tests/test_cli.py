@@ -1,5 +1,6 @@
-"""End-to-end command-line behavior: formats, config merging, exit codes."""
+"""End-to-end command-line behavior: formats, config parsing, exit codes."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from thermoqfi import QubitInit, Scenario
+from thermoqfi import QubitInit, Scenario, cli
 from thermoqfi.qfi import trace_arrays
 from thermoqfi.cli import (
     _BLOCK_ROWS,
@@ -26,6 +27,7 @@ from thermoqfi.cli import (
     _cell,
     _json_safe,
     _write_rows,
+    build_parser,
     main,
 )
 
@@ -36,6 +38,28 @@ def run_cli(capsys, argv):
     rc = main(argv)
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def exit_of(capsys, argv):
+    """run_cli, but an argparse rejection (SystemExit) counts as its exit code."""
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
+    captured = capsys.readouterr()
+    return rc, captured.out, captured.err
+
+
+def _flag_actions():
+    """(subcommand, action) for every option of every subcommand but --config."""
+    parser = build_parser()
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return [
+        pytest.param(name, action, id=f"{name}-{action.dest}")
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    ]
 
 
 def reference_csv(columns, rows) -> str:
@@ -293,6 +317,101 @@ class TestConfig:
         )
         assert rc == 3
         assert "error:" in err
+
+    @pytest.mark.parametrize("command,action", _flag_actions())
+    def test_config_key_parses_like_its_flag(self, tmp_path, monkeypatch, command, action):
+        # Every dest of every subcommand: a config key gives the namespace its flag gives.
+        seen = []
+        monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(vars(args)) or 0)
+        value = next(c for c in action.choices if c != action.default) if action.choices else 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({action.dest: value}))
+        assert main([command, "--config", str(cfg)]) == 0
+        assert main([command, f"{action.option_strings[0]}={value}"]) == 0
+        from_config, from_flag = seen
+        assert (from_config.pop("config"), from_flag.pop("config")) == (str(cfg), None)
+        assert from_config == from_flag
+        assert from_flag[action.dest] != action.default
+
+    def test_key_of_another_subcommand_is_ignored(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"checks": "column-sums", "replicas": 5, "format": "json"}))
+        flags = ["trace", *REF, "--a", "0", "--points", "4"]
+        assert run_cli(capsys, [*flags, "--config", str(cfg)]) == run_cli(
+            capsys, [*flags, "--format", "json"]
+        )
+        rc, out, _ = run_cli(capsys, ["validate", "--config", str(cfg)])
+        assert rc == 0 and out.splitlines()[-1] == "1/1 checks passed"
+
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            ("trace", {"beta": "abc"}),
+            ("trace", {"a": [1]}),
+            ("trace", {"a": True}),
+            ("trace", {"points": "x"}),
+            ("trace", {"points": 4.0}),
+            ("trace", {"format": "xml"}),
+            ("estimate", {"seed": 1.5}),
+        ],
+    )
+    def test_mistyped_value_exits_2_like_its_flag(self, tmp_path, capsys, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        argv = [command, "--omega12", "1", "--gamma", "1", "--t-max" if command == "trace"
+                else "--replicas", "10"]
+        argv += [] if "beta" in config else ["--beta", "1"]
+        argv += [] if "a" in config else ["--a", "0"]
+        rc, out, err = exit_of(capsys, [*argv, "--config", str(cfg)])
+        assert (rc, out) == (2, "")
+        assert "Traceback" not in err
+        (key, value), = config.items()
+        flag = f"--{key.replace('_', '-')}={value}"
+        assert err.splitlines()[-1] == exit_of(capsys, [*argv, flag])[2].splitlines()[-1]
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"omega12": "\xff"}')
+        rc, out, err = run_cli(capsys, ["trace", "--config", str(cfg)])
+        assert (rc, out) == (2, "")
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: config ")
+        assert "invalid JSON" in lines[0]
+
+    def test_negative_value_is_not_read_as_an_option(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"t": -1e-05}))
+        argv = ["estimate", *REF, "--a", "0.1", "--replicas", "10"]
+        from_config = run_cli(capsys, [*argv, "--config", str(cfg)])
+        assert from_config == run_cli(capsys, [*argv, "--t=-1e-05"])
+        assert from_config[0] == 2
+
+    @pytest.mark.parametrize(
+        "command,config",
+        [
+            ("trace", {"omega12": 1.0, "beta": 1.0986122886681098, "gamma": 1, "a": 0.3,
+                       "r": 0.5, "phi": 0.7, "t_max": 12.5, "points": 17, "format": "json"}),
+            ("estimate", {"omega12": 2.0, "n12": 0.25, "tau_tilde": 0.1, "theta": 0.4,
+                          "seed": 7, "replicas": 50, "m_experiments": 400, "format": "csv"}),
+            ("optimize", {"omega12": 1, "beta": 0.5, "gamma": 2.0, "a_steps": 5,
+                          "r_steps": 3, "format": "csv"}),
+            ("experiment", {"omega12": 4, "n12": 3.0, "tau_tilde": 0.02, "r": 0.5,
+                            "points": 8}),
+            ("validate", {"checks": "column-sums,detailed-balance",
+                          "inject_fault": "column-sums"}),
+        ],
+    )
+    def test_well_typed_config_matches_flags_byte_for_byte(
+        self, tmp_path, capsys, command, config
+    ):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        flags = [command]
+        for key, value in config.items():
+            flags += [f"--{key.replace('_', '-')}", str(value)]
+        from_config = run_cli(capsys, [command, "--config", str(cfg)])
+        assert from_config == run_cli(capsys, flags)
+        assert from_config[1]
 
 
 class TestArgumentRules:
@@ -591,6 +710,11 @@ class TestValidate:
     def test_unknown_injection_name(self, capsys):
         rc, _, err = run_cli(capsys, ["validate", "--inject-fault", "bogus"])
         assert rc == 2
+
+    @pytest.mark.parametrize("checks", ["", " , "])
+    def test_empty_selection_exits_2(self, capsys, checks):
+        rc, out, err = run_cli(capsys, ["validate", "--checks", checks])
+        assert (rc, out, err) == (2, "", "error: no checks selected\n")
 
 
 # Runs in a fresh interpreter: imports the package, then every subcommand

@@ -95,6 +95,17 @@ class TestQfiTrace:
             trace.normalized, trace.values / s.asymptote, rtol=0, atol=0
         )
 
+    def test_normalized_is_derived_not_passed(self):
+        trace = QfiTrace(times=np.array([0.0, 1.0]), values=np.array([0.0, 3.0]), asymptote=2.0)
+        assert trace.normalized.tolist() == [0.0, 1.5]
+        with pytest.raises(TypeError):
+            QfiTrace(
+                times=np.array([0.0, 1.0]),
+                values=np.array([0.0, 3.0]),
+                asymptote=2.0,
+                normalized=np.array([0.0, 9.0]),
+            )
+
     def test_validation(self):
         with pytest.raises(DomainError, match="strictly increasing"):
             QfiTrace(times=np.array([0.0, 1.0, 1.0]), values=np.zeros(3), asymptote=1.0)
@@ -674,6 +685,17 @@ class TestCramerRao:
             cramer_rao_report(s, t=1.0, m_experiments=100, n_replicas=10)
         with pytest.raises(DomainError, match="709"):
             mle_beta(5, 10, s.spectrum, 1.0, s.init, 1.0, (100.0, 710.0))
+
+    @pytest.mark.parametrize("bracket", [(2.0, 0.5), (1.0, 1.0), (0.0, 2.0), (-1.0, 2.0)])
+    def test_reversed_or_nonpositive_bracket_is_rejected_before_drawing(
+        self, monkeypatch, bracket
+    ):
+        monkeypatch.setattr(metrology, "_replica_counts", _must_not_draw)
+        s = reference_scenario()
+        with pytest.raises(DomainError, match="0 < lo < hi"):
+            cramer_rao_report(s, t=1.0, m_experiments=100, n_replicas=10, bracket=bracket)
+        with pytest.raises(DomainError, match="0 < lo < hi"):
+            mle_beta(5, 10, s.spectrum, s.bath.gamma, s.init, 1.0, bracket)
 
     @pytest.mark.parametrize("seed", [-1, -(2**64), 1.5, [1, 2]])
     def test_seed_must_be_a_nonnegative_integer(self, monkeypatch, seed):

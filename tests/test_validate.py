@@ -47,6 +47,10 @@ class TestRunChecks:
         with pytest.raises(DomainError, match="unknown checks"):
             run_checks(names=("no-such-check",))
 
+    def test_empty_selection_rejected(self):
+        with pytest.raises(DomainError, match="no checks selected"):
+            run_checks(names=())
+
 
 class TestFaultInjection:
     def test_each_injectable_check_detects_its_fault(self):
