@@ -491,6 +491,11 @@ class TestArgumentRules:
              "m_experiments must be a positive integer"),
             (["estimate", *REF, "--a", "0.1", "--r", "1", "--t", "1", "--seed", "-1",
               "--replicas", "-5"], "n_replicas must be at least 2"),
+            # a grid of 745 GiB, refused by the allocator before any memory is used
+            (["trace", "--omega12", "1", "--beta", "1", "--gamma", "1", "--a", "0",
+              "--points", "100000000000"], "trace needs more memory than is available"),
+            (["experiment", "--points", "100000000000"],
+             "experiment needs more memory than is available"),
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -718,10 +723,12 @@ class TestValidate:
 
 
 # Runs in a fresh interpreter: imports the package, then every subcommand
-# through cli.main, asserting after each step that scipy was never loaded.
+# through cli.main, asserting after each step that scipy was never loaded,
+# and that the float kernel is loaded by the CLI, not by the package.
 _IMPORT_PROBE = """
 import sys
 import thermoqfi
+assert "thermoqfi._floatrepr" not in sys.modules, "float kernel loaded by import"
 import thermoqfi.cli
 assert "scipy" not in sys.modules, "import"
 ref = ["--omega12", "1", "--beta", "1.0986122886681098", "--gamma", "1"]
@@ -734,6 +741,9 @@ for argv in (
 ):
     assert thermoqfi.cli.main(argv) == 0, argv
     assert "scipy" not in sys.modules, argv
+# the float kernel's tables are built from ints, without bignum decimal modules
+assert "thermoqfi._floatrepr" in sys.modules
+assert "fractions" not in sys.modules and "decimal" not in sys.modules
 """
 
 
