@@ -45,13 +45,16 @@ _SIGNIFICAND_BITS = np.uint64(0x000FFFFFFFFFFFFF)
 
 class _Tables(NamedTuple):
     hi: np.ndarray  # 10**n = hi + lo (double-double), n in [_POW_MIN, _POW_MAX]
-    hi_top: np.ndarray  # hi = hi_top + hi_tail, 26 and 27 significant bits
+    hi_top: np.ndarray  # hi = hi_top + hi_tail, Dekker's split of hi
     hi_tail: np.ndarray
     lo: np.ndarray
     pow10: np.ndarray  # 10**k as int64, k in [0, 17]
     digits4: np.ndarray  # the four ASCII digits of 0..9999 as uint32 words
     exponents: np.ndarray  # the exponent bytes 28-31 of a cell, by e - _POW_MIN
-    from_early: np.ndarray  # per layout: byte masks and constant bytes (uint64)
+    # One uint64 row per layout, indexed by (sign, clip(e, -5, 16) + 5,
+    # significant digits): the byte masks of `early` and `late`, and the
+    # constant bytes.
+    from_early: np.ndarray
     from_late: np.ndarray
     constant: np.ndarray
 
@@ -81,8 +84,7 @@ def _tables() -> _Tables:
         for e in range(_POW_MIN, _POW_MAX + 1)
     ]
 
-    from_early, from_late, constant = np.zeros((3, 22, 18, 2, WIDTH), dtype=np.uint8)
-    constant[..., 1, 0] = ord("-")
+    from_early, from_late, constant = np.zeros((3, 22, 18, WIDTH), dtype=np.uint8)
     for e in range(-5, 17):
         for significant in range(1, 18):
             # repr: fixed point for 1e-4 <= |x| < 1e16, else exponent form.
@@ -91,15 +93,20 @@ def _tables() -> _Tables:
                 point, end = e + 1, max(significant, e + 2)
             elif -4 <= e < 0:
                 point = end = significant
-                constant[row][:, 1 : 2 - e] = np.frombuffer(b"0.000"[: 1 - e], dtype=np.uint8)
+                constant[row][1 : 2 - e] = np.frombuffer(b"0.000"[: 1 - e], dtype=np.uint8)
             else:
                 point, end = 1, significant
-                constant[row][:, 27] = ord("e")
+                constant[row][27] = ord("e")
             # digit p sits in slot 6 + p before the point and 7 + p after it
-            from_early[row][:, 6 : 6 + point] = 0xFF
+            from_early[row][6 : 6 + point] = 0xFF
             if point < end:
-                constant[row][:, 6 + point] = ord(".")
-                from_late[row][:, 7 + point : 7 + end] = 0xFF
+                constant[row][6 + point] = ord(".")
+                from_late[row][7 + point : 7 + end] = 0xFF
+    # the rows of negative values follow, with "-" in slot 0
+    negative = constant.copy()
+    negative[..., 0] = ord("-")
+    layouts = [np.concatenate([t, t]) for t in (from_early, from_late)]
+    layouts.append(np.concatenate([constant, negative]))
     return _Tables(
         hi,
         hi_top,
@@ -111,7 +118,7 @@ def _tables() -> _Tables:
         .view(np.uint32)
         .reshape(-1),
         np.array(exponents, dtype="S4").view(np.uint32),
-        *(t.reshape(-1, WIDTH).view(np.uint64) for t in (from_early, from_late, constant)),
+        *(t.reshape(-1, WIDTH).view(np.uint64) for t in layouts),
     )
 
 
@@ -243,7 +250,7 @@ def fast_cells(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     # Each layout row picks digits from `early` and `late` and adds the
     # constant bytes: sign, prefix, point, "e". The exponent is per cell.
-    layout = ((np.clip(e, -5, 16) + 5) * 18 + significant) * 2 + np.signbit(x)
+    layout = (np.clip(e, -5, 16) + 5) * 18 + significant + 22 * 18 * np.signbit(x)
     out = early & t.from_early.take(layout, axis=0)
     out |= late & t.from_late.take(layout, axis=0)
     out |= t.constant.take(layout, axis=0)
