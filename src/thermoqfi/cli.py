@@ -39,16 +39,17 @@ from .metrology import (
     maximize_qfi_over_time,
     optimize_initial_state,
 )
-from .qfi import qubit_qfi, trace_arrays
+from .qfi import qfi_values, qubit_qfi, trace_blocks
 from .spectrum import Bath, Spectrum
 from .validate import check_names, run_checks
 
 SCHEMA_VERSION = "1"
 
-# Rows per write of the table writer: enough to amortize the per-block work,
-# few enough that one block's byte tables stay near a megabyte. On 200k-row
-# traces 4096 rows wrote as fast as 8192 with a lower peak RSS; 2048 was
-# slower.
+# Rows per block of a table: the trace kernel computes, and the table writer
+# renders and writes, this many rows at a time. Enough to amortize the
+# per-block work, few enough that one block's columns and byte tables stay
+# near a megabyte. On 200k-row traces 4096 rows wrote as fast as 8192 with a
+# lower peak RSS; 2048 was slower.
 _BLOCK_ROWS = 4096
 
 TRACE_COLUMNS = ("t", "F", "F_norm", "p2", "abs_rho12", "dbeta_p2", "alpha", "delta")
@@ -88,6 +89,13 @@ class ConfigError(Exception):
     """Invalid or conflicting run configuration."""
 
 
+class _ConfigParser(argparse.ArgumentParser):
+    """The parser that checks --config values: a rejected value raises, not exits."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--omega12", type=float, default=None, help="two-level gap")
     p.add_argument("--beta", type=float, default=None, help="inverse bath temperature")
@@ -119,8 +127,8 @@ def _add_output_args(p: argparse.ArgumentParser, fmt: str) -> None:
     p.add_argument("--config", default=None, help="JSON file with defaults for any flag")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    parser = parser_class(
         prog="thermoqfi",
         description="Quantum Fisher information thermometry for a dissipative qubit probe.",
     )
@@ -175,13 +183,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> list[str]:
+def _config_argv(command: str, path: str) -> list[str]:
     """The --config file of command as the flags it stands for.
 
     Each non-null key becomes one --key-with-dashes=value token, so argparse
-    gives every value its flag's conversion, choices and error. The valid keys
-    are the parser's own dests; a key of another subcommand is ignored.
+    gives every value its flag's conversion and choices. Each token is parsed
+    on its own first, so a value its flag rejects is a ConfigError that names
+    the file and the key. The valid keys are the parser's own dests; a key of
+    another subcommand is ignored.
     """
+    parser = build_parser(_ConfigParser)
     with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
@@ -196,11 +207,18 @@ def _config_argv(parser: argparse.ArgumentParser, command: str, path: str) -> li
     unknown = sorted(set(data) - set().union(*dests.values()))
     if unknown:
         raise ConfigError(f"config {path}: unknown keys: {', '.join(unknown)}")
-    return [
-        f"--{key.replace('_', '-')}={value}"
-        for key, value in data.items()
-        if key in dests[command] and value is not None
-    ]
+    tokens = []
+    for key, value in data.items():
+        if key not in dests[command] or value is None:
+            continue
+        flag = f"--{key.replace('_', '-')}"
+        tokens.append(f"{flag}={value}")
+        try:
+            parser.parse_args([command, tokens[-1]])
+        except ConfigError as exc:
+            detail = str(exc).removeprefix(f"argument {flag}: ")
+            raise ConfigError(f'config {path}: key "{key}": {detail}') from None
+    return tokens
 
 
 def _resolve_spectrum(args: argparse.Namespace) -> Spectrum:
@@ -322,30 +340,48 @@ def _slots(column, nonfinite: str | None) -> np.ndarray:
     return cells.view(np.uint8).reshape(len(cells), -1)
 
 
-def _write_rows(write, columns, layout: _RowLayout) -> None:
-    """Write equal-length columns as rows, one write call per _BLOCK_ROWS rows.
+def _blocks(columns):
+    """Equal-length columns cut into blocks of _BLOCK_ROWS rows, for _write_rows."""
+    return (
+        [column[start : start + _BLOCK_ROWS] for column in columns]
+        for start in range(0, len(columns[0]), _BLOCK_ROWS)
+    )
 
-    A block is one byte table whose rows hold the layout's constant text and
-    the cells' slots in between; one translate drops the unused (NUL) slots.
-    No string larger than one block is built, so memory does not grow with
-    the number of rows.
+
+def _write_rows(write, blocks, layout: _RowLayout) -> None:
+    """Write an iterable of column blocks as rows, one write call per block.
+
+    Each block is a list of equal-length column slices. It becomes one byte
+    table whose rows hold the layout's constant text and the cells' slots in
+    between; one translate drops the unused (NUL) slots. No block is kept
+    once the next one is written, so when the blocks are computed as they
+    are consumed, as trace's are, memory does not grow with the number of
+    rows.
     """
-    texts = [layout.between + layout.prefix, *[layout.sep] * (len(columns) - 1), layout.suffix]
-    texts = [np.frombuffer(text.encode(), dtype=np.uint8) for text in texts]
-    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+    # glibc's malloc maps each allocation above its mmap threshold afresh and
+    # returns a heap top above twice that threshold to the system, so without
+    # this every block's buffers would be faulted in anew (about 15k page
+    # faults on a 200k-row trace). Freeing one allocation larger than a
+    # block's working set raises both thresholds to its size (the dynamic
+    # threshold of mallopt(3)); elsewhere it is a 4 MiB allocation never touched.
+    np.empty(_BLOCK_ROWS * 1024, dtype=np.uint8)
+    skip = len(layout.between)  # the first row of all has no separator before it
+    for columns in blocks:
+        texts = [layout.between + layout.prefix, *[layout.sep] * (len(columns) - 1), layout.suffix]
+        texts = [np.frombuffer(text.encode(), dtype=np.uint8) for text in texts]
         parts = [texts[0]]
         for column, text in zip(columns, texts[1:]):
-            parts += [_slots(column[start : start + _BLOCK_ROWS], layout.nonfinite), text]
+            parts += [_slots(column, layout.nonfinite), text]
         rows = len(parts[1])
         table = np.concatenate([np.broadcast_to(p, (rows, p.shape[-1])) for p in parts], axis=1)
-        block = table.tobytes().translate(None, b"\0").decode()
-        write(block if start else block[len(layout.between) :])
+        write(table.tobytes().translate(None, b"\0").decode()[skip:])
+        skip = 0
 
 
-def _emit_csv(names, columns, out: str | None) -> None:
+def _emit_csv(names, blocks, out: str | None) -> None:
     with _sink(out) as write:
         write(",".join(names) + "\n")
-        _write_rows(write, columns, _CSV_ROWS)
+        _write_rows(write, blocks, _CSV_ROWS)
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
@@ -358,11 +394,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
         raise ConfigError("--t-max must be positive")
     if args.points < 2:
         raise ConfigError("--points must be at least 2")
+    # The grid is built whole (its bits are linspace's); every column is
+    # computed, rendered and written one block at a time, after trace_blocks
+    # has checked the whole grid, so an overflow writes nothing.
     times = np.linspace(0.0, t_max, args.points)
-    cols = trace_arrays(init, spectrum, bath, times)
-    columns = [cols[name] for name in TRACE_COLUMNS]
+    blocks = trace_blocks(init, spectrum, bath, times, _BLOCK_ROWS)
+    blocks = ([cols[name] for name in TRACE_COLUMNS] for cols in blocks)
     if args.format == "csv":
-        _emit_csv(TRACE_COLUMNS, columns, args.out)
+        _emit_csv(TRACE_COLUMNS, blocks, args.out)
         return 0
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -389,7 +428,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     head, tail = _json_document(payload).split('"rows": []')
     with _sink(args.out) as write:
         write(head + '"rows": [\n')
-        _write_rows(write, columns, _JSON_ROWS)
+        _write_rows(write, blocks, _JSON_ROWS)
         write("\n  ]" + tail)
     return 0
 
@@ -406,7 +445,7 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             (row.a, row.r, row.t_star, row.f_star, row.asymptotic, row.region.region)
             for row in rows
         ]
-        _emit_csv(OPTIMIZE_COLUMNS, list(zip(*table)), args.out)
+        _emit_csv(OPTIMIZE_COLUMNS, _blocks(list(zip(*table))), args.out)
     else:
         scenario = Scenario(spectrum=spectrum, bath=bath, init=QubitInit(a=0.0))
         payload = {
@@ -460,7 +499,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
             scenario = Scenario(spectrum=spectrum, bath=bath, init=init)
             t_max = scenario.default_t_max
             times = np.linspace(0.0, t_max, points)
-            values = trace_arrays(init, spectrum, bath, times)["F"]
+            values = qfi_values(init, spectrum, bath, times)
             best = maximize_qfi_over_time(scenario)
             traces.append(
                 {
@@ -471,8 +510,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
                     "t_peak": best.t_star,
                     "f_peak": best.f_star,
                     "asymptotic": best.asymptotic,
-                    "times": [float(t) for t in times],
-                    "values": [float(v) for v in values],
+                    "times": times.tolist(),
+                    "values": values.tolist(),
                 }
             )
         probe = Scenario(spectrum=spectrum, bath=bath, init=QubitInit(a=0.0))
@@ -556,7 +595,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
             "bound_only": False,
         }
     if args.format == "csv":
-        _emit_csv(ESTIMATE_COLUMNS, [[results[name]] for name in ESTIMATE_COLUMNS], args.out)
+        columns = [[results[name]] for name in ESTIMATE_COLUMNS]
+        _emit_csv(ESTIMATE_COLUMNS, _blocks(columns), args.out)
     else:
         payload = {
             "schema_version": SCHEMA_VERSION,
@@ -610,7 +650,7 @@ def main(argv=None) -> int:
     try:
         if args.config:
             # config flags go right after the subcommand, so the user's own win
-            config = _config_argv(parser, args.command, args.config)
+            config = _config_argv(args.command, args.config)
             args = parser.parse_args([argv[0], *config, *argv[1:]])
         return _COMMANDS[args.command](args)
     except (ConfigError, DomainError, EstimatorUndefinedError) as exc:

@@ -40,6 +40,13 @@ class _Terms(NamedTuple):
 
 
 def _qfi_kernel(m: _QubitModel, a, mod2_0, t) -> _Terms:
+    """_qfi_terms, raising DomainError where the total overflows double precision."""
+    terms = _qfi_terms(m, a, mod2_0, t)
+    _check_finite(terms.total, t)
+    return terms
+
+
+def _qfi_terms(m: _QubitModel, a, mod2_0, t) -> _Terms:
     """Closed-form qubit QFI and its per-time terms, broadcast over states and times.
 
     a (initial excited population) and mod2_0 = |rho12(0)|^2 broadcast
@@ -47,7 +54,7 @@ def _qfi_kernel(m: _QubitModel, a, mod2_0, t) -> _Terms:
     t-only factor (the exponentials, alpha) is formed on t alone before it
     meets a, so each element carries the same bits as a single-state call.
     Times must be finite and nonnegative. Times so late that the closed form
-    overflows double precision raise DomainError.
+    overflows double precision give inf or nan; _qfi_kernel rejects those.
 
     delta = 1 - e^{lam t} + (2/gamma) t lam^2 e^{lam t} (pi2 - a); the 1/gamma
     comes from d lam/d beta = -(2 lam^2/gamma) dpi2 and makes the trace a
@@ -75,7 +82,6 @@ def _qfi_kernel(m: _QubitModel, a, mod2_0, t) -> _Terms:
             / denom
         )
     total = np.where(denom <= EPS_GUARD, 0.0, total)
-    _check_finite(total, t)
     return _Terms(p2, mod2, alpha, delta, g, denom, total)
 
 
@@ -391,18 +397,11 @@ def qfi_values(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> np.nda
     return _qfi_kernel(model, init.a, abs(init.rho12_0) ** 2, times).total
 
 
-def trace_arrays(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> dict:
-    """All per-time trace quantities on a grid, keyed by output column name.
-
-    Every column is finite: a window on which any of them overflows raises
-    DomainError.
-    """
-    model = _qubit_model_of(spectrum, bath)
-    t = np.asarray(times, dtype=float)
-    terms = _qfi_kernel(model, init.a, abs(init.rho12_0) ** 2, t)
-    asymptote = thermal_qfi(spectrum, bath.beta)
+def _trace_columns(model: _QubitModel, init: QubitInit, asymptote: float, t) -> dict:
+    """The trace columns at the times t, unchecked: an overflowed cell is inf or nan."""
+    terms = _qfi_terms(model, init.a, abs(init.rho12_0) ** 2, t)
     with np.errstate(over="ignore", invalid="ignore"):
-        cols = {
+        return {
             "t": t,
             "F": terms.total,
             "F_norm": terms.total / asymptote,
@@ -412,9 +411,41 @@ def trace_arrays(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> dict
             "alpha": terms.alpha,
             "delta": terms.delta,
         }
+
+
+def trace_arrays(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> dict:
+    """All per-time trace quantities on a grid, keyed by output column name.
+
+    Every column is finite: a window on which any of them overflows raises
+    DomainError. Each column is as long as the grid; trace_blocks gives the
+    same cells a block of times at a time.
+    """
+    model = _qubit_model_of(spectrum, bath)
+    t = np.asarray(times, dtype=float)
+    cols = _trace_columns(model, init, thermal_qfi(spectrum, bath.beta), t)
     for column in cols.values():
         _check_finite(column, t)
     return cols
+
+
+def trace_blocks(init: QubitInit, spectrum: Spectrum, bath: Bath, times, rows: int):
+    """The trace_arrays columns of times, rows times at a time, as an iterator of dicts.
+
+    The kernel is elementwise, so the blocks carry the bits of one
+    trace_arrays call on the whole grid. If any column overflows anywhere,
+    this raises DomainError naming the grid's largest time before any block
+    is handed out. The check computes each block and drops it; the iterator
+    computes it again as it is consumed, so no array longer than rows is held
+    besides times itself.
+    """
+    model = _qubit_model_of(spectrum, bath)
+    t = np.asarray(times, dtype=float)
+    asymptote = thermal_qfi(spectrum, bath.beta)
+    blocks = [t[start : start + rows] for start in range(0, len(t), rows)]
+    for block in blocks:
+        for column in _trace_columns(model, init, asymptote, block).values():
+            _check_finite(column, t)
+    return (_trace_columns(model, init, asymptote, block) for block in blocks)
 
 
 def qfi_decomposition(rho: DensityMatrix | np.ndarray, drho) -> QfiResult:

@@ -9,12 +9,14 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from thermoqfi import QubitInit, Scenario, cli
+from thermoqfi.errors import DomainError
 from thermoqfi.qfi import trace_arrays
 from thermoqfi.cli import (
     _BLOCK_ROWS,
@@ -24,6 +26,7 @@ from thermoqfi.cli import (
     OPTIMIZE_COLUMNS,
     SCHEMA_VERSION,
     TRACE_COLUMNS,
+    _blocks,
     _cell,
     _json_safe,
     _write_rows,
@@ -250,13 +253,13 @@ class TestBlockWriter:
             second[n - 1 - i] = value
         rows = list(zip(first.tolist(), second.tolist()))
         json_out = io.StringIO()
-        _write_rows(json_out.write, [first, second], _JSON_ROWS)
+        _write_rows(json_out.write, _blocks([first, second]), _JSON_ROWS)
         document = reference_json({"rows": rows})
         assert document == '{\n  "rows": [\n' + json_out.getvalue() + "\n  ]\n}\n"
         assert "null" in json_out.getvalue()
         csv_out = io.StringIO()
         csv_out.write("x,y\n")
-        _write_rows(csv_out.write, [first, second], _CSV_ROWS)
+        _write_rows(csv_out.write, _blocks([first, second]), _CSV_ROWS)
         assert csv_out.getvalue() == reference_csv(["x", "y"], rows)
 
     def test_output_follows_redirected_stdout(self, capsys):
@@ -267,6 +270,64 @@ class TestBlockWriter:
         assert rc == 0
         assert capsys.readouterr().out == ""
         assert redirected.getvalue() == reference_trace(points, "csv")
+
+
+class TestStreamedTrace:
+    """trace computes its columns a block at a time: errors stay whole-grid, memory stays flat."""
+
+    @pytest.mark.parametrize(
+        "t_max,first_bad",
+        [
+            ("1e308", 1),  # overflows in the first block, whose largest time is not t_max
+            ("1.7878e154", 2 * _BLOCK_ROWS),  # only the last row, in the third block
+        ],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflow_past_one_block_writes_nothing(
+        self, tmp_path, capsys, t_max, first_bad, fmt
+    ):
+        points = 2 * _BLOCK_ROWS + 1
+        scenario = Scenario.qubit(
+            omega12=1.0, beta=1.0986122886681098, gamma=1.0, a=0.3, r=0.5, phi=0.7
+        )
+        grid = np.linspace(0.0, float(t_max), points)
+        trace_arrays(scenario.init, scenario.spectrum, scenario.bath, grid[:first_bad])
+        with pytest.raises(DomainError):
+            trace_arrays(scenario.init, scenario.spectrum, scenario.bath, grid[first_bad:][:1])
+        argv = ["trace", *REF, *TRACE_STATE, "--points", str(points), "--t-max", t_max,
+                "--format", fmt]
+        expected = (
+            2,
+            "",
+            "error: the closed form overflows double precision on times up to "
+            f"{float(t_max):g}; shorten the time window\n",
+        )
+        assert run_cli(capsys, argv) == expected
+        out = tmp_path / "trace.out"
+        assert run_cli(capsys, [*argv, "--out", str(out)]) == expected
+        assert not out.exists()
+        out.write_text("kept")
+        assert run_cli(capsys, [*argv, "--out", str(out)]) == expected
+        assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_peak_memory_does_not_grow_with_rows(self, tmp_path, fmt):
+        out = tmp_path / f"trace.{fmt}"
+        argv = ["trace", *REF, *TRACE_STATE, "--format", fmt, "--out", str(out)]
+
+        def peak(points: int) -> int:
+            tracemalloc.start()
+            try:
+                assert main([*argv, "--points", str(points)]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2)  # first-use set-up, such as the float kernel's table
+        small, large = peak(50_000), peak(200_000)
+        # The whole time grid is 8 B per row (1.1 MiB of the difference); any
+        # column or kernel temporary that spans the grid would add about 12 MiB.
+        assert large - small <= 2 * 2**20
 
 
 class TestConfig:
@@ -355,19 +416,38 @@ class TestConfig:
             ("estimate", {"seed": 1.5}),
         ],
     )
-    def test_mistyped_value_exits_2_like_its_flag(self, tmp_path, capsys, command, config):
+    def test_mistyped_value_is_a_config_error_naming_the_key(
+        self, tmp_path, capsys, command, config
+    ):
+        # The config file and key are named; the reason is the one its flag gets.
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
         argv = [command, "--omega12", "1", "--gamma", "1", "--t-max" if command == "trace"
                 else "--replicas", "10"]
         argv += [] if "beta" in config else ["--beta", "1"]
         argv += [] if "a" in config else ["--a", "0"]
-        rc, out, err = exit_of(capsys, [*argv, "--config", str(cfg)])
-        assert (rc, out) == (2, "")
-        assert "Traceback" not in err
         (key, value), = config.items()
-        flag = f"--{key.replace('_', '-')}={value}"
-        assert err.splitlines()[-1] == exit_of(capsys, [*argv, flag])[2].splitlines()[-1]
+        flag = f"--{key.replace('_', '-')}"
+        rc, out, err = exit_of(capsys, [*argv, f"{flag}={value}"])
+        assert (rc, out) == (2, "")
+        prefix = f"thermoqfi {command}: error: argument {flag}: "
+        assert err.startswith("usage: ") and err.splitlines()[-1].startswith(prefix)
+        reason = err.splitlines()[-1].removeprefix(prefix)
+        expected = (2, "", f'error: config {cfg}: key "{key}": {reason}\n')
+        assert exit_of(capsys, [*argv, "--config", str(cfg)]) == expected
+        # a flag that overrides the key does not hide the broken file
+        override = f"{flag}={'csv' if key == 'format' else 1}"
+        assert exit_of(capsys, [*argv, "--config", str(cfg), override]) == expected
+
+    def test_mistyped_flag_keeps_its_argparse_message(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"omega12": 1.0, "gamma": 1.0, "a": 0.0}))
+        rc, out, err = exit_of(capsys, ["trace", "--config", str(cfg), "--beta", "abc"])
+        assert (rc, out) == (2, "")
+        assert err.startswith("usage: thermoqfi trace ")
+        assert err.splitlines()[-1] == (
+            "thermoqfi trace: error: argument --beta: invalid float value: 'abc'"
+        )
 
     def test_config_that_is_not_utf8(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -28,7 +28,7 @@ from thermoqfi import (
     thermal_population_derivative,
     thermal_qfi,
 )
-from thermoqfi.qfi import EPS_GUARD
+from thermoqfi.qfi import EPS_GUARD, trace_arrays, trace_blocks
 
 from conftest import random_scenario, random_time, reference_scenario
 
@@ -318,6 +318,33 @@ class TestQfiValues:
     def test_rejects_non_finite_times(self, bad):
         with pytest.raises(DomainError, match="finite"):
             qfi_values(QubitInit(a=0.1), SPECTRUM, BATH, [0.5, bad])
+
+
+class TestTraceBlocks:
+    @pytest.mark.parametrize("rows", [1, 7, 64, 100, 101])
+    def test_blocks_carry_the_whole_grid_bits(self, rows):
+        rng = np.random.default_rng(23)
+        s = random_scenario(rng)
+        times = np.linspace(0.0, 8.0 / abs(s.relaxation_rate), 101)
+        whole = trace_arrays(s.init, s.spectrum, s.bath, times)
+        blocks = list(trace_blocks(s.init, s.spectrum, s.bath, times, rows))
+        assert [len(b["t"]) for b in blocks] == [len(c) for c in np.array_split(
+            times, range(rows, len(times), rows))]
+        for name, column in whole.items():
+            joined = np.concatenate([b[name] for b in blocks])
+            assert joined.tobytes() == column.tobytes(), name
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            np.linspace(0.0, 1e308, 10),  # the first block overflows
+            np.append(np.linspace(0.0, 1.0, 9), 1e308),  # only the last block does
+        ],
+    )
+    def test_overflow_anywhere_raises_before_any_block(self, times):
+        # the call itself raises, and names the largest time of the whole grid
+        with pytest.raises(DomainError, match="on times up to 1e[+]308;"):
+            trace_blocks(QubitInit(a=0.1), SPECTRUM, BATH, times, 3)
 
 
 class TestDecomposition:
