@@ -147,17 +147,37 @@ def as_state(rho: DensityMatrix | np.ndarray) -> DensityMatrix:
     return DensityMatrix(elements=np.asarray(rho, dtype=complex))
 
 
-def propagate_populations(
-    a: TransitionMatrix | np.ndarray, p0, t: float
-) -> np.ndarray:
-    """Populations exp(A t) p0 via eigendecomposition of the generator.
+def _eigendecompose(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvectors of a generator, its null eigenvalue set to exactly 0.
 
     Detailed-balance generators are similar to symmetric matrices and always
     diagonalize with a well-conditioned eigenvector matrix. A generator whose
     eigenvector matrix has condition number beyond EIG_CONDITION_LIMIT is
     defective or too close to it (such as an equal-rate decay cascade) and is
-    rejected with DomainError. The result is clipped of negative rounding
-    dust and renormalized to unit sum.
+    rejected with DomainError. The columns sum to zero, so 0 is an eigenvalue;
+    eig returns it as about +-eps ||A||, which e^{lam t} would turn into an
+    overflow or a vanishing steady state once t nears 1/eps.
+    """
+    values, vectors = np.linalg.eig(mat)
+    condition = np.linalg.cond(vectors)
+    if not condition <= EIG_CONDITION_LIMIT:
+        raise DomainError(
+            "the generator is defective or too ill-conditioned to eigendecompose "
+            f"(eigenvector condition number {condition:.3g} > {EIG_CONDITION_LIMIT:g}); "
+            "detailed-balance generators from transition_matrix always diagonalize"
+        )
+    values[np.argmin(np.abs(values))] = 0.0
+    return values, vectors
+
+
+def propagate_populations(
+    a: TransitionMatrix | np.ndarray, p0, t: float
+) -> np.ndarray:
+    """Populations exp(A t) p0 via eigendecomposition of the generator.
+
+    A defective or ill-conditioned generator raises DomainError (see
+    _eigendecompose). The result is clipped of negative rounding dust and
+    renormalized to unit sum.
     """
     if t < 0:
         raise DomainError("t must be nonnegative")
@@ -169,14 +189,7 @@ def propagate_populations(
         raise DomainError("p0 must be a probability vector")
     if t == 0.0:
         return p0.copy()
-    values, vectors = np.linalg.eig(mat)
-    condition = np.linalg.cond(vectors)
-    if not condition <= EIG_CONDITION_LIMIT:
-        raise DomainError(
-            "the generator is defective or too ill-conditioned to eigendecompose "
-            f"(eigenvector condition number {condition:.3g} > {EIG_CONDITION_LIMIT:g}); "
-            "detailed-balance generators from transition_matrix always diagonalize"
-        )
+    values, vectors = _eigendecompose(mat)
     p = (vectors @ (np.exp(values * t) * np.linalg.solve(vectors, p0.astype(complex)))).real
     if np.min(p) < -1e-10:
         raise ModelIntegrityError(f"propagated populations went negative: min {np.min(p):.3e}")
@@ -324,6 +337,41 @@ def evolve_state(rho0: DensityMatrix | np.ndarray, spectrum: Spectrum, bath: Bat
             out[i - 1, j - 1] = rho_ij
             out[j - 1, i - 1] = rho_ij.conjugate()
     return DensityMatrix(elements=out)
+
+
+def evolve_state_derivative(
+    rho0: DensityMatrix | np.ndarray, spectrum: Spectrum, bath: Bath, t: float
+) -> tuple[DensityMatrix, np.ndarray]:
+    """evolve_state's rho(t) and the exact partial derivative d rho(t)/d beta at fixed rho0.
+
+    A pair's rates g_ij = gamma (n+1) and g_ji = gamma n both move by
+    gamma dn/d beta = -omega gamma n (n+1) = -omega g_ij g_ji/gamma: that is A' = dA/d beta.
+    The populations take the Frechet derivative of e^{At} along A' in the
+    generator's eigenbasis (Najfeld & Havel, Adv. Appl. Math. 16, 321 (1995)):
+    V (Phi o V^-1 A' V) V^-1 p0 with Phi_ij = (e^{l_i t} - e^{l_j t})/(l_i - l_j),
+    t e^{l_i t} on the diagonal, formed as e^{max(l_i, l_j) t} times an expm1
+    ratio so that no factor overflows. The null eigenvalue's row of V^-1 A' V
+    is 0 because 1^T A' = 0; it is zeroed exactly, since its rounding would
+    otherwise grow like t. Each coherence gives d rho_ij = -t c'_ij rho_ij(t).
+    """
+    rho = evolve_state(rho0, spectrum, bath, t)
+    rates = rate_matrix(spectrum, bath)
+    g, energies = rates.gamma_rates, np.asarray(spectrum.energies)
+    d_gen = -np.abs(energies[:, None] - energies[None, :]) * g * g.T / bath.gamma
+    d_gen -= np.diag(d_gen.sum(axis=0))
+    values, vectors = _eigendecompose(transition_matrix(rates).a)
+    b = np.linalg.solve(vectors, d_gen @ vectors)
+    b[values == 0.0] = 0.0
+    diff = values[:, None] - values[None, :]
+    flip = diff.real < 0.0  # order each pair so that its exponent difference decays
+    gap = np.where(flip, -diff, diff)
+    with np.errstate(over="ignore"):
+        ratio = np.divide(-np.expm1(-gap * t), gap, out=np.full_like(gap, t), where=gap != 0)
+        phi = np.exp(np.where(flip, values[None, :], values[:, None]) * t) * ratio
+    p0 = as_state(rho0).populations
+    dp = (vectors @ ((phi * b) @ np.linalg.solve(vectors, p0))).real
+    loss = np.diag(d_gen)  # -(sum_k Gamma'_kj), so c'_ij = -(loss_i + loss_j)/2
+    return rho, t * (loss[:, None] + loss[None, :]) / 2.0 * rho.hollow_part + np.diag(dp)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,6 @@ from .spectrum import Bath, Spectrum, _readonly, thermal_distribution
 # the numerical support and contribute zero to the SLD.
 EPS_GUARD = 1e-12
 
-FD_STEP_MIN = 1e-8
-FD_STEP_MAX = 1e-3
-
 
 class _Terms(NamedTuple):
     """Per-time ingredients of the closed-form qubit QFI, SLD and derivative."""
@@ -200,8 +197,8 @@ def beta_derivative_qubit(
     """Closed-form partial derivative of the evolved qubit state w.r.t. beta.
 
     d p = dpi2 * delta * [-1, 1] with dpi2 = -(1-pi2) pi2 omega;
-    d rho12 = alpha * rho12(t). Validated against central finite differences
-    of the propagated state (see finite_difference_state_derivative).
+    d rho12 = alpha * rho12(t). Checked against the general-N derivative
+    dynamics.evolve_state_derivative, which does not use this closed form.
     """
     terms, rho12 = _qubit_point(init, spectrum, bath, t)
     return DerivativeBundle(
@@ -209,37 +206,6 @@ def beta_derivative_qubit(
         d_coherence=terms.alpha * rho12,
         alpha=terms.alpha,
         delta=terms.delta,
-    )
-
-
-def finite_difference_state_derivative(
-    init: QubitInit, spectrum: Spectrum, bath: Bath, t: float, h: float = 1e-6
-) -> DerivativeBundle:
-    """Central-difference beta-derivative with the initial state held fixed.
-
-    This is the partial derivative: (a, r, phi) do not move with beta, so at a
-    thermal initial population a = pi2(beta) it reproduces (1 - e^{lam t}) dpi,
-    not the total derivative dpi.
-    """
-    if not (FD_STEP_MIN <= h <= FD_STEP_MAX):
-        raise DomainError(f"h must lie in [{FD_STEP_MIN:g}, {FD_STEP_MAX:g}]")
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    up = _qubit_model_of(spectrum, Bath(beta=bath.beta + h, gamma=bath.gamma))
-    dn = _qubit_model_of(spectrum, Bath(beta=bath.beta - h, gamma=bath.gamma))
-    # p1 = 1 - p2 identically, so difference p2 once; forming 1-p2 on each
-    # side separately would leak rounding of size eps/(2h) into the sum.
-    dp2 = float((up.p2(init.a, t) - dn.p2(init.a, t)) / (2.0 * h))
-    rho12_0 = init.rho12_0
-    d_coherence = complex((up.rho12(rho12_0, t) - dn.rho12(rho12_0, t)) / (2.0 * h))
-    alpha = float(t / 2.0 * (up.lam - dn.lam) / (2.0 * h))
-    dpi2 = (up.pi2 - dn.pi2) / (2.0 * h)
-    delta = dp2 / dpi2
-    return DerivativeBundle(
-        d_populations=np.array([-dp2, dp2]),
-        d_coherence=d_coherence,
-        alpha=alpha,
-        delta=delta,
     )
 
 

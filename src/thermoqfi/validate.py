@@ -17,19 +17,17 @@ from .dynamics import (
     DensityMatrix,
     QubitInit,
     _qubit_model,
-    evolve_state,
+    evolve_state_derivative,
     gad_apply,
     gad_fixed_point,
     gad_master_comparison,
     gad_params,
-    qubit_state,
 )
 from .errors import DomainError, ModelIntegrityError
 from .metrology import Scenario, _bisect, maximize_qfi_over_time, qfi_trace
 from .qfi import (
     _qfi_slope,
     beta_derivative_qubit,
-    finite_difference_state_derivative,
     qfi_decomposition,
     qfi_values,
     qubit_qfi,
@@ -181,20 +179,19 @@ def _check_derivative_oracle(rng, inject: bool):
         s = _random_scenario(rng)
         t = float(rng.uniform(0.0, 10.0 / abs(s.relaxation_rate)))
         closed = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
-        fd = finite_difference_state_derivative(s.init, s.spectrum, s.bath, t, h=1e-6)
-        worst = max(
-            worst,
-            float(np.max(np.abs(closed.d_populations - fd.d_populations))),
-            abs(closed.d_coherence - fd.d_coherence),
-            abs(closed.alpha - fd.alpha),
-            abs(closed.delta - fd.delta),
+        rho0 = DensityMatrix.from_qubit_init(s.init)
+        _, drho = evolve_state_derivative(rho0, s.spectrum, s.bath, t)
+        gap = max(
+            float(np.max(np.abs(closed.d_populations - np.diag(drho).real))),
+            abs(closed.d_coherence - drho[0, 1]),
         )
-    passed = worst <= 1e-6
-    return passed, f"worst |closed-form - finite-difference| = {worst:.3e} (tol 1e-6)"
+        scale = 1.0 + max(float(np.max(np.abs(closed.d_populations))), abs(closed.d_coherence))
+        worst = max(worst, gap / scale)
+    passed = worst <= 1e-12
+    return passed, f"worst |closed-form - general-N| = {worst:.3e} of scale (tol 1e-12)"
 
 
-def _n3_test_state(rng, spectrum: Spectrum) -> DensityMatrix:
-    n = spectrum.n_levels
+def _mixed_state(rng, n: int) -> DensityMatrix:
     p = rng.uniform(0.2, 1.0, size=n)
     p /= p.sum()
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
@@ -209,38 +206,25 @@ def _check_decomposition(rng, inject: bool):
         drho = np.diag([0.5, -0.5]).astype(complex)
         qfi_decomposition(rho, drho)  # raises: derivative lives off the support
         return False, "injected off-support derivative was not detected"
-    worst_gain = 0.0
+    worst_gain = math.inf
     worst_mismatch = 0.0
     for _ in range(20):
         s = _random_scenario(rng)
         t = float(rng.uniform(0.05, 10.0 / abs(s.relaxation_rate)))
-        rho = qubit_state(s.init, s.spectrum, s.bath, t)
-        bundle = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
-        drho = np.array(
-            [
-                [bundle.d_populations[0], bundle.d_coherence],
-                [np.conj(bundle.d_coherence), bundle.d_populations[1]],
-            ]
-        )
-        result = qfi_decomposition(rho, drho)
+        rho0 = DensityMatrix.from_qubit_init(s.init)
+        result = qfi_decomposition(*evolve_state_derivative(rho0, s.spectrum, s.bath, t))
         closed = qubit_qfi(s.init, s.spectrum, s.bath, t)
         worst_gain = min(worst_gain, result.coherence_gain)
         worst_mismatch = max(
             worst_mismatch,
             abs(result.total - closed.total) / max(abs(closed.total), 1e-12),
         )
-    for _ in range(5):
-        spectrum = _random_spectrum(rng, 3)
+    for n in range(3, 9):  # the N-level claim: coherence never lowers the QFI
+        spectrum = _random_spectrum(rng, n)
         bath = Bath(beta=float(rng.uniform(0.3, 1.2)), gamma=float(rng.uniform(0.3, 2.0)))
-        rho0 = _n3_test_state(rng, spectrum)
+        rho0 = _mixed_state(rng, n)
         t = float(rng.uniform(0.1, 3.0))
-        h = 1e-6
-        up = evolve_state(rho0, spectrum, Bath(beta=bath.beta + h, gamma=bath.gamma), t)
-        dn = evolve_state(rho0, spectrum, Bath(beta=bath.beta - h, gamma=bath.gamma), t)
-        drho = (up.elements - dn.elements) / (2.0 * h)
-        drho = (drho + drho.conj().T) / 2.0
-        rho = evolve_state(rho0, spectrum, bath, t)
-        result = qfi_decomposition(rho, drho)
+        result = qfi_decomposition(*evolve_state_derivative(rho0, spectrum, bath, t))
         worst_gain = min(worst_gain, result.coherence_gain)
     passed = worst_gain >= -1e-12 and worst_mismatch <= 1e-9
     return passed, (
@@ -441,19 +425,20 @@ def run_checks(
     """Run the named checks (all by default) and return one result per name.
 
     inject_fault corrupts the inputs of that single check so its row fails;
-    only the checks in INJECTABLE_CHECKS support injection.
+    it must name a selected check in INJECTABLE_CHECKS.
     """
-    if inject_fault is not None and inject_fault not in INJECTABLE_CHECKS:
-        raise DomainError(
-            f"cannot inject into {inject_fault!r}; injectable checks: "
-            + ", ".join(sorted(INJECTABLE_CHECKS))
-        )
     selected = check_names() if names is None else tuple(names)
     if not selected:
         raise DomainError("no checks selected")
     unknown = [n for n in selected if n not in check_names()]
     if unknown:
         raise DomainError(f"unknown checks: {', '.join(unknown)}")
+    injectable = sorted(INJECTABLE_CHECKS.intersection(selected))
+    if inject_fault is not None and inject_fault not in injectable:
+        raise DomainError(
+            f"cannot inject into {inject_fault!r}; injectable selected checks: "
+            + (", ".join(injectable) or "none")
+        )
     results = []
     for idx, (name, fn) in enumerate(_CHECKS):
         if name not in selected:

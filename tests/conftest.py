@@ -3,15 +3,17 @@
 Parameter ranges are chosen so every sampled model is well conditioned:
 beta*omega in [0.2, 3] keeps thermal ratios away from overflow, gamma of
 order one keeps relaxation times of order one, and times are capped at ten
-relaxation times so central finite differences with h = 1e-6 stay far below
-the comparison tolerances.
+relaxation times, inside the transient (e^{lam t} >= e^{-10}). There the
+state derivatives are of order one, so the 1e-12 tolerances against the
+exact general-N derivative (dynamics.evolve_state_derivative) leave a margin
+of some thousands of ulps.
 """
 
 import math
 
 import numpy as np
 
-from thermoqfi import Bath, QubitInit, Scenario, Spectrum
+from thermoqfi import Bath, DensityMatrix, QubitInit, Scenario, Spectrum
 
 
 def random_scenario(rng) -> Scenario:
@@ -37,6 +39,16 @@ def random_nlevel_model(rng, n_max: int = 8):
     spectrum = Spectrum(energies=tuple(np.concatenate([[0.0], np.cumsum(gaps)])))
     bath = Bath(beta=float(rng.uniform(0.2, 1.5)), gamma=float(rng.uniform(0.2, 3.0)))
     return spectrum, bath
+
+
+def random_mixed_state(rng, n: int) -> DensityMatrix:
+    """Full-rank N-level state: 0.7 x random populations + 0.3 x a random pure state."""
+    p = rng.uniform(0.2, 1.0, size=n)
+    p /= p.sum()
+    psi = rng.normal(size=n) + 1j * rng.normal(size=n)
+    psi /= np.linalg.norm(psi)
+    mat = 0.7 * np.diag(p).astype(complex) + 0.3 * np.outer(psi, psi.conj())
+    return DensityMatrix(elements=(mat + mat.conj().T) / 2.0)
 
 
 def reference_scenario(a: float = 0.0, r: float = 0.0, phi: float = 0.0) -> Scenario:

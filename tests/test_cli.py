@@ -576,6 +576,9 @@ class TestArgumentRules:
               "--points", "100000000000"], "trace needs more memory than is available"),
             (["experiment", "--points", "100000000000"],
              "experiment needs more memory than is available"),
+            # the fault would land on a check that does not run
+            (["validate", "--checks", "column-sums", "--inject-fault", "detailed-balance"],
+             "cannot inject into 'detailed-balance'"),
         ],
     )
     @pytest.mark.filterwarnings("error")

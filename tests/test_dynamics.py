@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_nlevel_model, random_scenario, random_time
+from conftest import random_mixed_state, random_nlevel_model, random_scenario, random_time
 from thermoqfi import (
     Bath,
     DensityMatrix,
@@ -18,6 +18,7 @@ from thermoqfi import (
     beta_from_thermal_ratio,
     coherence_decay_rate,
     evolve_state,
+    evolve_state_derivative,
     gad_apply,
     gad_fixed_point,
     gad_kraus_operators,
@@ -31,6 +32,7 @@ from thermoqfi import (
     qubit_state,
     rate_matrix,
     thermal_distribution,
+    thermal_population_derivative,
     thermal_ratio,
     transition_matrix,
 )
@@ -40,6 +42,36 @@ def _reference_parts():
     spectrum = Spectrum.qubit(1.0)
     bath = Bath(beta=math.log(3.0), gamma=1.0)
     return spectrum, bath
+
+
+def _low_temperature_models(count: int):
+    """N = 2..6 with beta*(E_N - E_1) log-uniform in [20, 270], far outside the
+    conditioned box of random_nlevel_model; yields (spectrum, bath, p0, t)."""
+    rng = np.random.default_rng(41)
+    for _ in range(count):
+        n = int(rng.integers(2, 7))
+        energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 2.0, size=n - 1))])
+        spread = math.exp(rng.uniform(math.log(20.0), math.log(270.0)))
+        spectrum = Spectrum(energies=tuple(energies))
+        bath = Bath(beta=spread / energies[-1], gamma=float(rng.uniform(0.2, 3.0)))
+        p0 = rng.uniform(0.1, 1.0, size=n)
+        p0 /= p0.sum()
+        yield spectrum, bath, p0, float(rng.uniform(0.0, 3.0))
+
+
+def _mp_populations(spectrum: Spectrum, beta, gamma, p0, t):
+    """expm(A t) p0 at the working mpmath precision, with A built from the Bose rates."""
+    eps = [mpmath.mpf(e) for e in spectrum.energies]
+    n = len(eps)
+    a = mpmath.matrix(n, n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            occupation = 1 / mpmath.expm1(beta * (eps[j] - eps[i]))
+            a[i, j] = gamma * (occupation + 1)
+            a[j, i] = gamma * occupation
+    for j in range(n):
+        a[j, j] = -mpmath.fsum(a[i, j] for i in range(n) if i != j)
+    return mpmath.expm(a * t) * mpmath.matrix([mpmath.mpf(x) for x in p0])
 
 
 class TestQubitInit:
@@ -117,14 +149,17 @@ class TestPropagatePopulations:
                 propagate_populations(a, p0, t), expected, rtol=0, atol=1e-12
             )
 
-    def test_conserves_probability_and_reaches_gibbs(self):
+    # at t = 1e300 the rounding of eig's null eigenvalue, times t, would
+    # overflow e^{lam t} or make the steady state vanish
+    @pytest.mark.parametrize("t", [80.0, 1e300])
+    def test_conserves_probability_and_reaches_gibbs(self, t):
         rng = np.random.default_rng(31)
         spectrum, bath = random_nlevel_model(rng, n_max=6)
         a = transition_matrix(rate_matrix(spectrum, bath))
         n = spectrum.n_levels
         p0 = np.zeros(n)
         p0[-1] = 1.0
-        p = propagate_populations(a, p0, 80.0)
+        p = propagate_populations(a, p0, t)
         assert math.fsum(p) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(
             p, thermal_distribution(spectrum, bath.beta).pi, rtol=0, atol=1e-10
@@ -139,20 +174,8 @@ class TestPropagatePopulations:
             propagate_populations(a, np.array([0.0, 0.0, 1.0]), 2.0)
 
     def test_low_temperature_models_match_matrix_exponential(self):
-        # Detailed-balance generators diagonalize even when the Gibbs weights
-        # span beta*(E_N - E_1) up to about 270, far outside the conditioned
-        # box of random_nlevel_model.
-        rng = np.random.default_rng(41)
-        for _ in range(60):
-            n = int(rng.integers(2, 7))
-            energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.3, 2.0, size=n - 1))])
-            spread = math.exp(rng.uniform(math.log(20.0), math.log(270.0)))
-            spectrum = Spectrum(energies=tuple(energies))
-            bath = Bath(beta=spread / energies[-1], gamma=float(rng.uniform(0.2, 3.0)))
+        for spectrum, bath, p0, t in _low_temperature_models(60):
             a = transition_matrix(rate_matrix(spectrum, bath))
-            p0 = rng.uniform(0.1, 1.0, size=n)
-            p0 /= p0.sum()
-            t = float(rng.uniform(0.0, 3.0))
             np.testing.assert_allclose(
                 propagate_populations(a, p0, t), expm(a.a * t) @ p0, rtol=0, atol=1e-12
             )
@@ -285,6 +308,56 @@ class TestQubitState:
             atol=1e-10,
         )
         assert np.max(np.abs(rho_inf.hollow_part)) <= 1e-12
+
+
+class TestEvolveStateDerivative:
+    def test_low_temperature_populations_match_mpmath(self):
+        # Detailed-balance generators stay well conditioned far from the test
+        # box: a 60-digit central difference of expm(A t) p0 is exact to far
+        # below the tolerance (truncation h^2 ~ 1e-50, rounding 1e-60/h).
+        worst = 0.0
+        with mpmath.workdps(60):
+            h = mpmath.mpf("1e-25")
+            for spectrum, bath, p0, t in _low_temperature_models(40):
+                beta, gamma = mpmath.mpf(bath.beta), mpmath.mpf(bath.gamma)
+                up = _mp_populations(spectrum, beta + h, gamma, p0, t)
+                dn = _mp_populations(spectrum, beta - h, gamma, p0, t)
+                _, drho = evolve_state_derivative(
+                    DensityMatrix.from_populations(p0), spectrum, bath, t
+                )
+                for k in range(spectrum.n_levels):
+                    expected = float((up[k] - dn[k]) / (2 * h))
+                    worst = max(worst, abs(drho[k, k].real - expected))
+        assert worst <= 1e-12
+
+    @pytest.mark.parametrize("t", [1e3, 1e6, 1e12, 1e300])
+    def test_late_populations_reach_the_gibbs_derivative(self, t):
+        # p(t) -> pi(beta) whatever p0 is, so d p/d beta -> d pi/d beta
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            spectrum, bath = random_nlevel_model(rng)
+            rho, drho = evolve_state_derivative(
+                random_mixed_state(rng, spectrum.n_levels), spectrum, bath, t
+            )
+            np.testing.assert_allclose(
+                np.diag(drho).real,
+                thermal_population_derivative(spectrum, bath.beta),
+                rtol=0,
+                atol=1e-13,
+            )
+            np.testing.assert_allclose(
+                rho.populations, thermal_distribution(spectrum, bath.beta).pi, rtol=0, atol=1e-13
+            )
+
+    def test_state_is_evolve_state_bit_for_bit(self):
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            spectrum, bath = random_nlevel_model(rng)
+            rho0 = random_mixed_state(rng, spectrum.n_levels)
+            t = float(rng.uniform(0.0, 5.0))
+            rho, drho = evolve_state_derivative(rho0, spectrum, bath, t)
+            assert np.array_equal(rho.elements, evolve_state(rho0, spectrum, bath, t).elements)
+            assert np.array_equal(drho, drho.conj().T)
 
 
 class TestConversions:

@@ -17,8 +17,7 @@ from thermoqfi import (
     Spectrum,
     beta_derivative_qubit,
     diagonal_qfi,
-    evolve_state,
-    finite_difference_state_derivative,
+    evolve_state_derivative,
     qfi_decomposition,
     qfi_values,
     qubit_qfi,
@@ -30,7 +29,7 @@ from thermoqfi import (
 )
 from thermoqfi.qfi import EPS_GUARD, trace_arrays, trace_blocks
 
-from conftest import random_scenario, random_time, reference_scenario
+from conftest import random_mixed_state, random_scenario, random_time, reference_scenario
 
 SPECTRUM = Spectrum.qubit(1.0)
 BATH = Bath(beta=math.log(3.0), gamma=1.0)
@@ -96,7 +95,7 @@ class TestDerivativeBundle:
             )
 
 
-class TestFiniteDifference:
+class TestGeneralDerivative:
     def test_matches_closed_form(self):
         rng = np.random.default_rng(11)
         worst = 0.0
@@ -104,30 +103,29 @@ class TestFiniteDifference:
             s = random_scenario(rng)
             t = random_time(rng, s)
             closed = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
-            fd = finite_difference_state_derivative(s.init, s.spectrum, s.bath, t)
-            worst = max(
-                worst,
-                float(np.max(np.abs(closed.d_populations - fd.d_populations))),
-                abs(closed.d_coherence - fd.d_coherence),
-                abs(closed.alpha - fd.alpha),
-                abs(closed.delta - fd.delta),
+            rho, drho = evolve_state_derivative(
+                DensityMatrix.from_qubit_init(s.init), s.spectrum, s.bath, t
             )
-        assert worst <= 1e-6
-
-    def test_rejects_step_outside_window(self):
-        init = QubitInit(a=0.0)
-        for h in (1e-9, 1e-2):
-            with pytest.raises(DomainError, match="h must lie"):
-                finite_difference_state_derivative(init, SPECTRUM, BATH, 1.0, h=h)
+            dpi2 = thermal_population_derivative(s.spectrum, s.bath.beta)[1]
+            gaps = (
+                np.abs(closed.d_populations - np.diag(drho).real),
+                abs(closed.d_coherence - drho[0, 1]),
+                abs(closed.alpha * rho.rho12 - drho[0, 1]),
+                abs(closed.delta * dpi2 - drho[1, 1].real),
+            )
+            scale = 1.0 + max(float(np.max(np.abs(closed.d_populations))), abs(closed.d_coherence))
+            worst = max(worst, max(float(np.max(gap)) for gap in gaps) / scale)
+        assert worst <= 1e-12
 
     def test_partial_derivative_at_thermal_init(self):
         # Starting at a = pi2 the initial state does not track beta, so only
         # the relaxation term survives: d p = (1 - e^{lam t}) d pi.
         dpi2 = -0.1875  # -(1 - pi2) pi2 omega at pi2 = 1/4, omega = 1
+        rho0 = DensityMatrix.from_populations([0.75, 0.25])
         for t in (0.3, 1.0, 2.5):
-            fd = finite_difference_state_derivative(QubitInit(a=0.25), SPECTRUM, BATH, t)
+            _, drho = evolve_state_derivative(rho0, SPECTRUM, BATH, t)
             expected = -math.expm1(-2.0 * t) * dpi2
-            assert float(fd.d_populations[1]) == pytest.approx(expected, rel=1e-7)
+            assert float(drho[1, 1].real) == pytest.approx(expected, rel=1e-13)
 
 
 class TestThermalQuantities:
@@ -367,24 +365,14 @@ class TestDecomposition:
             assert abs(res.coherence_gain - closed.coherence_gain) <= 1e-11 * scale
             assert res.coherence_gain >= -1e-12
 
-    def test_three_level_finite_difference(self):
+    def test_three_level_exact_derivative(self):
         rng = np.random.default_rng(23)
         spectrum = Spectrum(energies=(0.0, 0.9, 2.1))
         bath = Bath(beta=0.6, gamma=0.8)
         for _ in range(5):
-            p = rng.uniform(0.2, 1.0, size=3)
-            p /= p.sum()
-            psi = rng.normal(size=3) + 1j * rng.normal(size=3)
-            psi /= np.linalg.norm(psi)
-            mat = 0.7 * np.diag(p).astype(complex) + 0.3 * np.outer(psi, psi.conj())
-            rho0 = DensityMatrix(elements=(mat + mat.conj().T) / 2.0)
+            rho0 = random_mixed_state(rng, 3)
             t = float(rng.uniform(0.1, 3.0))
-            h = 1e-6
-            up = evolve_state(rho0, spectrum, Bath(beta=bath.beta + h, gamma=bath.gamma), t)
-            dn = evolve_state(rho0, spectrum, Bath(beta=bath.beta - h, gamma=bath.gamma), t)
-            drho = (up.elements - dn.elements) / (2.0 * h)
-            drho = (drho + drho.conj().T) / 2.0
-            res = qfi_decomposition(evolve_state(rho0, spectrum, bath, t), drho)
+            res = qfi_decomposition(*evolve_state_derivative(rho0, spectrum, bath, t))
             assert res.coherence_gain >= -1e-12
             assert res.total == pytest.approx(
                 res.diagonal_part + res.coherence_gain, rel=1e-9

@@ -67,6 +67,12 @@ class TestFaultInjection:
         assert not by_name["column-sums"].passed
         assert by_name["detailed-balance"].passed
 
+    def test_injection_outside_the_selection_rejected(self):
+        with pytest.raises(DomainError, match="injectable selected checks: column-sums$"):
+            run_checks(names=("column-sums",), inject_fault="detailed-balance")
+        with pytest.raises(DomainError, match="injectable selected checks: none$"):
+            run_checks(names=("zero-time-qfi",), inject_fault="column-sums")
+
     def test_noninjectable_check_rejected(self):
         with pytest.raises(DomainError, match="cannot inject"):
             run_checks(inject_fault="zero-time-qfi")
