@@ -156,7 +156,7 @@ def _eigendecompose(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     defective or too close to it (such as an equal-rate decay cascade) and is
     rejected with DomainError. The columns sum to zero, so 0 is an eigenvalue;
     eig returns it as about +-eps ||A||, which e^{lam t} would turn into an
-    overflow or a vanishing steady state once t nears 1/eps.
+    overflow or a vanishing steady state once t exceeds about 700/(eps ||A||).
     """
     values, vectors = np.linalg.eig(mat)
     condition = np.linalg.cond(vectors)
