@@ -6,148 +6,61 @@ Fisher information for inverse-temperature estimation in closed form for the
 qubit, decomposes the QFI into its population part plus the coherence gain,
 and checks Cramer-Rao saturation of the binomial population estimator by
 Monte Carlo.
+
+The namespace is lazy (PEP 562): `import thermoqfi` loads no submodule and no
+numpy, and each public name imports its module on first use.
 """
 
-from .dynamics import (
-    DensityMatrix,
-    GadChannel,
-    QubitInit,
-    beta_from_thermal_ratio,
-    coherence_decay_rate,
-    evolve_state,
-    evolve_state_derivative,
-    gad_apply,
-    gad_fixed_point,
-    gad_kraus_operators,
-    gad_master_comparison,
-    gad_params,
-    gad_stationary_diagnostic,
-    gamma_from_tau_tilde,
-    propagate_coherence,
-    propagate_populations,
-    qubit_relaxation_rate,
-    qubit_state,
-)
-from .errors import (
-    DomainError,
-    EstimatorUndefinedError,
-    ModelIntegrityError,
-    NoStationaryStateError,
-)
-from .metrology import (
-    CramerRaoReport,
-    EstimationRun,
-    MleResult,
-    OptimalTime,
-    QfiTrace,
-    RegionLabel,
-    Scenario,
-    StateRanking,
-    classical_fisher_information,
-    classify_region,
-    cramer_rao_report,
-    maximize_qfi_over_time,
-    mle_beta,
-    optimize_initial_state,
-    qfi_trace,
-    simulate_measurements,
-)
-from .qfi import (
-    DerivativeBundle,
-    QfiResult,
-    SldMatrix,
-    beta_derivative_qubit,
-    diagonal_qfi,
-    qfi_decomposition,
-    qfi_values,
-    qubit_qfi,
-    qubit_sld,
-    sld_general,
-    thermal_population_derivative,
-    thermal_qfi,
-)
-from .spectrum import (
-    Bath,
-    RateMatrix,
-    SpectralReport,
-    Spectrum,
-    ThermalDistribution,
-    TransitionMatrix,
-    rate_matrix,
-    spectral_report,
-    stationary_distribution,
-    thermal_distribution,
-    thermal_ratio,
-    transition_matrix,
-)
-from .validate import CheckResult, check_names, run_checks
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bath",
-    "CheckResult",
-    "CramerRaoReport",
-    "DensityMatrix",
-    "DerivativeBundle",
-    "DomainError",
-    "EstimationRun",
-    "EstimatorUndefinedError",
-    "GadChannel",
-    "MleResult",
-    "ModelIntegrityError",
-    "NoStationaryStateError",
-    "OptimalTime",
-    "QfiResult",
-    "QfiTrace",
-    "QubitInit",
-    "RateMatrix",
-    "RegionLabel",
-    "Scenario",
-    "SldMatrix",
-    "SpectralReport",
-    "Spectrum",
-    "StateRanking",
-    "ThermalDistribution",
-    "TransitionMatrix",
-    "beta_derivative_qubit",
-    "beta_from_thermal_ratio",
-    "check_names",
-    "classical_fisher_information",
-    "classify_region",
-    "coherence_decay_rate",
-    "cramer_rao_report",
-    "diagonal_qfi",
-    "evolve_state",
-    "evolve_state_derivative",
-    "gad_apply",
-    "gad_fixed_point",
-    "gad_kraus_operators",
-    "gad_master_comparison",
-    "gad_params",
-    "gad_stationary_diagnostic",
-    "gamma_from_tau_tilde",
-    "maximize_qfi_over_time",
-    "mle_beta",
-    "optimize_initial_state",
-    "propagate_coherence",
-    "propagate_populations",
-    "qfi_decomposition",
-    "qfi_trace",
-    "qfi_values",
-    "qubit_qfi",
-    "qubit_relaxation_rate",
-    "qubit_sld",
-    "qubit_state",
-    "rate_matrix",
-    "run_checks",
-    "simulate_measurements",
-    "sld_general",
-    "spectral_report",
-    "stationary_distribution",
-    "thermal_distribution",
-    "thermal_population_derivative",
-    "thermal_qfi",
-    "thermal_ratio",
-    "transition_matrix",
-]
+# The public names, by the module that defines them.
+_EXPORTS = {
+    "dynamics": (
+        "DensityMatrix", "GadChannel", "QubitInit", "beta_from_thermal_ratio",
+        "coherence_decay_rate", "evolve_state", "evolve_state_derivative", "gad_apply",
+        "gad_fixed_point", "gad_kraus_operators", "gad_master_comparison", "gad_params",
+        "gad_stationary_diagnostic", "gamma_from_tau_tilde", "propagate_coherence",
+        "propagate_populations", "qubit_relaxation_rate", "qubit_state",
+    ),
+    "errors": (
+        "DomainError", "EstimatorUndefinedError", "ModelIntegrityError",
+        "NoStationaryStateError",
+    ),
+    "metrology": (
+        "CramerRaoReport", "EstimationRun", "MleResult", "OptimalTime", "QfiTrace",
+        "RegionLabel", "Scenario", "StateRanking", "classical_fisher_information",
+        "classify_region", "cramer_rao_report", "maximize_qfi_over_time", "mle_beta",
+        "optimize_initial_state", "qfi_trace", "simulate_measurements",
+    ),
+    "qfi": (
+        "DerivativeBundle", "QfiResult", "SldMatrix", "beta_derivative_qubit",
+        "diagonal_qfi", "qfi_decomposition", "qfi_values", "qubit_qfi", "qubit_sld",
+        "sld_general", "thermal_population_derivative", "thermal_qfi",
+    ),
+    "spectrum": (
+        "Bath", "RateMatrix", "SpectralReport", "Spectrum", "ThermalDistribution",
+        "TransitionMatrix", "rate_matrix", "spectral_report", "stationary_distribution",
+        "thermal_distribution", "thermal_ratio", "transition_matrix",
+    ),
+    "validate": ("CheckResult", "check_names", "run_checks"),
+}
+_OWNER = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = {*_EXPORTS, "cli"}
+
+__all__ = sorted(_OWNER)
+
+
+def __getattr__(name):
+    # A resolved name is not cached here: the value always comes from its
+    # module, so whatever rebinds it there (a tracer, a test's monkeypatch) is seen.
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _OWNER:
+        return getattr(importlib.import_module(f"{__name__}.{_OWNER[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -10,6 +10,13 @@ Subcommands:
 Exit codes: 0 success, 1 validation failure, 2 configuration error,
 3 I/O error. Output is byte-deterministic for a fixed configuration: floats
 are rendered with repr (shortest round-trip) and JSON keys are sorted.
+
+Start-up: no subcommand builds a matrix larger than 8x8 (validate's N-level
+checks), so a BLAS thread pool only adds start-up time. Unless numpy is
+already loaded or one of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
+OMP_NUM_THREADS is set, importing this module sets OPENBLAS_NUM_THREADS=1
+before numpy starts its pool; setting any of the three overrides that. Each
+subcommand imports only the layers it runs.
 """
 
 from __future__ import annotations
@@ -18,30 +25,32 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 from typing import NamedTuple
+
+# Before the first numpy import, which starts OpenBLAS's thread pool (see above).
+if "numpy" not in sys.modules and not any(
+    var in os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
 from . import _floatrepr
 from .dynamics import (
     QubitInit,
+    _default_t_max,
+    _qubit_model_of,
     beta_from_thermal_ratio,
     gad_master_comparison,
     gad_stationary_diagnostic,
     gamma_from_tau_tilde,
+    qubit_relaxation_rate,
 )
 from .errors import DomainError, EstimatorUndefinedError, ModelIntegrityError
-from .metrology import (
-    Scenario,
-    _check_run,
-    cramer_rao_report,
-    maximize_qfi_over_time,
-    optimize_initial_state,
-)
-from .qfi import qfi_values, qubit_qfi, trace_blocks
+from .qfi import qfi_values, qubit_qfi, thermal_qfi, trace_blocks
 from .spectrum import Bath, Spectrum
-from .validate import check_names, run_checks
 
 SCHEMA_VERSION = "1"
 
@@ -388,8 +397,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     spectrum = _resolve_spectrum(args)
     bath = _resolve_bath(args, spectrum)
     init = _resolve_init(args)
-    scenario = Scenario(spectrum=spectrum, bath=bath, init=init)
-    t_max = scenario.default_t_max if args.t_max is None else _finite(args.t_max, "--t-max")
+    t_max = _default_t_max(spectrum, bath) if args.t_max is None else _finite(args.t_max, "--t-max")
     if t_max <= 0:
         raise ConfigError("--t-max must be positive")
     if args.points < 2:
@@ -417,9 +425,9 @@ def cmd_trace(args: argparse.Namespace) -> int:
             "points": args.points,
         },
         "derived": {
-            "pi2": scenario.pi2,
-            "lambda": scenario.relaxation_rate,
-            "asymptote": scenario.asymptote,
+            "pi2": _qubit_model_of(spectrum, bath).pi2,
+            "lambda": qubit_relaxation_rate(spectrum, bath),
+            "asymptote": thermal_qfi(spectrum, bath.beta),
         },
         "columns": list(TRACE_COLUMNS),
         "rows": [],
@@ -434,6 +442,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
+    from .metrology import Scenario, optimize_initial_state
+
     spectrum = _resolve_spectrum(args)
     bath = _resolve_bath(args, spectrum)
     t_max = None if args.t_max is None else _finite(args.t_max, "--t-max")
@@ -479,6 +489,8 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
+    from .metrology import Scenario, maximize_qfi_over_time
+
     if args.format != "json":
         raise ConfigError("experiment emits a structured document; use --format json")
     omega12, tau_tilde, r, points = args.omega12, args.tau_tilde, args.r, args.points
@@ -554,6 +566,8 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
+    from .metrology import Scenario, _check_run, cramer_rao_report, maximize_qfi_over_time
+
     spectrum = _resolve_spectrum(args)
     bath = _resolve_bath(args, spectrum)
     init = _resolve_init(args)
@@ -619,6 +633,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .validate import check_names, run_checks
+
     names = None
     if args.checks is not None:
         names = tuple(s.strip() for s in args.checks.split(",") if s.strip())

@@ -189,7 +189,11 @@ def propagate_populations(
         raise DomainError("p0 must be a probability vector")
     if t == 0.0:
         return p0.copy()
-    values, vectors = _eigendecompose(mat)
+    return _propagate(*_eigendecompose(mat), p0, t)
+
+
+def _propagate(values: np.ndarray, vectors: np.ndarray, p0: np.ndarray, t: float) -> np.ndarray:
+    """exp(A t) p0 for t > 0 from A's eigendecomposition, clipped and renormalized."""
     p = (vectors @ (np.exp(values * t) * np.linalg.solve(vectors, p0.astype(complex)))).real
     if np.min(p) < -1e-10:
         raise ModelIntegrityError(f"propagated populations went negative: min {np.min(p):.3e}")
@@ -304,6 +308,11 @@ def qubit_relaxation_rate(spectrum: Spectrum, bath: Bath) -> float:
     return _qubit_model_of(spectrum, bath).lam
 
 
+def _default_t_max(spectrum: Spectrum, bath: Bath) -> float:
+    """The default time window 20/|lambda|: twenty relaxation times of the qubit."""
+    return 20.0 / abs(qubit_relaxation_rate(spectrum, bath))
+
+
 def qubit_state(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> DensityMatrix:
     """Closed-form evolved qubit state.
 
@@ -320,15 +329,18 @@ def qubit_state(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> De
     )
 
 
-def evolve_state(rho0: DensityMatrix | np.ndarray, spectrum: Spectrum, bath: Bath, t: float) -> DensityMatrix:
-    """Evolve an N-level state: populations through the generator, coherences pairwise."""
+def _checked_state(rho0: DensityMatrix | np.ndarray, spectrum: Spectrum) -> DensityMatrix:
     state = as_state(rho0)
-    n = state.n_levels
-    if n != spectrum.n_levels:
+    if state.n_levels != spectrum.n_levels:
         raise DomainError("state size must match the spectrum")
-    rates = rate_matrix(spectrum, bath)
-    generator = transition_matrix(rates)
-    p = propagate_populations(generator, state.populations, t)
+    return state
+
+
+def _with_coherences(
+    p: np.ndarray, state: DensityMatrix, spectrum: Spectrum, rates: RateMatrix, t: float
+) -> DensityMatrix:
+    """The state at time t with populations p: each coherence of state propagated pairwise."""
+    n = state.n_levels
     out = np.diag(p).astype(complex)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
@@ -337,6 +349,14 @@ def evolve_state(rho0: DensityMatrix | np.ndarray, spectrum: Spectrum, bath: Bat
             out[i - 1, j - 1] = rho_ij
             out[j - 1, i - 1] = rho_ij.conjugate()
     return DensityMatrix(elements=out)
+
+
+def evolve_state(rho0: DensityMatrix | np.ndarray, spectrum: Spectrum, bath: Bath, t: float) -> DensityMatrix:
+    """Evolve an N-level state: populations through the generator, coherences pairwise."""
+    state = _checked_state(rho0, spectrum)
+    rates = rate_matrix(spectrum, bath)
+    p = propagate_populations(transition_matrix(rates), state.populations, t)
+    return _with_coherences(p, state, spectrum, rates, t)
 
 
 def evolve_state_derivative(
@@ -354,12 +374,17 @@ def evolve_state_derivative(
     is 0 because 1^T A' = 0; it is zeroed exactly, since its rounding would
     otherwise grow like t. Each coherence gives d rho_ij = -t c'_ij rho_ij(t).
     """
-    rho = evolve_state(rho0, spectrum, bath, t)
+    state = _checked_state(rho0, spectrum)
+    if t < 0:
+        raise DomainError("t must be nonnegative")
     rates = rate_matrix(spectrum, bath)
+    values, vectors = _eigendecompose(_as_generator(transition_matrix(rates)))
+    p0 = state.populations
+    p = p0.copy() if t == 0.0 else _propagate(values, vectors, p0, t)
+    rho = _with_coherences(p, state, spectrum, rates, t)
     g, energies = rates.gamma_rates, np.asarray(spectrum.energies)
     d_gen = -np.abs(energies[:, None] - energies[None, :]) * g * g.T / bath.gamma
     d_gen -= np.diag(d_gen.sum(axis=0))
-    values, vectors = _eigendecompose(transition_matrix(rates).a)
     b = np.linalg.solve(vectors, d_gen @ vectors)
     b[values == 0.0] = 0.0
     diff = values[:, None] - values[None, :]
@@ -368,7 +393,6 @@ def evolve_state_derivative(
     with np.errstate(over="ignore"):
         ratio = np.divide(-np.expm1(-gap * t), gap, out=np.full_like(gap, t), where=gap != 0)
         phi = np.exp(np.where(flip, values[None, :], values[:, None]) * t) * ratio
-    p0 = as_state(rho0).populations
     dp = (vectors @ ((phi * b) @ np.linalg.solve(vectors, p0))).real
     loss = np.diag(d_gen)  # -(sum_k Gamma'_kj), so c'_ij = -(loss_i + loss_j)/2
     return rho, t * (loss[:, None] + loss[None, :]) / 2.0 * rho.hollow_part + np.diag(dp)

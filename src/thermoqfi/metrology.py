@@ -17,6 +17,7 @@ import numpy as np
 
 from .dynamics import (
     QubitInit,
+    _default_t_max,
     _qubit_model,
     _qubit_model_of,
     _QubitModel,
@@ -64,10 +65,6 @@ _SEED_MULT_B = 0x58F38DED
 _SEED_MIX_MULT_L = 0xCA01F9DD
 _SEED_MIX_MULT_R = 0x4973F715
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
-
-def _default_t_max(spectrum: Spectrum, bath: Bath) -> float:
-    return 20.0 / abs(qubit_relaxation_rate(spectrum, bath))
 
 
 @dataclass(frozen=True)

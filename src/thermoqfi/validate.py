@@ -32,7 +32,6 @@ from .qfi import (
     qfi_values,
     qubit_qfi,
     thermal_population_derivative,
-    thermal_qfi,
 )
 from .spectrum import (
     Bath,

@@ -35,7 +35,6 @@ from thermoqfi import (
     rate_matrix,
     spectral_report,
     stationary_distribution,
-    thermal_distribution,
     transition_matrix,
 )
 from thermoqfi.metrology import _bisect

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import thermoqfi
 from thermoqfi import QubitInit, Scenario, cli
 from thermoqfi.errors import DomainError
 from thermoqfi.qfi import trace_arrays
@@ -807,16 +808,22 @@ class TestValidate:
 
 # Runs in a fresh interpreter: imports the package, then every subcommand
 # through cli.main, asserting after each step that scipy was never loaded,
-# and that the float kernel is loaded by the CLI, not by the package.
+# that the package and its numpy-free errors module load neither numpy nor
+# the float kernel, that trace loads neither metrology nor validate, and that
+# the CLI loads the float kernel.
 _IMPORT_PROBE = """
 import sys
 import thermoqfi
+assert thermoqfi.errors is sys.modules["thermoqfi.errors"], "submodule not resolved"
+assert "numpy" not in sys.modules, "numpy loaded by import"
 assert "thermoqfi._floatrepr" not in sys.modules, "float kernel loaded by import"
 import thermoqfi.cli
 assert "scipy" not in sys.modules, "import"
 ref = ["--omega12", "1", "--beta", "1.0986122886681098", "--gamma", "1"]
+assert thermoqfi.cli.main(["trace", *ref, "--a", "0.3", "--r", "0.5", "--format", "json"]) == 0
+for layer in ("metrology", "validate"):
+    assert f"thermoqfi.{layer}" not in sys.modules, f"trace loaded {layer}"
 for argv in (
-    ["trace", *ref, "--a", "0.3", "--r", "0.5"],
     ["optimize", *ref],
     ["experiment"],
     ["estimate", *ref, "--a", "0"],
@@ -829,18 +836,80 @@ assert "thermoqfi._floatrepr" in sys.modules
 assert "fractions" not in sys.modules and "decimal" not in sys.modules
 """
 
+_SRC = Path(__file__).resolve().parents[1] / "src"
+
 
 class TestImportFootprint:
     def test_scipy_is_never_loaded(self):
-        src = Path(__file__).resolve().parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-c", _IMPORT_PROBE],
             capture_output=True,
             text=True,
             timeout=120,
-            env={**os.environ, "PYTHONPATH": str(src)},
+            env={**os.environ, "PYTHONPATH": str(_SRC)},
         )
         assert proc.returncode == 0, proc.stderr
+
+    def test_lazy_namespace(self):
+        assert len(thermoqfi.__all__) == len(set(thermoqfi.__all__))
+        for name in thermoqfi.__all__:
+            value = getattr(thermoqfi, name)
+            assert value is getattr(sys.modules[value.__module__], name), name
+            assert name in dir(thermoqfi), name
+        for layer in ("cli", "dynamics", "errors", "metrology", "qfi", "spectrum", "validate"):
+            assert getattr(thermoqfi, layer) is sys.modules[f"thermoqfi.{layer}"]
+        with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+            thermoqfi.no_such_name
+
+
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+# Runs a statement in a fresh interpreter and prints the environment variables
+# it changed, whether numpy is loaded, and the process's thread count (Linux).
+_ENV_PROBE = """
+import json, os, sys
+before = dict(os.environ)
+{statement}
+after = dict(os.environ)
+tasks = "/proc/self/task"
+print(json.dumps({{
+    "changed": {{k: after.get(k) for k in before.keys() | after.keys() if before.get(k) != after.get(k)}},
+    "numpy": "numpy" in sys.modules,
+    "threads": len(os.listdir(tasks)) if os.path.isdir(tasks) else None,
+}}))
+"""
+
+
+def _env_probe(statement: str, preset: dict) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in _THREAD_VARS}
+    proc = subprocess.run(
+        [sys.executable, "-c", _ENV_PROBE.format(statement=statement)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**env, **preset, "PYTHONPATH": str(_SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+class TestBlasThreadPin:
+    def test_cli_pins_one_thread(self):
+        probe = _env_probe("import thermoqfi.cli", {})
+        assert probe["changed"] == {"OPENBLAS_NUM_THREADS": "1"}
+        assert probe["numpy"]
+        assert probe["threads"] in (None, 1)
+
+    @pytest.mark.parametrize("var", _THREAD_VARS)
+    def test_user_setting_is_kept(self, var):
+        probe = _env_probe("import thermoqfi.cli", {var: "2"})
+        assert probe["changed"] == {}
+        assert probe["numpy"]
+
+    def test_library_leaves_environment_alone(self):
+        probe = _env_probe("import thermoqfi; thermoqfi.qubit_qfi", {})
+        assert probe["changed"] == {}
+        assert probe["numpy"]
 
 
 class TestInstalledScript:

@@ -29,7 +29,7 @@ from thermoqfi import (
 )
 from thermoqfi.qfi import EPS_GUARD, trace_arrays, trace_blocks
 
-from conftest import random_mixed_state, random_scenario, random_time, reference_scenario
+from conftest import random_mixed_state, random_scenario, random_time
 
 SPECTRUM = Spectrum.qubit(1.0)
 BATH = Bath(beta=math.log(3.0), gamma=1.0)
