@@ -442,7 +442,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
-    from .metrology import Scenario, optimize_initial_state
+    from .metrology import optimize_initial_state
 
     spectrum = _resolve_spectrum(args)
     bath = _resolve_bath(args, spectrum)
@@ -457,7 +457,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
         ]
         _emit_csv(OPTIMIZE_COLUMNS, _blocks(list(zip(*table))), args.out)
     else:
-        scenario = Scenario(spectrum=spectrum, bath=bath, init=QubitInit(a=0.0))
         payload = {
             "schema_version": SCHEMA_VERSION,
             "kind": "optimize",
@@ -465,11 +464,14 @@ def cmd_optimize(args: argparse.Namespace) -> int:
                 "omega12": spectrum.gap(1, 2),
                 "beta": bath.beta,
                 "gamma": bath.gamma,
-                "t_max": scenario.default_t_max if t_max is None else t_max,
+                "t_max": _default_t_max(spectrum, bath) if t_max is None else t_max,
                 "a_steps": args.a_steps,
                 "r_steps": args.r_steps,
             },
-            "derived": {"pi2": scenario.pi2, "asymptote": scenario.asymptote},
+            "derived": {
+                "pi2": _qubit_model_of(spectrum, bath).pi2,
+                "asymptote": thermal_qfi(spectrum, bath.beta),
+            },
             "rows": [
                 {
                     "a": row.a,
@@ -489,7 +491,13 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    from .metrology import Scenario, maximize_qfi_over_time
+    """The two-bath study: per bath, one grid, one batched peak scan of the presets.
+
+    The peaks come from one metrology._peak_times call per bath, whose every
+    state takes the steps, and so gets the bits, of a one-state scan
+    (maximize_qfi_over_time).
+    """
+    from .metrology import _peak_times
 
     if args.format != "json":
         raise ConfigError("experiment emits a structured document; use --format json")
@@ -505,38 +513,35 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         label = "cold" if len(n12_values) == 1 or idx == 0 else "hot"
         beta = beta_from_thermal_ratio(n12, omega12)
         bath = Bath(beta=beta, gamma=gamma)
-        traces = []
-        for theta, theta_label in THETA_PRESETS[label]:
-            init = QubitInit.from_theta(theta, r=r)
-            scenario = Scenario(spectrum=spectrum, bath=bath, init=init)
-            t_max = scenario.default_t_max
-            times = np.linspace(0.0, t_max, points)
-            values = qfi_values(init, spectrum, bath, times)
-            best = maximize_qfi_over_time(scenario)
-            traces.append(
-                {
-                    "theta": theta,
-                    "theta_label": theta_label,
-                    "a": init.a,
-                    "r": init.r,
-                    "t_peak": best.t_star,
-                    "f_peak": best.f_star,
-                    "asymptotic": best.asymptotic,
-                    "times": times.tolist(),
-                    "values": values.tolist(),
-                }
-            )
-        probe = Scenario(spectrum=spectrum, bath=bath, init=QubitInit(a=0.0))
+        presets = THETA_PRESETS[label]
+        inits = [QubitInit.from_theta(theta, r=r) for theta, _ in presets]
+        t_max = _default_t_max(spectrum, bath)
+        times = np.linspace(0.0, t_max, points)
+        peaks = _peak_times(spectrum, bath, inits)
+        traces = [
+            {
+                "theta": theta,
+                "theta_label": theta_label,
+                "a": init.a,
+                "r": init.r,
+                "t_peak": best.t_star,
+                "f_peak": best.f_star,
+                "asymptotic": best.asymptotic,
+                "times": times.tolist(),
+                "values": qfi_values(init, spectrum, bath, times).tolist(),
+            }
+            for (theta, theta_label), init, best in zip(presets, inits, peaks)
+        ]
         baths.append(
             {
                 "n12": n12,
                 "label": label,
                 "beta": beta,
                 "gamma": gamma,
-                "pi2": probe.pi2,
-                "lambda": probe.relaxation_rate,
-                "asymptote": probe.asymptote,
-                "t_max": probe.default_t_max,
+                "pi2": _qubit_model_of(spectrum, bath).pi2,
+                "lambda": qubit_relaxation_rate(spectrum, bath),
+                "asymptote": thermal_qfi(spectrum, bath.beta),
+                "t_max": t_max,
                 "traces": traces,
             }
         )

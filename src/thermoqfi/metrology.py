@@ -27,7 +27,7 @@ from .errors import DomainError, EstimatorUndefinedError
 from .qfi import (
     _qfi_kernel,
     _qfi_slope,
-    beta_derivative_qubit,
+    _qubit_point,
     diagonal_qfi,
     qfi_values,
     qubit_qfi,
@@ -344,9 +344,8 @@ def optimize_initial_state(
 
 def classical_fisher_information(scenario: Scenario, t: float) -> float:
     """Fisher information of the two-outcome population measurement at time t."""
-    bundle = beta_derivative_qubit(scenario.init, scenario.spectrum, scenario.bath, t)
-    model_p2 = float(scenario._model.p2(scenario.init.a, t))
-    return diagonal_qfi([1.0 - model_p2, model_p2], bundle.d_populations)
+    terms, _ = _qubit_point(scenario.init, scenario.spectrum, scenario.bath, t)
+    return diagonal_qfi([1.0 - terms.p2, terms.p2], [-terms.g, terms.g])
 
 
 def simulate_measurements(scenario: Scenario, t: float, m_experiments: int, seed) -> int:

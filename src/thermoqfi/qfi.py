@@ -148,7 +148,6 @@ class SldMatrix:
 
     elements: np.ndarray
     residual: float
-    from_fallback: bool = False
 
     def __post_init__(self) -> None:
         m = np.asarray(self.elements, dtype=complex)
@@ -297,37 +296,22 @@ def sld_general(rho: DensityMatrix | np.ndarray, drho) -> SldMatrix:
 
 
 def qubit_sld(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> SldMatrix:
-    """Closed-form qubit SLD.
+    """Qubit SLD: the eigenbasis Lyapunov solution (sld_general) on the closed forms.
 
-    With g = d rho22/d beta, m = |rho12|^2 and D = (1-rho22) rho22 - m:
-      l11 = (2 g m - 2 alpha rho22 m - rho22 g)/D
-      l22 = (-2 g m - 2 alpha (1-rho22) m + (1-rho22) g)/D
-      l12 = (2 alpha (1-rho22) rho22 - (1-2 rho22) g)/D * rho12
-    Falls back to the eigenbasis solver when D vanishes (pure state, t=0).
+    rho(t) and d rho/d beta = [[-g, alpha rho12], [alpha rho12*, g]] come from
+    the closed-form kernel (g = d rho22/d beta); at a pure state (t=0, r=1)
+    the solver's support convention zeroes the unsupported pairs.
     """
     return _sld(*_qubit_point(init, spectrum, bath, t))
 
 
 def _sld(terms: _Terms, rho12: complex) -> SldMatrix:
-    p2, mod2, alpha, g, denom = terms.p2, terms.mod2, terms.alpha, terms.g, terms.denom
+    p2, alpha, g = terms.p2, terms.alpha, terms.g
     d_mat = np.array(
         [[-g, alpha * rho12], [alpha * rho12.conjugate(), g]], dtype=complex
     )
     rho = np.array([[1.0 - p2, rho12], [rho12.conjugate(), p2]], dtype=complex)
-    if abs(denom) < EPS_GUARD:
-        result = sld_general(rho, d_mat)
-        return SldMatrix(
-            elements=result.elements, residual=result.residual, from_fallback=True
-        )
-    l11 = (2.0 * g * mod2 - 2.0 * alpha * p2 * mod2 - p2 * g) / denom
-    l22 = (-2.0 * g * mod2 - 2.0 * alpha * (1.0 - p2) * mod2 + (1.0 - p2) * g) / denom
-    l12 = (2.0 * alpha * (1.0 - p2) * p2 - (1.0 - 2.0 * p2) * g) / denom * rho12
-    l = np.array([[l11, l12], [l12.conjugate(), l22]], dtype=complex)
-    residual = float(np.linalg.norm(d_mat - (l @ rho + rho @ l) / 2.0))
-    tol = 1e-9 * (1.0 + float(np.linalg.norm(d_mat)))
-    if residual > tol:
-        raise ModelIntegrityError(f"qubit SLD residual {residual:.3e} exceeds {tol:.3e}")
-    return SldMatrix(elements=l, residual=residual)
+    return sld_general(rho, d_mat)
 
 
 def qubit_qfi(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> QfiResult:
@@ -337,6 +321,8 @@ def qubit_qfi(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> QfiR
     diagonal_part = g^2/(p2 (1-p2)); the phase phi never enters (only |rho12|^2
     appears). At the pure-state point (t=0, r=1) D vanishes while the
     numerator vanishes faster; the continuous limit F=0 is returned flagged.
+    The SLD is qubit_sld's: the eigenbasis Lyapunov solution on the
+    closed-form rho(t) and d rho/d beta.
     """
     terms, rho12 = _qubit_point(init, spectrum, bath, t)
     sld = _sld(terms, rho12)
@@ -379,28 +365,14 @@ def _trace_columns(model: _QubitModel, init: QubitInit, asymptote: float, t) -> 
         }
 
 
-def trace_arrays(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> dict:
-    """All per-time trace quantities on a grid, keyed by output column name.
-
-    Every column is finite: a window on which any of them overflows raises
-    DomainError. Each column is as long as the grid; trace_blocks gives the
-    same cells a block of times at a time.
-    """
-    model = _qubit_model_of(spectrum, bath)
-    t = np.asarray(times, dtype=float)
-    cols = _trace_columns(model, init, thermal_qfi(spectrum, bath.beta), t)
-    for column in cols.values():
-        _check_finite(column, t)
-    return cols
-
-
 def trace_blocks(init: QubitInit, spectrum: Spectrum, bath: Bath, times, rows: int):
-    """The trace_arrays columns of times, rows times at a time, as an iterator of dicts.
+    """All per-time trace quantities on a grid, rows times at a time, as an iterator of dicts.
 
-    The kernel is elementwise, so the blocks carry the bits of one
-    trace_arrays call on the whole grid. If any column overflows anywhere,
-    this raises DomainError naming the grid's largest time before any block
-    is handed out. The check computes each block and drops it; the iterator
+    Each dict is keyed by output column name; rows=len(times) gives the
+    whole grid as one block. The kernel is elementwise, so the blocks carry
+    the bits of one block on the whole grid. If any column overflows
+    anywhere, this raises DomainError naming the grid's largest time before
+    any block is handed out. The check computes each block and drops it; the iterator
     computes it again as it is consumed, so no array longer than rows is held
     besides times itself.
     """

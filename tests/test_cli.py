@@ -18,7 +18,7 @@ import pytest
 import thermoqfi
 from thermoqfi import QubitInit, Scenario, cli
 from thermoqfi.errors import DomainError
-from thermoqfi.qfi import trace_arrays
+from thermoqfi.qfi import trace_blocks
 from thermoqfi.cli import (
     _BLOCK_ROWS,
     _CSV_ROWS,
@@ -87,7 +87,9 @@ def reference_trace(points: int, fmt: str) -> str:
     )
     init = QubitInit(a=0.3, r=0.5, phi=0.7)
     t_max = scenario.default_t_max
-    cols = trace_arrays(init, scenario.spectrum, scenario.bath, np.linspace(0.0, t_max, points))
+    [cols] = trace_blocks(
+        init, scenario.spectrum, scenario.bath, np.linspace(0.0, t_max, points), points
+    )
     if fmt == "csv":
         return reference_csv(TRACE_COLUMNS, zip(*(cols[name] for name in TRACE_COLUMNS)))
     return reference_json(
@@ -292,9 +294,9 @@ class TestStreamedTrace:
             omega12=1.0, beta=1.0986122886681098, gamma=1.0, a=0.3, r=0.5, phi=0.7
         )
         grid = np.linspace(0.0, float(t_max), points)
-        trace_arrays(scenario.init, scenario.spectrum, scenario.bath, grid[:first_bad])
+        trace_blocks(scenario.init, scenario.spectrum, scenario.bath, grid[:first_bad], first_bad)
         with pytest.raises(DomainError):
-            trace_arrays(scenario.init, scenario.spectrum, scenario.bath, grid[first_bad:][:1])
+            trace_blocks(scenario.init, scenario.spectrum, scenario.bath, grid[first_bad:][:1], 1)
         argv = ["trace", *REF, *TRACE_STATE, "--points", str(points), "--t-max", t_max,
                 "--format", fmt]
         expected = (
@@ -764,6 +766,28 @@ class TestExperiment:
         assert len(doc["baths"]) == 1
         assert doc["baths"][0]["label"] == "cold"
         assert len(doc["gad_comparison"]) == 3
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--n12", "3", "--r", "0.4", "--points", "100"]]
+    )
+    def test_peaks_are_the_one_state_scans(self, capsys, flags):
+        # One batched scan per bath gives every preparation the bits of its
+        # own maximize_qfi_over_time call.
+        rc, out, _ = run_cli(capsys, ["experiment", *flags])
+        assert rc == 0
+        doc = json.loads(out)
+        for bath in doc["baths"]:
+            for trace in bath["traces"]:
+                scenario = Scenario(
+                    spectrum=thermoqfi.Spectrum.qubit(doc["params"]["omega12"]),
+                    bath=thermoqfi.Bath(beta=bath["beta"], gamma=bath["gamma"]),
+                    init=QubitInit.from_theta(trace["theta"], r=doc["params"]["r"]),
+                )
+                best = thermoqfi.maximize_qfi_over_time(scenario)
+                assert scenario.init.a == trace["a"]
+                assert (trace["t_peak"], trace["f_peak"], trace["asymptotic"]) == (
+                    best.t_star, best.f_star, best.asymptotic
+                )
 
     def test_rejects_csv(self, capsys):
         rc, _, err = run_cli(capsys, ["experiment", "--format", "csv"])

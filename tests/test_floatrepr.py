@@ -6,7 +6,7 @@ import pytest
 from thermoqfi import QubitInit, Scenario
 from thermoqfi._floatrepr import fast_cells, render
 from thermoqfi.cli import TRACE_COLUMNS
-from thermoqfi.qfi import trace_arrays
+from thermoqfi.qfi import trace_blocks
 
 
 def rendered(values, nonfinite=None) -> list[str]:
@@ -91,7 +91,7 @@ def test_fast_path_covers_a_dense_trace():
     )
     init = QubitInit(a=0.3, r=0.5, phi=0.7)
     times = np.linspace(0.0, scenario.default_t_max, 200_000)
-    cols = trace_arrays(init, scenario.spectrum, scenario.bath, times)
+    [cols] = trace_blocks(init, scenario.spectrum, scenario.bath, times, len(times))
     cells = slow = 0
     for name in TRACE_COLUMNS:
         column = np.asarray(cols[name], dtype=np.float64)

@@ -27,7 +27,7 @@ from thermoqfi import (
     thermal_population_derivative,
     thermal_qfi,
 )
-from thermoqfi.qfi import EPS_GUARD, trace_arrays, trace_blocks
+from thermoqfi.qfi import EPS_GUARD, trace_blocks
 
 from conftest import random_mixed_state, random_scenario, random_time
 
@@ -236,7 +236,6 @@ class TestQubitSld:
         assert sld.l12 == pytest.approx(
             0.1337358109252606 + 0.20828118499798828j, rel=1e-13
         )
-        assert not sld.from_fallback
 
     def test_matches_general_solver(self):
         rng = np.random.default_rng(5)
@@ -254,9 +253,54 @@ class TestQubitSld:
             general = sld_general(qubit_state(s.init, s.spectrum, s.bath, t), drho)
             assert float(np.max(np.abs(closed.elements - general.elements))) <= 1e-10
 
+    def test_matches_paper_closed_form(self):
+        # The paper's closed-form SLD, with g = d rho22/d beta, m = |rho12|^2
+        # and D = (1 - rho22) rho22 - m:
+        #   l11 = (2 g m - 2 alpha rho22 m - rho22 g)/D
+        #   l22 = (-2 g m - 2 alpha (1 - rho22) m + (1 - rho22) g)/D
+        #   l12 = (2 alpha (1 - rho22) rho22 - (1 - 2 rho22) g)/D * rho12
+        rng = np.random.default_rng(41)
+        for _ in range(200):
+            s = random_scenario(rng)
+            t = random_time(rng, s, lo=0.05)
+            state = qubit_state(s.init, s.spectrum, s.bath, t)
+            bundle = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
+            p2, rho12 = state.rho22, state.rho12
+            g, alpha, m = bundle.d_populations[1], bundle.alpha, abs(rho12) ** 2
+            d = (1.0 - p2) * p2 - m
+            l11 = (2.0 * g * m - 2.0 * alpha * p2 * m - p2 * g) / d
+            l22 = (-2.0 * g * m - 2.0 * alpha * (1.0 - p2) * m + (1.0 - p2) * g) / d
+            l12 = (2.0 * alpha * (1.0 - p2) * p2 - (1.0 - 2.0 * p2) * g) / d * rho12
+            closed = np.array([[l11, l12], [np.conj(l12), l22]])
+            sld = qubit_sld(s.init, s.spectrum, s.bath, t)
+            scale = float(np.max(np.abs(closed)))
+            assert float(np.max(np.abs(sld.elements - closed))) <= 1e-12 * scale
+
+    def test_residual_check_passes_at_the_edges(self):
+        # Low temperature (beta*omega up to 27), nearly pure starts (r -> 1)
+        # and early times (t -> 0): the solver's own residual check holds.
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            omega = float(rng.uniform(0.3, 3.0))
+            beta = float(rng.uniform(0.2, 27.0)) / omega
+            bath = Bath(beta=beta, gamma=float(rng.uniform(0.2, 3.0)))
+            init = QubitInit(
+                a=float(rng.uniform(0.0, 1.0)),
+                r=1.0 - 10.0 ** float(rng.uniform(-14.0, -1.0)),
+                phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+            )
+            t = 10.0 ** float(rng.uniform(-14.0, 0.0)) / bath.gamma
+            spectrum = Spectrum.qubit(omega)
+            sld = qubit_sld(init, spectrum, bath, t)  # raises ModelIntegrityError if not
+            bundle = beta_derivative_qubit(init, spectrum, bath, t)
+            drho_norm = math.hypot(*bundle.d_populations, *2 * [abs(bundle.d_coherence)])
+            assert sld.residual <= 1e-9 * (1.0 + drho_norm)
+
     def test_fallback_on_pure_state(self):
+        # At t = 0 nothing depends on beta yet: d rho/d beta = 0, so L = 0.
         sld = qubit_sld(QubitInit(a=0.1, r=1.0, phi=0.3), SPECTRUM, BATH, 0.0)
-        assert sld.from_fallback
+        assert not np.any(sld.elements)
+        assert sld.residual == 0.0
 
     def test_rejects_negative_time(self):
         with pytest.raises(DomainError):
@@ -324,7 +368,7 @@ class TestTraceBlocks:
         rng = np.random.default_rng(23)
         s = random_scenario(rng)
         times = np.linspace(0.0, 8.0 / abs(s.relaxation_rate), 101)
-        whole = trace_arrays(s.init, s.spectrum, s.bath, times)
+        [whole] = trace_blocks(s.init, s.spectrum, s.bath, times, len(times))
         blocks = list(trace_blocks(s.init, s.spectrum, s.bath, times, rows))
         assert [len(b["t"]) for b in blocks] == [len(c) for c in np.array_split(
             times, range(rows, len(times), rows))]
