@@ -491,12 +491,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def cmd_experiment(args: argparse.Namespace) -> int:
-    """The two-bath study: per bath, one grid, one batched peak scan of the presets.
-
-    The peaks come from one metrology._peak_times call per bath, whose every
-    state takes the steps, and so gets the bits, of a one-state scan
-    (maximize_qfi_over_time).
-    """
     from .metrology import _peak_times
 
     if args.format != "json":
@@ -517,6 +511,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         inits = [QubitInit.from_theta(theta, r=r) for theta, _ in presets]
         t_max = _default_t_max(spectrum, bath)
         times = np.linspace(0.0, t_max, points)
+        # one batched scan; each state gets the bits of maximize_qfi_over_time
         peaks = _peak_times(spectrum, bath, inits)
         traces = [
             {

@@ -39,7 +39,9 @@ from .spectrum import MAX_EXP_BETA_OMEGA, Bath, Spectrum, _readonly
 # treated as asymptotic plateaus rather than interior maxima.
 ASYMPTOTIC_MARGIN = 1e-6
 
-BOUNDARY_ATOL = 1e-12
+# A region boundary holds a within this fraction of its own value (pi2 or
+# 1/2), so the thermal boundary keeps its width at low temperature.
+BOUNDARY_RTOL = 1e-12
 
 # States per block when a scan evaluates its time grid: the block's
 # temporaries (about ten arrays of _SCAN_BLOCK x n_grid doubles) stay near the
@@ -175,8 +177,8 @@ def classify_region(a: float, pi2: float) -> RegionLabel:
         raise DomainError("a must lie in [0, 1]")
     if not (0.0 < pi2 <= 0.5):
         raise DomainError("pi2 must lie in (0, 1/2]")
-    thermal = abs(a - pi2) <= BOUNDARY_ATOL
-    inversion = abs(a - 0.5) <= BOUNDARY_ATOL
+    thermal = abs(a - pi2) <= BOUNDARY_RTOL * pi2
+    inversion = abs(a - 0.5) <= BOUNDARY_RTOL * 0.5
     if thermal or inversion:
         region = "H"
     elif a < pi2:
@@ -235,7 +237,8 @@ def _peak_times(
     evaluated in blocks of _SCAN_BLOCK states through the shared QFI kernel.
     The closed-form dF/dt changes sign between the grid neighbours of each
     interior grid maximum; all peaks are bisected together on that sign down
-    to adjacent floats. Every element takes the same steps as a one-state scan.
+    to adjacent floats. Every element takes the same steps as a one-state scan,
+    so its peak is bit-identical to maximize_qfi_over_time on that state.
     """
     default = _default_t_max(spectrum, bath)
     if t_max is None:

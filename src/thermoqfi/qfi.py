@@ -55,7 +55,9 @@ def _qfi_terms(m: _QubitModel, a, mod2_0, t) -> _Terms:
 
     delta = 1 - e^{lam t} + (2/gamma) t lam^2 e^{lam t} (pi2 - a); the 1/gamma
     comes from d lam/d beta = -(2 lam^2/gamma) dpi2 and makes the trace a
-    function of gamma*t only. The total is
+    function of gamma*t only. lam^2/gamma is formed as (lam/gamma) lam, which
+    is of order gamma, so it neither underflows (gamma below about 1e-154)
+    nor overflows (above about 1e154) where lam^2 alone would. The total is
     g^2/D + 4 m (alpha^2 (1-p2) p2 - alpha (1-2 p2) g - g^2)/D with m = |rho12|^2.
     """
     t = np.asarray(t, dtype=float)
@@ -67,8 +69,8 @@ def _qfi_terms(m: _QubitModel, a, mod2_0, t) -> _Terms:
         decay = m.decay(t)
         p2 = m.p2(a, t)
         mod2 = mod2_0 * decay
-        alpha = -(m.lam**2) * t / m.gamma * m.dpi2
-        delta = -np.expm1(m.lam * t) + (2.0 / m.gamma) * m.lam**2 * t * decay * (m.pi2 - a)
+        alpha = -(m.lam / m.gamma * m.lam) * t * m.dpi2
+        delta = -np.expm1(m.lam * t) + 2.0 * (m.lam / m.gamma * m.lam) * t * decay * (m.pi2 - a)
         g = m.dpi2 * delta
         denom = (1.0 - p2) * p2 - mod2
         total = (
@@ -95,7 +97,7 @@ def _qfi_slope(m: _QubitModel, a, mod2_0, t) -> np.ndarray:
         decay = m.decay(t)
         dp2 = -m.lam * decay * (m.pi2 - a)
         dmod2 = m.lam * mod2
-        dalpha = -(m.lam**2) / m.gamma * m.dpi2
+        dalpha = -(m.lam / m.gamma * m.lam) * m.dpi2
         dg = -m.dpi2 * m.lam * (decay + 2.0 / m.gamma * (1.0 + m.lam * t) * dp2)
         w, v = 1.0 - 2.0 * p2, (1.0 - p2) * p2
         q = alpha**2 * v - alpha * w * g - g**2
@@ -299,8 +301,8 @@ def qubit_sld(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> SldM
     """Qubit SLD: the eigenbasis Lyapunov solution (sld_general) on the closed forms.
 
     rho(t) and d rho/d beta = [[-g, alpha rho12], [alpha rho12*, g]] come from
-    the closed-form kernel (g = d rho22/d beta); at a pure state (t=0, r=1)
-    the solver's support convention zeroes the unsupported pairs.
+    the closed-form kernel (g = d rho22/d beta). At t=0 nothing depends on
+    beta yet, so d rho/d beta and L vanish, pure start or not.
     """
     return _sld(*_qubit_point(init, spectrum, bath, t))
 
@@ -372,9 +374,9 @@ def trace_blocks(init: QubitInit, spectrum: Spectrum, bath: Bath, times, rows: i
     whole grid as one block. The kernel is elementwise, so the blocks carry
     the bits of one block on the whole grid. If any column overflows
     anywhere, this raises DomainError naming the grid's largest time before
-    any block is handed out. The check computes each block and drops it; the iterator
-    computes it again as it is consumed, so no array longer than rows is held
-    besides times itself.
+    any block is handed out. The check computes each block and drops it; the
+    iterator computes it again as it is consumed, so no array longer than
+    rows is held besides times itself.
     """
     model = _qubit_model_of(spectrum, bath)
     t = np.asarray(times, dtype=float)

@@ -538,8 +538,6 @@ class TestArgumentRules:
             # the default bracket (beta/4, 4 beta) reaches beta*omega = 800
             (["estimate", "--omega12", "1", "--beta", "200", "--gamma", "1", "--a", "0",
               "--t", "1"], "beta*omega <= 709"),
-            (["trace", "--omega12", "1", "--beta", "1", "--gamma", "1e200", "--a", "0.3",
-              "--points", "4"], "OverflowError"),
             (["estimate", *REF, "--a", "0", "--m-experiments", "0"], "m_experiments"),
             (["trace", "--omega12", "1", "--beta", "800", "--gamma", "1", "--a", "0.3"],
              "beta*omega <= 745"),
@@ -593,6 +591,24 @@ class TestArgumentRules:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert message in lines[0]
         assert "Traceback" not in err
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma", ["1e-200", "1e200"])
+    def test_extreme_gamma_trace_is_the_unit_gamma_trace_in_scaled_time(self, capsys, gamma):
+        # The trace depends on gamma*t alone: at gamma = 1e200 (where lam^2
+        # overflows) and 1e-200 (where it underflows) every column but t is
+        # the gamma = 1 column at the times gamma*t.
+        argv = ["trace", "--omega12", "1", "--beta", "1", "--gamma", gamma, "--a", "0.3",
+                "--r", "0.5", "--points", "64"]
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, err) == (0, "")
+        rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+        init = QubitInit(a=0.3, r=0.5)
+        unit = thermoqfi.Bath(beta=1.0, gamma=1.0)
+        scaled = rows[:, 0] * float(gamma)
+        [cols] = trace_blocks(init, thermoqfi.Spectrum.qubit(1.0), unit, scaled, len(scaled))
+        for k, name in enumerate(TRACE_COLUMNS[1:], 1):
+            np.testing.assert_allclose(rows[:, k], cols[name], rtol=1e-13, atol=0, err_msg=name)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -649,6 +665,16 @@ class TestOptimize:
         assert rows[0]["f_star"] == pytest.approx(0.27769162815121534, rel=1e-9)
         inverted = [row for row in rows if row["a"] == 1.0]
         assert inverted[0]["region"] == "I" and inverted[0]["asymptotic"]
+
+    def test_low_temperature_ground_state_is_cold(self, capsys):
+        # At beta*omega = 30, pi2 = 9.4e-14: a = 0 lies below pi2 by more than
+        # the relative boundary width, so it is region C, not the boundary.
+        rc, out, _ = run_cli(capsys, ["optimize", "--omega12", "1", "--beta", "30",
+                                      "--gamma", "1", "--a-steps", "3", "--r-steps", "1"])
+        assert rc == 0
+        [ground] = [row for row in json.loads(out)["rows"] if row["a"] == 0.0]
+        assert ground["region"] == "C"
+        assert not ground["thermal_boundary"]
 
 
 class TestEstimate:

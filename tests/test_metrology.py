@@ -17,6 +17,7 @@ from thermoqfi import (
     EstimatorUndefinedError,
     QfiTrace,
     QubitInit,
+    RegionLabel,
     Scenario,
     Spectrum,
     classical_fisher_information,
@@ -158,6 +159,15 @@ class TestRegionClassification:
             classify_region(0.3, 0.7)
         with pytest.raises(DomainError):
             classify_region(0.3, 0.0)
+
+    def test_boundaries_are_relative(self):
+        # At beta*omega = 30, pi2 = 9.4e-14 lies below an absolute 1e-12:
+        # the ground state is still region C, not the thermal boundary.
+        pi2 = 1.0 / (1.0 + math.exp(30.0))
+        assert classify_region(0.0, pi2) == RegionLabel(region="C")
+        assert classify_region(pi2 * (1.0 + 1e-13), pi2).thermal_boundary
+        assert classify_region(0.5 - 4e-13, 0.25).inversion_boundary
+        assert not classify_region(0.5 - 1e-12, 0.25).inversion_boundary
 
 
 class TestBisect:
@@ -340,6 +350,21 @@ class TestOptimizeInitialState:
         assert rows[0].f_star == rows[1].f_star
         assert rows[0].f_star == pytest.approx(0.27769162815121534, rel=1e-10)
         assert rows[0].region.region == "C"
+
+    @pytest.mark.parametrize("gamma", [1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300])
+    def test_peaks_depend_on_gamma_t_alone(self, gamma):
+        s = reference_scenario()
+        unit = {(row.a, row.r): row for row in optimize_initial_state(
+            s.spectrum, s.bath, a_steps=11, r_steps=3)}
+        rows = optimize_initial_state(
+            s.spectrum, Bath(beta=s.bath.beta, gamma=gamma), a_steps=11, r_steps=3
+        )
+        assert any(not row.asymptotic for row in rows)
+        for row in rows:
+            ref = unit[(row.a, row.r)]
+            assert row.asymptotic == ref.asymptotic
+            assert row.t_star * gamma == pytest.approx(ref.t_star, rel=1e-13)
+            assert row.f_star == pytest.approx(ref.f_star, rel=1e-13)
 
     def test_thermal_boundary_row_flagged(self):
         s = reference_scenario()

@@ -362,6 +362,22 @@ class TestQfiValues:
             qfi_values(QubitInit(a=0.1), SPECTRUM, BATH, [0.5, bad])
 
 
+class TestScaledTime:
+    @pytest.mark.parametrize("gamma", [1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300])
+    def test_qfi_depends_on_gamma_t_alone(self, gamma):
+        # F(gamma, t) = F(1, gamma t): lam^2/gamma neither underflows (small
+        # gamma) nor overflows (large gamma) on the way.
+        rng = np.random.default_rng(47)
+        for _ in range(20):
+            s = random_scenario(rng)
+            unit = Bath(beta=s.bath.beta, gamma=1.0)
+            scaled = np.linspace(0.0, 10.0 / abs(s.relaxation_rate / s.bath.gamma), 33)
+            expected = qfi_values(s.init, s.spectrum, unit, scaled)
+            actual = qfi_values(s.init, s.spectrum, Bath(beta=s.bath.beta, gamma=gamma),
+                                scaled / gamma)
+            np.testing.assert_allclose(actual, expected, rtol=1e-13, atol=0)
+
+
 class TestTraceBlocks:
     @pytest.mark.parametrize("rows", [1, 7, 64, 100, 101])
     def test_blocks_carry_the_whole_grid_bits(self, rows):
