@@ -29,10 +29,10 @@ _EXPORTS = {
         "NoStationaryStateError",
     ),
     "metrology": (
-        "CramerRaoReport", "EstimationRun", "MleResult", "OptimalTime", "QfiTrace",
-        "RegionLabel", "Scenario", "StateRanking", "classical_fisher_information",
-        "classify_region", "cramer_rao_report", "maximize_qfi_over_time", "mle_beta",
-        "optimize_initial_state", "qfi_trace", "simulate_measurements",
+        "CramerRaoReport", "EstimationRun", "MleResult", "OptimalTime", "RegionLabel",
+        "Scenario", "StateRanking", "classical_fisher_information", "classify_region",
+        "cramer_rao_report", "maximize_qfi_over_time", "mle_beta", "optimize_initial_state",
+        "simulate_measurements",
     ),
     "qfi": (
         "DerivativeBundle", "QfiResult", "SldMatrix", "beta_derivative_qubit",

@@ -49,7 +49,7 @@ from .dynamics import (
     qubit_relaxation_rate,
 )
 from .errors import DomainError, EstimatorUndefinedError, ModelIntegrityError
-from .qfi import qfi_values, qubit_qfi, thermal_qfi, trace_blocks
+from .qfi import qfi_values, thermal_qfi, trace_blocks
 from .spectrum import Bath, Spectrum
 
 SCHEMA_VERSION = "1"
@@ -566,48 +566,30 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    from .metrology import Scenario, _check_run, cramer_rao_report, maximize_qfi_over_time
+    from .metrology import Scenario, cramer_rao_report
 
     spectrum = _resolve_spectrum(args)
     bath = _resolve_bath(args, spectrum)
     init = _resolve_init(args)
-    scenario = Scenario(spectrum=spectrum, bath=bath, init=init)
     m_experiments, replicas, seed = args.m_experiments, args.replicas, args.seed
-    _check_run(m_experiments, replicas, seed)
-    if args.t is not None:
-        t = _finite(args.t, "--t")
-    else:
-        best = maximize_qfi_over_time(scenario)
-        t = best.t_star
-    bound_only = init.r != 0.0
-    if bound_only:
-        f_quantum = qubit_qfi(init, spectrum, bath, t).total
-        results = {
-            "measurement_time": t,
-            "f_classical": None,
-            "f_quantum": f_quantum,
-            "bound": 1.0 / (m_experiments * f_quantum) if f_quantum > 0 else None,
-            "variance": None,
-            "ratio": None,
-            "clamped_count": None,
-            "no_information": not (f_quantum > 0),
-            "bound_only": True,
-        }
-    else:
-        report = cramer_rao_report(
-            scenario, t=t, m_experiments=m_experiments, n_replicas=replicas, seed=seed
-        )
-        results = {
-            "measurement_time": t,
-            "f_classical": report.f_classical,
-            "f_quantum": report.f_quantum,
-            "bound": report.bound,
-            "variance": None if report.run is None else report.run.variance,
-            "ratio": report.ratio,
-            "clamped_count": report.clamped_count,
-            "no_information": report.no_information,
-            "bound_only": False,
-        }
+    report = cramer_rao_report(
+        Scenario(spectrum=spectrum, bath=bath, init=init),
+        t=None if args.t is None else _finite(args.t, "--t"),
+        m_experiments=m_experiments,
+        n_replicas=replicas,
+        seed=seed,
+    )
+    results = {
+        "measurement_time": report.measurement_time,
+        "f_classical": report.f_classical,
+        "f_quantum": report.f_quantum,
+        "bound": report.bound,
+        "variance": None if report.run is None else report.run.variance,
+        "ratio": report.ratio,
+        "clamped_count": report.clamped_count,
+        "no_information": report.no_information,
+        "bound_only": report.bound_only,
+    }
     if args.format == "csv":
         columns = [[results[name]] for name in ESTIMATE_COLUMNS]
         _emit_csv(ESTIMATE_COLUMNS, _blocks(columns), args.out)

@@ -264,7 +264,9 @@ def _qubit_model(omega: float, beta, gamma: float) -> _QubitModel:
 
     Supports MIN_BETA_OMEGA <= beta*omega <= MAX_GIBBS_BETA_OMEGA and raises
     DomainError outside: below, both populations round to about 1/2; above,
-    the Gibbs weight underflows to zero. beta may be an array (the MLE inverts
+    the Gibbs weight underflows to zero. It also raises DomainError where
+    lam = gamma/(pi2 - pi1) overflows (gamma near the largest double), without
+    a numpy warning. beta may be an array (the MLE inverts
     many counts at once); the model's pi2, lam and dpi2 are then arrays of the
     same shape, elementwise bitwise equal to the scalar models.
 
@@ -290,7 +292,13 @@ def _qubit_model(omega: float, beta, gamma: float) -> _QubitModel:
         gap = np.where(hot, -np.tanh(x / 2.0), gap)
     elif hot:
         gap = -np.tanh(x / 2.0)
-    lam = gamma / gap
+    with np.errstate(over="ignore"):
+        lam = gamma / gap
+    if not np.isfinite(lam).all():
+        raise DomainError(
+            f"gamma = {gamma:g} is too large: the relaxation rate gamma/(pi2 - pi1) "
+            "overflows double precision"
+        )
     dpi2 = -(1.0 - pi2) * pi2 * omega
     if batch:
         return _QubitModel(omega, gamma, pi2, lam, dpi2)
@@ -310,7 +318,13 @@ def qubit_relaxation_rate(spectrum: Spectrum, bath: Bath) -> float:
 
 def _default_t_max(spectrum: Spectrum, bath: Bath) -> float:
     """The default time window 20/|lambda|: twenty relaxation times of the qubit."""
-    return 20.0 / abs(qubit_relaxation_rate(spectrum, bath))
+    t_max = 20.0 / abs(qubit_relaxation_rate(spectrum, bath))
+    if not math.isfinite(t_max):
+        raise DomainError(
+            f"gamma = {bath.gamma:g} is too small: the default time window 20/|lambda| "
+            "overflows double precision"
+        )
+    return t_max
 
 
 def qubit_state(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> DensityMatrix:
@@ -489,37 +503,35 @@ def gamma_from_tau_tilde(tau_tilde: float, omega12: float) -> float:
     return tau_tilde * omega12 / 2.0
 
 
-def gad_master_comparison(
-    n12: float, tau_tilde: float, omega12: float, a0: float = 0.0
-) -> dict:
+def gad_master_comparison(n12: float, tau_tilde: float, omega12: float) -> dict:
     """Populations after the channel vs the relaxation model at matched exponent.
 
     The channel at duration tau_tilde has relaxation exponent (1+n12)*tau_tilde;
     the matched master-equation time solves |lambda| t = (1+n12)*tau_tilde under
     the mapping gamma = tau_tilde*omega12/2. Returns both excited populations
-    and their relative difference, starting from populations (1-a0, a0).
+    and their relative difference, starting from the ground state (a0 = 0).
     """
     ch = gad_params(n12, tau_tilde)
-    rho0 = DensityMatrix.from_populations([1.0 - a0, a0])
+    rho0 = DensityMatrix.from_populations([1.0, 0.0])
     p2_gad = gad_apply(ch, rho0).rho22
 
     beta = beta_from_thermal_ratio(n12, omega12)
     gamma = gamma_from_tau_tilde(tau_tilde, omega12) if tau_tilde > 0 else None
     if gamma is None:
-        p2_master = a0
+        p2_master = 0.0
         t_compare = 0.0
         lam = 0.0
     else:
         model = _qubit_model(omega12, beta, gamma)
         lam = model.lam
         t_compare = (1.0 + n12) * tau_tilde / abs(lam)
-        p2_master = float(model.p2(a0, t_compare))
+        p2_master = float(model.p2(0.0, t_compare))
     rel_diff = abs(p2_gad - p2_master) / max(abs(p2_master), 1e-300)
     return {
         "n12": n12,
         "tau_tilde": tau_tilde,
         "omega12": omega12,
-        "a0": a0,
+        "a0": 0.0,
         "beta": beta,
         "gamma": gamma if gamma is not None else 0.0,
         "lambda": lam,

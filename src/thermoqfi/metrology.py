@@ -1,17 +1,18 @@
-"""Estimation-protocol layer: traces, optimal probing times, and saturation runs.
+"""Estimation-protocol layer: optimal probing times, state ranking, Cramer-Rao reports.
 
 Everything here treats the evolved qubit as a thermometer for the inverse
-bath temperature: QFI traces over time, the optimal measurement time as a
-root of dF/dt, ranking of initial states, region classification of the
-initial excited-state population, and a binomial Monte-Carlo check that the
-maximum-likelihood estimator saturates the Cramer-Rao bound. One bisection,
-_bisect, serves both the peak times and the estimator.
+bath temperature: the optimal measurement time as a root of dF/dt, ranking
+of initial states, region classification of the initial excited-state
+population, and the Cramer-Rao report of every initial state (for a diagonal
+start, a binomial Monte-Carlo check that the maximum-likelihood estimator
+saturates the bound). One bisection, _bisect, serves both the peak times and
+the estimator.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,7 +31,6 @@ from .qfi import (
     _qubit_point,
     diagonal_qfi,
     qfi_values,
-    qubit_qfi,
     thermal_qfi,
 )
 from .spectrum import MAX_EXP_BETA_OMEGA, Bath, Spectrum, _readonly
@@ -116,45 +116,6 @@ class Scenario:
     @property
     def default_t_max(self) -> float:
         return _default_t_max(self.spectrum, self.bath)
-
-
-@dataclass(frozen=True)
-class QfiTrace:
-    """QFI sampled on a strictly increasing time grid, with its asymptote."""
-
-    times: np.ndarray
-    values: np.ndarray
-    asymptote: float
-    normalized: np.ndarray = field(init=False)
-
-    def __post_init__(self) -> None:
-        t = np.asarray(self.times, dtype=float)
-        v = np.asarray(self.values, dtype=float)
-        if t.ndim != 1 or t.size < 2 or v.shape != t.shape:
-            raise DomainError("trace needs matching 1-d time and value arrays")
-        if t[0] < 0 or np.any(np.diff(t) <= 0):
-            raise DomainError("times must be nonnegative and strictly increasing")
-        if not np.all(np.isfinite(v)) or np.any(v < -1e-12):
-            raise DomainError("QFI values must be finite and nonnegative")
-        if t[0] == 0.0 and abs(v[0]) > 1e-14:
-            raise DomainError("QFI at t=0 must vanish")
-        if not (self.asymptote > 0 and math.isfinite(self.asymptote)):
-            raise DomainError("asymptote must be a positive finite number")
-        object.__setattr__(self, "times", _readonly(t))
-        object.__setattr__(self, "values", _readonly(v))
-        object.__setattr__(self, "normalized", _readonly(v / self.asymptote))
-
-
-def qfi_trace(scenario: Scenario, t_max: float | None = None, n_points: int = 2048) -> QfiTrace:
-    if t_max is None:
-        t_max = scenario.default_t_max
-    if not (t_max > 0 and math.isfinite(t_max)):
-        raise DomainError("t_max must be positive and finite")
-    if n_points < 2:
-        raise DomainError("n_points must be at least 2")
-    times = np.linspace(0.0, t_max, n_points)
-    values = qfi_values(scenario.init, scenario.spectrum, scenario.bath, times)
-    return QfiTrace(times=times, values=values, asymptote=scenario.asymptote)
 
 
 @dataclass(frozen=True)
@@ -559,15 +520,23 @@ def _check_run(m_experiments: int, n_replicas: int, seed) -> None:
 
 @dataclass(frozen=True)
 class CramerRaoReport:
-    """Monte-Carlo saturation check of the classical Cramer-Rao bound."""
+    """The Cramer-Rao chain Var(beta_hat) >= 1/(M F_C) >= 1/(M F_Q) at one time.
 
+    For a diagonal start the report carries a Monte-Carlo saturation run of
+    the binomial MLE against 1/(M F_C). For a coherent start (bound_only) the
+    population measurement no longer attains F_Q, so only the quantum bound
+    1/(M F_Q) is reported and run, f_classical, ratio and clamped_count are None.
+    """
+
+    measurement_time: float
     run: EstimationRun | None
-    f_classical: float
+    f_classical: float | None
     f_quantum: float
     bound: float | None
     ratio: float | None
-    clamped_count: int
+    clamped_count: int | None
     no_information: bool
+    bound_only: bool
 
 
 def cramer_rao_report(
@@ -578,32 +547,46 @@ def cramer_rao_report(
     seed: int = 0,
     bracket: tuple[float, float] | None = None,
 ) -> CramerRaoReport:
-    """Variance of the binomial MLE against 1/(M F) over seeded replicas.
+    """The Cramer-Rao report of any initial state; t defaults to the QFI peak.
 
-    Only diagonal initial states qualify: for r = 0 the population measurement
-    is the optimal one (classical Fisher information equals the QFI), so the
-    saturation claim is meaningful. Replica i draws exactly the count that
-    np.random.default_rng([seed, i]) would draw, so the report is
-    deterministic for a fixed seed; seed must be an integer >= 0 and
-    n_replicas at most 2**32 (one 32-bit entropy word per replica index). The
-    streams are seeded without constructing a generator per replica (see
-    _replica_counts). The estimate depends on the count alone, so the distinct
-    counts (a few hundred cover tens of thousands of replicas) are bisected
-    together, once each, and shared by every replica that drew them.
+    The run settings are checked first, for every state. For r = 0 the
+    population measurement is the optimal one (classical Fisher information
+    equals the QFI), so the variance of the binomial MLE over seeded replicas
+    is compared with 1/(M F). For r != 0 the report is bound-only: the bound
+    is 1/(M F_Q), or None where F_Q is not positive, and nothing is drawn.
+
+    Replica i draws exactly the count that np.random.default_rng([seed, i])
+    would draw, so the report is deterministic for a fixed seed; seed must be
+    an integer >= 0 and n_replicas at most 2**32 (one 32-bit entropy word per
+    replica index). The streams are seeded without constructing a generator
+    per replica (see _replica_counts). The estimate depends on the count
+    alone, so the distinct counts (a few hundred cover tens of thousands of
+    replicas) are bisected together, once each, and shared by every replica
+    that drew them.
     """
-    if scenario.init.r != 0.0:
-        raise DomainError(
-            "saturation analysis requires r = 0; for coherent states report "
-            "the bound only"
-        )
     _check_run(m_experiments, n_replicas, seed)
     if t is None:
-        best = maximize_qfi_over_time(scenario)
-        t = best.t_star
+        t = maximize_qfi_over_time(scenario).t_star
+    if t < 0:
+        raise DomainError("t must be nonnegative")
+    f_quantum = float(qfi_values(scenario.init, scenario.spectrum, scenario.bath, t))
+    if scenario.init.r != 0.0:
+        informative = f_quantum > 0.0
+        return CramerRaoReport(
+            measurement_time=float(t),
+            run=None,
+            f_classical=None,
+            f_quantum=f_quantum,
+            bound=1.0 / (m_experiments * f_quantum) if informative else None,
+            ratio=None,
+            clamped_count=None,
+            no_information=not informative,
+            bound_only=True,
+        )
     f_classical = classical_fisher_information(scenario, t)
-    f_quantum = qubit_qfi(scenario.init, scenario.spectrum, scenario.bath, t).total
     if not (f_classical > 0.0) or not math.isfinite(f_classical):
         return CramerRaoReport(
+            measurement_time=float(t),
             run=None,
             f_classical=f_classical,
             f_quantum=f_quantum,
@@ -611,6 +594,7 @@ def cramer_rao_report(
             ratio=None,
             clamped_count=0,
             no_information=True,
+            bound_only=False,
         )
     beta_true = scenario.bath.beta
     if bracket is None:
@@ -630,13 +614,14 @@ def cramer_rao_report(
         beta_hats=estimates,
         variance=variance,
     )
-    bound = 1.0 / (m_experiments * f_classical)
     return CramerRaoReport(
+        measurement_time=float(t),
         run=run,
         f_classical=f_classical,
         f_quantum=f_quantum,
-        bound=bound,
+        bound=1.0 / (m_experiments * f_classical),
         ratio=variance * m_experiments * f_classical,
         clamped_count=clamped,
         no_information=False,
+        bound_only=False,
     )

@@ -63,10 +63,10 @@ class Spectrum:
         return self.energies[j - 1] - self.energies[i - 1]
 
     @classmethod
-    def qubit(cls, omega12: float, ground: float = 0.0) -> "Spectrum":
+    def qubit(cls, omega12: float) -> "Spectrum":
         if omega12 <= 0:
             raise DomainError("qubit gap must be positive")
-        return cls((ground, ground + omega12))
+        return cls((0.0, omega12))
 
 
 @dataclass(frozen=True)

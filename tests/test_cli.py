@@ -572,6 +572,20 @@ class TestArgumentRules:
              "m_experiments must be a positive integer"),
             (["estimate", *REF, "--a", "0.1", "--r", "1", "--t", "1", "--seed", "-1",
               "--replicas", "-5"], "n_replicas must be at least 2"),
+            # lambda = gamma/(pi2 - pi1) overflows, or the window 20/|lambda| does,
+            # with no numpy warning before the error line
+            *[
+                ([command, "--omega12", "1", "--beta", "1", "--gamma", gamma, *state], message)
+                for gamma, message in (
+                    ("1.7e308", "gamma = 1.7e+308 is too large"),
+                    ("1e-310", "gamma = 1e-310 is too small"),
+                )
+                for command, state in (
+                    ("trace", ["--a", "0.3"]),
+                    ("optimize", []),
+                    ("estimate", ["--a", "0.3"]),
+                )
+            ],
             # a grid of 745 GiB, refused by the allocator before any memory is used
             (["trace", "--omega12", "1", "--beta", "1", "--gamma", "1", "--a", "0",
               "--points", "100000000000"], "trace needs more memory than is available"),
@@ -724,6 +738,40 @@ class TestEstimate:
         assert results["bound"] == pytest.approx(
             1.0 / (10000 * 0.2666432038557697), rel=1e-12
         )
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            ["--a", "0", "--replicas", "50", "--m-experiments", "500", "--seed", "7"],
+            ["--a", "0.1", "--r", "0.6", "--phi", "0.4", "--m-experiments", "500"],
+        ],
+        ids=["population", "coherent"],
+    )
+    def test_results_are_the_report_fields(self, capsys, state):
+        argv = ["estimate", *REF, *state]
+        args = build_parser().parse_args(argv)
+        report = thermoqfi.cramer_rao_report(
+            Scenario.qubit(args.omega12, args.beta, args.gamma, args.a, args.r, args.phi),
+            m_experiments=args.m_experiments,
+            n_replicas=args.replicas,
+            seed=args.seed,
+        )
+        expected = {
+            name: getattr(report, name) for name in ESTIMATE_COLUMNS if name != "variance"
+        }
+        expected["variance"] = None if report.run is None else report.run.variance
+        assert expected["bound_only"] == (args.r != 0.0)
+        rc, out, _ = run_cli(capsys, argv)
+        assert rc == 0
+        assert json.loads(out)["results"] == expected
+        rc, out, _ = run_cli(capsys, [*argv, "--format", "csv"])
+        assert rc == 0
+        assert out.splitlines()[1].split(",") == [_cell(expected[n]) for n in ESTIMATE_COLUMNS]
+
+    @pytest.mark.parametrize("state", [["--a", "0"], ["--a", "0.1", "--r", "1"]])
+    def test_negative_time_is_rejected_on_both_paths(self, capsys, state):
+        rc, out, err = run_cli(capsys, ["estimate", *REF, *state, "--t", "-1"])
+        assert (rc, out, err) == (2, "", "error: t must be nonnegative\n")
 
     def test_no_information_at_zero_time(self, capsys):
         rc, out, _ = run_cli(

@@ -15,7 +15,6 @@ from thermoqfi import (
     DomainError,
     EstimationRun,
     EstimatorUndefinedError,
-    QfiTrace,
     QubitInit,
     RegionLabel,
     Scenario,
@@ -26,7 +25,6 @@ from thermoqfi import (
     maximize_qfi_over_time,
     mle_beta,
     optimize_initial_state,
-    qfi_trace,
     qfi_values,
     qubit_qfi,
     simulate_measurements,
@@ -83,54 +81,6 @@ class TestScenario:
                 bath=Bath(beta=1.0, gamma=1.0),
                 init=QubitInit(a=0.0),
             )
-
-
-class TestQfiTrace:
-    def test_shapes_and_normalization(self):
-        s = reference_scenario(a=0.1, r=1.0)
-        trace = qfi_trace(s, n_points=128)
-        assert trace.times.shape == (128,)
-        assert trace.times[0] == 0.0
-        assert trace.times[-1] == pytest.approx(s.default_t_max)
-        np.testing.assert_allclose(
-            trace.normalized, trace.values / s.asymptote, rtol=0, atol=0
-        )
-
-    def test_normalized_is_derived_not_passed(self):
-        trace = QfiTrace(times=np.array([0.0, 1.0]), values=np.array([0.0, 3.0]), asymptote=2.0)
-        assert trace.normalized.tolist() == [0.0, 1.5]
-        with pytest.raises(TypeError):
-            QfiTrace(
-                times=np.array([0.0, 1.0]),
-                values=np.array([0.0, 3.0]),
-                asymptote=2.0,
-                normalized=np.array([0.0, 9.0]),
-            )
-
-    def test_validation(self):
-        with pytest.raises(DomainError, match="strictly increasing"):
-            QfiTrace(times=np.array([0.0, 1.0, 1.0]), values=np.zeros(3), asymptote=1.0)
-        with pytest.raises(DomainError, match="matching"):
-            QfiTrace(times=np.array([0.0, 1.0]), values=np.zeros(3), asymptote=1.0)
-        with pytest.raises(DomainError, match="finite and nonnegative"):
-            QfiTrace(
-                times=np.array([0.0, 1.0]), values=np.array([0.0, -1.0]), asymptote=1.0
-            )
-        with pytest.raises(DomainError, match="t=0 must vanish"):
-            QfiTrace(
-                times=np.array([0.0, 1.0]), values=np.array([0.5, 1.0]), asymptote=1.0
-            )
-        with pytest.raises(DomainError, match="asymptote"):
-            QfiTrace(
-                times=np.array([0.0, 1.0]), values=np.array([0.0, 1.0]), asymptote=0.0
-            )
-
-    def test_rejects_bad_window(self):
-        s = reference_scenario()
-        with pytest.raises(DomainError):
-            qfi_trace(s, t_max=-1.0)
-        with pytest.raises(DomainError):
-            qfi_trace(s, n_points=1)
 
 
 class TestRegionClassification:
@@ -567,9 +517,42 @@ class TestEstimationRun:
 
 
 class TestCramerRao:
-    def test_requires_population_state(self):
-        with pytest.raises(DomainError, match="r = 0"):
-            cramer_rao_report(reference_scenario(a=0.1, r=1.0))
+    @pytest.mark.parametrize("t", [None, 0.0, 1.0, 3.7])
+    def test_coherent_state_reports_the_quantum_bound_only(self, monkeypatch, t):
+        # r != 0: the population measurement no longer attains F_Q, so the
+        # report carries 1/(M F_Q) alone and draws nothing.
+        monkeypatch.setattr(metrology, "_replica_counts", _must_not_draw)
+        s = reference_scenario(a=0.1, r=0.6, phi=0.4)
+        report = cramer_rao_report(s, t=t, m_experiments=500, n_replicas=10)
+        t_used = maximize_qfi_over_time(s).t_star if t is None else t
+        f_quantum = qubit_qfi(s.init, s.spectrum, s.bath, t_used).total
+        assert report.bound_only
+        assert report.run is None and report.f_classical is None
+        assert report.ratio is None and report.clamped_count is None
+        assert report.measurement_time == t_used
+        assert report.f_quantum == f_quantum  # bit for bit
+        if t == 0.0:
+            assert report.no_information and report.bound is None
+        else:
+            assert not report.no_information
+            assert report.bound == 1.0 / (500 * f_quantum)
+
+    def test_coherent_state_checks_the_run_first(self, monkeypatch):
+        monkeypatch.setattr(metrology, "maximize_qfi_over_time", _must_not_draw)
+        s = reference_scenario(a=0.1, r=1.0)
+        with pytest.raises(DomainError, match="m_experiments must be a positive integer"):
+            cramer_rao_report(s, m_experiments=0)
+        with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
+            cramer_rao_report(s, seed=-1)
+        with pytest.raises(DomainError, match="^t must be nonnegative$"):
+            cramer_rao_report(s, t=-1.0)
+
+    def test_population_state_is_not_bound_only(self):
+        report = cramer_rao_report(
+            reference_scenario(), t=1.0, m_experiments=100, n_replicas=10, seed=2
+        )
+        assert not report.bound_only
+        assert report.measurement_time == report.run.measurement_time == 1.0
 
     def test_small_run_saturates(self):
         report = cramer_rao_report(
