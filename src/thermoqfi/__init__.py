@@ -19,25 +19,24 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "dynamics": (
         "DensityMatrix", "GadChannel", "QubitInit", "beta_from_thermal_ratio",
-        "coherence_decay_rate", "evolve_state", "evolve_state_derivative", "gad_apply",
-        "gad_fixed_point", "gad_kraus_operators", "gad_master_comparison", "gad_params",
+        "coherence_decay_rate", "evolve_state_derivative", "gad_apply", "gad_fixed_point",
+        "gad_kraus_operators", "gad_master_comparison", "gad_params",
         "gad_stationary_diagnostic", "gamma_from_tau_tilde", "propagate_coherence",
-        "propagate_populations", "qubit_relaxation_rate", "qubit_state",
+        "qubit_relaxation_rate",
     ),
     "errors": (
         "DomainError", "EstimatorUndefinedError", "ModelIntegrityError",
         "NoStationaryStateError",
     ),
     "metrology": (
-        "CramerRaoReport", "EstimationRun", "MleResult", "OptimalTime", "RegionLabel",
-        "Scenario", "StateRanking", "classical_fisher_information", "classify_region",
-        "cramer_rao_report", "maximize_qfi_over_time", "mle_beta", "optimize_initial_state",
-        "simulate_measurements",
+        "CramerRaoReport", "EstimationRun", "OptimalTime", "RegionLabel", "Scenario",
+        "StateRanking", "classical_fisher_information", "classify_region",
+        "cramer_rao_report", "maximize_qfi_over_time", "optimize_initial_state",
     ),
     "qfi": (
         "DerivativeBundle", "QfiResult", "SldMatrix", "beta_derivative_qubit",
-        "diagonal_qfi", "qfi_decomposition", "qfi_values", "qubit_qfi", "qubit_sld",
-        "sld_general", "thermal_population_derivative", "thermal_qfi",
+        "diagonal_qfi", "qfi_decomposition", "qfi_values", "qubit_qfi", "sld_general",
+        "thermal_population_derivative", "thermal_qfi",
     ),
     "spectrum": (
         "Bath", "RateMatrix", "SpectralReport", "Spectrum", "ThermalDistribution",

@@ -23,8 +23,6 @@ from .spectrum import (
     Bath,
     RateMatrix,
     Spectrum,
-    TransitionMatrix,
-    _as_generator,
     _gibbs_underflow,
     _readonly,
     rate_matrix,
@@ -67,11 +65,6 @@ class QubitInit:
             object.__setattr__(self, "r", 0.0)
 
     @property
-    def theta(self) -> float:
-        """Bloch polar angle theta = 2*arcsin(sqrt(a)), in [0, pi]."""
-        return 2.0 * math.asin(math.sqrt(self.a))
-
-    @property
     def rho12_0(self) -> complex:
         return math.sqrt((1.0 - self.a) * self.a) * self.r * cmath.exp(1j * self.phi)
 
@@ -92,6 +85,8 @@ class DensityMatrix:
         m = np.asarray(self.elements, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise DomainError("state must be a square matrix")
+        if not np.all(np.isfinite(m)):
+            raise DomainError("state must be finite")
         if np.max(np.abs(m - m.conj().T)) > 1e-12:
             raise DomainError("state must be Hermitian within 1e-12")
         if abs(np.trace(m).real - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
@@ -123,12 +118,6 @@ class DensityMatrix:
         if self.n_levels != 2:
             raise DomainError("rho22 is defined for qubits only")
         return float(self.elements[1, 1].real)
-
-    @property
-    def rho12(self) -> complex:
-        if self.n_levels != 2:
-            raise DomainError("rho12 is defined for qubits only")
-        return complex(self.elements[0, 1])
 
     @classmethod
     def from_populations(cls, p) -> "DensityMatrix":
@@ -168,28 +157,6 @@ def _eigendecompose(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     values[np.argmin(np.abs(values))] = 0.0
     return values, vectors
-
-
-def propagate_populations(
-    a: TransitionMatrix | np.ndarray, p0, t: float
-) -> np.ndarray:
-    """Populations exp(A t) p0 via eigendecomposition of the generator.
-
-    A defective or ill-conditioned generator raises DomainError (see
-    _eigendecompose). The result is clipped of negative rounding dust and
-    renormalized to unit sum.
-    """
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    mat = _as_generator(a)
-    p0 = np.asarray(p0, dtype=float)
-    if p0.ndim != 1 or p0.size != mat.shape[0]:
-        raise DomainError("p0 must be a vector matching the generator size")
-    if np.any(p0 < -1e-12) or abs(math.fsum(p0) - 1.0) > 1e-9:
-        raise DomainError("p0 must be a probability vector")
-    if t == 0.0:
-        return p0.copy()
-    return _propagate(*_eigendecompose(mat), p0, t)
 
 
 def _propagate(values: np.ndarray, vectors: np.ndarray, p0: np.ndarray, t: float) -> np.ndarray:
@@ -327,29 +294,6 @@ def _default_t_max(spectrum: Spectrum, bath: Bath) -> float:
     return t_max
 
 
-def qubit_state(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> DensityMatrix:
-    """Closed-form evolved qubit state.
-
-    Populations relax toward the thermal pair at rate |lambda|; the coherence
-    decays at |lambda|/2 while rotating at the gap frequency.
-    """
-    model = _qubit_model_of(spectrum, bath)
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    p2 = float(model.p2(init.a, t))
-    rho12 = complex(model.rho12(init.rho12_0, t))
-    return DensityMatrix(
-        elements=np.array([[1.0 - p2, rho12], [rho12.conjugate(), p2]])
-    )
-
-
-def _checked_state(rho0: DensityMatrix | np.ndarray, spectrum: Spectrum) -> DensityMatrix:
-    state = as_state(rho0)
-    if state.n_levels != spectrum.n_levels:
-        raise DomainError("state size must match the spectrum")
-    return state
-
-
 def _with_coherences(
     p: np.ndarray, state: DensityMatrix, spectrum: Spectrum, rates: RateMatrix, t: float
 ) -> DensityMatrix:
@@ -365,18 +309,14 @@ def _with_coherences(
     return DensityMatrix(elements=out)
 
 
-def evolve_state(rho0: DensityMatrix | np.ndarray, spectrum: Spectrum, bath: Bath, t: float) -> DensityMatrix:
-    """Evolve an N-level state: populations through the generator, coherences pairwise."""
-    state = _checked_state(rho0, spectrum)
-    rates = rate_matrix(spectrum, bath)
-    p = propagate_populations(transition_matrix(rates), state.populations, t)
-    return _with_coherences(p, state, spectrum, rates, t)
-
-
 def evolve_state_derivative(
     rho0: DensityMatrix | np.ndarray, spectrum: Spectrum, bath: Bath, t: float
 ) -> tuple[DensityMatrix, np.ndarray]:
-    """evolve_state's rho(t) and the exact partial derivative d rho(t)/d beta at fixed rho0.
+    """The evolved N-level state rho(t) and its exact derivative d rho(t)/d beta at fixed rho0.
+
+    The populations propagate through the generator's eigendecomposition
+    (_eigendecompose rejects a defective one), each coherence pairwise. The
+    time must be finite and nonnegative.
 
     A pair's rates g_ij = gamma (n+1) and g_ji = gamma n both move by
     gamma dn/d beta = -omega gamma n (n+1) = -omega g_ij g_ji/gamma: that is A' = dA/d beta.
@@ -388,11 +328,15 @@ def evolve_state_derivative(
     is 0 because 1^T A' = 0; it is zeroed exactly, since its rounding would
     otherwise grow like t. Each coherence gives d rho_ij = -t c'_ij rho_ij(t).
     """
-    state = _checked_state(rho0, spectrum)
+    state = as_state(rho0)
+    if state.n_levels != spectrum.n_levels:
+        raise DomainError("state size must match the spectrum")
+    if not math.isfinite(t):
+        raise DomainError("t must be finite")
     if t < 0:
         raise DomainError("t must be nonnegative")
     rates = rate_matrix(spectrum, bath)
-    values, vectors = _eigendecompose(_as_generator(transition_matrix(rates)))
+    values, vectors = _eigendecompose(transition_matrix(rates).a)
     p0 = state.populations
     p = p0.copy() if t == 0.0 else _propagate(values, vectors, p0, t)
     rho = _with_coherences(p, state, spectrum, rates, t)

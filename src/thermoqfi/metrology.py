@@ -102,10 +102,6 @@ class Scenario:
         return _qubit_model_of(self.spectrum, self.bath)
 
     @property
-    def pi2(self) -> float:
-        return self._model.pi2
-
-    @property
     def relaxation_rate(self) -> float:
         return qubit_relaxation_rate(self.spectrum, self.bath)
 
@@ -312,17 +308,6 @@ def classical_fisher_information(scenario: Scenario, t: float) -> float:
     return diagonal_qfi([1.0 - terms.p2, terms.p2], [-terms.g, terms.g])
 
 
-def simulate_measurements(scenario: Scenario, t: float, m_experiments: int, seed) -> int:
-    """Draw the excited-outcome count of m population measurements at time t."""
-    if m_experiments < 1:
-        raise DomainError("m_experiments must be a positive integer")
-    if t < 0:
-        raise DomainError("t must be nonnegative")
-    p2 = min(1.0, max(0.0, float(scenario._model.p2(scenario.init.a, t))))
-    rng = np.random.default_rng(seed)
-    return int(rng.binomial(m_experiments, p2))
-
-
 def _seed_hashmix(value: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:
     value = value ^ np.uint32(hash_const)
     hash_const = (hash_const * _SEED_MULT_A) & _MASK32
@@ -408,12 +393,6 @@ def _replica_counts(seed: int, n_replicas: int, m_experiments: int, p: float) ->
     return counts
 
 
-@dataclass(frozen=True)
-class MleResult:
-    beta_hat: float
-    clamped: bool
-
-
 def _mle_inverse(spectrum, gamma, init, t, bracket):
     """The inverse of p2(t; beta) on the bracket, for arrays of targets.
 
@@ -454,35 +433,6 @@ def _mle_inverse(spectrum, gamma, init, t, bracket):
         return estimates, below | above
 
     return invert
-
-
-def mle_beta(
-    counts: int,
-    m_experiments: int,
-    spectrum: Spectrum,
-    gamma: float,
-    init: QubitInit,
-    t: float,
-    bracket: tuple[float, float],
-) -> MleResult:
-    """Binomial maximum-likelihood estimate of beta from an excited-state count.
-
-    Inverts p2(t; beta) = counts/m by bisection to within 1e-10 in beta (or
-    to adjacent floats, where those are further apart). The map must be
-    strictly monotone on the bracket (checked on a 65-point sample); a target
-    outside the attainable range clamps to the nearer bracket edge and sets
-    the clamped flag.
-    """
-    if not (0 <= counts <= m_experiments):
-        raise DomainError("counts must lie in [0, m_experiments]")
-    if m_experiments < 1:
-        raise DomainError("m_experiments must be a positive integer")
-    if t <= 0:
-        raise EstimatorUndefinedError(
-            f"p2 carries no beta dependence at t={t!r}; the MLE is undefined"
-        )
-    estimates, clamped = _mle_inverse(spectrum, gamma, init, t, bracket)([counts / m_experiments])
-    return MleResult(beta_hat=float(estimates[0]), clamped=bool(clamped[0]))
 
 
 @dataclass(frozen=True)

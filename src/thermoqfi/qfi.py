@@ -160,18 +160,6 @@ class SldMatrix:
             raise DomainError("SLD must be Hermitian")
         object.__setattr__(self, "elements", _readonly(m))
 
-    @property
-    def l11(self) -> float:
-        return float(self.elements[0, 0].real)
-
-    @property
-    def l22(self) -> float:
-        return float(self.elements[1, 1].real)
-
-    @property
-    def l12(self) -> complex:
-        return complex(self.elements[0, 1])
-
 
 @dataclass(frozen=True)
 class QfiResult:
@@ -234,12 +222,15 @@ def diagonal_qfi(p, dp) -> float:
 
     Components with p_k at or below the support guard contribute nothing
     unless dp_k is significant there, in which case the information diverges
-    and math.inf is returned (flag, not an exception).
+    and math.inf is returned (flag, not an exception). Non-finite p or dp
+    raise DomainError.
     """
     p = np.asarray(p, dtype=float)
     dp = np.asarray(dp, dtype=float)
     if p.shape != dp.shape or p.ndim != 1:
         raise DomainError("p and dp must be vectors of equal length")
+    if not (np.all(np.isfinite(p)) and np.all(np.isfinite(dp))):
+        raise DomainError("p and dp must be finite")
     if np.any(p < -1e-12):
         raise DomainError("p must be nonnegative")
     if abs(math.fsum(p) - 1.0) > 1e-9:
@@ -260,6 +251,8 @@ def _validate_drho(drho: np.ndarray) -> np.ndarray:
     d = np.asarray(drho, dtype=complex)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise DomainError("drho must be a square matrix")
+    if not np.all(np.isfinite(d)):
+        raise DomainError("drho must be finite")
     scale = max(1.0, float(np.max(np.abs(d)))) if d.size else 1.0
     if np.max(np.abs(d - d.conj().T)) > 1e-12 * scale:
         raise DomainError("drho must be Hermitian")
@@ -289,31 +282,12 @@ def sld_general(rho: DensityMatrix | np.ndarray, drho) -> SldMatrix:
     l = (l + l.conj().T) / 2.0
     residual = float(np.linalg.norm(d - (l @ state.elements + state.elements @ l) / 2.0))
     tol = 1e-9 * (1.0 + float(np.linalg.norm(d)))
-    if residual > tol:
+    if not residual <= tol:
         raise ModelIntegrityError(
             f"Lyapunov residual {residual:.3e} exceeds {tol:.3e}; "
             "drho is not supported on the state"
         )
     return SldMatrix(elements=l, residual=residual)
-
-
-def qubit_sld(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> SldMatrix:
-    """Qubit SLD: the eigenbasis Lyapunov solution (sld_general) on the closed forms.
-
-    rho(t) and d rho/d beta = [[-g, alpha rho12], [alpha rho12*, g]] come from
-    the closed-form kernel (g = d rho22/d beta). At t=0 nothing depends on
-    beta yet, so d rho/d beta and L vanish, pure start or not.
-    """
-    return _sld(*_qubit_point(init, spectrum, bath, t))
-
-
-def _sld(terms: _Terms, rho12: complex) -> SldMatrix:
-    p2, alpha, g = terms.p2, terms.alpha, terms.g
-    d_mat = np.array(
-        [[-g, alpha * rho12], [alpha * rho12.conjugate(), g]], dtype=complex
-    )
-    rho = np.array([[1.0 - p2, rho12], [rho12.conjugate(), p2]], dtype=complex)
-    return sld_general(rho, d_mat)
 
 
 def qubit_qfi(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> QfiResult:
@@ -323,11 +297,18 @@ def qubit_qfi(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> QfiR
     diagonal_part = g^2/(p2 (1-p2)); the phase phi never enters (only |rho12|^2
     appears). At the pure-state point (t=0, r=1) D vanishes while the
     numerator vanishes faster; the continuous limit F=0 is returned flagged.
-    The SLD is qubit_sld's: the eigenbasis Lyapunov solution on the
-    closed-form rho(t) and d rho/d beta.
+    The SLD is the eigenbasis Lyapunov solution (sld_general) on the
+    closed-form rho(t) and d rho/d beta = [[-g, alpha rho12], [alpha rho12*, g]]
+    (g = d rho22/d beta). At t=0 nothing depends on beta yet, so d rho/d beta
+    and L vanish, pure start or not.
     """
     terms, rho12 = _qubit_point(init, spectrum, bath, t)
-    sld = _sld(terms, rho12)
+    p2, alpha, g = terms.p2, terms.alpha, terms.g
+    d_mat = np.array(
+        [[-g, alpha * rho12], [alpha * rho12.conjugate(), g]], dtype=complex
+    )
+    rho = np.array([[1.0 - p2, rho12], [rho12.conjugate(), p2]], dtype=complex)
+    sld = sld_general(rho, d_mat)
     if terms.denom <= EPS_GUARD:
         return QfiResult(
             total=0.0, diagonal_part=0.0, coherence_gain=0.0, sld=sld, pure_state=True

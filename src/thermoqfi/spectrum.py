@@ -134,10 +134,6 @@ class TransitionMatrix:
                 raise DomainError(f"column {j + 1} sums to {residual:.3e}, not zero")
         object.__setattr__(self, "a", _readonly(a))
 
-    @property
-    def n_levels(self) -> int:
-        return self.a.shape[0]
-
 
 @dataclass(frozen=True)
 class ThermalDistribution:

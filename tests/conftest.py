@@ -14,6 +14,7 @@ import math
 import numpy as np
 
 from thermoqfi import Bath, DensityMatrix, QubitInit, Scenario, Spectrum
+from thermoqfi.qfi import _qubit_point
 
 
 def random_scenario(rng) -> Scenario:
@@ -31,6 +32,14 @@ def random_scenario(rng) -> Scenario:
 
 def random_time(rng, scenario: Scenario, lo: float = 0.0) -> float:
     return float(rng.uniform(lo, 10.0 / abs(scenario.relaxation_rate)))
+
+
+def closed_form_state(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> DensityMatrix:
+    """The closed-form qubit state rho(t): the p2 and rho12 that qubit_qfi uses."""
+    terms, rho12 = _qubit_point(init, spectrum, bath, t)
+    return DensityMatrix(
+        elements=np.array([[1.0 - terms.p2, rho12], [rho12.conjugate(), terms.p2]])
+    )
 
 
 def random_nlevel_model(rng, n_max: int = 8):

@@ -31,7 +31,6 @@ from thermoqfi import (
     qfi_decomposition,
     qfi_values,
     qubit_qfi,
-    qubit_state,
     rate_matrix,
     spectral_report,
     stationary_distribution,
@@ -41,6 +40,7 @@ from thermoqfi.metrology import _bisect
 from thermoqfi.qfi import _qfi_slope
 
 from conftest import (
+    closed_form_state,
     random_mixed_state,
     random_nlevel_model,
     random_scenario,
@@ -126,7 +126,7 @@ def test_criterion_03_decomposition_theorem():
             t = random_time(rng, s, lo=0.05)
             bundle = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
             res = qfi_decomposition(
-                qubit_state(s.init, s.spectrum, s.bath, t), _drho_from_bundle(bundle)
+                closed_form_state(s.init, s.spectrum, s.bath, t), _drho_from_bundle(bundle)
             )
             min_gain = min(min_gain, res.coherence_gain)
             worst_rel = max(

@@ -107,7 +107,7 @@ def reference_trace(points: int, fmt: str) -> str:
                 "points": points,
             },
             "derived": {
-                "pi2": scenario.pi2,
+                "pi2": scenario._model.pi2,
                 "lambda": scenario.relaxation_rate,
                 "asymptote": scenario.asymptote,
             },

@@ -8,7 +8,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from conftest import random_mixed_state, random_nlevel_model, random_scenario, random_time
+from conftest import (
+    closed_form_state,
+    random_mixed_state,
+    random_nlevel_model,
+    random_scenario,
+    random_time,
+)
 from thermoqfi import (
     Bath,
     DensityMatrix,
@@ -17,7 +23,6 @@ from thermoqfi import (
     Spectrum,
     beta_from_thermal_ratio,
     coherence_decay_rate,
-    evolve_state,
     evolve_state_derivative,
     gad_apply,
     gad_fixed_point,
@@ -27,15 +32,14 @@ from thermoqfi import (
     gad_stationary_diagnostic,
     gamma_from_tau_tilde,
     propagate_coherence,
-    propagate_populations,
     qubit_relaxation_rate,
-    qubit_state,
     rate_matrix,
     thermal_distribution,
     thermal_population_derivative,
     thermal_ratio,
     transition_matrix,
 )
+from thermoqfi.dynamics import _eigendecompose
 
 
 def _reference_parts():
@@ -74,11 +78,17 @@ def _mp_populations(spectrum: Spectrum, beta, gamma, p0, t):
     return mpmath.expm(a * t) * mpmath.matrix([mpmath.mpf(x) for x in p0])
 
 
+def _propagated(spectrum: Spectrum, bath: Bath, p0, t: float) -> np.ndarray:
+    """exp(A t) p0 as the library propagates it: the populations of the evolved state."""
+    rho, _ = evolve_state_derivative(DensityMatrix.from_populations(p0), spectrum, bath, t)
+    return rho.populations
+
+
 class TestQubitInit:
     def test_theta_round_trip(self):
         init = QubitInit.from_theta(2.0 * math.pi / 3.0, r=0.5)
         assert init.a == pytest.approx(0.75, rel=1e-15)
-        assert init.theta == pytest.approx(2.0 * math.pi / 3.0, rel=1e-12)
+        assert 2.0 * math.asin(math.sqrt(init.a)) == pytest.approx(2.0 * math.pi / 3.0, rel=1e-12)
 
     def test_coherence_amplitude(self):
         init = QubitInit(a=0.1, r=1.0, phi=0.25)
@@ -105,7 +115,7 @@ class TestDensityMatrix:
     def test_from_qubit_init(self):
         rho = DensityMatrix.from_qubit_init(QubitInit(a=0.25, r=1.0))
         assert rho.rho22 == pytest.approx(0.25)
-        assert rho.rho12 == pytest.approx(math.sqrt(0.75 * 0.25))
+        assert rho.elements[0, 1] == pytest.approx(math.sqrt(0.75 * 0.25))
 
     def test_rejects_invalid_states(self):
         with pytest.raises(DomainError):
@@ -116,6 +126,18 @@ class TestDensityMatrix:
             DensityMatrix(elements=np.array([[1.2, 0.0], [0.0, -0.2]]))  # not PSD
         with pytest.raises(DomainError):
             DensityMatrix(elements=np.array([[0.5, 0.6], [0.6, 0.5]]))  # not PSD
+
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            [[0.5, math.nan], [math.nan, 0.5]],
+            [[0.5, math.inf], [math.inf, 0.5]],
+            [[math.nan, 0.0], [0.0, math.nan]],
+        ],
+    )
+    def test_rejects_non_finite_entries(self, elements):
+        with pytest.raises(DomainError, match="^state must be finite$"):
+            DensityMatrix(elements=np.array(elements))
 
     def test_diagonal_and_hollow_split(self):
         rho = DensityMatrix.from_qubit_init(QubitInit(a=0.25, r=0.8, phi=1.0))
@@ -128,10 +150,9 @@ class TestDensityMatrix:
 class TestPropagatePopulations:
     def test_matches_qubit_closed_form(self):
         spectrum, bath = _reference_parts()
-        a = transition_matrix(rate_matrix(spectrum, bath))
         for a0 in (0.0, 0.3, 0.9):
             for t in (0.0, 0.4, 2.0):
-                p = propagate_populations(a, np.array([1.0 - a0, a0]), t)
+                p = _propagated(spectrum, bath, [1.0 - a0, a0], t)
                 expected = 0.25 - math.exp(-2.0 * t) * (0.25 - a0)
                 assert p[1] == pytest.approx(expected, abs=1e-14)
 
@@ -146,7 +167,7 @@ class TestPropagatePopulations:
             t = float(rng.uniform(0.0, 3.0))
             expected = expm(a.a * t) @ p0
             np.testing.assert_allclose(
-                propagate_populations(a, p0, t), expected, rtol=0, atol=1e-12
+                _propagated(spectrum, bath, p0, t), expected, rtol=0, atol=1e-12
             )
 
     # at t = 1e300 the rounding of eig's null eigenvalue, times t, would
@@ -155,11 +176,10 @@ class TestPropagatePopulations:
     def test_conserves_probability_and_reaches_gibbs(self, t):
         rng = np.random.default_rng(31)
         spectrum, bath = random_nlevel_model(rng, n_max=6)
-        a = transition_matrix(rate_matrix(spectrum, bath))
         n = spectrum.n_levels
         p0 = np.zeros(n)
         p0[-1] = 1.0
-        p = propagate_populations(a, p0, t)
+        p = _propagated(spectrum, bath, p0, t)
         assert math.fsum(p) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(
             p, thermal_distribution(spectrum, bath.beta).pi, rtol=0, atol=1e-10
@@ -171,24 +191,14 @@ class TestPropagatePopulations:
         # the propagator must refuse it rather than return a wrong vector.
         a = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
         with pytest.raises(DomainError, match="defective or too ill-conditioned"):
-            propagate_populations(a, np.array([0.0, 0.0, 1.0]), 2.0)
+            _eigendecompose(a)
 
     def test_low_temperature_models_match_matrix_exponential(self):
         for spectrum, bath, p0, t in _low_temperature_models(60):
             a = transition_matrix(rate_matrix(spectrum, bath))
             np.testing.assert_allclose(
-                propagate_populations(a, p0, t), expm(a.a * t) @ p0, rtol=0, atol=1e-12
+                _propagated(spectrum, bath, p0, t), expm(a.a * t) @ p0, rtol=0, atol=1e-12
             )
-
-    def test_domain(self):
-        spectrum, bath = _reference_parts()
-        a = transition_matrix(rate_matrix(spectrum, bath))
-        with pytest.raises(DomainError):
-            propagate_populations(a, np.array([0.6, 0.6]), 1.0)  # not normalized
-        with pytest.raises(DomainError):
-            propagate_populations(a, np.array([1.1, -0.1]), 1.0)  # negative
-        with pytest.raises(DomainError):
-            propagate_populations(a, np.array([0.5, 0.5]), -1.0)  # negative time
 
 
 class TestCoherence:
@@ -252,10 +262,10 @@ class TestQubitState:
     def test_reference_population_trajectory(self):
         spectrum, bath = _reference_parts()
         ground = QubitInit(a=0.0)
-        assert qubit_state(ground, spectrum, bath, 1.0).rho22 == pytest.approx(
+        assert closed_form_state(ground, spectrum, bath, 1.0).rho22 == pytest.approx(
             0.25 * (1.0 - math.exp(-2.0)), rel=1e-14
         )
-        assert qubit_state(ground, spectrum, bath, 0.5).rho22 == pytest.approx(
+        assert closed_form_state(ground, spectrum, bath, 0.5).rho22 == pytest.approx(
             0.25 * (1.0 - math.exp(-1.0)), rel=1e-14
         )
 
@@ -263,17 +273,17 @@ class TestQubitState:
         spectrum, bath = _reference_parts()
         init = QubitInit(a=0.25, r=1.0, phi=0.4)
         t = 1.3
-        rho = qubit_state(init, spectrum, bath, t)
+        rho = closed_form_state(init, spectrum, bath, t)
         expected = init.rho12_0 * math.exp(-t) * cmath.exp(1j * t)
-        assert rho.rho12 == pytest.approx(expected, rel=1e-13)
+        assert rho.elements[0, 1] == pytest.approx(expected, rel=1e-13)
 
     def test_agrees_with_general_evolution(self):
         rng = np.random.default_rng(41)
         for _ in range(25):
             s = random_scenario(rng)
             t = random_time(rng, s)
-            direct = qubit_state(s.init, s.spectrum, s.bath, t)
-            general = evolve_state(
+            direct = closed_form_state(s.init, s.spectrum, s.bath, t)
+            general, _ = evolve_state_derivative(
                 DensityMatrix.from_qubit_init(s.init), s.spectrum, s.bath, t
             )
             np.testing.assert_allclose(
@@ -289,18 +299,17 @@ class TestQubitState:
         psi /= np.linalg.norm(psi)
         mat = 0.8 * np.diag(p).astype(complex) + 0.2 * np.outer(psi, psi.conj())
         rho0 = DensityMatrix(elements=(mat + mat.conj().T) / 2.0)
-        rho_t = evolve_state(rho0, spectrum, bath, 1.7)
+        rho_t, _ = evolve_state_derivative(rho0, spectrum, bath, 1.7)
         assert abs(np.trace(rho_t.elements) - 1.0) <= 1e-12
         # populations follow the generator irrespective of coherences
-        a = transition_matrix(rate_matrix(spectrum, bath))
         np.testing.assert_allclose(
             rho_t.populations,
-            propagate_populations(a, rho0.populations, 1.7),
+            _propagated(spectrum, bath, rho0.populations, 1.7),
             rtol=0,
             atol=1e-12,
         )
         # far future: Gibbs diagonal, coherences gone
-        rho_inf = evolve_state(rho0, spectrum, bath, 200.0)
+        rho_inf, _ = evolve_state_derivative(rho0, spectrum, bath, 200.0)
         np.testing.assert_allclose(
             rho_inf.populations,
             thermal_distribution(spectrum, bath.beta).pi,
@@ -349,15 +358,29 @@ class TestEvolveStateDerivative:
                 rho.populations, thermal_distribution(spectrum, bath.beta).pi, rtol=0, atol=1e-13
             )
 
-    def test_state_is_evolve_state_bit_for_bit(self):
+    def test_derivative_is_hermitian(self):
         rng = np.random.default_rng(53)
         for _ in range(20):
             spectrum, bath = random_nlevel_model(rng)
             rho0 = random_mixed_state(rng, spectrum.n_levels)
             t = float(rng.uniform(0.0, 5.0))
-            rho, drho = evolve_state_derivative(rho0, spectrum, bath, t)
-            assert np.array_equal(rho.elements, evolve_state(rho0, spectrum, bath, t).elements)
+            _, drho = evolve_state_derivative(rho0, spectrum, bath, t)
             assert np.array_equal(drho, drho.conj().T)
+
+    @pytest.mark.parametrize(
+        "t,message",
+        [
+            (math.nan, "^t must be finite$"),
+            (math.inf, "^t must be finite$"),
+            (-math.inf, "^t must be finite$"),
+            (-1.0, "^t must be nonnegative$"),
+        ],
+    )
+    def test_rejects_bad_time(self, t, message):
+        spectrum, bath = _reference_parts()
+        rho0 = DensityMatrix.from_populations([0.5, 0.5])
+        with pytest.raises(DomainError, match=message):
+            evolve_state_derivative(rho0, spectrum, bath, t)
 
 
 class TestConversions:

@@ -23,11 +23,9 @@ from thermoqfi import (
     classify_region,
     cramer_rao_report,
     maximize_qfi_over_time,
-    mle_beta,
     optimize_initial_state,
     qfi_values,
     qubit_qfi,
-    simulate_measurements,
 )
 from thermoqfi import metrology
 from thermoqfi.dynamics import _qubit_model
@@ -69,7 +67,7 @@ def _p2_closed_form(beta, omega, gamma, a, t):
 class TestScenario:
     def test_reference_quantities(self):
         s = reference_scenario()
-        assert s.pi2 == pytest.approx(0.25, rel=1e-15)
+        assert s._model.pi2 == pytest.approx(0.25, rel=1e-15)
         assert s.relaxation_rate == pytest.approx(-2.0, rel=1e-15)
         assert s.asymptote == pytest.approx(0.1875, rel=1e-15)
         assert s.default_t_max == pytest.approx(10.0, rel=1e-12)
@@ -370,31 +368,21 @@ class TestClassicalFisher:
         assert fc < fq
 
 
-class TestSimulateMeasurements:
-    def test_deterministic_and_bounded(self):
-        s = reference_scenario()
-        k1 = simulate_measurements(s, 1.0, 5000, 42)
-        k2 = simulate_measurements(s, 1.0, 5000, 42)
-        assert k1 == k2 == 1092
-        assert 0 <= k1 <= 5000
-        assert simulate_measurements(s, 1.0, 5000, 43) == 1133
-
-    def test_validation(self):
-        s = reference_scenario()
-        with pytest.raises(DomainError):
-            simulate_measurements(s, 1.0, 0, 1)
-        with pytest.raises(DomainError):
-            simulate_measurements(s, -1.0, 10, 1)
-
-
 _LARGE_BETA_MLE = """
-from thermoqfi import Scenario, mle_beta
+from thermoqfi import Scenario
+from thermoqfi.metrology import _mle_inverse
 s = Scenario.qubit(omega12=1e-6, beta=2e6, gamma=1.0, a=0.0)
 m = 10**6
 counts = round(m * float(s._model.p2(0.0, 1.0)))
-res = mle_beta(counts, m, s.spectrum, 1.0, s.init, 1.0, (5e5, 8e6))
-print(res.beta_hat, res.clamped)
+[beta_hat], [clamped] = _mle_inverse(s.spectrum, 1.0, s.init, 1.0, (5e5, 8e6))([counts / m])
+print(beta_hat, clamped)
 """
+
+
+def _mle(counts, m, spectrum, gamma, init, t, bracket):
+    """The estimate and clamped flag of one count, as cramer_rao_report forms them."""
+    [beta_hat], [clamped] = _mle_inverse(spectrum, gamma, init, t, bracket)([counts / m])
+    return float(beta_hat), bool(clamped)
 
 
 class TestMleBeta:
@@ -420,9 +408,9 @@ class TestMleBeta:
         s = reference_scenario()
         m = 10**6
         k = 216166
-        res = mle_beta(k, m, s.spectrum, 1.0, s.init, 1.0, self.BRACKET)
-        assert not res.clamped
-        assert _p2_closed_form(res.beta_hat, 1.0, 1.0, 0.0, 1.0) == pytest.approx(
+        beta_hat, clamped = _mle(k, m, s.spectrum, 1.0, s.init, 1.0, self.BRACKET)
+        assert not clamped
+        assert _p2_closed_form(beta_hat, 1.0, 1.0, 0.0, 1.0) == pytest.approx(
             k / m, abs=1e-9
         )
 
@@ -432,29 +420,20 @@ class TestMleBeta:
         s = reference_scenario()
         m = 10**7
         p2 = _p2_closed_form(s.bath.beta, 1.0, 1.0, 0.0, 1.0)
-        res = mle_beta(round(p2 * m), m, s.spectrum, 1.0, s.init, 1.0, self.BRACKET)
-        assert res.beta_hat == pytest.approx(s.bath.beta, abs=1e-6)
+        beta_hat, _ = _mle(round(p2 * m), m, s.spectrum, 1.0, s.init, 1.0, self.BRACKET)
+        assert beta_hat == pytest.approx(s.bath.beta, abs=1e-6)
 
     def test_clamps_at_bracket_edges(self):
         s = reference_scenario()
-        res0 = mle_beta(0, 100, s.spectrum, 1.0, s.init, 1.0, (0.3, 4.0))
-        assert res0.clamped and res0.beta_hat == 4.0
-        res1 = mle_beta(100, 100, s.spectrum, 1.0, s.init, 1.0, (0.3, 4.0))
-        assert res1.clamped and res1.beta_hat == 0.3
-
-    def test_undefined_at_zero_time(self):
-        s = reference_scenario()
-        with pytest.raises(EstimatorUndefinedError, match="no beta dependence"):
-            mle_beta(5, 10, s.spectrum, 1.0, s.init, 0.0, self.BRACKET)
+        assert _mle(0, 100, s.spectrum, 1.0, s.init, 1.0, (0.3, 4.0)) == (4.0, True)
+        assert _mle(100, 100, s.spectrum, 1.0, s.init, 1.0, (0.3, 4.0)) == (0.3, True)
 
     def test_undefined_when_population_not_monotone(self):
         # Inverted-region initial state at its derivative zero crossing: p2 is
         # not injective in beta there, so identifiability fails.
         s = reference_scenario()
         with pytest.raises(EstimatorUndefinedError, match="not strictly monotone"):
-            mle_beta(
-                50,
-                100,
+            _mle_inverse(
                 s.spectrum,
                 1.0,
                 QubitInit(a=0.8),
@@ -465,11 +444,9 @@ class TestMleBeta:
     def test_validation(self):
         s = reference_scenario()
         with pytest.raises(DomainError):
-            mle_beta(11, 10, s.spectrum, 1.0, s.init, 1.0, self.BRACKET)
+            _mle_inverse(s.spectrum, 1.0, s.init, 1.0, (1.0, 0.5))
         with pytest.raises(DomainError):
-            mle_beta(5, 10, s.spectrum, 1.0, s.init, 1.0, (1.0, 0.5))
-        with pytest.raises(DomainError):
-            mle_beta(5, 10, s.spectrum, 1.0, s.init, 1.0, (0.0, 1.0))
+            _mle_inverse(s.spectrum, 1.0, s.init, 1.0, (0.0, 1.0))
 
     @pytest.mark.parametrize("k", [18, 20, 24])
     def test_each_target_stops_where_the_scalar_loop_does(self, k):
@@ -605,15 +582,13 @@ class TestCramerRao:
         report = cramer_rao_report(
             s, t=t, m_experiments=m, n_replicas=n, seed=seed, bracket=bracket
         )
+        p2 = min(1.0, max(0.0, float(s._model.p2(s.init.a, t))))
         expected = [
-            mle_beta(
-                simulate_measurements(s, t, m, [seed, i]),
-                m, s.spectrum, s.bath.gamma, s.init, t, bracket,
-            )
-            for i in range(n)
+            _mle(c, m, s.spectrum, s.bath.gamma, s.init, t, bracket)
+            for c in _reference_counts(seed, n, m, p2)
         ]
-        assert report.run.beta_hats.tolist() == [e.beta_hat for e in expected]
-        assert report.clamped_count == sum(e.clamped for e in expected)
+        assert report.run.beta_hats.tolist() == [e[0] for e in expected]
+        assert report.clamped_count == sum(e[1] for e in expected)
         assert 0 < report.clamped_count < n
 
     def test_estimates_equal_scalar_bisection(self):
@@ -627,7 +602,7 @@ class TestCramerRao:
             omega = float(rng.uniform(0.3, 3.0))
             x = 0.01 * float(rng.uniform(0.5, 2.0)) if k % 4 == 0 else float(rng.uniform(0.2, 3.0))
             beta, gamma = x / omega, float(rng.uniform(0.2, 3.0))
-            a = float(rng.uniform(0.1, 0.95)) * Scenario.qubit(omega, 4 * beta, gamma, 0.0).pi2
+            a = float(rng.uniform(0.1, 0.95)) * Scenario.qubit(omega, 4 * beta, gamma, 0.0)._model.pi2
             s = Scenario.qubit(omega, beta, gamma, a)
             t = float(rng.uniform(0.05, 3.0)) / abs(s.relaxation_rate)
             lo, hi = (beta / 4.0, 4.0 * beta) if k % 3 else (0.97 * beta, 1.03 * beta)
@@ -635,10 +610,10 @@ class TestCramerRao:
             report = cramer_rao_report(
                 s, t=t, m_experiments=m, n_replicas=n, seed=seed, bracket=(lo, hi)
             )
+            p2 = min(1.0, max(0.0, float(s._model.p2(s.init.a, t))))
             by_count = {}
             expected = []
-            for i in range(n):
-                c = simulate_measurements(s, t, m, [seed, i])
+            for c in _reference_counts(seed, n, m, p2):
                 if c not in by_count:
                     by_count[c] = _scalar_mle(c / m, omega, gamma, a, t, lo, hi)
                 expected.append(by_count[c])
@@ -660,7 +635,7 @@ class TestCramerRao:
             beta = float(rng.uniform(0.2, 3.0)) / omega
             gamma = float(rng.uniform(0.2, 3.0))
             # region C over the whole bracket keeps p2 monotone in beta
-            a = float(rng.uniform(0.1, 0.95)) * Scenario.qubit(omega, 2 * beta, gamma, 0.0).pi2
+            a = float(rng.uniform(0.1, 0.95)) * Scenario.qubit(omega, 2 * beta, gamma, 0.0)._model.pi2
             s = Scenario.qubit(omega, beta, gamma, a)
             cases.append((s, float(rng.uniform(0.05, 5.0)) / abs(s.relaxation_rate)))
 
@@ -682,8 +657,7 @@ class TestCramerRao:
             counts = int(drawn[0] * m)
             assert counts / m == drawn[0]
             for bracket in ((beta / 2.0, beta), (beta, 2.0 * beta)):
-                res = mle_beta(counts, m, s.spectrum, s.bath.gamma, s.init, t, bracket)
-                assert res.clamped and res.beta_hat == beta
+                assert _mle(counts, m, s.spectrum, s.bath.gamma, s.init, t, bracket) == (beta, True)
 
     def test_bracket_beyond_exp_range_is_a_domain_error(self, monkeypatch):
         # cramer_rao_report checks the bracket before it draws any replica
@@ -692,7 +666,7 @@ class TestCramerRao:
         with pytest.raises(DomainError, match="709"):
             cramer_rao_report(s, t=1.0, m_experiments=100, n_replicas=10)
         with pytest.raises(DomainError, match="709"):
-            mle_beta(5, 10, s.spectrum, 1.0, s.init, 1.0, (100.0, 710.0))
+            _mle_inverse(s.spectrum, 1.0, s.init, 1.0, (100.0, 710.0))
 
     @pytest.mark.parametrize("bracket", [(2.0, 0.5), (1.0, 1.0), (0.0, 2.0), (-1.0, 2.0)])
     def test_reversed_or_nonpositive_bracket_is_rejected_before_drawing(
@@ -703,7 +677,7 @@ class TestCramerRao:
         with pytest.raises(DomainError, match="0 < lo < hi"):
             cramer_rao_report(s, t=1.0, m_experiments=100, n_replicas=10, bracket=bracket)
         with pytest.raises(DomainError, match="0 < lo < hi"):
-            mle_beta(5, 10, s.spectrum, s.bath.gamma, s.init, 1.0, bracket)
+            _mle_inverse(s.spectrum, s.bath.gamma, s.init, 1.0, bracket)
 
     @pytest.mark.parametrize("seed", [-1, -(2**64), 1.5, [1, 2]])
     def test_seed_must_be_a_nonnegative_integer(self, monkeypatch, seed):
@@ -746,13 +720,13 @@ class TestReplicaStreams:
     @pytest.mark.parametrize(
         "n", [_REPLICA_BLOCK - 1, _REPLICA_BLOCK, _REPLICA_BLOCK + 1, 2 * _REPLICA_BLOCK + 1]
     )
-    def test_counts_equal_simulated_measurements_across_blocks(self, n):
+    def test_counts_equal_default_rng_draws_across_blocks(self, n):
         s = reference_scenario()
         t, m, seed = 0.7, 5000, 2**64 + 3
         p2 = min(1.0, max(0.0, float(s._model.p2(s.init.a, t))))
         counts = _replica_counts(seed, n, m, p2)
         assert counts.dtype == np.int64 and counts.shape == (n,)
-        assert counts.tolist() == [simulate_measurements(s, t, m, [seed, i]) for i in range(n)]
+        assert counts.tolist() == _reference_counts(seed, n, m, p2)
 
     @pytest.mark.parametrize(
         "m,p",

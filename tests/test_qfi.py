@@ -21,15 +21,13 @@ from thermoqfi import (
     qfi_decomposition,
     qfi_values,
     qubit_qfi,
-    qubit_sld,
-    qubit_state,
     sld_general,
     thermal_population_derivative,
     thermal_qfi,
 )
 from thermoqfi.qfi import EPS_GUARD, trace_blocks
 
-from conftest import random_mixed_state, random_scenario, random_time
+from conftest import closed_form_state, random_mixed_state, random_scenario, random_time
 
 SPECTRUM = Spectrum.qubit(1.0)
 BATH = Bath(beta=math.log(3.0), gamma=1.0)
@@ -110,7 +108,7 @@ class TestGeneralDerivative:
             gaps = (
                 np.abs(closed.d_populations - np.diag(drho).real),
                 abs(closed.d_coherence - drho[0, 1]),
-                abs(closed.alpha * rho.rho12 - drho[0, 1]),
+                abs(closed.alpha * rho.elements[0, 1] - drho[0, 1]),
                 abs(closed.delta * dpi2 - drho[1, 1].real),
             )
             scale = 1.0 + max(float(np.max(np.abs(closed.d_populations))), abs(closed.d_coherence))
@@ -180,6 +178,18 @@ class TestDiagonalQfi:
         with pytest.raises(DomainError, match="sum to zero"):
             diagonal_qfi([0.5, 0.5], [0.1, 0.1])
 
+    @pytest.mark.parametrize(
+        "p,dp",
+        [
+            ([math.nan, 0.5], [0.1, -0.1]),  # was inf: the nan slot looked unsupported
+            ([0.5, 0.5], [math.nan, 0.1]),  # was nan
+            ([0.5, 0.5], [math.inf, -math.inf]),
+        ],
+    )
+    def test_rejects_non_finite_inputs(self, p, dp):
+        with pytest.raises(DomainError, match="^p and dp must be finite$"):
+            diagonal_qfi(p, dp)
+
 
 class TestSldGeneral:
     def test_thermal_state_oracle(self):
@@ -218,6 +228,22 @@ class TestSldGeneral:
         with pytest.raises(ModelIntegrityError, match="residual"):
             sld_general(rho, drho)
 
+    @pytest.mark.parametrize(
+        "drho", [[[math.nan, 0.0], [0.0, math.nan]], [[0.0, math.inf], [math.inf, 0.0]]]
+    )
+    def test_rejects_non_finite_derivative(self, drho):
+        rho = np.diag([0.75, 0.25]).astype(complex)
+        with pytest.raises(DomainError, match="^drho must be finite$"):
+            sld_general(rho, np.array(drho, dtype=complex))
+
+    def test_overflowing_solution_fails_the_residual_check(self):
+        # L = 2 drho/(p_m + p_n) overflows, so the residual is nan; nan must
+        # not pass the check as a small residual.
+        rho = np.diag([0.75, 0.25]).astype(complex)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ModelIntegrityError, match="residual nan"):
+                sld_general(rho, np.diag([-1e308, 1e308]).astype(complex))
+
     def test_validation_errors(self):
         rho = np.diag([0.75, 0.25]).astype(complex)
         with pytest.raises(DomainError, match="Hermitian"):
@@ -230,10 +256,10 @@ class TestSldGeneral:
 
 class TestQubitSld:
     def test_reference_values(self):
-        sld = qubit_sld(QubitInit(a=0.1, r=1.0, phi=0.0), SPECTRUM, BATH, 1.0)
-        assert sld.l11 == pytest.approx(0.21453682587084863, rel=1e-13)
-        assert sld.l22 == pytest.approx(-0.9573036418064816, rel=1e-13)
-        assert sld.l12 == pytest.approx(
+        sld = qubit_qfi(QubitInit(a=0.1, r=1.0, phi=0.0), SPECTRUM, BATH, 1.0).sld
+        assert sld.elements[0, 0] == pytest.approx(0.21453682587084863, rel=1e-13)
+        assert sld.elements[1, 1] == pytest.approx(-0.9573036418064816, rel=1e-13)
+        assert sld.elements[0, 1] == pytest.approx(
             0.1337358109252606 + 0.20828118499798828j, rel=1e-13
         )
 
@@ -242,7 +268,7 @@ class TestQubitSld:
         for _ in range(30):
             s = random_scenario(rng)
             t = random_time(rng, s, lo=0.05)
-            closed = qubit_sld(s.init, s.spectrum, s.bath, t)
+            closed = qubit_qfi(s.init, s.spectrum, s.bath, t).sld
             bundle = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
             drho = np.array(
                 [
@@ -250,7 +276,7 @@ class TestQubitSld:
                     [np.conj(bundle.d_coherence), bundle.d_populations[1]],
                 ]
             )
-            general = sld_general(qubit_state(s.init, s.spectrum, s.bath, t), drho)
+            general = sld_general(closed_form_state(s.init, s.spectrum, s.bath, t), drho)
             assert float(np.max(np.abs(closed.elements - general.elements))) <= 1e-10
 
     def test_matches_paper_closed_form(self):
@@ -263,16 +289,16 @@ class TestQubitSld:
         for _ in range(200):
             s = random_scenario(rng)
             t = random_time(rng, s, lo=0.05)
-            state = qubit_state(s.init, s.spectrum, s.bath, t)
+            state = closed_form_state(s.init, s.spectrum, s.bath, t)
             bundle = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
-            p2, rho12 = state.rho22, state.rho12
+            p2, rho12 = state.rho22, complex(state.elements[0, 1])
             g, alpha, m = bundle.d_populations[1], bundle.alpha, abs(rho12) ** 2
             d = (1.0 - p2) * p2 - m
             l11 = (2.0 * g * m - 2.0 * alpha * p2 * m - p2 * g) / d
             l22 = (-2.0 * g * m - 2.0 * alpha * (1.0 - p2) * m + (1.0 - p2) * g) / d
             l12 = (2.0 * alpha * (1.0 - p2) * p2 - (1.0 - 2.0 * p2) * g) / d * rho12
             closed = np.array([[l11, l12], [np.conj(l12), l22]])
-            sld = qubit_sld(s.init, s.spectrum, s.bath, t)
+            sld = qubit_qfi(s.init, s.spectrum, s.bath, t).sld
             scale = float(np.max(np.abs(closed)))
             assert float(np.max(np.abs(sld.elements - closed))) <= 1e-12 * scale
 
@@ -291,20 +317,16 @@ class TestQubitSld:
             )
             t = 10.0 ** float(rng.uniform(-14.0, 0.0)) / bath.gamma
             spectrum = Spectrum.qubit(omega)
-            sld = qubit_sld(init, spectrum, bath, t)  # raises ModelIntegrityError if not
+            sld = qubit_qfi(init, spectrum, bath, t).sld  # raises ModelIntegrityError if not
             bundle = beta_derivative_qubit(init, spectrum, bath, t)
             drho_norm = math.hypot(*bundle.d_populations, *2 * [abs(bundle.d_coherence)])
             assert sld.residual <= 1e-9 * (1.0 + drho_norm)
 
     def test_fallback_on_pure_state(self):
         # At t = 0 nothing depends on beta yet: d rho/d beta = 0, so L = 0.
-        sld = qubit_sld(QubitInit(a=0.1, r=1.0, phi=0.3), SPECTRUM, BATH, 0.0)
+        sld = qubit_qfi(QubitInit(a=0.1, r=1.0, phi=0.3), SPECTRUM, BATH, 0.0).sld
         assert not np.any(sld.elements)
         assert sld.residual == 0.0
-
-    def test_rejects_negative_time(self):
-        with pytest.raises(DomainError):
-            qubit_sld(QubitInit(a=0.1), SPECTRUM, BATH, -1.0)
 
 
 class TestQubitQfi:
@@ -419,7 +441,7 @@ class TestDecomposition:
                     [np.conj(bundle.d_coherence), bundle.d_populations[1]],
                 ]
             )
-            res = qfi_decomposition(qubit_state(s.init, s.spectrum, s.bath, t), drho)
+            res = qfi_decomposition(closed_form_state(s.init, s.spectrum, s.bath, t), drho)
             scale = max(closed.total, 1e-12)
             assert abs(res.total - closed.total) <= 1e-12 * scale
             assert abs(res.coherence_gain - closed.coherence_gain) <= 1e-11 * scale
@@ -442,7 +464,7 @@ class TestDecomposition:
         # The gain operator Ltilde = L - L_d differs from alpha * identity;
         # the coherence advantage is not a trivial reparameterization.
         init = QubitInit(a=0.1, r=1.0, phi=0.0)
-        state = qubit_state(init, SPECTRUM, BATH, 1.0)
+        state = closed_form_state(init, SPECTRUM, BATH, 1.0)
         bundle = beta_derivative_qubit(init, SPECTRUM, BATH, 1.0)
         drho = np.array(
             [
@@ -457,6 +479,14 @@ class TestDecomposition:
         assert float(np.linalg.norm(l_tilde - bundle.alpha * np.eye(2))) > 0.1
         gain = float(np.trace(state.elements @ l_tilde @ l_tilde).real)
         assert gain == pytest.approx(res.coherence_gain, rel=1e-12)
+
+
+    @pytest.mark.parametrize(
+        "rho", [[[0.5, math.nan], [math.nan, 0.5]], [[math.nan, 0.0], [0.0, math.nan]]]
+    )
+    def test_rejects_non_finite_state(self, rho):
+        with pytest.raises(DomainError, match="^state must be finite$"):
+            qfi_decomposition(np.array(rho), np.diag([0.1, -0.1]))
 
 
 class TestResultValidation:
