@@ -187,55 +187,48 @@ def propagate_coherence(c: float, omega: float, rho12_0: complex, t: float) -> c
     """Coherence after time t: modulus shrinks by e^{-ct}, phase advances by omega*t."""
     if not c > 0:
         raise DomainError("coherence decay rate must be positive")
-    if t < 0:
+    if not t >= 0:
         raise DomainError("t must be nonnegative")
     return rho12_0 * math.exp(-c * t) * cmath.exp(1j * omega * t)
 
 
 class _QubitModel(NamedTuple):
-    """The closed-form qubit relaxation at fixed gap, temperature and coupling.
+    """The closed-form qubit relaxation at fixed gap and temperature, in scaled time s = gamma t.
 
     pi2 = w/(1 + w) with w = e^{-beta omega} is the thermal excited population
-    (the bits thermal_distribution gives), lam = gamma/(pi2 - pi1) =
-    -gamma/tanh(beta omega/2) < 0 the relaxation eigenvalue and
+    (the bits thermal_distribution gives), lam_hat = lambda/gamma = 1/(pi2 - pi1)
+    = -1/tanh(beta omega/2) < 0 the relaxation eigenvalue per unit coupling and
     dpi2 = d pi2/d beta = -(1 - pi2) pi2 omega. The initial state enters each
-    method separately, so one model serves every state of a scan; times are
-    floats or arrays.
+    method separately, so one model serves every state of a scan; scaled
+    times are floats or arrays.
     """
 
     omega: float
-    gamma: float
     pi2: float
-    lam: float
+    lam_hat: float
     dpi2: float
 
-    def decay(self, t):
-        """e^{lam t}: the factor by which pi2 - p2 and |rho12|^2 shrink."""
-        return np.exp(self.lam * t)
+    def decay(self, s):
+        """e^{lam_hat s}: the factor by which pi2 - p2 and |rho12|^2 shrink."""
+        return np.exp(self.lam_hat * s)
 
-    def p2(self, a, t):
-        """Excited population p2(t) = pi2 - e^{lam t} (pi2 - a), from p2(0) = a."""
-        return self.pi2 - self.decay(t) * (self.pi2 - a)
+    def p2(self, a, s):
+        """Excited population p2 = pi2 - e^{lam_hat s} (pi2 - a), from p2(0) = a."""
+        return self.pi2 - self.decay(s) * (self.pi2 - a)
 
-    def envelope(self, c, t):
-        """c e^{lam t/2}: for c = |rho12(0)| this is |rho12(t)|."""
-        return c * np.exp(self.lam * t / 2.0)
-
-    def rho12(self, rho12_0, t):
-        """Coherence rho12(t): decays at |lam|/2 while rotating at the gap frequency."""
-        return self.envelope(rho12_0, t) * np.exp(1j * self.omega * t)
+    def envelope(self, c, s):
+        """c e^{lam_hat s/2}: for c = |rho12(0)| this is |rho12|."""
+        return c * np.exp(self.lam_hat * s / 2.0)
 
 
-def _qubit_model(omega: float, beta, gamma: float) -> _QubitModel:
-    """The qubit model; the one place where pi2, lam and dpi2 are formed.
+def _qubit_model(omega: float, beta) -> _QubitModel:
+    """The qubit model; the one place where pi2, lam_hat and dpi2 are formed.
 
     Supports MIN_BETA_OMEGA <= beta*omega <= MAX_GIBBS_BETA_OMEGA and raises
     DomainError outside: below, both populations round to about 1/2; above,
-    the Gibbs weight underflows to zero. It also raises DomainError where
-    lam = gamma/(pi2 - pi1) overflows (gamma near the largest double), without
-    a numpy warning. beta may be an array (the MLE inverts
-    many counts at once); the model's pi2, lam and dpi2 are then arrays of the
-    same shape, elementwise bitwise equal to the scalar models.
+    the Gibbs weight underflows to zero. beta may be an array (the MLE inverts
+    many counts at once); the model's pi2, lam_hat and dpi2 are then arrays of
+    the same shape, elementwise bitwise equal to the scalar models.
 
     The population gap 2 pi2 - 1 = -tanh(beta omega/2) cancels at high
     temperature, so below TANH_BETA_OMEGA it is taken from the tanh form.
@@ -259,28 +252,28 @@ def _qubit_model(omega: float, beta, gamma: float) -> _QubitModel:
         gap = np.where(hot, -np.tanh(x / 2.0), gap)
     elif hot:
         gap = -np.tanh(x / 2.0)
-    with np.errstate(over="ignore"):
-        lam = gamma / gap
-    if not np.isfinite(lam).all():
-        raise DomainError(
-            f"gamma = {gamma:g} is too large: the relaxation rate gamma/(pi2 - pi1) "
-            "overflows double precision"
-        )
+    lam_hat = 1.0 / gap
     dpi2 = -(1.0 - pi2) * pi2 * omega
     if batch:
-        return _QubitModel(omega, gamma, pi2, lam, dpi2)
-    return _QubitModel(omega, gamma, float(pi2), float(lam), float(dpi2))
+        return _QubitModel(omega, pi2, lam_hat, dpi2)
+    return _QubitModel(omega, float(pi2), float(lam_hat), float(dpi2))
 
 
 def _qubit_model_of(spectrum: Spectrum, bath: Bath) -> _QubitModel:
     if spectrum.n_levels != 2:
         raise DomainError("the closed-form qubit model requires a two-level spectrum")
-    return _qubit_model(spectrum.gap(1, 2), bath.beta, bath.gamma)
+    return _qubit_model(spectrum.gap(1, 2), bath.beta)
 
 
 def qubit_relaxation_rate(spectrum: Spectrum, bath: Bath) -> float:
-    """The single decaying eigenvalue lambda = gamma/(pi_2 - pi_1) < 0 of the qubit generator."""
-    return _qubit_model_of(spectrum, bath).lam
+    """The qubit generator's decaying eigenvalue lambda = gamma lam_hat < 0, checked finite."""
+    lam = float(bath.gamma) * _qubit_model_of(spectrum, bath).lam_hat  # inf on overflow, no warning
+    if not math.isfinite(lam):
+        raise DomainError(
+            f"gamma = {bath.gamma:g} is too large: the relaxation rate gamma/(pi2 - pi1) "
+            "overflows double precision"
+        )
+    return lam
 
 
 def _default_t_max(spectrum: Spectrum, bath: Bath) -> float:
@@ -460,16 +453,10 @@ def gad_master_comparison(n12: float, tau_tilde: float, omega12: float) -> dict:
     p2_gad = gad_apply(ch, rho0).rho22
 
     beta = beta_from_thermal_ratio(n12, omega12)
-    gamma = gamma_from_tau_tilde(tau_tilde, omega12) if tau_tilde > 0 else None
-    if gamma is None:
-        p2_master = 0.0
-        t_compare = 0.0
-        lam = 0.0
-    else:
-        model = _qubit_model(omega12, beta, gamma)
-        lam = model.lam
-        t_compare = (1.0 + n12) * tau_tilde / abs(lam)
-        p2_master = float(model.p2(0.0, t_compare))
+    gamma = gamma_from_tau_tilde(tau_tilde, omega12)
+    lam = qubit_relaxation_rate(Spectrum.qubit(omega12), Bath(beta=beta, gamma=gamma))
+    t_compare = (1.0 + n12) * tau_tilde / abs(lam)
+    p2_master = float(_qubit_model(omega12, beta).p2(0.0, gamma * t_compare))
     rel_diff = abs(p2_gad - p2_master) / max(abs(p2_master), 1e-300)
     return {
         "n12": n12,
@@ -477,7 +464,7 @@ def gad_master_comparison(n12: float, tau_tilde: float, omega12: float) -> dict:
         "omega12": omega12,
         "a0": 0.0,
         "beta": beta,
-        "gamma": gamma if gamma is not None else 0.0,
+        "gamma": gamma,
         "lambda": lam,
         "t_compare": t_compare,
         "p2_gad": p2_gad,

@@ -207,7 +207,7 @@ def _peak_times(
         raise DomainError("t_max must cover at least twenty relaxation times")
     n_grid = max(512, int(n_grid))
     times = np.linspace(0.0, t_max, n_grid)
-    model = _qubit_model_of(spectrum, bath)
+    model, gamma = _qubit_model_of(spectrum, bath), bath.gamma
     margin = ASYMPTOTIC_MARGIN * thermal_qfi(spectrum, bath.beta)
     a = np.array([init.a for init in inits], dtype=float)
     mod2_0 = np.array([abs(init.rho12_0) ** 2 for init in inits], dtype=float)
@@ -216,7 +216,7 @@ def _peak_times(
     tail = np.empty(a.size)
     for start in range(0, a.size, _SCAN_BLOCK):
         block = slice(start, start + _SCAN_BLOCK)
-        values = _qfi_kernel(model, a[block, None], mod2_0[block, None], times).total
+        values = _qfi_kernel(model, gamma, a[block, None], mod2_0[block, None], times).total
         i = np.argmax(values, axis=1)
         peak[block] = i
         f_peak[block] = values[np.arange(i.size), i]
@@ -227,9 +227,9 @@ def _peak_times(
         i = peak[interior]
         a_in, mod2_in = a[interior], mod2_0[interior]
         t_star = _bisect(
-            lambda t: _qfi_slope(model, a_in, mod2_in, t) > 0, times[i - 1], times[i + 1]
+            lambda t: _qfi_slope(model, a_in, mod2_in, gamma * t) > 0, times[i - 1], times[i + 1]
         )
-        f_star = _qfi_kernel(model, a_in, mod2_in, t_star).total
+        f_star = _qfi_kernel(model, gamma, a_in, mod2_in, t_star).total
         for k, t, f in zip(interior, t_star.tolist(), f_star.tolist()):
             results[k] = OptimalTime(t_star=t, f_star=f, asymptotic=False)
     return results
@@ -404,7 +404,7 @@ def _mle_inverse(spectrum, gamma, init, t, bracket):
     the attainable range clamp to the nearer bracket edge. It returns the
     estimates and the clamped flags.
     """
-    omega, a, (lo, hi) = spectrum.gap(1, 2), init.a, map(float, bracket)
+    omega, a, s, (lo, hi) = spectrum.gap(1, 2), init.a, gamma * t, map(float, bracket)
     if not (0.0 < lo < hi):
         raise DomainError("bracket must satisfy 0 < lo < hi")
     if hi * omega > MAX_EXP_BETA_OMEGA:
@@ -412,7 +412,7 @@ def _mle_inverse(spectrum, gamma, init, t, bracket):
             f"the beta bracket reaches beta*omega = {hi * omega:g}; the MLE supports "
             f"beta*omega <= {MAX_EXP_BETA_OMEGA:g}"
         )
-    ys = _qubit_model(omega, np.linspace(lo, hi, 65), gamma).p2(a, t)
+    ys = _qubit_model(omega, np.linspace(lo, hi, 65)).p2(a, s)
     diffs = np.diff(ys)
     if not (np.all(diffs > 0) or np.all(diffs < 0)):
         raise EstimatorUndefinedError(
@@ -424,7 +424,7 @@ def _mle_inverse(spectrum, gamma, init, t, bracket):
     def invert(targets):
         targets = np.asarray(targets, dtype=float)
         estimates = _bisect(
-            lambda beta: (_qubit_model(omega, beta, gamma).p2(a, t) > targets) == decreasing,
+            lambda beta: (_qubit_model(omega, beta).p2(a, s) > targets) == decreasing,
             np.full_like(targets, lo), np.full_like(targets, hi), 1e-10
         )
         below, above = targets <= ys.min(), targets >= ys.max()
@@ -550,7 +550,8 @@ def cramer_rao_report(
     if bracket is None:
         bracket = (beta_true / 4.0, beta_true * 4.0)
     invert = _mle_inverse(scenario.spectrum, scenario.bath.gamma, scenario.init, t, bracket)
-    p2_true = min(1.0, max(0.0, float(scenario._model.p2(scenario.init.a, t))))
+    s = scenario.bath.gamma * t
+    p2_true = min(1.0, max(0.0, float(scenario._model.p2(scenario.init.a, s))))
     counts = _replica_counts(int(seed), n_replicas, m_experiments, p2_true)
     distinct, replica_of = np.unique(counts, return_inverse=True)
     by_count, clamped_by_count = invert([k / m_experiments for k in distinct.tolist()])

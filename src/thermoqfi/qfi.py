@@ -36,41 +36,48 @@ class _Terms(NamedTuple):
     total: np.ndarray   # the QFI; 0 where D is at or below EPS_GUARD (pure state)
 
 
-def _qfi_kernel(m: _QubitModel, a, mod2_0, t) -> _Terms:
-    """_qfi_terms, raising DomainError where the total overflows double precision."""
-    terms = _qfi_terms(m, a, mod2_0, t)
-    _check_finite(terms.total, t)
-    return terms
+def _scaled_time(gamma: float, t) -> np.ndarray:
+    """The kernel's time s = gamma t of finite, nonnegative times t; inf where gamma t overflows.
 
-
-def _qfi_terms(m: _QubitModel, a, mod2_0, t) -> _Terms:
-    """Closed-form qubit QFI and its per-time terms, broadcast over states and times.
-
-    a (initial excited population) and mod2_0 = |rho12(0)|^2 broadcast
-    against the times t, e.g. shape (states, 1) against (n_times,). Every
-    t-only factor (the exponentials, alpha) is formed on t alone before it
-    meets a, so each element carries the same bits as a single-state call.
-    Times must be finite and nonnegative. Times so late that the closed form
-    overflows double precision give inf or nan; _qfi_kernel rejects those.
-
-    delta = 1 - e^{lam t} + (2/gamma) t lam^2 e^{lam t} (pi2 - a); the 1/gamma
-    comes from d lam/d beta = -(2 lam^2/gamma) dpi2 and makes the trace a
-    function of gamma*t only. lam^2/gamma is formed as (lam/gamma) lam, which
-    is of order gamma, so it neither underflows (gamma below about 1e-154)
-    nor overflows (above about 1e154) where lam^2 alone would. The total is
-    g^2/D + 4 m (alpha^2 (1-p2) p2 - alpha (1-2 p2) g - g^2)/D with m = |rho12|^2.
+    At s = inf the kernel's total is nan, which _check_finite rejects naming t.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
         raise DomainError("times must be finite")
     if np.any(t < 0):
         raise DomainError("times must be nonnegative")
+    with np.errstate(over="ignore"):
+        return gamma * t
+
+
+def _qfi_kernel(m: _QubitModel, gamma: float, a, mod2_0, t) -> _Terms:
+    """_qfi_terms at s = gamma t, raising DomainError where the total overflows double precision."""
+    terms = _qfi_terms(m, a, mod2_0, _scaled_time(gamma, t))
+    _check_finite(terms.total, t)
+    return terms
+
+
+def _qfi_terms(m: _QubitModel, a, mod2_0, s) -> _Terms:
+    """Closed-form qubit QFI and its per-time terms, broadcast over states and scaled times.
+
+    a (initial excited population) and mod2_0 = |rho12(0)|^2 broadcast
+    against the scaled times s = gamma t, e.g. shape (states, 1) against
+    (n_times,). Every s-only factor (the exponentials, alpha) is formed on s
+    alone before it meets a, so each element carries the same bits as a
+    single-state call. An s so late that the closed form overflows double
+    precision gives inf or nan, which _qfi_kernel and trace_blocks reject.
+
+    The QFI depends on gamma only through s: d lam/d beta = -(2 lam^2/gamma) dpi2
+    gives alpha = -lam_hat^2 s dpi2 and
+    delta = 1 - e^{lam_hat s} + 2 lam_hat^2 s e^{lam_hat s} (pi2 - a). The total
+    is g^2/D + 4 m (alpha^2 (1-p2) p2 - alpha (1-2 p2) g - g^2)/D with m = |rho12|^2.
+    """
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        decay = m.decay(t)
-        p2 = m.p2(a, t)
+        decay = m.decay(s)
+        p2 = m.p2(a, s)
         mod2 = mod2_0 * decay
-        alpha = -(m.lam / m.gamma * m.lam) * t * m.dpi2
-        delta = -np.expm1(m.lam * t) + 2.0 * (m.lam / m.gamma * m.lam) * t * decay * (m.pi2 - a)
+        alpha = -(m.lam_hat * m.lam_hat) * s * m.dpi2
+        delta = -np.expm1(m.lam_hat * s) + 2.0 * (m.lam_hat * m.lam_hat) * s * decay * (m.pi2 - a)
         g = m.dpi2 * delta
         denom = (1.0 - p2) * p2 - mod2
         total = (
@@ -84,21 +91,22 @@ def _qfi_terms(m: _QubitModel, a, mod2_0, t) -> _Terms:
     return _Terms(p2, mod2, alpha, delta, g, denom, total)
 
 
-def _qfi_slope(m: _QubitModel, a, mod2_0, t) -> np.ndarray:
-    """Exact t-derivative of the kernel's total, broadcast like it; 0 where it clamps.
+def _qfi_slope(m: _QubitModel, a, mod2_0, s) -> np.ndarray:
+    """Exact s-derivative of the kernel's total, broadcast like it; 0 where it clamps.
 
-    With e = e^{lam t}: p2' = -lam e (pi2 - a), m' = lam m, alpha' = -lam^2 dpi2/gamma,
-    delta' = -lam e + (2/gamma) lam^2 (pi2 - a) e (1 + lam t), D' = (1 - 2 p2) p2' - m'.
-    Kept out of the kernel so that only a refinement, not a grid scan, pays for it.
+    It has the sign of dF/dt = gamma dF/ds. With e = e^{lam_hat s}:
+    p2' = -lam_hat e (pi2 - a), m' = lam_hat m, alpha' = -lam_hat^2 dpi2,
+    delta' = -lam_hat e + 2 lam_hat^2 (pi2 - a) e (1 + lam_hat s), D' = (1 - 2 p2) p2' - m'.
+    Kept out of the kernel so that only a refinement inside a checked grid pays for it.
     """
-    k = _qfi_kernel(m, a, mod2_0, t)
+    k = _qfi_terms(m, a, mod2_0, s)
     p2, mod2, alpha, g = k.p2, k.mod2, k.alpha, k.g
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        decay = m.decay(t)
-        dp2 = -m.lam * decay * (m.pi2 - a)
-        dmod2 = m.lam * mod2
-        dalpha = -(m.lam / m.gamma * m.lam) * m.dpi2
-        dg = -m.dpi2 * m.lam * (decay + 2.0 / m.gamma * (1.0 + m.lam * t) * dp2)
+        decay = m.decay(s)
+        dp2 = -m.lam_hat * decay * (m.pi2 - a)
+        dmod2 = m.lam_hat * mod2
+        dalpha = -(m.lam_hat * m.lam_hat) * m.dpi2
+        dg = -m.dpi2 * m.lam_hat * (decay + 2.0 * (1.0 + m.lam_hat * s) * dp2)
         w, v = 1.0 - 2.0 * p2, (1.0 - p2) * p2
         q = alpha**2 * v - alpha * w * g - g**2
         dq = (alpha * (2.0 * dalpha * v + alpha * w * dp2 + 2.0 * dp2 * g - w * dg)
@@ -121,8 +129,9 @@ def _qubit_point(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float):
     if t < 0:
         raise DomainError("t must be nonnegative")
     m = _qubit_model_of(spectrum, bath)
-    terms = _qfi_kernel(m, init.a, abs(init.rho12_0) ** 2, t)
-    return _Terms(*map(float, terms)), complex(m.rho12(init.rho12_0, t))
+    terms = _qfi_kernel(m, bath.gamma, init.a, abs(init.rho12_0) ** 2, t)
+    rho12 = m.envelope(init.rho12_0, bath.gamma * t) * np.exp(1j * m.omega * t)
+    return _Terms(*map(float, terms)), complex(rho12)
 
 
 @dataclass(frozen=True)
@@ -277,11 +286,13 @@ def sld_general(rho: DensityMatrix | np.ndarray, drho) -> SldMatrix:
     d_eig = vectors.conj().T @ d @ vectors
     pair_sums = values[:, None] + values[None, :]
     supported = pair_sums > EPS_GUARD
-    l_eig = np.where(supported, 2.0 * d_eig / np.where(supported, pair_sums, 1.0), 0.0)
-    l = vectors @ l_eig @ vectors.conj().T
-    l = (l + l.conj().T) / 2.0
-    residual = float(np.linalg.norm(d - (l @ state.elements + state.elements @ l) / 2.0))
-    tol = 1e-9 * (1.0 + float(np.linalg.norm(d)))
+    # an overflowing solution leaves a nan residual: the check fails, with no warning first
+    with np.errstate(over="ignore", invalid="ignore"):
+        l_eig = np.where(supported, 2.0 * d_eig / np.where(supported, pair_sums, 1.0), 0.0)
+        l = vectors @ l_eig @ vectors.conj().T
+        l = (l + l.conj().T) / 2.0
+        residual = float(np.linalg.norm(d - (l @ state.elements + state.elements @ l) / 2.0))
+        tol = 1e-9 * (1.0 + float(np.linalg.norm(d)))
     if not residual <= tol:
         raise ModelIntegrityError(
             f"Lyapunov residual {residual:.3e} exceeds {tol:.3e}; "
@@ -329,19 +340,20 @@ def qfi_values(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> np.nda
     times raise DomainError.
     """
     model = _qubit_model_of(spectrum, bath)
-    return _qfi_kernel(model, init.a, abs(init.rho12_0) ** 2, times).total
+    return _qfi_kernel(model, bath.gamma, init.a, abs(init.rho12_0) ** 2, times).total
 
 
-def _trace_columns(model: _QubitModel, init: QubitInit, asymptote: float, t) -> dict:
+def _trace_columns(model: _QubitModel, gamma: float, init: QubitInit, asymptote: float, t) -> dict:
     """The trace columns at the times t, unchecked: an overflowed cell is inf or nan."""
-    terms = _qfi_terms(model, init.a, abs(init.rho12_0) ** 2, t)
+    s = _scaled_time(gamma, t)
+    terms = _qfi_terms(model, init.a, abs(init.rho12_0) ** 2, s)
     with np.errstate(over="ignore", invalid="ignore"):
         return {
             "t": t,
             "F": terms.total,
             "F_norm": terms.total / asymptote,
             "p2": terms.p2,
-            "abs_rho12": model.envelope(np.abs(init.rho12_0), t),
+            "abs_rho12": model.envelope(np.abs(init.rho12_0), s),
             "dbeta_p2": terms.g,
             "alpha": terms.alpha,
             "delta": terms.delta,
@@ -364,9 +376,9 @@ def trace_blocks(init: QubitInit, spectrum: Spectrum, bath: Bath, times, rows: i
     asymptote = thermal_qfi(spectrum, bath.beta)
     blocks = [t[start : start + rows] for start in range(0, len(t), rows)]
     for block in blocks:
-        for column in _trace_columns(model, init, asymptote, block).values():
+        for column in _trace_columns(model, bath.gamma, init, asymptote, block).values():
             _check_finite(column, t)
-    return (_trace_columns(model, init, asymptote, block) for block in blocks)
+    return (_trace_columns(model, bath.gamma, init, asymptote, block) for block in blocks)
 
 
 def qfi_decomposition(rho: DensityMatrix | np.ndarray, drho) -> QfiResult:

@@ -301,8 +301,8 @@ def _check_region_phenotypes(rng, inject: bool):
     if inv_ok:
         j = local_max + int(np.argmin(v[local_max:]))
         model, a, mod2_0 = inv._model, inv.init.a, abs(inv.init.rho12_0) ** 2
-        bracket = times[j - 1], times[j + 1]
-        t_dip = float(_bisect(lambda t: _qfi_slope(model, a, mod2_0, t) < 0, *bracket))
+        gamma, bracket = inv.bath.gamma, (times[j - 1], times[j + 1])
+        t_dip = float(_bisect(lambda t: _qfi_slope(model, a, mod2_0, gamma * t) < 0, *bracket))
         f_dip = float(qfi_values(inv.init, inv.spectrum, inv.bath, np.array([t_dip]))[0])
         inv_ok = (
             f_dip <= 1e-8 * inv.asymptote
@@ -338,12 +338,12 @@ def _check_partial_thermal_init(rng, inject: bool):
         gamma = float(rng.uniform(0.2, 3.0))
         spectrum = Spectrum.qubit(omega)
         bath = Bath(beta=beta, gamma=gamma)
-        model = _qubit_model(omega, beta, gamma)
+        model = _qubit_model(omega, beta)
         init = QubitInit(a=model.pi2)
-        t = float(rng.uniform(0.0, 10.0 / abs(model.lam)))
+        t = float(rng.uniform(0.0, 10.0 / abs(gamma * model.lam_hat)))
         bundle = beta_derivative_qubit(init, spectrum, bath, t)
         dpi = thermal_population_derivative(spectrum, beta)
-        expected = -np.expm1(model.lam * t) * dpi
+        expected = -np.expm1(model.lam_hat * (gamma * t)) * dpi
         worst = max(worst, float(np.max(np.abs(bundle.d_populations - expected))))
     passed = worst <= 1e-10
     return passed, f"worst |partial - (1-e^(lam t)) d(pi)| = {worst:.3e} (tol 1e-10)"

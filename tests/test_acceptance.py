@@ -232,9 +232,11 @@ def test_criterion_06_region_phenotypes():
         j = peak + int(np.argmin(values[peak:]))
         assert j < times.size - 1
 
-        model = inverted._model
+        model, gamma = inverted._model, inverted.bath.gamma
         t_dip = float(
-            _bisect(lambda t: _qfi_slope(model, 0.8, 0.0, t) < 0, times[j - 1], times[j + 1])
+            _bisect(
+                lambda t: _qfi_slope(model, 0.8, 0.0, gamma * t) < 0, times[j - 1], times[j + 1]
+            )
         )
         f_dip = float(qfi_values(inverted.init, inverted.spectrum, inverted.bath, [t_dip])[0])
         assert f_dip <= 1e-8 * asymptote

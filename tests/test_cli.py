@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import math
@@ -10,13 +11,17 @@ import shutil
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import thermoqfi
 from thermoqfi import QubitInit, Scenario, cli
+from thermoqfi.dynamics import _qubit_model
 from thermoqfi.errors import DomainError
 from thermoqfi.qfi import trace_blocks
 from thermoqfi.cli import (
@@ -52,6 +57,27 @@ def exit_of(capsys, argv):
         rc = exc.code
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def _run_quietly(argv):
+    """main(argv) in-process: its exit code, stdout, stderr and every warning it raised."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    return rc, out.getvalue(), err.getvalue(), caught
+
+
+@functools.lru_cache(maxsize=None)
+def _unit_gamma_trace():
+    """The gamma = 1 trace that the scaled traces are compared with, computed once."""
+    rc, out, err, caught = _run_quietly(
+        ["trace", "--omega12", "1", "--beta", "1", "--gamma", "1", "--a", "0.1", "--r", "0.5",
+         "--points", "64"]
+    )
+    assert (rc, err, caught) == (0, "", [])
+    return np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
 
 
 def _flag_actions():
@@ -147,23 +173,26 @@ class TestTrace:
 
     @pytest.mark.parametrize("beta", [0.2, 0.6, 1.0, 1.4, 1.8, 2.2, 2.6, 3.0])
     def test_derived_constants_reproduce_the_columns(self, capsys, beta):
-        # p2, |rho12| and the default window come from the pi2 and lambda
-        # that the document reports, bit for bit
-        a, r, phi = 0.1, 0.6, 0.4
+        # p2 and |rho12| come from the reported pi2 and lambda/gamma at the
+        # scaled times gamma t, the default window from the reported lambda,
+        # and lambda is gamma lambda/gamma, all bit for bit
+        a, r, phi, gamma = 0.1, 0.6, 0.4, 1.3
         rc, out, _ = run_cli(
             capsys,
-            ["trace", "--omega12", "1", "--beta", repr(beta), "--gamma", "1.3",
+            ["trace", "--omega12", "1", "--beta", repr(beta), "--gamma", repr(gamma),
              "--a", repr(a), "--r", repr(r), "--phi", repr(phi),
              "--points", "64", "--format", "json"],
         )
         assert rc == 0
         doc = json.loads(out)
         pi2, lam = doc["derived"]["pi2"], doc["derived"]["lambda"]
+        lam_hat = _qubit_model(1.0, beta).lam_hat
+        assert lam == gamma * lam_hat
         rows = np.array(doc["rows"])
         t, p2, abs_rho12 = (rows[:, TRACE_COLUMNS.index(c)] for c in ("t", "p2", "abs_rho12"))
-        assert np.array_equal(p2, pi2 - np.exp(lam * t) * (pi2 - a))
+        assert np.array_equal(p2, pi2 - np.exp(lam_hat * (gamma * t)) * (pi2 - a))
         abs_rho12_0 = abs(QubitInit(a=a, r=r, phi=phi).rho12_0)
-        assert np.array_equal(abs_rho12, abs_rho12_0 * np.exp(lam * t / 2.0))
+        assert np.array_equal(abs_rho12, abs_rho12_0 * np.exp(lam_hat * (gamma * t) / 2.0))
         assert t[-1] == 20.0 / abs(lam)
 
     def test_theta_matches_population_form(self, capsys):
@@ -607,11 +636,12 @@ class TestArgumentRules:
         assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("gamma", ["1e-200", "1e200"])
+    @pytest.mark.parametrize("gamma", ["1e-307", "1e-200", "1e200", "5e307"])
     def test_extreme_gamma_trace_is_the_unit_gamma_trace_in_scaled_time(self, capsys, gamma):
-        # The trace depends on gamma*t alone: at gamma = 1e200 (where lam^2
-        # overflows) and 1e-200 (where it underflows) every column but t is
-        # the gamma = 1 column at the times gamma*t.
+        # The trace depends on gamma*t alone: at every gamma whose lambda and
+        # default window are finite (here from 1e-307 to 5e307, where the
+        # window is 1.8e-307 long) every column but t is the gamma = 1 column
+        # at the times gamma*t.
         argv = ["trace", "--omega12", "1", "--beta", "1", "--gamma", gamma, "--a", "0.3",
                 "--r", "0.5", "--points", "64"]
         rc, out, err = run_cli(capsys, argv)
@@ -623,6 +653,38 @@ class TestArgumentRules:
         [cols] = trace_blocks(init, thermoqfi.Spectrum.qubit(1.0), unit, scaled, len(scaled))
         for k, name in enumerate(TRACE_COLUMNS[1:], 1):
             np.testing.assert_allclose(rows[:, k], cols[name], rtol=1e-13, atol=0, err_msg=name)
+
+    @settings(max_examples=40, deadline=None)
+    @given(log2_gamma=st.floats(min_value=-1074.0, max_value=1023.99))
+    @example(log2_gamma=-1074.0)  # the smallest subnormal
+    @example(log2_gamma=-1020.0)  # a window of 1e308
+    @example(log2_gamma=1022.5)  # a window of 1.5e-307
+    @example(log2_gamma=1023.99)  # lambda overflows
+    def test_any_gamma_gives_the_scaled_trace_or_one_gamma_error(self, log2_gamma):
+        # gamma log-uniform over the positive doubles: either lambda and the
+        # default window are finite and the trace is the gamma = 1 trace at
+        # the times gamma*t, or the call ends in one of the two gamma errors.
+        gamma = 2.0**log2_gamma
+        rc, out, err, caught = _run_quietly(
+            ["trace", "--omega12", "1", "--beta", "1", "--gamma", repr(gamma), "--a", "0.1",
+             "--r", "0.5", "--points", "64"]
+        )
+        assert caught == [] and "Traceback" not in err
+        if rc == 2:
+            assert out == ""
+            assert err in (
+                f"error: gamma = {gamma:g} is too large: the relaxation rate gamma/(pi2 - pi1) "
+                "overflows double precision\n",
+                f"error: gamma = {gamma:g} is too small: the default time window 20/|lambda| "
+                "overflows double precision\n",
+            )
+            return
+        assert (rc, err) == (0, "")
+        rows = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+        unit = _unit_gamma_trace()
+        np.testing.assert_allclose(rows[:, 0] * gamma, unit[:, 0], rtol=1e-13, atol=0)
+        for k, name in enumerate(TRACE_COLUMNS[1:], 1):
+            np.testing.assert_allclose(rows[:, k], unit[:, k], rtol=1e-13, atol=0, err_msg=name)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(

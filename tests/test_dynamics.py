@@ -242,6 +242,11 @@ class TestCoherence:
             math.remainder(3.0, 2.0 * math.pi), rel=1e-12
         )
 
+    @pytest.mark.parametrize("t", [-1.0, math.nan, -math.inf])
+    def test_propagate_coherence_rejects_a_time_that_is_not_nonnegative(self, t):
+        with pytest.raises(DomainError, match="^t must be nonnegative$"):
+            propagate_coherence(0.5, 1.0, 0.3 + 0.0j, t)
+
 
 class TestQubitState:
     def test_relaxation_rate(self):
@@ -447,6 +452,11 @@ class TestGadChannel:
         assert row["rel_diff"] == pytest.approx(1.0 / 55.0, rel=1e-10)
         row = gad_master_comparison(9.5, 0.02, omega12=5.0)
         assert row["rel_diff"] == pytest.approx(1.0 / 171.0, rel=1e-10)
+
+    def test_comparison_rejects_a_zero_collision_time(self):
+        # gamma = tau_tilde omega12/2 vanishes, so no master-equation time matches
+        with pytest.raises(DomainError, match="^tau_tilde must be positive$"):
+            gad_master_comparison(5.5, 0.0, omega12=5.0)
 
     def test_comparison_gap_is_collision_time_independent(self):
         gaps = [

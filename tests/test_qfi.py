@@ -238,11 +238,11 @@ class TestSldGeneral:
 
     def test_overflowing_solution_fails_the_residual_check(self):
         # L = 2 drho/(p_m + p_n) overflows, so the residual is nan; nan must
-        # not pass the check as a small residual.
+        # not pass the check as a small residual, and no numpy warning may
+        # come before the error.
         rho = np.diag([0.75, 0.25]).astype(complex)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(ModelIntegrityError, match="residual nan"):
-                sld_general(rho, np.diag([-1e308, 1e308]).astype(complex))
+        with pytest.raises(ModelIntegrityError, match="residual nan"):
+            sld_general(rho, np.diag([-1e308, 1e308]).astype(complex))
 
     def test_validation_errors(self):
         rho = np.diag([0.75, 0.25]).astype(complex)
@@ -385,10 +385,13 @@ class TestQfiValues:
 
 
 class TestScaledTime:
-    @pytest.mark.parametrize("gamma", [1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300])
+    @pytest.mark.parametrize(
+        "gamma", [1e-307, 1e-305, 1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300, 1e307, 5e307]
+    )
     def test_qfi_depends_on_gamma_t_alone(self, gamma):
-        # F(gamma, t) = F(1, gamma t): lam^2/gamma neither underflows (small
-        # gamma) nor overflows (large gamma) on the way.
+        # F(gamma, t) = F(1, gamma t) for every gamma whose default window is
+        # finite: the kernel runs in s = gamma t, so nothing of order gamma
+        # underflows or overflows on the way.
         rng = np.random.default_rng(47)
         for _ in range(20):
             s = random_scenario(rng)
