@@ -584,7 +584,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "f_classical": report.f_classical,
         "f_quantum": report.f_quantum,
         "bound": report.bound,
-        "variance": None if report.run is None else report.run.variance,
+        "variance": report.variance,
         "ratio": report.ratio,
         "clamped_count": report.clamped_count,
         "no_information": report.no_information,

@@ -33,7 +33,7 @@ from .qfi import (
     qfi_values,
     thermal_qfi,
 )
-from .spectrum import MAX_EXP_BETA_OMEGA, Bath, Spectrum, _readonly
+from .spectrum import MAX_EXP_BETA_OMEGA, Bath, Spectrum
 
 # Peaks closer to the tail value than this fraction of the asymptote are
 # treated as asymptotic plateaus rather than interior maxima.
@@ -435,27 +435,6 @@ def _mle_inverse(spectrum, gamma, init, t, bracket):
     return invert
 
 
-@dataclass(frozen=True)
-class EstimationRun:
-    """Replicated Monte-Carlo estimation at one measurement time."""
-
-    m_experiments: int
-    measurement_time: float
-    seed: int
-    beta_hats: np.ndarray
-    variance: float
-
-    def __post_init__(self) -> None:
-        samples = np.asarray(self.beta_hats, dtype=float)
-        if samples.ndim != 1 or samples.size < 2:
-            raise DomainError("need at least two replicas")
-        if not np.all(np.isfinite(samples)):
-            raise DomainError("estimates must be finite")
-        if not (self.variance >= 0):
-            raise DomainError("variance must be nonnegative")
-        object.__setattr__(self, "beta_hats", _readonly(samples))
-
-
 def _check_run(m_experiments: int, n_replicas: int, seed) -> None:
     """Reject replica-run settings before anything is searched or drawn."""
     if n_replicas < 2:
@@ -472,14 +451,15 @@ def _check_run(m_experiments: int, n_replicas: int, seed) -> None:
 class CramerRaoReport:
     """The Cramer-Rao chain Var(beta_hat) >= 1/(M F_C) >= 1/(M F_Q) at one time.
 
-    For a diagonal start the report carries a Monte-Carlo saturation run of
-    the binomial MLE against 1/(M F_C). For a coherent start (bound_only) the
-    population measurement no longer attains F_Q, so only the quantum bound
-    1/(M F_Q) is reported and run, f_classical, ratio and clamped_count are None.
+    For a diagonal start the report carries the variance of the binomial MLE
+    over seeded Monte-Carlo replicas, to be set against 1/(M F_C). For a
+    coherent start (bound_only) the population measurement no longer attains
+    F_Q, so only the quantum bound 1/(M F_Q) is reported and variance,
+    f_classical, ratio and clamped_count are None.
     """
 
     measurement_time: float
-    run: EstimationRun | None
+    variance: float | None
     f_classical: float | None
     f_quantum: float
     bound: float | None
@@ -524,7 +504,7 @@ def cramer_rao_report(
         informative = f_quantum > 0.0
         return CramerRaoReport(
             measurement_time=float(t),
-            run=None,
+            variance=None,
             f_classical=None,
             f_quantum=f_quantum,
             bound=1.0 / (m_experiments * f_quantum) if informative else None,
@@ -537,7 +517,7 @@ def cramer_rao_report(
     if not (f_classical > 0.0) or not math.isfinite(f_classical):
         return CramerRaoReport(
             measurement_time=float(t),
-            run=None,
+            variance=None,
             f_classical=f_classical,
             f_quantum=f_quantum,
             bound=None,
@@ -558,16 +538,9 @@ def cramer_rao_report(
     estimates = by_count[replica_of]
     clamped = int(np.count_nonzero(clamped_by_count[replica_of]))
     variance = float(np.var(estimates, ddof=1))
-    run = EstimationRun(
-        m_experiments=m_experiments,
-        measurement_time=float(t),
-        seed=seed,
-        beta_hats=estimates,
-        variance=variance,
-    )
     return CramerRaoReport(
         measurement_time=float(t),
-        run=run,
+        variance=variance,
         f_classical=f_classical,
         f_quantum=f_quantum,
         bound=1.0 / (m_experiments * f_classical),

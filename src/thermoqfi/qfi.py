@@ -3,8 +3,9 @@
 Implements the four QFI forms used for inverse-temperature estimation: the
 thermal-state variance formula, the diagonal-state sum, the general
 eigenbasis Lyapunov solver with the coherence decomposition
-F = F_d + Tr[rho Ltilde^2], and the analytic qubit expressions built on the
-closed-form beta-derivatives of the evolved state.
+F = F_d + Tr[rho Ltilde^2], and the analytic qubit QFI. The closed-form
+evolved qubit state and its beta-derivative feed the Lyapunov solver for the
+qubit SLD.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .dynamics import DensityMatrix, QubitInit, _qubit_model_of, _QubitModel, as_state
 from .errors import DomainError, ModelIntegrityError
-from .spectrum import Bath, Spectrum, _readonly, thermal_distribution
+from .spectrum import Bath, Spectrum, thermal_distribution
 
 # Eigenvalue pairs of rho with p_m + p_n at or below this guard are outside
 # the numerical support and contribute zero to the SLD.
@@ -135,50 +136,12 @@ def _qubit_point(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float):
 
 
 @dataclass(frozen=True)
-class DerivativeBundle:
-    """Partial beta-derivative of the evolved state at fixed initial state."""
-
-    d_populations: np.ndarray
-    d_coherence: complex
-    alpha: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        dp = np.asarray(self.d_populations, dtype=float)
-        if not np.all(np.isfinite(dp)):
-            raise DomainError("population derivative must be finite")
-        scale = 1.0 + float(np.max(np.abs(dp))) if dp.size else 1.0
-        if abs(math.fsum(dp)) > 1e-12 * scale:
-            raise DomainError("population derivative components must sum to zero")
-        object.__setattr__(self, "d_populations", _readonly(dp))
-
-
-@dataclass(frozen=True)
-class SldMatrix:
-    """Hermitian solution L of the Lyapunov equation d rho = (L rho + rho L)/2."""
-
-    elements: np.ndarray
-    residual: float
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.elements, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError("SLD must be a square matrix")
-        scale = max(1.0, float(np.max(np.abs(m))))
-        if np.max(np.abs(m - m.conj().T)) > 1e-12 * scale:
-            raise DomainError("SLD must be Hermitian")
-        object.__setattr__(self, "elements", _readonly(m))
-
-
-@dataclass(frozen=True)
 class QfiResult:
-    """QFI split into its diagonal part and the coherence gain, with the SLD used."""
+    """QFI split into the populations' part F_d and the coherence gain F - F_d."""
 
     total: float
     diagonal_part: float
     coherence_gain: float
-    sld: SldMatrix
-    pure_state: bool = False
 
     def __post_init__(self) -> None:
         for name in ("total", "diagonal_part", "coherence_gain"):
@@ -191,20 +154,17 @@ class QfiResult:
 
 def beta_derivative_qubit(
     init: QubitInit, spectrum: Spectrum, bath: Bath, t: float
-) -> DerivativeBundle:
-    """Closed-form partial derivative of the evolved qubit state w.r.t. beta.
+) -> tuple[DensityMatrix, np.ndarray]:
+    """The closed-form evolved qubit state rho(t) and its partial derivative d rho/d beta.
 
-    d p = dpi2 * delta * [-1, 1] with dpi2 = -(1-pi2) pi2 omega;
-    d rho12 = alpha * rho12(t). Checked against the general-N derivative
-    dynamics.evolve_state_derivative, which does not use this closed form.
+    d rho/d beta = [[-g, alpha rho12], [alpha rho12*, g]] with g = dpi2 * delta
+    the derivative of rho22 and dpi2 = -(1-pi2) pi2 omega: the same pair that
+    dynamics.evolve_state_derivative gives for any N without this closed form.
     """
     terms, rho12 = _qubit_point(init, spectrum, bath, t)
-    return DerivativeBundle(
-        d_populations=np.array([-terms.g, terms.g]),
-        d_coherence=terms.alpha * rho12,
-        alpha=terms.alpha,
-        delta=terms.delta,
-    )
+    p2, g, d12 = terms.p2, terms.g, terms.alpha * rho12
+    rho = DensityMatrix(elements=np.array([[1.0 - p2, rho12], [rho12.conjugate(), p2]]))
+    return rho, np.array([[-g, d12], [d12.conjugate(), g]], dtype=complex)
 
 
 def thermal_population_derivative(spectrum: Spectrum, beta_tilde: float) -> np.ndarray:
@@ -270,13 +230,13 @@ def _validate_drho(drho: np.ndarray) -> np.ndarray:
     return d
 
 
-def sld_general(rho: DensityMatrix | np.ndarray, drho) -> SldMatrix:
-    """Solve the Lyapunov equation in the eigenbasis of rho.
+def sld_general(rho: DensityMatrix | np.ndarray, drho) -> np.ndarray:
+    """Solve the Lyapunov equation d rho = (L rho + rho L)/2 in the eigenbasis of rho.
 
     L_mn = 2 (drho)_mn / (p_m + p_n) over eigenvalue pairs inside the support;
-    pairs with p_m + p_n <= EPS_GUARD are zeroed (support convention). The
-    returned matrix carries its Lyapunov residual, which must stay below
-    1e-9 (1 + ||drho||_F).
+    pairs with p_m + p_n <= EPS_GUARD are zeroed (support convention). L is
+    returned Hermitian, and its Lyapunov residual must stay below
+    1e-9 (1 + ||drho||_F), or ModelIntegrityError is raised.
     """
     state = as_state(rho)
     d = _validate_drho(drho)
@@ -286,50 +246,44 @@ def sld_general(rho: DensityMatrix | np.ndarray, drho) -> SldMatrix:
     d_eig = vectors.conj().T @ d @ vectors
     pair_sums = values[:, None] + values[None, :]
     supported = pair_sums > EPS_GUARD
+    # Both norms are taken on matrices scaled by the power of two that brings
+    # the largest |drho| below 1, so that entries above about 1e154 cannot
+    # square to inf and pass as inf <= inf. The scaling is exact, and a drho
+    # with every entry below 1 is not scaled.
+    scale = 2.0 ** -max(0, math.frexp(float(np.max(np.abs(d))))[1])
     # an overflowing solution leaves a nan residual: the check fails, with no warning first
     with np.errstate(over="ignore", invalid="ignore"):
         l_eig = np.where(supported, 2.0 * d_eig / np.where(supported, pair_sums, 1.0), 0.0)
         l = vectors @ l_eig @ vectors.conj().T
         l = (l + l.conj().T) / 2.0
-        residual = float(np.linalg.norm(d - (l @ state.elements + state.elements @ l) / 2.0))
-        tol = 1e-9 * (1.0 + float(np.linalg.norm(d)))
+        lyapunov = (l @ state.elements + state.elements @ l) / 2.0
+        residual = float(np.linalg.norm((d - lyapunov) * scale))
+        tol = 1e-9 * (scale + float(np.linalg.norm(d * scale)))
     if not residual <= tol:
         raise ModelIntegrityError(
-            f"Lyapunov residual {residual:.3e} exceeds {tol:.3e}; "
+            f"Lyapunov residual {residual / scale:.3e} exceeds {tol / scale:.3e}; "
             "drho is not supported on the state"
         )
-    return SldMatrix(elements=l, residual=residual)
+    return l
 
 
 def qubit_qfi(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> QfiResult:
-    """Analytic qubit QFI split into diagonal part and coherence gain.
+    """Analytic qubit QFI split into the diagonal part F_d and the coherence gain.
 
     total = g^2/D + 4 m (alpha^2 (1-p2) p2 - alpha (1-2 p2) g - g^2)/D;
     diagonal_part = g^2/(p2 (1-p2)); the phase phi never enters (only |rho12|^2
     appears). At the pure-state point (t=0, r=1) D vanishes while the
-    numerator vanishes faster; the continuous limit F=0 is returned flagged.
-    The SLD is the eigenbasis Lyapunov solution (sld_general) on the
-    closed-form rho(t) and d rho/d beta = [[-g, alpha rho12], [alpha rho12*, g]]
-    (g = d rho22/d beta). At t=0 nothing depends on beta yet, so d rho/d beta
-    and L vanish, pure start or not.
+    numerator vanishes faster; there all three are the continuous limit 0.
+    The SLD of the same state is sld_general(*beta_derivative_qubit(...)).
     """
-    terms, rho12 = _qubit_point(init, spectrum, bath, t)
-    p2, alpha, g = terms.p2, terms.alpha, terms.g
-    d_mat = np.array(
-        [[-g, alpha * rho12], [alpha * rho12.conjugate(), g]], dtype=complex
-    )
-    rho = np.array([[1.0 - p2, rho12], [rho12.conjugate(), p2]], dtype=complex)
-    sld = sld_general(rho, d_mat)
+    terms, _ = _qubit_point(init, spectrum, bath, t)
     if terms.denom <= EPS_GUARD:
-        return QfiResult(
-            total=0.0, diagonal_part=0.0, coherence_gain=0.0, sld=sld, pure_state=True
-        )
+        return QfiResult(total=0.0, diagonal_part=0.0, coherence_gain=0.0)
     diagonal_part = terms.g**2 / ((1.0 - terms.p2) * terms.p2)
     return QfiResult(
         total=terms.total,
         diagonal_part=diagonal_part,
         coherence_gain=terms.total - diagonal_part,
-        sld=sld,
     )
 
 
@@ -394,10 +348,10 @@ def qfi_decomposition(rho: DensityMatrix | np.ndarray, drho) -> QfiResult:
     d = np.asarray(drho, dtype=complex)
     p = state.populations
     dp = np.diag(d).real
-    total = float(np.trace(d @ sld.elements).real)
+    total = float(np.trace(d @ sld).real)
     diagonal_part = diagonal_qfi(p, dp)
     l_d = np.where(p > EPS_GUARD, dp / np.where(p > EPS_GUARD, p, 1.0), 0.0)
-    l_tilde = sld.elements - np.diag(l_d)
+    l_tilde = sld - np.diag(l_d)
     gain = float(np.trace(state.elements @ l_tilde @ l_tilde).real)
     if gain < -1e-12:
         raise ModelIntegrityError(f"coherence gain {gain:.3e} is negative beyond tolerance")
@@ -406,6 +360,4 @@ def qfi_decomposition(rho: DensityMatrix | np.ndarray, drho) -> QfiResult:
         raise ModelIntegrityError(
             f"decomposition identity violated: |F - (F_d + gain)| = {mismatch:.3e}"
         )
-    return QfiResult(
-        total=total, diagonal_part=diagonal_part, coherence_gain=gain, sld=sld
-    )
+    return QfiResult(total=total, diagonal_part=diagonal_part, coherence_gain=gain)

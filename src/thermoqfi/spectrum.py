@@ -137,10 +137,9 @@ class TransitionMatrix:
 
 @dataclass(frozen=True)
 class ThermalDistribution:
-    """Gibbs populations pi_k = exp(-beta*eps_k)/Z and the partition function."""
+    """Gibbs populations pi_k = exp(-beta*eps_k)/Z."""
 
     pi: np.ndarray
-    partition: float
 
     def __post_init__(self) -> None:
         p = np.asarray(self.pi, dtype=float)
@@ -164,8 +163,6 @@ class SpectralReport:
     negative_count: int
     gershgorin_centers: np.ndarray  # diagonal entries a_jj
     gershgorin_radii: np.ndarray    # column radii R_j = sum_{i != j} |a_ij|
-    norm: float                     # spectral norm of A
-    tolerance: float                # null-eigenvalue threshold actually used
 
 
 def thermal_ratio(beta: float, omega: float) -> float:
@@ -201,16 +198,11 @@ def thermal_distribution(spectrum: Spectrum, beta: float) -> ThermalDistribution
     eps = np.asarray(spectrum.energies, dtype=float)
     shifted = eps - eps[0]
     weights = np.exp(-beta * shifted)
-    z_shifted = math.fsum(weights)
-    pi = weights / z_shifted
+    pi = weights / math.fsum(weights)
     if np.any(pi <= 0):
         # omega here is the top level's gap above the ground level
         raise _gibbs_underflow(beta * shifted[-1])
-    # Z itself is shift-covariant: Z = Z_shifted * exp(-beta*eps_1). The populations
-    # above are the overflow-safe quantity; Z may saturate for extreme eps_1.
-    with np.errstate(over="ignore", under="ignore"):
-        partition = float(z_shifted * np.exp(-beta * eps[0]))
-    return ThermalDistribution(pi=pi, partition=partition)
+    return ThermalDistribution(pi=pi)
 
 
 def rate_matrix(spectrum: Spectrum, bath: Bath) -> RateMatrix:
@@ -234,20 +226,13 @@ def transition_matrix(rates: RateMatrix) -> TransitionMatrix:
     return TransitionMatrix(a=a)
 
 
-def _as_generator(a: TransitionMatrix | np.ndarray) -> np.ndarray:
-    if isinstance(a, TransitionMatrix):
-        return np.asarray(a.a, dtype=float)
-    return np.asarray(a, dtype=float)
-
-
-def stationary_distribution(a: TransitionMatrix | np.ndarray) -> ThermalDistribution:
-    """Probability-normalized null vector of A_beta.
+def stationary_distribution(a: np.ndarray) -> ThermalDistribution:
+    """Probability-normalized null vector of the generator array A_beta.
 
     Computed by eigendecomposition; the null space is one-dimensional for valid
-    generators, so no tie-breaking is needed. The reported partition function is
-    the ground-shifted one, Z = 1/pi_1.
+    generators, so no tie-breaking is needed.
     """
-    mat = _as_generator(a)
+    mat = np.asarray(a, dtype=float)
     eigenvalues, eigenvectors = np.linalg.eig(mat)
     norm = float(np.linalg.norm(mat, 2))
     idx = int(np.argmin(np.abs(eigenvalues)))
@@ -267,17 +252,17 @@ def stationary_distribution(a: TransitionMatrix | np.ndarray) -> ThermalDistribu
     if np.any(pi <= 0):
         raise ModelIntegrityError("stationary vector is not strictly positive")
     pi = pi / math.fsum(pi)
-    return ThermalDistribution(pi=pi, partition=float(1.0 / pi[0]))
+    return ThermalDistribution(pi=pi)
 
 
-def spectral_report(a: TransitionMatrix | np.ndarray) -> SpectralReport:
-    """Eigenvalues of A_beta with the decay-structure assertion.
+def spectral_report(a: np.ndarray) -> SpectralReport:
+    """Eigenvalues of the generator array A_beta with the decay-structure assertion.
 
     Asserts exactly one null eigenvalue (|lambda| <= 1e-8*||A||) and N-1
     eigenvalues with strictly negative real part; returns Gershgorin disc data
     (column discs: centers a_jj, radii R_j) for diagnostics.
     """
-    mat = _as_generator(a)
+    mat = np.asarray(a, dtype=float)
     n = mat.shape[0]
     eigenvalues = np.linalg.eigvals(mat)
     norm = float(np.linalg.norm(mat, 2))
@@ -299,6 +284,4 @@ def spectral_report(a: TransitionMatrix | np.ndarray) -> SpectralReport:
         negative_count=negative_count,
         gershgorin_centers=_readonly(centers),
         gershgorin_radii=_readonly(radii),
-        norm=norm,
-        tolerance=tol,
     )

@@ -13,8 +13,7 @@ import math
 
 import numpy as np
 
-from thermoqfi import Bath, DensityMatrix, QubitInit, Scenario, Spectrum
-from thermoqfi.qfi import _qubit_point
+from thermoqfi import Bath, DensityMatrix, QubitInit, Scenario, Spectrum, beta_derivative_qubit
 
 
 def random_scenario(rng) -> Scenario:
@@ -36,10 +35,7 @@ def random_time(rng, scenario: Scenario, lo: float = 0.0) -> float:
 
 def closed_form_state(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> DensityMatrix:
     """The closed-form qubit state rho(t): the p2 and rho12 that qubit_qfi uses."""
-    terms, rho12 = _qubit_point(init, spectrum, bath, t)
-    return DensityMatrix(
-        elements=np.array([[1.0 - terms.p2, rho12], [rho12.conjugate(), terms.p2]])
-    )
+    return beta_derivative_qubit(init, spectrum, bath, t)[0]
 
 
 def random_nlevel_model(rng, n_max: int = 8):

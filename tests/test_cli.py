@@ -818,10 +818,7 @@ class TestEstimate:
             n_replicas=args.replicas,
             seed=args.seed,
         )
-        expected = {
-            name: getattr(report, name) for name in ESTIMATE_COLUMNS if name != "variance"
-        }
-        expected["variance"] = None if report.run is None else report.run.variance
+        expected = {name: getattr(report, name) for name in ESTIMATE_COLUMNS}
         assert expected["bound_only"] == (args.r != 0.0)
         rc, out, _ = run_cli(capsys, argv)
         assert rc == 0

@@ -13,7 +13,6 @@ import pytest
 from thermoqfi import (
     Bath,
     DomainError,
-    EstimationRun,
     EstimatorUndefinedError,
     QubitInit,
     RegionLabel,
@@ -469,34 +468,6 @@ class TestMleBeta:
         assert not clamped.any()
 
 
-class TestEstimationRun:
-    def test_validation(self):
-        with pytest.raises(DomainError, match="two replicas"):
-            EstimationRun(
-                m_experiments=10,
-                measurement_time=1.0,
-                seed=0,
-                beta_hats=np.array([1.0]),
-                variance=0.0,
-            )
-        with pytest.raises(DomainError, match="finite"):
-            EstimationRun(
-                m_experiments=10,
-                measurement_time=1.0,
-                seed=0,
-                beta_hats=np.array([1.0, math.inf]),
-                variance=0.0,
-            )
-        with pytest.raises(DomainError, match="variance"):
-            EstimationRun(
-                m_experiments=10,
-                measurement_time=1.0,
-                seed=0,
-                beta_hats=np.array([1.0, 1.1]),
-                variance=-1.0,
-            )
-
-
 class TestCramerRao:
     @pytest.mark.parametrize("t", [None, 0.0, 1.0, 3.7])
     def test_coherent_state_reports_the_quantum_bound_only(self, monkeypatch, t):
@@ -508,7 +479,7 @@ class TestCramerRao:
         t_used = maximize_qfi_over_time(s).t_star if t is None else t
         f_quantum = qubit_qfi(s.init, s.spectrum, s.bath, t_used).total
         assert report.bound_only
-        assert report.run is None and report.f_classical is None
+        assert report.variance is None and report.f_classical is None
         assert report.ratio is None and report.clamped_count is None
         assert report.measurement_time == t_used
         assert report.f_quantum == f_quantum  # bit for bit
@@ -533,7 +504,8 @@ class TestCramerRao:
             reference_scenario(), t=1.0, m_experiments=100, n_replicas=10, seed=2
         )
         assert not report.bound_only
-        assert report.measurement_time == report.run.measurement_time == 1.0
+        assert report.variance is not None
+        assert report.measurement_time == 1.0
 
     def test_small_run_saturates(self):
         report = cramer_rao_report(
@@ -556,14 +528,14 @@ class TestCramerRao:
             reference_scenario(), m_experiments=500, n_replicas=50, seed=9
         )
         assert r1.ratio == r2.ratio
-        assert np.array_equal(r1.run.beta_hats, r2.run.beta_hats)
+        assert r1.variance == r2.variance
 
     def test_no_information_at_zero_time(self):
         report = cramer_rao_report(
             reference_scenario(), t=0.0, m_experiments=100, n_replicas=10, seed=1
         )
         assert report.no_information
-        assert report.run is None
+        assert report.variance is None
         assert report.bound is None and report.ratio is None
         assert report.f_classical == 0.0
 
@@ -571,7 +543,7 @@ class TestCramerRao:
         report = cramer_rao_report(
             reference_scenario(), m_experiments=200, n_replicas=20, seed=5
         )
-        assert report.run.measurement_time == pytest.approx(0.72422736049842, rel=1e-14)
+        assert report.measurement_time == pytest.approx(0.72422736049842, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(DomainError, match="n_replicas"):
@@ -591,7 +563,10 @@ class TestCramerRao:
             _mle(c, m, s.spectrum, s.bath.gamma, s.init, t, bracket)
             for c in _reference_counts(seed, n, m, p2)
         ]
-        assert report.run.beta_hats.tolist() == [e[0] for e in expected]
+        invert = _mle_inverse(s.spectrum, s.bath.gamma, s.init, t, bracket)
+        estimates, _ = invert(_replica_counts(seed, n, m, p2) / m)
+        assert estimates.tolist() == [e[0] for e in expected]
+        assert report.variance == float(np.var(estimates, ddof=1))
         assert report.clamped_count == sum(e[1] for e in expected)
         assert 0 < report.clamped_count < n
 
@@ -621,7 +596,10 @@ class TestCramerRao:
                 if c not in by_count:
                     by_count[c] = _scalar_mle(c / m, omega, gamma, a, t, lo, hi)
                 expected.append(by_count[c])
-            assert report.run.beta_hats.tolist() == [e[0] for e in expected]
+            invert = _mle_inverse(s.spectrum, gamma, s.init, t, (lo, hi))
+            estimates, _ = invert(_replica_counts(seed, n, m, p2) / m)
+            assert estimates.tolist() == [e[0] for e in expected]
+            assert report.variance == float(np.var(estimates, ddof=1))
             assert report.clamped_count == sum(e[1] for e in expected)
             clamped += report.clamped_count
         assert clamped > 0

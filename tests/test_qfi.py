@@ -8,12 +8,10 @@ import pytest
 from thermoqfi import (
     Bath,
     DensityMatrix,
-    DerivativeBundle,
     DomainError,
     ModelIntegrityError,
     QfiResult,
     QubitInit,
-    SldMatrix,
     Spectrum,
     beta_derivative_qubit,
     diagonal_qfi,
@@ -25,62 +23,48 @@ from thermoqfi import (
     thermal_population_derivative,
     thermal_qfi,
 )
-from thermoqfi.qfi import EPS_GUARD, trace_blocks
+from thermoqfi.qfi import EPS_GUARD, _qubit_point, trace_blocks
 
-from conftest import closed_form_state, random_mixed_state, random_scenario, random_time
+from conftest import random_mixed_state, random_scenario, random_time
 
 SPECTRUM = Spectrum.qubit(1.0)
 BATH = Bath(beta=math.log(3.0), gamma=1.0)
 
 
-class TestDerivativeBundle:
-    def test_rejects_nonzero_sum(self):
-        with pytest.raises(DomainError, match="sum to zero"):
-            DerivativeBundle(
-                d_populations=np.array([0.1, 0.2]),
-                d_coherence=0j,
-                alpha=0.0,
-                delta=0.0,
-            )
+def _lyapunov_residual(rho: np.ndarray, drho: np.ndarray, sld: np.ndarray) -> float:
+    """||drho - (L rho + rho L)/2||_F: the residual that sld_general bounds."""
+    return float(np.linalg.norm(drho - (sld @ rho + rho @ sld) / 2.0))
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(DomainError, match="finite"):
-            DerivativeBundle(
-                d_populations=np.array([math.nan, 0.0]),
-                d_coherence=0j,
-                alpha=0.0,
-                delta=0.0,
-            )
 
+class TestBetaDerivativeQubit:
     def test_ground_start_reference_values(self):
         # pi2 = 1/4, lam = -2: delta(1) = 1 - e^{-2} + 2 e^{-2} and
         # d p2 = -(1 - pi2) pi2 omega * delta.
-        b = beta_derivative_qubit(QubitInit(a=0.0), SPECTRUM, BATH, 1.0)
-        assert b.delta == pytest.approx(1.1353352832366128, rel=1e-15)
-        assert float(b.d_populations[1]) == pytest.approx(
-            -0.2128753656068649, rel=1e-15
-        )
-        assert b.alpha == pytest.approx(0.75, rel=1e-15)
-        assert b.d_coherence == 0j
-        assert math.fsum(b.d_populations) == 0.0
+        terms, _ = _qubit_point(QubitInit(a=0.0), SPECTRUM, BATH, 1.0)
+        _, drho = beta_derivative_qubit(QubitInit(a=0.0), SPECTRUM, BATH, 1.0)
+        assert terms.delta == pytest.approx(1.1353352832366128, rel=1e-15)
+        assert float(drho[1, 1].real) == pytest.approx(-0.2128753656068649, rel=1e-15)
+        assert terms.alpha == pytest.approx(0.75, rel=1e-15)
+        assert drho[0, 1] == 0j
+        assert math.fsum(np.diag(drho).real) == 0.0
 
     def test_coherent_reference_values(self):
-        b = beta_derivative_qubit(QubitInit(a=0.1, r=1.0, phi=0.0), SPECTRUM, BATH, 1.0)
-        assert b.delta == pytest.approx(1.0270670566473226, rel=1e-15)
-        assert float(b.d_populations[1]) == pytest.approx(
-            -0.19257507312137298, rel=1e-15
-        )
-        assert b.d_coherence == pytest.approx(
+        init = QubitInit(a=0.1, r=1.0, phi=0.0)
+        terms, _ = _qubit_point(init, SPECTRUM, BATH, 1.0)
+        _, drho = beta_derivative_qubit(init, SPECTRUM, BATH, 1.0)
+        assert terms.delta == pytest.approx(1.0270670566473226, rel=1e-15)
+        assert float(drho[1, 1].real) == pytest.approx(-0.19257507312137298, rel=1e-15)
+        assert drho[0, 1] == pytest.approx(
             0.044722374827942925 + 0.06965097202195025j, rel=1e-14
         )
 
     def test_delta_depends_on_gamma_t_product_only(self):
-        ref = beta_derivative_qubit(QubitInit(a=0.0), SPECTRUM, BATH, 1.0).delta
+        ref = _qubit_point(QubitInit(a=0.0), SPECTRUM, BATH, 1.0)[0].delta
         for gamma in (0.5, 2.0, 7.0):
-            b = beta_derivative_qubit(
+            terms, _ = _qubit_point(
                 QubitInit(a=0.0), SPECTRUM, Bath(beta=BATH.beta, gamma=gamma), 1.0 / gamma
             )
-            assert b.delta == pytest.approx(ref, rel=1e-13)
+            assert terms.delta == pytest.approx(ref, rel=1e-13)
 
     def test_rejects_negative_time(self):
         with pytest.raises(DomainError):
@@ -100,18 +84,18 @@ class TestGeneralDerivative:
         for _ in range(40):
             s = random_scenario(rng)
             t = random_time(rng, s)
-            closed = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
+            terms, _ = _qubit_point(s.init, s.spectrum, s.bath, t)
+            _, closed = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
             rho, drho = evolve_state_derivative(
                 DensityMatrix.from_qubit_init(s.init), s.spectrum, s.bath, t
             )
             dpi2 = thermal_population_derivative(s.spectrum, s.bath.beta)[1]
             gaps = (
-                np.abs(closed.d_populations - np.diag(drho).real),
-                abs(closed.d_coherence - drho[0, 1]),
-                abs(closed.alpha * rho.elements[0, 1] - drho[0, 1]),
-                abs(closed.delta * dpi2 - drho[1, 1].real),
+                np.abs(closed - drho),
+                abs(terms.alpha * rho.elements[0, 1] - drho[0, 1]),
+                abs(terms.delta * dpi2 - drho[1, 1].real),
             )
-            scale = 1.0 + max(float(np.max(np.abs(closed.d_populations))), abs(closed.d_coherence))
+            scale = 1.0 + float(np.max(np.abs(closed)))
             worst = max(worst, max(float(np.max(gap)) for gap in gaps) / scale)
         assert worst <= 1e-12
 
@@ -200,17 +184,18 @@ class TestSldGeneral:
         pi = np.exp(-beta * np.asarray(spectrum.energies))
         pi /= pi.sum()
         dpi = thermal_population_derivative(spectrum, beta)
-        sld = sld_general(np.diag(pi).astype(complex), np.diag(dpi).astype(complex))
+        rho, drho = np.diag(pi).astype(complex), np.diag(dpi).astype(complex)
+        sld = sld_general(rho, drho)
         mean = float(np.sum(pi * spectrum.energies))
         np.testing.assert_allclose(
-            np.diag(sld.elements).real,
+            np.diag(sld).real,
             mean - np.asarray(spectrum.energies),
             rtol=0,
             atol=1e-13,
         )
-        f = float(np.trace(np.diag(dpi) @ sld.elements).real)
+        f = float(np.trace(np.diag(dpi) @ sld).real)
         assert f == pytest.approx(thermal_qfi(spectrum, beta), rel=1e-13)
-        assert sld.residual <= 1e-15
+        assert _lyapunov_residual(rho, drho, sld) <= 1e-15
 
     def test_support_guard_zeroes_dead_pair(self):
         # Rank-one state: the (2,2) pair sum is zero, so that entry of L is
@@ -218,13 +203,16 @@ class TestSldGeneral:
         rho = np.diag([1.0, 0.0]).astype(complex)
         drho = np.array([[0.0, 0.1], [0.1, 0.0]], dtype=complex)
         sld = sld_general(rho, drho)
-        assert sld.elements[1, 1] == 0.0
-        assert sld.elements[0, 1] == pytest.approx(0.2, rel=1e-14)
-        assert sld.residual <= 1e-14
+        assert sld[1, 1] == 0.0
+        assert sld[0, 1] == pytest.approx(0.2, rel=1e-14)
+        assert _lyapunov_residual(rho, drho, sld) <= 1e-14
 
-    def test_off_support_derivative_raises(self):
+    # Above about 1e154 the Frobenius norms of the residual and of drho both
+    # square to inf; the check must still see that drho is off the support.
+    @pytest.mark.parametrize("size", [0.5, 1e200])
+    def test_off_support_derivative_raises(self, size):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        drho = np.diag([0.5, -0.5]).astype(complex)
+        drho = np.diag([size, -size]).astype(complex)
         with pytest.raises(ModelIntegrityError, match="residual"):
             sld_general(rho, drho)
 
@@ -256,28 +244,25 @@ class TestSldGeneral:
 
 class TestQubitSld:
     def test_reference_values(self):
-        sld = qubit_qfi(QubitInit(a=0.1, r=1.0, phi=0.0), SPECTRUM, BATH, 1.0).sld
-        assert sld.elements[0, 0] == pytest.approx(0.21453682587084863, rel=1e-13)
-        assert sld.elements[1, 1] == pytest.approx(-0.9573036418064816, rel=1e-13)
-        assert sld.elements[0, 1] == pytest.approx(
+        init = QubitInit(a=0.1, r=1.0, phi=0.0)
+        sld = sld_general(*beta_derivative_qubit(init, SPECTRUM, BATH, 1.0))
+        assert sld[0, 0] == pytest.approx(0.21453682587084863, rel=1e-13)
+        assert sld[1, 1] == pytest.approx(-0.9573036418064816, rel=1e-13)
+        assert sld[0, 1] == pytest.approx(
             0.1337358109252606 + 0.20828118499798828j, rel=1e-13
         )
 
     def test_matches_general_solver(self):
+        # The SLD of the closed-form pair against that of the general-N pair,
+        # which does not use the qubit closed forms.
         rng = np.random.default_rng(5)
         for _ in range(30):
             s = random_scenario(rng)
             t = random_time(rng, s, lo=0.05)
-            closed = qubit_qfi(s.init, s.spectrum, s.bath, t).sld
-            bundle = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
-            drho = np.array(
-                [
-                    [bundle.d_populations[0], bundle.d_coherence],
-                    [np.conj(bundle.d_coherence), bundle.d_populations[1]],
-                ]
-            )
-            general = sld_general(closed_form_state(s.init, s.spectrum, s.bath, t), drho)
-            assert float(np.max(np.abs(closed.elements - general.elements))) <= 1e-10
+            closed = sld_general(*beta_derivative_qubit(s.init, s.spectrum, s.bath, t))
+            rho0 = DensityMatrix.from_qubit_init(s.init)
+            general = sld_general(*evolve_state_derivative(rho0, s.spectrum, s.bath, t))
+            assert float(np.max(np.abs(closed - general))) <= 1e-10
 
     def test_matches_paper_closed_form(self):
         # The paper's closed-form SLD, with g = d rho22/d beta, m = |rho12|^2
@@ -289,18 +274,18 @@ class TestQubitSld:
         for _ in range(200):
             s = random_scenario(rng)
             t = random_time(rng, s, lo=0.05)
-            state = closed_form_state(s.init, s.spectrum, s.bath, t)
-            bundle = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
+            state, drho = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
+            alpha = _qubit_point(s.init, s.spectrum, s.bath, t)[0].alpha
             p2, rho12 = state.rho22, complex(state.elements[0, 1])
-            g, alpha, m = bundle.d_populations[1], bundle.alpha, abs(rho12) ** 2
+            g, m = float(drho[1, 1].real), abs(rho12) ** 2
             d = (1.0 - p2) * p2 - m
             l11 = (2.0 * g * m - 2.0 * alpha * p2 * m - p2 * g) / d
             l22 = (-2.0 * g * m - 2.0 * alpha * (1.0 - p2) * m + (1.0 - p2) * g) / d
             l12 = (2.0 * alpha * (1.0 - p2) * p2 - (1.0 - 2.0 * p2) * g) / d * rho12
             closed = np.array([[l11, l12], [np.conj(l12), l22]])
-            sld = qubit_qfi(s.init, s.spectrum, s.bath, t).sld
+            sld = sld_general(state, drho)
             scale = float(np.max(np.abs(closed)))
-            assert float(np.max(np.abs(sld.elements - closed))) <= 1e-12 * scale
+            assert float(np.max(np.abs(sld - closed))) <= 1e-12 * scale
 
     def test_residual_check_passes_at_the_edges(self):
         # Low temperature (beta*omega up to 27), nearly pure starts (r -> 1)
@@ -317,16 +302,18 @@ class TestQubitSld:
             )
             t = 10.0 ** float(rng.uniform(-14.0, 0.0)) / bath.gamma
             spectrum = Spectrum.qubit(omega)
-            sld = qubit_qfi(init, spectrum, bath, t).sld  # raises ModelIntegrityError if not
-            bundle = beta_derivative_qubit(init, spectrum, bath, t)
-            drho_norm = math.hypot(*bundle.d_populations, *2 * [abs(bundle.d_coherence)])
-            assert sld.residual <= 1e-9 * (1.0 + drho_norm)
+            state, drho = beta_derivative_qubit(init, spectrum, bath, t)
+            sld = sld_general(state, drho)  # raises ModelIntegrityError if not
+            residual = _lyapunov_residual(state.elements, drho, sld)
+            assert residual <= 1e-9 * (1.0 + float(np.linalg.norm(drho)))
 
     def test_fallback_on_pure_state(self):
         # At t = 0 nothing depends on beta yet: d rho/d beta = 0, so L = 0.
-        sld = qubit_qfi(QubitInit(a=0.1, r=1.0, phi=0.3), SPECTRUM, BATH, 0.0).sld
-        assert not np.any(sld.elements)
-        assert sld.residual == 0.0
+        init = QubitInit(a=0.1, r=1.0, phi=0.3)
+        state, drho = beta_derivative_qubit(init, SPECTRUM, BATH, 0.0)
+        sld = sld_general(state, drho)
+        assert not np.any(sld)
+        assert _lyapunov_residual(state.elements, drho, sld) == 0.0
 
 
 class TestQubitQfi:
@@ -335,17 +322,15 @@ class TestQubitQfi:
         assert res.total == pytest.approx(0.2666432038557697, rel=1e-14)
         assert res.diagonal_part == pytest.approx(0.20959438216656165, rel=1e-14)
         assert res.coherence_gain == pytest.approx(0.057048821689208024, rel=1e-13)
-        assert not res.pure_state
 
     def test_population_only_state_has_zero_gain(self):
         res = qubit_qfi(QubitInit(a=0.1, r=0.0), SPECTRUM, BATH, 1.0)
         assert res.coherence_gain == 0.0
         assert res.total == res.diagonal_part
 
-    def test_pure_state_limit_flagged(self):
+    def test_pure_state_limit_is_zero(self):
         res = qubit_qfi(QubitInit(a=0.1, r=1.0), SPECTRUM, BATH, 0.0)
-        assert res.pure_state
-        assert res.total == 0.0
+        assert res.total == res.diagonal_part == res.coherence_gain == 0.0
 
     def test_phase_invariance(self):
         ref = qubit_qfi(QubitInit(a=0.3, r=0.8, phi=0.0), SPECTRUM, BATH, 0.7).total
@@ -437,14 +422,7 @@ class TestDecomposition:
             s = random_scenario(rng)
             t = random_time(rng, s, lo=0.05)
             closed = qubit_qfi(s.init, s.spectrum, s.bath, t)
-            bundle = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
-            drho = np.array(
-                [
-                    [bundle.d_populations[0], bundle.d_coherence],
-                    [np.conj(bundle.d_coherence), bundle.d_populations[1]],
-                ]
-            )
-            res = qfi_decomposition(closed_form_state(s.init, s.spectrum, s.bath, t), drho)
+            res = qfi_decomposition(*beta_derivative_qubit(s.init, s.spectrum, s.bath, t))
             scale = max(closed.total, 1e-12)
             assert abs(res.total - closed.total) <= 1e-12 * scale
             assert abs(res.coherence_gain - closed.coherence_gain) <= 1e-11 * scale
@@ -467,19 +445,13 @@ class TestDecomposition:
         # The gain operator Ltilde = L - L_d differs from alpha * identity;
         # the coherence advantage is not a trivial reparameterization.
         init = QubitInit(a=0.1, r=1.0, phi=0.0)
-        state = closed_form_state(init, SPECTRUM, BATH, 1.0)
-        bundle = beta_derivative_qubit(init, SPECTRUM, BATH, 1.0)
-        drho = np.array(
-            [
-                [bundle.d_populations[0], bundle.d_coherence],
-                [np.conj(bundle.d_coherence), bundle.d_populations[1]],
-            ]
-        )
+        state, drho = beta_derivative_qubit(init, SPECTRUM, BATH, 1.0)
+        alpha = _qubit_point(init, SPECTRUM, BATH, 1.0)[0].alpha
         res = qfi_decomposition(state, drho)
         assert res.coherence_gain > 0.01
         l_d = np.diag(np.diag(drho).real / state.populations)
-        l_tilde = res.sld.elements - l_d
-        assert float(np.linalg.norm(l_tilde - bundle.alpha * np.eye(2))) > 0.1
+        l_tilde = sld_general(state, drho) - l_d
+        assert float(np.linalg.norm(l_tilde - alpha * np.eye(2))) > 0.1
         gain = float(np.trace(state.elements @ l_tilde @ l_tilde).real)
         assert gain == pytest.approx(res.coherence_gain, rel=1e-12)
 
@@ -494,21 +466,12 @@ class TestDecomposition:
 
 class TestResultValidation:
     def test_rejects_negative_part(self):
-        sld = SldMatrix(elements=np.zeros((2, 2), dtype=complex), residual=0.0)
         with pytest.raises(ModelIntegrityError, match="nonnegative"):
-            QfiResult(total=1.0, diagonal_part=-0.5, coherence_gain=1.5, sld=sld)
+            QfiResult(total=1.0, diagonal_part=-0.5, coherence_gain=1.5)
 
     def test_rejects_broken_identity(self):
-        sld = SldMatrix(elements=np.zeros((2, 2), dtype=complex), residual=0.0)
         with pytest.raises(ModelIntegrityError, match="sum to the total"):
-            QfiResult(total=1.0, diagonal_part=0.2, coherence_gain=0.2, sld=sld)
-
-    def test_sld_must_be_hermitian(self):
-        with pytest.raises(DomainError, match="Hermitian"):
-            SldMatrix(
-                elements=np.array([[0.0, 1.0], [0.5, 0.0]], dtype=complex),
-                residual=0.0,
-            )
+            QfiResult(total=1.0, diagonal_part=0.2, coherence_gain=0.2)
 
     def test_support_guard_value(self):
         assert EPS_GUARD == 1e-12

@@ -1,16 +1,25 @@
-"""Every public function, method and property of the library is entered by some CLI call.
+"""Every public function, method, property and dataclass field is reached by some CLI call.
 
 A handful of CLI calls that cover every subcommand, both output formats and
-the alternative model and state flags run in process under a profiler hook.
-Every public function in src/thermoqfi, and every public method and property
-of a public class there, must have been entered; an API that no subcommand
-reaches is to be removed, not kept up. Dunder and _-prefixed names are exempt.
+the alternative model and state flags run in process under a profiler hook,
+with every public dataclass's attribute reads recorded. Every public
+function in src/thermoqfi, and every public method and property of a public
+class there, must have been entered, and every field of a public dataclass
+must have been read (by the class's own checks or by anything else); an API
+that no subcommand reaches is to be removed, not kept up. Dunder and
+_-prefixed names are exempt.
 """
 
 import ast
+import dataclasses
+import importlib
+import io
 import os
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+
+import pytest
 
 import thermoqfi
 from thermoqfi.cli import main
@@ -60,22 +69,61 @@ def _public_definitions():
                         yield str(path), first_line(member), f"{node.name}.{member.name}"
 
 
-def test_every_public_definition_is_entered(capsys):
-    entered = set()
+def _public_dataclasses():
+    """Every public dataclass defined in a module of the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "thermoqfi" if path.stem == "__init__" else f"thermoqfi.{path.stem}"
+        module = importlib.import_module(name)
+        for cls in vars(module).values():
+            if (
+                isinstance(cls, type)
+                and cls.__module__ == name
+                and not cls.__name__.startswith("_")
+                and dataclasses.is_dataclass(cls)
+            ):
+                yield cls
+
+
+def _field_reader(cls, read):
+    """A __getattribute__ for cls that adds "Class.field" to read on each field read."""
+    fields = {field.name for field in dataclasses.fields(cls)}
+
+    def __getattribute__(self, name):
+        if name in fields:
+            read.add(f"{cls.__name__}.{name}")
+        return object.__getattribute__(self, name)
+
+    return __getattribute__
+
+
+@pytest.fixture(scope="module")
+def session():
+    """Run CALLS once: their exit codes, the code entered and the fields read."""
+    entered, read = set(), set()
 
     def hook(frame, event, arg):
         if event == "call":
             entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
 
-    codes = []
+    classes = list(_public_dataclasses())
+    assert not [cls for cls in classes if "__getattribute__" in vars(cls)]
     previous = sys.getprofile()
-    sys.setprofile(hook)
     try:
-        for argv, _ in CALLS:
-            codes.append(main(argv))
+        for cls in classes:
+            cls.__getattribute__ = _field_reader(cls, read)
+        sys.setprofile(hook)
+        with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+            codes = [main(argv) for argv, _ in CALLS]
     finally:
         sys.setprofile(previous)
-    capsys.readouterr()
+        for cls in classes:
+            if "__getattribute__" in vars(cls):
+                del cls.__getattribute__
+    return codes, entered, read, classes
+
+
+def test_every_public_definition_is_entered(session):
+    codes, entered, _, _ = session
     assert codes == [expected for _, expected in CALLS]
 
     entered = {(os.path.realpath(name), line) for name, line in entered}
@@ -85,3 +133,14 @@ def test_every_public_definition_is_entered(capsys):
         if (path, line) not in entered
     ]
     assert not missed, "no CLI call enters: " + ", ".join(missed)
+
+
+def test_every_public_field_is_read(session):
+    _, _, read, classes = session
+    unread = [
+        f"{cls.__name__}.{field.name}"
+        for cls in classes
+        for field in dataclasses.fields(cls)
+        if f"{cls.__name__}.{field.name}" not in read
+    ]
+    assert not unread, "no CLI call reads: " + ", ".join(unread)
