@@ -193,6 +193,17 @@ class TestPropagatePopulations:
         with pytest.raises(DomainError, match="defective or too ill-conditioned"):
             _eigendecompose(a)
 
+    def test_domain(self):
+        spectrum, bath = _reference_parts()
+        with pytest.raises(DomainError, match="unit trace"):
+            _propagated(spectrum, bath, [0.6, 0.6], 1.0)  # not normalized
+        with pytest.raises(DomainError, match="positive semidefinite"):
+            _propagated(spectrum, bath, [1.1, -0.1], 1.0)  # negative
+        with pytest.raises(DomainError, match="nonnegative"):
+            _propagated(spectrum, bath, [0.5, 0.5], -1.0)  # negative time
+        with pytest.raises(DomainError, match="must match the spectrum"):
+            _propagated(spectrum, bath, [0.5, 0.3, 0.2], 1.0)  # three levels, two-level model
+
     def test_low_temperature_models_match_matrix_exponential(self):
         for spectrum, bath, p0, t in _low_temperature_models(60):
             a = transition_matrix(rate_matrix(spectrum, bath))

@@ -431,6 +431,13 @@ class TestMleBeta:
         assert _mle(0, 100, s.spectrum, 1.0, s.init, 1.0, (0.3, 4.0)) == (4.0, True)
         assert _mle(100, 100, s.spectrum, 1.0, s.init, 1.0, (0.3, 4.0)) == (0.3, True)
 
+    def test_undefined_at_zero_time(self):
+        # At t = 0 the population is the initial one for every beta: a count
+        # carries no information and the estimate is not identifiable.
+        s = reference_scenario()
+        with pytest.raises(EstimatorUndefinedError, match="not strictly monotone"):
+            _mle_inverse(s.spectrum, 1.0, s.init, 0.0, self.BRACKET)
+
     def test_undefined_when_population_not_monotone(self):
         # Inverted-region initial state at its derivative zero crossing: p2 is
         # not injective in beta there, so identifiability fails.

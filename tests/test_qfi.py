@@ -207,12 +207,17 @@ class TestSldGeneral:
         assert sld[0, 1] == pytest.approx(0.2, rel=1e-14)
         assert _lyapunov_residual(rho, drho, sld) <= 1e-14
 
-    # Above about 1e154 the Frobenius norms of the residual and of drho both
-    # square to inf; the check must still see that drho is off the support.
-    @pytest.mark.parametrize("size", [0.5, 1e200])
-    def test_off_support_derivative_raises(self, size):
+    def test_off_support_derivative_raises(self):
         rho = np.diag([1.0, 0.0]).astype(complex)
-        drho = np.diag([size, -size]).astype(complex)
+        drho = np.diag([0.5, -0.5]).astype(complex)
+        with pytest.raises(ModelIntegrityError, match="residual"):
+            sld_general(rho, drho)
+
+    def test_huge_off_support_derivative_raises(self):
+        # Above about 1e154 the Frobenius norms of the residual and of drho both
+        # square to inf; the check must still see that drho is off the support.
+        rho = np.diag([1.0, 0.0]).astype(complex)
+        drho = np.diag([1e200, -1e200]).astype(complex)
         with pytest.raises(ModelIntegrityError, match="residual"):
             sld_general(rho, drho)
 
