@@ -19,10 +19,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "dynamics": (
         "DensityMatrix", "GadChannel", "QubitInit", "beta_from_thermal_ratio",
-        "coherence_decay_rate", "evolve_state_derivative", "gad_apply", "gad_fixed_point",
-        "gad_kraus_operators", "gad_master_comparison", "gad_params",
-        "gad_stationary_diagnostic", "gamma_from_tau_tilde", "propagate_coherence",
-        "qubit_relaxation_rate",
+        "evolve_state_derivative", "gad_apply", "gad_fixed_point", "gad_kraus_operators",
+        "gad_master_comparison", "gad_params", "gad_stationary_diagnostic",
+        "gamma_from_tau_tilde", "qubit_relaxation_rate",
     ),
     "errors": (
         "DomainError", "EstimatorUndefinedError", "ModelIntegrityError",

@@ -270,11 +270,9 @@ def _finite(value: float, flag: str) -> float:
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return repr(float(value))
     return str(value)
 
@@ -284,15 +282,8 @@ def _json_safe(value):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return v if math.isfinite(v) else None
-    if isinstance(value, np.ndarray):
-        return [_json_safe(v) for v in value.tolist()]
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
     return value
 
 

@@ -21,7 +21,6 @@ from .spectrum import (
     MAX_GIBBS_BETA_OMEGA,
     MIN_BETA_OMEGA,
     Bath,
-    RateMatrix,
     Spectrum,
     _gibbs_underflow,
     _readonly,
@@ -104,16 +103,6 @@ class DensityMatrix:
         return np.diag(self.elements).real.copy()
 
     @property
-    def diagonal_part(self) -> np.ndarray:
-        """rho_d: the diagonal of the state as a full matrix."""
-        return np.diag(np.diag(self.elements))
-
-    @property
-    def hollow_part(self) -> np.ndarray:
-        """rho_coh: the state minus its diagonal (zero-diagonal remainder)."""
-        return self.elements - self.diagonal_part
-
-    @property
     def rho22(self) -> float:
         if self.n_levels != 2:
             raise DomainError("rho22 is defined for qubits only")
@@ -157,39 +146,6 @@ def _eigendecompose(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         )
     values[np.argmin(np.abs(values))] = 0.0
     return values, vectors
-
-
-def _propagate(values: np.ndarray, vectors: np.ndarray, p0: np.ndarray, t: float) -> np.ndarray:
-    """exp(A t) p0 for t > 0 from A's eigendecomposition, clipped and renormalized."""
-    p = (vectors @ (np.exp(values * t) * np.linalg.solve(vectors, p0.astype(complex)))).real
-    if np.min(p) < -1e-10:
-        raise ModelIntegrityError(f"propagated populations went negative: min {np.min(p):.3e}")
-    p = np.clip(p, 0.0, None)
-    return p / math.fsum(p)
-
-
-def coherence_decay_rate(rates: RateMatrix, i: int, j: int) -> float:
-    """Decay rate c_ij = (sum_k Gamma_ki + sum_k Gamma_kj)/2 of coherence rho_ij.
-
-    Indices are 1-based level labels; symmetric in (i, j); for the qubit,
-    c_12 = (Gamma_12 + Gamma_21)/2 = -lambda/2.
-    """
-    n = rates.n_levels
-    if i == j:
-        raise DomainError("coherence indices must differ")
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise DomainError("coherence indices out of range")
-    g = rates.gamma_rates
-    return 0.5 * (math.fsum(g[:, i - 1]) + math.fsum(g[:, j - 1]))
-
-
-def propagate_coherence(c: float, omega: float, rho12_0: complex, t: float) -> complex:
-    """Coherence after time t: modulus shrinks by e^{-ct}, phase advances by omega*t."""
-    if not c > 0:
-        raise DomainError("coherence decay rate must be positive")
-    if not t >= 0:
-        raise DomainError("t must be nonnegative")
-    return rho12_0 * math.exp(-c * t) * cmath.exp(1j * omega * t)
 
 
 class _QubitModel(NamedTuple):
@@ -287,29 +243,19 @@ def _default_t_max(spectrum: Spectrum, bath: Bath) -> float:
     return t_max
 
 
-def _with_coherences(
-    p: np.ndarray, state: DensityMatrix, spectrum: Spectrum, rates: RateMatrix, t: float
-) -> DensityMatrix:
-    """The state at time t with populations p: each coherence of state propagated pairwise."""
-    n = state.n_levels
-    out = np.diag(p).astype(complex)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            c = coherence_decay_rate(rates, i, j)
-            rho_ij = propagate_coherence(c, spectrum.gap(i, j), complex(state.elements[i - 1, j - 1]), t)
-            out[i - 1, j - 1] = rho_ij
-            out[j - 1, i - 1] = rho_ij.conjugate()
-    return DensityMatrix(elements=out)
-
-
 def evolve_state_derivative(
     rho0: DensityMatrix | np.ndarray, spectrum: Spectrum, bath: Bath, t: float
 ) -> tuple[DensityMatrix, np.ndarray]:
     """The evolved N-level state rho(t) and its exact derivative d rho(t)/d beta at fixed rho0.
 
-    The populations propagate through the generator's eigendecomposition
-    (_eigendecompose rejects a defective one), each coherence pairwise. The
-    time must be finite and nonnegative.
+    One array pass over the generator A and its eigendecomposition A = V diag(l) V^-1
+    (_eigendecompose rejects a defective one). The time must be finite and
+    nonnegative. Level j loses population at the rate loss_j = -A_jj =
+    sum_k Gamma_kj, and each coherence decays at the mean loss of its two
+    levels while it rotates at their gap (o is the elementwise product):
+    rho(t) = rho0 o e^{-(loss_i + loss_j) t/2} o e^{i (E_j - E_i) t}, its
+    diagonal replaced by the populations p(t) = V e^{l t} V^-1 p0, clipped at 0
+    and renormalized.
 
     A pair's rates g_ij = gamma (n+1) and g_ji = gamma n both move by
     gamma dn/d beta = -omega gamma n (n+1) = -omega g_ij g_ji/gamma: that is A' = dA/d beta.
@@ -319,7 +265,9 @@ def evolve_state_derivative(
     t e^{l_i t} on the diagonal, formed as e^{max(l_i, l_j) t} times an expm1
     ratio so that no factor overflows. The null eigenvalue's row of V^-1 A' V
     is 0 because 1^T A' = 0; it is zeroed exactly, since its rounding would
-    otherwise grow like t. Each coherence gives d rho_ij = -t c'_ij rho_ij(t).
+    otherwise grow like t. V^-1 p0 is solved once for p(t) and its derivative.
+    The coherences give d rho/d beta = -t (loss'_i + loss'_j)/2 o rho(t) with
+    loss' = -diag(A'), and the diagonal is the populations' derivative.
     """
     state = as_state(rho0)
     if state.n_levels != spectrum.n_levels:
@@ -329,10 +277,17 @@ def evolve_state_derivative(
     if t < 0:
         raise DomainError("t must be nonnegative")
     rates = rate_matrix(spectrum, bath)
-    values, vectors = _eigendecompose(transition_matrix(rates).a)
+    gen = transition_matrix(rates).a
+    values, vectors = _eigendecompose(gen)
     p0 = state.populations
-    p = p0.copy() if t == 0.0 else _propagate(values, vectors, p0, t)
-    rho = _with_coherences(p, state, spectrum, rates, t)
+    c0 = np.linalg.solve(vectors, p0)
+    p = p0
+    if t > 0.0:
+        p = (vectors @ (np.exp(values * t) * c0)).real
+        if np.min(p) < -1e-10:
+            raise ModelIntegrityError(f"propagated populations went negative: min {np.min(p):.3e}")
+        p = np.clip(p, 0.0, None)
+        p = p / math.fsum(p)
     g, energies = rates.gamma_rates, np.asarray(spectrum.energies)
     d_gen = -np.abs(energies[:, None] - energies[None, :]) * g * g.T / bath.gamma
     d_gen -= np.diag(d_gen.sum(axis=0))
@@ -344,39 +299,34 @@ def evolve_state_derivative(
     with np.errstate(over="ignore"):
         ratio = np.divide(-np.expm1(-gap * t), gap, out=np.full_like(gap, t), where=gap != 0)
         phi = np.exp(np.where(flip, values[None, :], values[:, None]) * t) * ratio
-    dp = (vectors @ ((phi * b) @ np.linalg.solve(vectors, p0))).real
-    loss = np.diag(d_gen)  # -(sum_k Gamma'_kj), so c'_ij = -(loss_i + loss_j)/2
-    return rho, t * (loss[:, None] + loss[None, :]) / 2.0 * rho.hollow_part + np.diag(dp)
+    dp = (vectors @ ((phi * b) @ c0)).real
+    loss, dloss = -np.diag(gen), -np.diag(d_gen)
+    rho = state.elements * np.exp(-(loss[:, None] + loss[None, :]) / 2.0 * t)
+    rho *= np.exp(1j * (energies[None, :] - energies[:, None]) * t)
+    drho = -t * (dloss[:, None] + dloss[None, :]) / 2.0 * rho
+    np.fill_diagonal(rho, p)
+    np.fill_diagonal(drho, dp)
+    return DensityMatrix(elements=rho), drho
 
 
 @dataclass(frozen=True)
 class GadChannel:
-    """Generalized amplitude damping with mixing weight p1 and transfer p2.
-
-    p2 is tied to the dimensionless duration by p2 = 1 - exp(-(1+n12)*tau_tilde);
-    the occupation number n12 is kept so the tie stays checkable.
-    """
+    """Generalized amplitude damping with mixing weight p1 and transfer p2."""
 
     p1: float
     p2: float
-    tau_tilde: float
-    n12: float
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.p2 <= 1.0):
             raise DomainError("channel probabilities must lie in [0, 1]")
-        if self.tau_tilde < 0:
-            raise DomainError("tau_tilde must be nonnegative")
-        expected_p2 = -math.expm1(-(1.0 + self.n12) * self.tau_tilde)
-        if abs(self.p2 - expected_p2) > 1e-12:
-            raise DomainError("p2 is not consistent with (n12, tau_tilde)")
 
 
 def gad_params(n12: float, tau_tilde: float) -> GadChannel:
     """Channel parameters from the occupation number and dimensionless duration.
 
     Implements p1 = n12/(2*n12 - 1) verbatim; that weight leaves [0, 1] for
-    n12 < 1, which is outside the parameterization's regime of use.
+    n12 < 1, which is outside the parameterization's regime of use. p2 is tied
+    to the duration by p2 = 1 - exp(-(1+n12)*tau_tilde).
     """
     if not n12 >= 1.0:
         raise DomainError("n12 must be at least 1 for the channel parameterization")
@@ -384,7 +334,7 @@ def gad_params(n12: float, tau_tilde: float) -> GadChannel:
         raise DomainError("tau_tilde must be nonnegative")
     p1 = n12 / (2.0 * n12 - 1.0)
     p2 = -math.expm1(-(1.0 + n12) * tau_tilde)
-    return GadChannel(p1=p1, p2=p2, tau_tilde=tau_tilde, n12=n12)
+    return GadChannel(p1=p1, p2=p2)
 
 
 def gad_kraus_operators(ch: GadChannel) -> list[np.ndarray]:

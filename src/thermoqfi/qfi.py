@@ -11,6 +11,7 @@ qubit SLD.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -179,11 +180,21 @@ def thermal_qfi(spectrum: Spectrum, beta_tilde: float) -> float:
     """QFI of the thermal state itself: the energy variance.
 
     F = sum_j (<H> - eps_j)^2 pi_j; for a qubit this is omega12^2 pi2 (1-pi2).
+    F scales as the squared gap, so an extreme gap (or a Gibbs weight near
+    underflow) takes it out of the double range; where it is not a positive
+    normal double, DomainError is raised.
     """
     pi = thermal_distribution(spectrum, beta_tilde).pi
     eps = np.asarray(spectrum.energies, dtype=float)
     mean = math.fsum(eps * pi)
-    return math.fsum((mean - eps) ** 2 * pi)
+    with np.errstate(over="ignore"):
+        value = math.fsum((mean - eps) ** 2 * pi)
+    if not sys.float_info.min <= value < math.inf:
+        raise DomainError(
+            f"the thermal QFI sum_j (<H> - eps_j)^2 pi_j = {value:g} is not a positive "
+            "normal double: the gap or the temperature is past the edge of double precision"
+        )
+    return value
 
 
 def diagonal_qfi(p, dp) -> float:

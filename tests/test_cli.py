@@ -615,6 +615,20 @@ class TestArgumentRules:
                     ("estimate", ["--a", "0.3"]),
                 )
             ],
+            # F scales as omega^2: the thermal QFI overflows at omega = 1e200 and
+            # underflows to 0 at omega = 1e-200, with no numpy warning before the error line
+            *[
+                ([command, "--omega12", omega, "--beta", beta, "--gamma", "1", *state],
+                 "the thermal QFI")
+                for omega, beta in (("1e200", "1e-200"), ("1e-200", "1e200"))
+                for command, state in (
+                    ("trace", ["--a", "0.1"]),
+                    ("optimize", []),
+                    ("estimate", ["--a", "0.1"]),
+                )
+            ],
+            (["experiment", "--omega12", "1e200"], "the thermal QFI"),
+            (["experiment", "--omega12", "1e-300"], "the thermal QFI"),
             # a grid of 745 GiB, refused by the allocator before any memory is used
             (["trace", "--omega12", "1", "--beta", "1", "--gamma", "1", "--a", "0",
               "--points", "100000000000"], "trace needs more memory than is available"),
