@@ -107,16 +107,17 @@ def _tables() -> _Tables:
     negative[..., 0] = ord("-")
     layouts = [np.concatenate([t, t]) for t in (from_early, from_late)]
     layouts.append(np.concatenate([constant, negative]))
+    # in uint16: int64 temporaries would add a megabyte to the peak of every
+    # call that writes a table
+    places = np.array([1000, 100, 10, 1], dtype=np.uint16)
+    digits4 = np.arange(10000, dtype=np.uint16)[:, None] // places % 10 + ord("0")
     return _Tables(
         hi,
         hi_top,
         hi_tail,
         np.array(lo),
         np.array([10**k for k in range(18)], dtype=np.int64),
-        (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0"))
-        .astype(np.uint8)
-        .view(np.uint32)
-        .reshape(-1),
+        digits4.astype(np.uint8).view(np.uint32).reshape(-1),
         np.array(exponents, dtype="S4").view(np.uint32),
         *(t.reshape(-1, WIDTH).view(np.uint64) for t in layouts),
     )

@@ -56,9 +56,9 @@ SCHEMA_VERSION = "1"
 
 # Rows per block of a table: the trace kernel computes, and the table writer
 # renders and writes, this many rows at a time. Enough to amortize the
-# per-block work, few enough that one block's columns and byte tables stay
-# near a megabyte. On 200k-row traces 4096 rows wrote as fast as 8192 with a
-# lower peak RSS; 2048 was slower.
+# per-block work, few enough that a block's columns (32 KiB each) and its row
+# table (one bytearray, about 1 MB for a trace) stay small. On 200k-row traces
+# 4096 rows wrote as fast as 8192 with a lower peak RSS; 2048 was slower.
 _BLOCK_ROWS = 4096
 
 TRACE_COLUMNS = ("t", "F", "F_norm", "p2", "abs_rho12", "dbeta_p2", "alpha", "delta")
@@ -137,27 +137,31 @@ def _add_output_args(p: argparse.ArgumentParser, fmt: str) -> None:
 
 
 def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParser:
+    # allow_abbrev=False: a prefix such as --a must not stand for --a-steps
     parser = parser_class(
         prog="thermoqfi",
         description="Quantum Fisher information thermometry for a dissipative qubit probe.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("trace", help="QFI trace over time")
+    p = sub.add_parser("trace", help="QFI trace over time", allow_abbrev=False)
     _add_model_args(p)
     _add_state_args(p)
     p.add_argument("--t-max", type=float, default=None, dest="t_max")
     p.add_argument("--points", type=int, default=2048, help="grid size (default %(default)s)")
     _add_output_args(p, "csv")
 
-    p = sub.add_parser("optimize", help="rank initial states by peak QFI")
+    p = sub.add_parser("optimize", help="rank initial states by peak QFI", allow_abbrev=False)
     _add_model_args(p)
     p.add_argument("--t-max", type=float, default=None, dest="t_max")
     p.add_argument("--a-steps", type=int, default=21, dest="a_steps")
     p.add_argument("--r-steps", type=int, default=2, dest="r_steps")
     _add_output_args(p, "json")
 
-    p = sub.add_parser("experiment", help="preset cold/hot bath study with GAD comparison")
+    p = sub.add_parser(
+        "experiment", help="preset cold/hot bath study with GAD comparison", allow_abbrev=False
+    )
     p.add_argument("--omega12", type=float, default=5.0)
     p.add_argument("--n12", type=float, default=None, help="single bath occupation override")
     p.add_argument(
@@ -169,7 +173,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     )
     _add_output_args(p, "json")
 
-    p = sub.add_parser("estimate", help="Cramer-Rao saturation report")
+    p = sub.add_parser("estimate", help="Cramer-Rao saturation report", allow_abbrev=False)
     _add_model_args(p)
     _add_state_args(p)
     p.add_argument("--t", type=float, default=None, help="measurement time (default: peak)")
@@ -178,7 +182,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument("--seed", type=int, default=0)
     _add_output_args(p, "json")
 
-    p = sub.add_parser("validate", help="run the named invariant checks")
+    p = sub.add_parser("validate", help="run the named invariant checks", allow_abbrev=False)
     p.add_argument("--checks", default=None, help="comma-separated subset of check names")
     p.add_argument(
         "--inject-fault",
@@ -327,6 +331,10 @@ _CSV_ROWS = _RowLayout("", ",", "\n", "", None)
 _JSON_ROWS = _RowLayout("    [\n      ", ",\n      ", "\n    ]", ",\n", "null")
 
 
+def _is_float(column) -> bool:
+    return isinstance(column, np.ndarray) and column.dtype.kind == "f"
+
+
 def _slots(column, nonfinite: str | None) -> np.ndarray:
     """The cells of one column slice as NUL-padded bytes, one row of slots each.
 
@@ -334,7 +342,7 @@ def _slots(column, nonfinite: str | None) -> np.ndarray:
     repr, as _cell renders each float); any other column keeps _cell's
     per-value rules for bool, None, int and str.
     """
-    if isinstance(column, np.ndarray) and column.dtype.kind == "f":
+    if _is_float(column):
         return _floatrepr.render(column, nonfinite)
     cells = np.array([_cell(value).encode() for value in column], dtype=bytes)
     return cells.view(np.uint8).reshape(len(cells), -1)
@@ -348,15 +356,49 @@ def _blocks(columns):
     )
 
 
+def _table(columns, layout: _RowLayout, skip: int) -> bytearray:
+    """One block of equal-length column slices as the bytes of its rows.
+
+    The rows are laid out in one bytearray and filled in place: the layout's
+    constant texts, then each column's slots as soon as they are rendered (a
+    float column's WIDTH slots; any other column is rendered first, since it
+    is as wide as its widest cell). The first skip bytes, the separator
+    before the first row, are left NUL, and one translate drops every NUL.
+    """
+    first, sep, suffix = (
+        np.frombuffer(text.encode(), dtype=np.uint8)
+        for text in (layout.between + layout.prefix, layout.sep, layout.suffix)
+    )
+    rows = len(columns[0])
+    rendered = [
+        None if _is_float(column) else _slots(column, layout.nonfinite) for column in columns
+    ]
+    widths = [_floatrepr.WIDTH if cells is None else cells.shape[1] for cells in rendered]
+    texts = [first, *[sep] * (len(columns) - 1)]
+    width = sum(text.size for text in texts) + sum(widths) + suffix.size
+    buf = bytearray(rows * width)
+    table = np.frombuffer(buf, dtype=np.uint8).reshape(rows, width)
+    at = 0
+    for text, column, cells, cell_width in zip(texts, columns, rendered, widths):
+        table[:, at : at + text.size] = text
+        at += text.size
+        if cells is None:
+            cells = _slots(column, layout.nonfinite)
+        table[:, at : at + cell_width] = cells
+        at += cell_width
+    table[:, at:] = suffix
+    table[0, :skip] = 0
+    return buf.translate(None, b"\0")
+
+
 def _write_rows(write, blocks, layout: _RowLayout) -> None:
     """Write an iterable of column blocks as rows, one write call per block.
 
-    Each block is a list of equal-length column slices. It becomes one byte
-    table whose rows hold the layout's constant text and the cells' slots in
-    between; one translate drops the unused (NUL) slots. No block is kept
-    once the next one is written, so when the blocks are computed as they
-    are consumed, as trace's are, memory does not grow with the number of
-    rows.
+    Each block is a list of equal-length column slices, which _table lays
+    out as the bytes of its rows; its row table is freed before those bytes
+    are decoded and written. No block is kept once the next one is written,
+    so when the blocks are computed as they are consumed, as trace's are,
+    memory does not grow with the number of rows.
     """
     # glibc's malloc maps each allocation above its mmap threshold afresh and
     # returns a heap top above twice that threshold to the system, so without
@@ -367,14 +409,7 @@ def _write_rows(write, blocks, layout: _RowLayout) -> None:
     np.empty(_BLOCK_ROWS * 1024, dtype=np.uint8)
     skip = len(layout.between)  # the first row of all has no separator before it
     for columns in blocks:
-        texts = [layout.between + layout.prefix, *[layout.sep] * (len(columns) - 1), layout.suffix]
-        texts = [np.frombuffer(text.encode(), dtype=np.uint8) for text in texts]
-        parts = [texts[0]]
-        for column, text in zip(columns, texts[1:]):
-            parts += [_slots(column, layout.nonfinite), text]
-        rows = len(parts[1])
-        table = np.concatenate([np.broadcast_to(p, (rows, p.shape[-1])) for p in parts], axis=1)
-        write(table.tobytes().translate(None, b"\0").decode()[skip:])
+        write(_table(columns, layout, skip).decode())
         skip = 0
 
 

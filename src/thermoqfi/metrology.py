@@ -497,6 +497,9 @@ def cramer_rao_report(
     _check_run(m_experiments, n_replicas, seed)
     if t is None:
         t = maximize_qfi_over_time(scenario).t_star
+    else:
+        # the peak search forms the thermal QFI, which must be representable
+        thermal_qfi(scenario.spectrum, scenario.bath.beta)
     if t < 0:
         raise DomainError("t must be nonnegative")
     f_quantum = float(qfi_values(scenario.init, scenario.spectrum, scenario.bath, t))

@@ -294,6 +294,20 @@ class TestBlockWriter:
         _write_rows(csv_out.write, _blocks([first, second]), _CSV_ROWS)
         assert csv_out.getvalue() == reference_csv(["x", "y"], rows)
 
+    def test_non_float_column_width_changes_between_blocks(self):
+        # a bool column is as wide as its widest cell: "true" in the first
+        # block, "false" in the second, and an int column widens too
+        n = _BLOCK_ROWS + 3
+        flags = [True] * n
+        flags[_BLOCK_ROWS + 1] = False
+        counts = list(range(n))
+        values = np.arange(n, dtype=float) / 3.0
+        out = io.StringIO()
+        out.write("x,flag,count\n")
+        _write_rows(out.write, _blocks([values, flags, counts]), _CSV_ROWS)
+        rows = list(zip(values.tolist(), flags, counts))
+        assert out.getvalue() == reference_csv(["x", "flag", "count"], rows)
+
     def test_output_follows_redirected_stdout(self, capsys):
         points = _BLOCK_ROWS + 1
         redirected = io.StringIO()
@@ -557,6 +571,24 @@ class TestArgumentRules:
         assert exc.value.code == 2
         assert "--energies" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flags",
+        [["--a", "3", "--r", "1"], ["--a", "0.1"]],  # prefixes of --a-steps and --r-steps
+    )
+    def test_abbreviated_flags_are_rejected(self, capsys, flags):
+        rc, out, err = exit_of(capsys, ["optimize", *REF, *flags])
+        assert (rc, out) == (2, "")
+        assert "unrecognized arguments: --a" in err
+
+    def test_full_flag_names_and_config_keys_still_work(self, tmp_path, capsys):
+        args = ["optimize", *REF, "--format", "csv"]
+        rc, out, _ = run_cli(capsys, [*args, "--a-steps", "3", "--r-steps", "1"])
+        assert rc == 0
+        assert len(out.splitlines()) == 1 + 3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"a_steps": 3, "r_steps": 1}))
+        assert run_cli(capsys, [*args, "--config", str(cfg)]) == (0, out, "")
+
     def test_domain_error_maps_to_exit_2(self, capsys):
         rc, _, err = run_cli(capsys, ["trace", *REF, "--a", "1.5"])
         assert rc == 2
@@ -637,6 +669,12 @@ class TestArgumentRules:
             # the fault would land on a check that does not run
             (["validate", "--checks", "column-sums", "--inject-fault", "detailed-balance"],
              "cannot inject into 'detailed-balance'"),
+            # a given measurement time skips the peak search, not the thermal QFI
+            *[
+                (["estimate", "--omega12", omega, "--beta", beta, "--gamma", "1", "--a", "0.1",
+                  "--t", "1"], "the thermal QFI")
+                for omega, beta in (("1e200", "1e-200"), ("1e-200", "1e200"))
+            ],
         ],
     )
     @pytest.mark.filterwarnings("error")

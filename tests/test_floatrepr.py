@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thermoqfi import QubitInit, Scenario
-from thermoqfi._floatrepr import fast_cells, render
+from thermoqfi._floatrepr import _tables, fast_cells, render
 from thermoqfi.cli import TRACE_COLUMNS
 from thermoqfi.qfi import trace_blocks
 
@@ -81,6 +81,20 @@ class TestNonfinite:
 
     def test_json_layout_writes_its_text(self):
         assert rendered(self.VALUES, "null") == ["null", "1.5", "null", "null", "-0.0"]
+
+
+def test_digit_table_matches_its_int64_construction():
+    # the table is built in uint16 arithmetic; this is the int64 form it replaced
+    reference = (
+        (np.arange(10000)[:, None] // [1000, 100, 10, 1] % 10 + ord("0"))
+        .astype(np.uint8)
+        .view(np.uint32)
+        .reshape(-1)
+    )
+    digits4 = _tables().digits4
+    assert digits4.dtype == np.uint32
+    np.testing.assert_array_equal(digits4, reference)
+    assert digits4[1234].tobytes() == b"1234"
 
 
 def test_fast_path_covers_a_dense_trace():
