@@ -29,13 +29,12 @@ _EXPORTS = {
     ),
     "metrology": (
         "CramerRaoReport", "OptimalTime", "RegionLabel", "Scenario",
-        "StateRanking", "classical_fisher_information", "classify_region",
-        "cramer_rao_report", "maximize_qfi_over_time", "optimize_initial_state",
+        "StateRanking", "classify_region", "cramer_rao_report", "maximize_qfi_over_time",
+        "optimize_initial_state",
     ),
     "qfi": (
         "QfiResult", "beta_derivative_qubit", "diagonal_qfi", "qfi_decomposition",
-        "qfi_values", "qubit_qfi", "sld_general", "thermal_population_derivative",
-        "thermal_qfi",
+        "qfi_values", "sld_general", "thermal_population_derivative", "thermal_qfi",
     ),
     "spectrum": (
         "Bath", "RateMatrix", "SpectralReport", "Spectrum", "ThermalDistribution",

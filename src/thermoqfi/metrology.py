@@ -25,14 +25,7 @@ from .dynamics import (
     qubit_relaxation_rate,
 )
 from .errors import DomainError, EstimatorUndefinedError
-from .qfi import (
-    _qfi_kernel,
-    _qfi_slope,
-    _qubit_point,
-    diagonal_qfi,
-    qfi_values,
-    thermal_qfi,
-)
+from .qfi import _qfi_kernel, _qfi_slope, qfi_values, thermal_qfi
 from .spectrum import MAX_EXP_BETA_OMEGA, Bath, Spectrum
 
 # Peaks closer to the tail value than this fraction of the asymptote are
@@ -210,13 +203,13 @@ def _peak_times(
     model, gamma = _qubit_model_of(spectrum, bath), bath.gamma
     margin = ASYMPTOTIC_MARGIN * thermal_qfi(spectrum, bath.beta)
     a = np.array([init.a for init in inits], dtype=float)
-    mod2_0 = np.array([abs(init.rho12_0) ** 2 for init in inits], dtype=float)
+    r = np.array([init.r for init in inits], dtype=float)
     peak = np.empty(a.size, dtype=np.intp)
     f_peak = np.empty(a.size)
     tail = np.empty(a.size)
     for start in range(0, a.size, _SCAN_BLOCK):
         block = slice(start, start + _SCAN_BLOCK)
-        values = _qfi_kernel(model, gamma, a[block, None], mod2_0[block, None], times).total
+        values = _qfi_kernel(model, gamma, a[block, None], r[block, None], times).total
         i = np.argmax(values, axis=1)
         peak[block] = i
         f_peak[block] = values[np.arange(i.size), i]
@@ -225,11 +218,11 @@ def _peak_times(
     interior = np.flatnonzero(~(f_peak - tail <= margin))
     if interior.size:
         i = peak[interior]
-        a_in, mod2_in = a[interior], mod2_0[interior]
+        a_in, r_in = a[interior], r[interior]
         t_star = _bisect(
-            lambda t: _qfi_slope(model, a_in, mod2_in, gamma * t) > 0, times[i - 1], times[i + 1]
+            lambda t: _qfi_slope(model, a_in, r_in, gamma * t) > 0, times[i - 1], times[i + 1]
         )
-        f_star = _qfi_kernel(model, gamma, a_in, mod2_in, t_star).total
+        f_star = _qfi_kernel(model, gamma, a_in, r_in, t_star).total
         for k, t, f in zip(interior, t_star.tolist(), f_star.tolist()):
             results[k] = OptimalTime(t_star=t, f_star=f, asymptotic=False)
     return results
@@ -300,12 +293,6 @@ def optimize_initial_state(
     ]
     rows.sort(key=lambda row: (-row.f_star, row.a, row.r))
     return rows
-
-
-def classical_fisher_information(scenario: Scenario, t: float) -> float:
-    """Fisher information of the two-outcome population measurement at time t."""
-    terms, _ = _qubit_point(scenario.init, scenario.spectrum, scenario.bath, t)
-    return diagonal_qfi([1.0 - terms.p2, terms.p2], [-terms.g, terms.g])
 
 
 def _seed_hashmix(value: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:
@@ -516,8 +503,10 @@ def cramer_rao_report(
             no_information=not informative,
             bound_only=True,
         )
-    f_classical = classical_fisher_information(scenario, t)
-    if not (f_classical > 0.0) or not math.isfinite(f_classical):
+    # At r = 0 the kernel's total is g^2/((1 - p2) p2), the Fisher information
+    # of the two-outcome population measurement: F_C = F_Q by construction.
+    f_classical = f_quantum
+    if not f_classical > 0.0:
         return CramerRaoReport(
             measurement_time=float(t),
             variance=None,

@@ -1,9 +1,11 @@
 """Symmetric logarithmic derivatives and quantum Fisher information.
 
-Implements the four QFI forms used for inverse-temperature estimation: the
-thermal-state variance formula, the diagonal-state sum, the general
-eigenbasis Lyapunov solver with the coherence decomposition
-F = F_d + Tr[rho Ltilde^2], and the analytic qubit QFI. The closed-form
+Implements the QFI forms used for inverse-temperature estimation. The
+general-N path has the thermal-state variance formula, the diagonal-state
+sum and the eigenbasis Lyapunov solver with the coherence decomposition
+F = F_d + Tr[rho Ltilde^2]. The qubit has one closed-form kernel,
+_qfi_terms: the only producer of a qubit's Fisher information, which for a
+diagonal start is also that of the population measurement. The closed-form
 evolved qubit state and its beta-derivative feed the Lyapunov solver for the
 qubit SLD.
 """
@@ -22,7 +24,9 @@ from .errors import DomainError, ModelIntegrityError
 from .spectrum import Bath, Spectrum, thermal_distribution
 
 # Eigenvalue pairs of rho with p_m + p_n at or below this guard are outside
-# the numerical support and contribute zero to the SLD.
+# the numerical support of the general-N path (sld_general, diagonal_qfi,
+# qfi_decomposition) and contribute zero there. The qubit closed form has no
+# such guard: it clamps only where D <= 0 (_clamp).
 EPS_GUARD = 1e-12
 
 
@@ -34,8 +38,8 @@ class _Terms(NamedTuple):
     alpha: np.ndarray   # coherence log-derivative: d rho12/d beta = alpha * rho12(t)
     delta: np.ndarray   # relaxation weight: d p2/d beta = dpi2 * delta
     g: np.ndarray       # d p2/d beta
-    denom: np.ndarray   # D = (1 - p2) p2 - |rho12|^2
-    total: np.ndarray   # the QFI; 0 where D is at or below EPS_GUARD (pure state)
+    denom: np.ndarray   # D = (1 - p2) p2 - |rho12|^2, a sum of nonnegative terms (_start)
+    total: np.ndarray   # the QFI; 0 only where D <= 0, at an exactly pure state
 
 
 def _scaled_time(gamma: float, t) -> np.ndarray:
@@ -52,36 +56,59 @@ def _scaled_time(gamma: float, t) -> np.ndarray:
         return gamma * t
 
 
-def _qfi_kernel(m: _QubitModel, gamma: float, a, mod2_0, t) -> _Terms:
+def _start(m: _QubitModel, a, r):
+    """|rho12(0)|^2 = r^2 a (1-a) and the weights (d0, d1, d2) of D = d0 e + d1 e u + d2 u^2.
+
+    With e = e^{lam_hat s} and u = 1 - e, D = (1 - p2) p2 - |rho12|^2 equals
+    a (1-a)(1-r)(1+r) e + ((a - pi2)^2 + pi2 (1-pi2)) e u + pi2 (1-pi2) u^2.
+    No weight is negative, so D does not cancel at low temperature or near a
+    pure state, and it is 0 only at s = 0 from a pure state (r = 1 or a in {0, 1}).
+    """
+    pop = a * (1.0 - a)
+    thermal = m.pi2 * (1.0 - m.pi2)
+    return pop * r * r, pop * (1.0 - r) * (1.0 + r), (a - m.pi2) ** 2 + thermal, thermal
+
+
+def _clamp(denom, value):
+    """value, set to 0 where D <= 0: only an exactly pure state, where F and dF/ds tend to 0."""
+    return np.where(denom <= 0.0, 0.0, value)
+
+
+def _qfi_kernel(m: _QubitModel, gamma: float, a, r, t) -> _Terms:
     """_qfi_terms at s = gamma t, raising DomainError where the total overflows double precision."""
-    terms = _qfi_terms(m, a, mod2_0, _scaled_time(gamma, t))
+    terms = _qfi_terms(m, a, r, _scaled_time(gamma, t))
     _check_finite(terms.total, t)
     return terms
 
 
-def _qfi_terms(m: _QubitModel, a, mod2_0, s) -> _Terms:
+def _qfi_terms(m: _QubitModel, a, r, s) -> _Terms:
     """Closed-form qubit QFI and its per-time terms, broadcast over states and scaled times.
 
-    a (initial excited population) and mod2_0 = |rho12(0)|^2 broadcast
-    against the scaled times s = gamma t, e.g. shape (states, 1) against
-    (n_times,). Every s-only factor (the exponentials, alpha) is formed on s
-    alone before it meets a, so each element carries the same bits as a
-    single-state call. An s so late that the closed form overflows double
-    precision gives inf or nan, which _qfi_kernel and trace_blocks reject.
+    a (initial excited population) and r (coherence fraction, |rho12(0)|^2 =
+    r^2 a (1-a)) broadcast against the scaled times s = gamma t, e.g. shape
+    (states, 1) against (n_times,). Every s-only factor (the exponentials,
+    alpha) is formed on s alone before it meets a, so each element carries the
+    same bits as a single-state call. An s so late that the closed form
+    overflows double precision gives inf or nan, which _qfi_kernel and
+    trace_blocks reject.
 
     The QFI depends on gamma only through s: d lam/d beta = -(2 lam^2/gamma) dpi2
     gives alpha = -lam_hat^2 s dpi2 and
     delta = 1 - e^{lam_hat s} + 2 lam_hat^2 s e^{lam_hat s} (pi2 - a). The total
-    is g^2/D + 4 m (alpha^2 (1-p2) p2 - alpha (1-2 p2) g - g^2)/D with m = |rho12|^2.
+    is g^2/D + 4 m (alpha^2 (1-p2) p2 - alpha (1-2 p2) g - g^2)/D with m = |rho12|^2
+    and D summed as in _start. At r = 0 it is g^2/((1-p2) p2), the Fisher
+    information of the two-outcome population measurement.
     """
+    mod2_0, d0, d1, d2 = _start(m, a, r)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         decay = m.decay(s)
+        u = -np.expm1(m.lam_hat * s)
         p2 = m.p2(a, s)
         mod2 = mod2_0 * decay
         alpha = -(m.lam_hat * m.lam_hat) * s * m.dpi2
-        delta = -np.expm1(m.lam_hat * s) + 2.0 * (m.lam_hat * m.lam_hat) * s * decay * (m.pi2 - a)
+        delta = u + 2.0 * (m.lam_hat * m.lam_hat) * s * decay * (m.pi2 - a)
         g = m.dpi2 * delta
-        denom = (1.0 - p2) * p2 - mod2
+        denom = d0 * decay + d1 * (decay * u) + d2 * (u * u)
         total = (
             g**2 / denom
             + 4.0
@@ -89,33 +116,36 @@ def _qfi_terms(m: _QubitModel, a, mod2_0, s) -> _Terms:
             * (alpha**2 * (1.0 - p2) * p2 - alpha * (1.0 - 2.0 * p2) * g - g**2)
             / denom
         )
-    total = np.where(denom <= EPS_GUARD, 0.0, total)
-    return _Terms(p2, mod2, alpha, delta, g, denom, total)
+    return _Terms(p2, mod2, alpha, delta, g, denom, _clamp(denom, total))
 
 
-def _qfi_slope(m: _QubitModel, a, mod2_0, s) -> np.ndarray:
+def _qfi_slope(m: _QubitModel, a, r, s) -> np.ndarray:
     """Exact s-derivative of the kernel's total, broadcast like it; 0 where it clamps.
 
-    It has the sign of dF/dt = gamma dF/ds. With e = e^{lam_hat s}:
+    It has the sign of dF/dt = gamma dF/ds. With e = e^{lam_hat s} and u = 1 - e:
     p2' = -lam_hat e (pi2 - a), m' = lam_hat m, alpha' = -lam_hat^2 dpi2,
-    delta' = -lam_hat e + 2 lam_hat^2 (pi2 - a) e (1 + lam_hat s), D' = (1 - 2 p2) p2' - m'.
+    delta' = -lam_hat e + 2 lam_hat^2 (pi2 - a) e (1 + lam_hat s) and, from the
+    terms of _start, D' = lam_hat (d0 e + d1 e (u - e) - 2 d2 e u).
     Kept out of the kernel so that only a refinement inside a checked grid pays for it.
     """
-    k = _qfi_terms(m, a, mod2_0, s)
+    k = _qfi_terms(m, a, r, s)
     p2, mod2, alpha, g = k.p2, k.mod2, k.alpha, k.g
+    _, d0, d1, d2 = _start(m, a, r)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         decay = m.decay(s)
+        u = -np.expm1(m.lam_hat * s)
         dp2 = -m.lam_hat * decay * (m.pi2 - a)
         dmod2 = m.lam_hat * mod2
         dalpha = -(m.lam_hat * m.lam_hat) * m.dpi2
         dg = -m.dpi2 * m.lam_hat * (decay + 2.0 * (1.0 + m.lam_hat * s) * dp2)
+        ddenom = m.lam_hat * (d0 * decay + d1 * (decay * (u - decay)) - 2.0 * d2 * (decay * u))
         w, v = 1.0 - 2.0 * p2, (1.0 - p2) * p2
         q = alpha**2 * v - alpha * w * g - g**2
         dq = (alpha * (2.0 * dalpha * v + alpha * w * dp2 + 2.0 * dp2 * g - w * dg)
               - dalpha * w * g - 2.0 * g * dg)
         dnum = 2.0 * g * dg + 4.0 * (dmod2 * q + mod2 * dq)
-        slope = (dnum - k.total * (w * dp2 - dmod2)) / k.denom
-    return np.where(k.denom <= EPS_GUARD, 0.0, slope)
+        slope = (dnum - k.total * ddenom) / k.denom
+    return _clamp(k.denom, slope)
 
 
 def _check_finite(values, t) -> None:
@@ -131,7 +161,7 @@ def _qubit_point(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float):
     if t < 0:
         raise DomainError("t must be nonnegative")
     m = _qubit_model_of(spectrum, bath)
-    terms = _qfi_kernel(m, bath.gamma, init.a, abs(init.rho12_0) ** 2, t)
+    terms = _qfi_kernel(m, bath.gamma, init.a, init.r, t)
     rho12 = m.envelope(init.rho12_0, bath.gamma * t) * np.exp(1j * m.omega * t)
     return _Terms(*map(float, terms)), complex(rho12)
 
@@ -278,26 +308,6 @@ def sld_general(rho: DensityMatrix | np.ndarray, drho) -> np.ndarray:
     return l
 
 
-def qubit_qfi(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> QfiResult:
-    """Analytic qubit QFI split into the diagonal part F_d and the coherence gain.
-
-    total = g^2/D + 4 m (alpha^2 (1-p2) p2 - alpha (1-2 p2) g - g^2)/D;
-    diagonal_part = g^2/(p2 (1-p2)); the phase phi never enters (only |rho12|^2
-    appears). At the pure-state point (t=0, r=1) D vanishes while the
-    numerator vanishes faster; there all three are the continuous limit 0.
-    The SLD of the same state is sld_general(*beta_derivative_qubit(...)).
-    """
-    terms, _ = _qubit_point(init, spectrum, bath, t)
-    if terms.denom <= EPS_GUARD:
-        return QfiResult(total=0.0, diagonal_part=0.0, coherence_gain=0.0)
-    diagonal_part = terms.g**2 / ((1.0 - terms.p2) * terms.p2)
-    return QfiResult(
-        total=terms.total,
-        diagonal_part=diagonal_part,
-        coherence_gain=terms.total - diagonal_part,
-    )
-
-
 def qfi_values(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> np.ndarray:
     """Vectorized qubit QFI over a time grid (totals only, no SLD assembly).
 
@@ -305,13 +315,13 @@ def qfi_values(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> np.nda
     times raise DomainError.
     """
     model = _qubit_model_of(spectrum, bath)
-    return _qfi_kernel(model, bath.gamma, init.a, abs(init.rho12_0) ** 2, times).total
+    return _qfi_kernel(model, bath.gamma, init.a, init.r, times).total
 
 
 def _trace_columns(model: _QubitModel, gamma: float, init: QubitInit, asymptote: float, t) -> dict:
     """The trace columns at the times t, unchecked: an overflowed cell is inf or nan."""
     s = _scaled_time(gamma, t)
-    terms = _qfi_terms(model, init.a, abs(init.rho12_0) ** 2, s)
+    terms = _qfi_terms(model, init.a, init.r, s)
     with np.errstate(over="ignore", invalid="ignore"):
         return {
             "t": t,

@@ -30,7 +30,6 @@ from .qfi import (
     beta_derivative_qubit,
     qfi_decomposition,
     qfi_values,
-    qubit_qfi,
     thermal_population_derivative,
 )
 from .spectrum import (
@@ -207,12 +206,9 @@ def _check_decomposition(rng, inject: bool):
         t = float(rng.uniform(0.05, 10.0 / abs(s.relaxation_rate)))
         rho0 = DensityMatrix.from_qubit_init(s.init)
         result = qfi_decomposition(*evolve_state_derivative(rho0, s.spectrum, s.bath, t))
-        closed = qubit_qfi(s.init, s.spectrum, s.bath, t)
+        closed = float(qfi_values(s.init, s.spectrum, s.bath, t))
         worst_gain = min(worst_gain, result.coherence_gain)
-        worst_mismatch = max(
-            worst_mismatch,
-            abs(result.total - closed.total) / max(abs(closed.total), 1e-12),
-        )
+        worst_mismatch = max(worst_mismatch, abs(result.total - closed) / max(abs(closed), 1e-12))
     for n in range(3, 9):  # the N-level claim: coherence never lowers the QFI
         spectrum = _random_spectrum(rng, n)
         bath = Bath(beta=float(rng.uniform(0.3, 1.2)), gamma=float(rng.uniform(0.3, 2.0)))
@@ -231,10 +227,7 @@ def _check_zero_time_qfi(rng, inject: bool):
     worst = 0.0
     for _ in range(50):
         s = _random_scenario(rng)
-        worst = max(worst, abs(qubit_qfi(s.init, s.spectrum, s.bath, 0.0).total))
-        worst = max(
-            worst, abs(float(qfi_values(s.init, s.spectrum, s.bath, np.array([0.0]))[0]))
-        )
+        worst = max(worst, abs(float(qfi_values(s.init, s.spectrum, s.bath, 0.0))))
     passed = worst <= 1e-14
     return passed, f"worst |F(0)| = {worst:.3e} (tol 1e-14)"
 
@@ -251,7 +244,7 @@ def _check_phase_invariance(rng, inject: bool):
         totals = []
         for phi in (0.0, math.pi / 4.0, math.pi / 2.0, math.pi):
             s = Scenario.qubit(omega, beta, gamma, a, r=r, phi=phi)
-            totals.append(qubit_qfi(s.init, s.spectrum, s.bath, t).total)
+            totals.append(float(qfi_values(s.init, s.spectrum, s.bath, t)))
         spread = max(totals) - min(totals)
         worst = max(worst, spread / max(abs(max(totals)), 1e-12))
     passed = worst <= 1e-12
@@ -296,9 +289,9 @@ def _check_region_phenotypes(rng, inject: bool):
     inv_ok = local_max is not None and v[local_max] < inv.asymptote
     if inv_ok:
         j = local_max + int(np.argmin(v[local_max:]))
-        model, a, mod2_0 = inv._model, inv.init.a, abs(inv.init.rho12_0) ** 2
+        model, a, r = inv._model, inv.init.a, inv.init.r
         gamma, bracket = inv.bath.gamma, (times[j - 1], times[j + 1])
-        t_dip = float(_bisect(lambda t: _qfi_slope(model, a, mod2_0, gamma * t) < 0, *bracket))
+        t_dip = float(_bisect(lambda t: _qfi_slope(model, a, r, gamma * t) < 0, *bracket))
         f_dip = float(qfi_values(inv.init, inv.spectrum, inv.bath, np.array([t_dip]))[0])
         inv_ok = (
             f_dip <= 1e-8 * inv.asymptote

@@ -40,6 +40,8 @@ from thermoqfi.cli import (
     main,
 )
 
+from conftest import mp_qfi
+
 REF = ["--omega12", "1", "--beta", "1.0986122886681098", "--gamma", "1"]
 
 
@@ -824,6 +826,24 @@ class TestEstimate:
         )
         assert results["measurement_time"] == pytest.approx(0.72422736049842, rel=1e-14)
 
+    def test_cold_estimate_matches_the_oracle(self, capsys):
+        # At beta omega = 30, p2 and D are about 1e-13: below any fixed guard.
+        # F_Q and F_C are one kernel value. M p2 = 1e-9, so every replica draws
+        # 0 and clamps; whether that sets no_information is not decided here.
+        argv = ["estimate", "--omega12", "1", "--beta", "30", "--gamma", "1", "--a", "0",
+                "--t", "6.67"]
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, err) == (0, "")
+        results = json.loads(out)["results"]
+        exact = mp_qfi(1.0, 30.0, 1.0, 0.0, 0.0, 6.67)
+        assert exact == pytest.approx(9.3458e-14, rel=1e-4)
+        assert results["f_quantum"] == results["f_classical"]
+        assert results["f_quantum"] == pytest.approx(exact, rel=1e-12)
+        assert results["bound"] == pytest.approx(1.0 / (10000 * exact), rel=1e-12)
+        assert results["bound"] == pytest.approx(1.07e9, rel=1e-3)
+        assert results["clamped_count"] == 1000
+        assert not results["no_information"]
+
     def test_bracket_beyond_2_19_ends(self):
         # The default bracket (5e5, 8e6) lies where adjacent floats are wider
         # than the MLE's 1e-10 stop. A child process with a timeout turns a
@@ -1116,7 +1136,7 @@ class TestBlasThreadPin:
         assert probe["numpy"]
 
     def test_library_leaves_environment_alone(self):
-        probe = _env_probe("import thermoqfi; thermoqfi.qubit_qfi", {})
+        probe = _env_probe("import thermoqfi; thermoqfi.qfi_values", {})
         assert probe["changed"] == {}
         assert probe["numpy"]
 

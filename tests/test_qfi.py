@@ -18,14 +18,14 @@ from thermoqfi import (
     evolve_state_derivative,
     qfi_decomposition,
     qfi_values,
-    qubit_qfi,
     sld_general,
     thermal_population_derivative,
     thermal_qfi,
 )
-from thermoqfi.qfi import EPS_GUARD, _qubit_point, trace_blocks
+from thermoqfi.dynamics import _qubit_model
+from thermoqfi.qfi import EPS_GUARD, _qfi_slope, _qfi_terms, _qubit_point, trace_blocks
 
-from conftest import random_mixed_state, random_scenario, random_time
+from conftest import mp_qfi, random_mixed_state, random_scenario, random_time
 
 SPECTRUM = Spectrum.qubit(1.0)
 BATH = Bath(beta=math.log(3.0), gamma=1.0)
@@ -322,30 +322,95 @@ class TestQubitSld:
 
 
 class TestQubitQfi:
+    # Totals come from the kernel (qfi_values); the split into F_d and the
+    # coherence gain from the general solver on the closed-form pair.
     def test_reference_value(self):
-        res = qubit_qfi(QubitInit(a=0.1, r=1.0, phi=0.0), SPECTRUM, BATH, 1.0)
-        assert res.total == pytest.approx(0.2666432038557697, rel=1e-14)
-        assert res.diagonal_part == pytest.approx(0.20959438216656165, rel=1e-14)
-        assert res.coherence_gain == pytest.approx(0.057048821689208024, rel=1e-13)
+        init = QubitInit(a=0.1, r=1.0, phi=0.0)
+        total = float(qfi_values(init, SPECTRUM, BATH, 1.0))
+        res = qfi_decomposition(*beta_derivative_qubit(init, SPECTRUM, BATH, 1.0))
+        assert total == pytest.approx(0.2666432038557697, rel=1e-14)
+        assert res.total == pytest.approx(0.2666432038557697, rel=1e-13)
+        assert res.diagonal_part == pytest.approx(0.20959438216656165, rel=1e-13)
+        assert res.coherence_gain == pytest.approx(0.057048821689208024, rel=1e-12)
 
     def test_population_only_state_has_zero_gain(self):
-        res = qubit_qfi(QubitInit(a=0.1, r=0.0), SPECTRUM, BATH, 1.0)
-        assert res.coherence_gain == 0.0
-        assert res.total == res.diagonal_part
+        init = QubitInit(a=0.1, r=0.0)
+        total = float(qfi_values(init, SPECTRUM, BATH, 1.0))
+        res = qfi_decomposition(*beta_derivative_qubit(init, SPECTRUM, BATH, 1.0))
+        assert 0.0 <= res.coherence_gain <= 1e-15 * total
+        assert res.diagonal_part == pytest.approx(total, rel=1e-14)
 
     def test_pure_state_limit_is_zero(self):
-        res = qubit_qfi(QubitInit(a=0.1, r=1.0), SPECTRUM, BATH, 0.0)
+        init = QubitInit(a=0.1, r=1.0)
+        assert float(qfi_values(init, SPECTRUM, BATH, 0.0)) == 0.0
+        res = qfi_decomposition(*beta_derivative_qubit(init, SPECTRUM, BATH, 0.0))
         assert res.total == res.diagonal_part == res.coherence_gain == 0.0
 
     def test_phase_invariance(self):
-        ref = qubit_qfi(QubitInit(a=0.3, r=0.8, phi=0.0), SPECTRUM, BATH, 0.7).total
+        ref = float(qfi_values(QubitInit(a=0.3, r=0.8, phi=0.0), SPECTRUM, BATH, 0.7))
         for phi in (math.pi / 4, math.pi / 2, math.pi, 5.0):
-            res = qubit_qfi(QubitInit(a=0.3, r=0.8, phi=phi), SPECTRUM, BATH, 0.7)
-            assert res.total == pytest.approx(ref, rel=1e-14)
+            total = float(qfi_values(QubitInit(a=0.3, r=0.8, phi=phi), SPECTRUM, BATH, 0.7))
+            assert total == pytest.approx(ref, rel=1e-14)
 
     def test_rejects_negative_time(self):
         with pytest.raises(DomainError):
-            qubit_qfi(QubitInit(a=0.1), SPECTRUM, BATH, -0.5)
+            qfi_values(QubitInit(a=0.1), SPECTRUM, BATH, -0.5)
+
+
+# (omega, beta, gamma, a, r, t): cold and near-pure points, where D is far below
+# 1e-12, and (1 - p2) p2 - |rho12|^2 is a difference of nearly equal numbers.
+_ORACLE_CASES = [
+    (1.0, 30.0, 1.0, 0.0, 0.0, 6.67),
+    (1.0, 100.0, 1.0, 0.0, 0.0, 1.0),
+    (1.0, 100.0, 1.0, 1.0, 0.0, 40.0),
+    (1.0, 1.0, 1.0, 0.3, 1.0, 1e-10),
+    (1.0, 1.0, 1.0, 0.3, 1.0, 1e-12),
+    (1.0, 1.0, 1.0, 0.3, 1.0, 1e-14),
+    (1.0, 30.0, 1.0, 0.3, 0.7, 30.0),
+]
+
+
+class TestHighPrecisionOracle:
+    @pytest.mark.parametrize("case", _ORACLE_CASES, ids=lambda c: "-".join(map(repr, c)))
+    def test_kernel_matches_oracle(self, case):
+        omega, beta, gamma, a, r, t = case
+        value = float(qfi_values(QubitInit(a=a, r=r), Spectrum.qubit(omega),
+                                 Bath(beta=beta, gamma=gamma), t))
+        exact = mp_qfi(*case)
+        assert exact > 0.0
+        assert abs(value - exact) <= 1e-14 * exact
+
+    def test_well_conditioned_box(self):
+        rng = np.random.default_rng(53)
+        for _ in range(10):
+            s = random_scenario(rng)
+            t = random_time(rng, s, lo=0.05)
+            value = float(qfi_values(s.init, s.spectrum, s.bath, t))
+            exact = mp_qfi(s.spectrum.gap(1, 2), s.bath.beta, s.bath.gamma, s.init.a, s.init.r, t)
+            assert abs(value - exact) <= 1e-13 * exact
+
+
+class TestQfiSlope:
+    @pytest.mark.parametrize(
+        "omega,beta,a,r,s,h",
+        [
+            (1.0, 30.0, 0.0, 0.0, 6.67, 1e-4),
+            (1.0, 1.0, 0.3, 1.0, 1e-10, 1e-14),
+            (1.0, 1.0, 0.3, 1.0, 1e-12, 1e-16),
+        ],
+        ids=["cold", "near-pure", "nearer-pure"],
+    )
+    def test_matches_central_difference(self, omega, beta, a, r, s, h):
+        m = _qubit_model(omega, beta)
+        values = _qfi_terms(m, a, r, np.array([s - h, s + h])).total
+        difference = float(values[1] - values[0]) / (2.0 * h)
+        slope = float(_qfi_slope(m, a, r, s))
+        assert difference > 0.0
+        assert slope == pytest.approx(difference, rel=1e-7)
+
+    def test_zero_at_pure_start(self):
+        m = _qubit_model(1.0, 1.0)
+        assert float(_qfi_slope(m, 0.3, 1.0, 0.0)) == 0.0
 
 
 class TestQfiValues:
@@ -357,7 +422,7 @@ class TestQfiValues:
             grid = qfi_values(s.init, s.spectrum, s.bath, times)
             for t, v in zip(times, grid):
                 assert v == pytest.approx(
-                    qubit_qfi(s.init, s.spectrum, s.bath, float(t)).total, abs=1e-12
+                    float(qfi_values(s.init, s.spectrum, s.bath, float(t))), abs=1e-12
                 )
 
     def test_zero_at_pure_start(self):
@@ -426,11 +491,13 @@ class TestDecomposition:
         for _ in range(30):
             s = random_scenario(rng)
             t = random_time(rng, s, lo=0.05)
-            closed = qubit_qfi(s.init, s.spectrum, s.bath, t)
+            total = float(qfi_values(s.init, s.spectrum, s.bath, t))
+            terms, _ = _qubit_point(s.init, s.spectrum, s.bath, t)
+            gain = total - terms.g**2 / ((1.0 - terms.p2) * terms.p2)
             res = qfi_decomposition(*beta_derivative_qubit(s.init, s.spectrum, s.bath, t))
-            scale = max(closed.total, 1e-12)
-            assert abs(res.total - closed.total) <= 1e-12 * scale
-            assert abs(res.coherence_gain - closed.coherence_gain) <= 1e-11 * scale
+            scale = max(total, 1e-12)
+            assert abs(res.total - total) <= 1e-12 * scale
+            assert abs(res.coherence_gain - gain) <= 1e-11 * scale
             assert res.coherence_gain >= -1e-12
 
     def test_three_level_exact_derivative(self):
