@@ -233,12 +233,19 @@ def qubit_relaxation_rate(spectrum: Spectrum, bath: Bath) -> float:
 
 
 def _default_t_max(spectrum: Spectrum, bath: Bath) -> float:
-    """The default time window 20/|lambda|: twenty relaxation times of the qubit."""
-    t_max = 20.0 / abs(qubit_relaxation_rate(spectrum, bath))
+    """The default time window max(20, 14 + beta omega)/|lambda|.
+
+    Twenty relaxation times up to beta omega = 6. Colder, F meets its
+    asymptote only once pi2 - p2 is small against pi2 ~ e^{-beta omega}
+    itself, so the window grows with beta omega: at its end the decay
+    e^{lambda t} is e^{-14 - beta omega}, about e^{-14} pi2.
+    """
+    turns = max(20.0, 14.0 + bath.beta * spectrum.gap(1, 2))
+    t_max = turns / abs(qubit_relaxation_rate(spectrum, bath))
     if not math.isfinite(t_max):
         raise DomainError(
-            f"gamma = {bath.gamma:g} is too small: the default time window 20/|lambda| "
-            "overflows double precision"
+            f"gamma = {bath.gamma:g} is too small: the default time window "
+            "max(20, 14 + beta*omega)/|lambda| overflows double precision"
         )
     return t_max
 

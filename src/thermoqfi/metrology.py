@@ -5,8 +5,8 @@ bath temperature: the optimal measurement time as a root of dF/dt, ranking
 of initial states, region classification of the initial excited-state
 population, and the Cramer-Rao report of every initial state (for a diagonal
 start, a binomial Monte-Carlo check that the maximum-likelihood estimator
-saturates the bound). One bisection, _bisect, serves both the peak times and
-the estimator.
+saturates the bound, its replicas drawn from one seeded generator). One
+bisection, _bisect, serves both the peak times and the estimator.
 """
 
 from __future__ import annotations
@@ -40,26 +40,6 @@ BOUNDARY_RTOL = 1e-12
 # temporaries (about ten arrays of _SCAN_BLOCK x n_grid doubles) stay near the
 # size of one trace, so peak memory does not grow with the number of states.
 _SCAN_BLOCK = 8
-
-# Replicas per block when cramer_rao_report seeds its streams: a block's
-# SeedSequence pools and PCG64 states (Python ints) stay a few hundred kB, so
-# the peak memory of estimate neither grows with the number of replicas nor
-# exceeds that of one generator per replica (blocks of 4096 added 0.9 MB to a
-# 20k-replica estimate, all 20k at once about 8 MB).
-_REPLICA_BLOCK = 1024
-
-# SeedSequence entropy mixing (NEP 19, after O'Neill's seed_seq_fe) and PCG64
-# seeding (O'Neill 2014) as numpy implements them; see _replica_counts.
-_MASK32 = 0xFFFFFFFF
-_MASK128 = (1 << 128) - 1
-_SEED_POOL_SIZE = 4
-_SEED_INIT_A = 0x43B0D7E5
-_SEED_MULT_A = 0x931E8875
-_SEED_INIT_B = 0x8B51F9DD
-_SEED_MULT_B = 0x58F38DED
-_SEED_MIX_MULT_L = 0xCA01F9DD
-_SEED_MIX_MULT_R = 0x4973F715
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 @dataclass(frozen=True)
@@ -197,7 +177,9 @@ def _peak_times(
     if not math.isfinite(t_max):
         raise DomainError("t_max must be finite")
     if t_max < default * (1.0 - 1e-12):
-        raise DomainError("t_max must cover at least twenty relaxation times")
+        raise DomainError(
+            "t_max must cover at least the default window max(20, 14 + beta*omega)/|lambda|"
+        )
     n_grid = max(512, int(n_grid))
     times = np.linspace(0.0, t_max, n_grid)
     model, gamma = _qubit_model_of(spectrum, bath), bath.gamma
@@ -233,14 +215,14 @@ def maximize_qfi_over_time(
 ) -> OptimalTime:
     """Grid scan of the QFI over time, an interior peak refined as a root of dF/dt.
 
-    The window must cover at least 20/|lambda| so the tail is a faithful
-    stand-in for the asymptote. When no interior point beats the tail by more
-    than ASYMPTOTIC_MARGIN * asymptote, the supremum is reported at t_max with
-    the asymptotic flag (monotone hot-region traces; inverted traces whose
-    local peak stays below the asymptote). Otherwise t_star is found to a few
-    ulps, where a search on F itself could only resolve about sqrt(eps). This
-    is the one-state call of the batched scan behind optimize_initial_state,
-    so both agree bit for bit.
+    The window must cover at least the default max(20, 14 + beta omega)/|lambda|
+    so the tail is a faithful stand-in for the asymptote. When no interior
+    point beats the tail by more than ASYMPTOTIC_MARGIN * asymptote, the
+    supremum is reported at t_max with the asymptotic flag (monotone
+    hot-region traces; inverted traces whose local peak stays below the
+    asymptote). Otherwise t_star is found to a few ulps, where a search on F
+    itself could only resolve about sqrt(eps). This is the one-state call of
+    the batched scan behind optimize_initial_state, so both agree bit for bit.
     """
     return _peak_times(scenario.spectrum, scenario.bath, [scenario.init], t_max, n_grid)[0]
 
@@ -295,89 +277,9 @@ def optimize_initial_state(
     return rows
 
 
-def _seed_hashmix(value: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:
-    value = value ^ np.uint32(hash_const)
-    hash_const = (hash_const * _SEED_MULT_A) & _MASK32
-    value = value * np.uint32(hash_const)
-    return value ^ (value >> np.uint32(16)), hash_const
-
-
-def _seed_mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    result = np.uint32(_SEED_MIX_MULT_L) * x - np.uint32(_SEED_MIX_MULT_R) * y
-    return result ^ (result >> np.uint32(16))
-
-
-def _pcg64_states(seed: int, start: int, stop: int) -> list[tuple[int, int]]:
-    """PCG64 (state, inc) of default_rng([seed, i]) for start <= i < stop < 2**32.
-
-    The entropy is the seed's little-endian 32-bit words followed by the one
-    word of i. The SeedSequence pool is mixed for every i at once in uint32
-    arithmetic (the hash constants do not depend on the data, so they are
-    shared), generate_state(4, uint64) is drawn from it, and the four words
-    (initstate high/low, initseq high/low) seed PCG64's 128-bit LCG:
-    inc = initseq << 1 | 1, state = (inc + initstate) * M + inc mod 2**128.
-    """
-    seed_words = []
-    while True:
-        seed_words.append(seed & _MASK32)
-        seed >>= 32
-        if not seed:
-            break
-    n = stop - start
-    entropy = [np.full(n, word, dtype=np.uint32) for word in seed_words]
-    entropy.append(np.arange(start, stop, dtype=np.uint32))
-    hash_const = _SEED_INIT_A
-    pool = []
-    for dst in range(_SEED_POOL_SIZE):
-        word = entropy[dst] if dst < len(entropy) else np.zeros(n, dtype=np.uint32)
-        mixed, hash_const = _seed_hashmix(word, hash_const)
-        pool.append(mixed)
-    for src in range(_SEED_POOL_SIZE):
-        for dst in range(_SEED_POOL_SIZE):
-            if src != dst:
-                mixed, hash_const = _seed_hashmix(pool[src], hash_const)
-                pool[dst] = _seed_mix(pool[dst], mixed)
-    for src in range(_SEED_POOL_SIZE, len(entropy)):
-        for dst in range(_SEED_POOL_SIZE):
-            mixed, hash_const = _seed_hashmix(entropy[src], hash_const)
-            pool[dst] = _seed_mix(pool[dst], mixed)
-    hash_const = _SEED_INIT_B
-    halves = []
-    for dst in range(8):
-        word = pool[dst % _SEED_POOL_SIZE] ^ np.uint32(hash_const)
-        hash_const = (hash_const * _SEED_MULT_B) & _MASK32
-        word = word * np.uint32(hash_const)
-        halves.append((word ^ (word >> np.uint32(16))).astype(np.uint64))
-    words = [(halves[2 * k] | halves[2 * k + 1] << np.uint64(32)).tolist() for k in range(4)]
-    states = []
-    for state_hi, state_lo, seq_hi, seq_lo in zip(*words):
-        inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-        states.append((((inc + (state_hi << 64 | state_lo)) * _PCG64_MULT + inc) & _MASK128, inc))
-    return states
-
-
 def _replica_counts(seed: int, n_replicas: int, m_experiments: int, p: float) -> np.ndarray:
-    """Binomial(m_experiments, p) counts of replicas 0..n_replicas-1.
-
-    Replica i draws exactly what np.random.default_rng([seed, i]) would draw:
-    its PCG64 state is derived as SeedSequence would derive it and set on one
-    reused generator, _REPLICA_BLOCK replicas at a time. Requires seed >= 0
-    and n_replicas <= 2**32 (so that i is one 32-bit entropy word).
-    """
-    bit_generator = np.random.PCG64()
-    generator = np.random.Generator(bit_generator)
-    counts = np.empty(n_replicas, dtype=np.int64)
-    for start in range(0, n_replicas, _REPLICA_BLOCK):
-        stop = min(start + _REPLICA_BLOCK, n_replicas)
-        for i, (state, inc) in enumerate(_pcg64_states(seed, start, stop), start):
-            bit_generator.state = {
-                "bit_generator": "PCG64",
-                "state": {"state": state, "inc": inc},
-                "has_uint32": 0,
-                "uinteger": 0,
-            }
-            counts[i] = generator.binomial(m_experiments, p)
-    return counts
+    """n_replicas iid Binomial(m_experiments, p) counts, drawn in order from default_rng(seed)."""
+    return np.random.default_rng(seed).binomial(m_experiments, p, n_replicas)
 
 
 def _mle_inverse(spectrum, gamma, init, t, bracket):
@@ -426,8 +328,6 @@ def _check_run(m_experiments: int, n_replicas: int, seed) -> None:
     """Reject replica-run settings before anything is searched or drawn."""
     if n_replicas < 2:
         raise DomainError("n_replicas must be at least 2")
-    if n_replicas > 2**32:
-        raise DomainError("n_replicas must be at most 2**32")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise DomainError("seed must be a nonnegative integer")
     if m_experiments < 1:
@@ -439,10 +339,10 @@ class CramerRaoReport:
     """The Cramer-Rao chain Var(beta_hat) >= 1/(M F_C) >= 1/(M F_Q) at one time.
 
     For a diagonal start the report carries the variance of the binomial MLE
-    over seeded Monte-Carlo replicas, to be set against 1/(M F_C). For a
-    coherent start (bound_only) the population measurement no longer attains
-    F_Q, so only the quantum bound 1/(M F_Q) is reported and variance,
-    f_classical, ratio and clamped_count are None.
+    over iid Monte-Carlo replicas from one seeded stream, to be set against
+    1/(M F_C). For a coherent start (bound_only) the population measurement
+    no longer attains F_Q, so only the quantum bound 1/(M F_Q) is reported and
+    variance, f_classical, ratio and clamped_count are None.
     """
 
     measurement_time: float
@@ -472,14 +372,12 @@ def cramer_rao_report(
     is compared with 1/(M F). For r != 0 the report is bound-only: the bound
     is 1/(M F_Q), or None where F_Q is not positive, and nothing is drawn.
 
-    Replica i draws exactly the count that np.random.default_rng([seed, i])
-    would draw, so the report is deterministic for a fixed seed; seed must be
-    an integer >= 0 and n_replicas at most 2**32 (one 32-bit entropy word per
-    replica index). The streams are seeded without constructing a generator
-    per replica (see _replica_counts). The estimate depends on the count
-    alone, so the distinct counts (a few hundred cover tens of thousands of
-    replicas) are bisected together, once each, and shared by every replica
-    that drew them.
+    The replica counts are n_replicas iid binomial draws from one
+    np.random.default_rng(seed) stream, so the report is deterministic for a
+    fixed seed, which must be an integer >= 0. The estimate depends on the
+    count alone, so the distinct counts (a few hundred cover tens of
+    thousands of replicas) are bisected together, once each, and shared by
+    every replica that drew them.
     """
     _check_run(m_experiments, n_replicas, seed)
     if t is None:

@@ -103,7 +103,7 @@ def _qfi_terms(m: _QubitModel, a, r, s) -> _Terms:
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         decay = m.decay(s)
         u = -np.expm1(m.lam_hat * s)
-        p2 = m.p2(a, s)
+        p2 = m.pi2 - decay * (m.pi2 - a)
         mod2 = mod2_0 * decay
         alpha = -(m.lam_hat * m.lam_hat) * s * m.dpi2
         delta = u + 2.0 * (m.lam_hat * m.lam_hat) * s * decay * (m.pi2 - a)

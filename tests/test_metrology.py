@@ -26,13 +26,7 @@ from thermoqfi import (
 )
 from thermoqfi import metrology
 from thermoqfi.dynamics import _qubit_model
-from thermoqfi.metrology import (
-    _REPLICA_BLOCK,
-    _bisect,
-    _mle_inverse,
-    _pcg64_states,
-    _replica_counts,
-)
+from thermoqfi.metrology import _bisect, _mle_inverse, _replica_counts
 
 from conftest import reference_scenario
 
@@ -253,7 +247,7 @@ class TestMaximizeQfi:
         assert best.f_star == pytest.approx(s.asymptote, rel=1e-6)
 
     def test_rejects_short_window(self):
-        with pytest.raises(DomainError, match="twenty relaxation times"):
+        with pytest.raises(DomainError, match="at least the default window max"):
             maximize_qfi_over_time(reference_scenario(), t_max=2.0)
 
     @pytest.mark.parametrize("t_max", [math.inf, math.nan])
@@ -345,6 +339,19 @@ class TestOptimizeInitialState:
             assert row.t_star == best.t_star
             assert row.f_star == best.f_star
             assert row.asymptotic == best.asymptotic
+
+    @pytest.mark.parametrize("beta", [15.0, 20.0, 30.0])
+    def test_cold_default_window_reaches_the_asymptote(self, beta):
+        # Above beta*omega = 6 the default window grows as (14 + beta*omega)/|lambda|:
+        # the tail of a = 1/2 and a = 1 must reach F_th, which 20/|lambda| does not.
+        rows = optimize_initial_state(
+            Spectrum.qubit(1.0), Bath(beta=beta, gamma=1.0), a_steps=3, r_steps=1
+        )
+        asymptote = Scenario.qubit(1.0, beta, 1.0, 0.0).asymptote
+        late = [row for row in rows if row.a in (0.5, 1.0)]
+        assert len(late) == 2
+        for row in late:
+            assert row.f_star / asymptote >= 1.0 - 1e-6
 
     def test_validation(self):
         s = reference_scenario()
@@ -509,8 +516,10 @@ class TestCramerRao:
         assert report.measurement_time == 1.0
 
     def test_small_run_saturates(self):
+        # 2000 replicas put the sample variance's spread sqrt(2/(R-1)) at 0.032,
+        # so [0.8, 1.3] holds for any seed, not only for a lucky one.
         report = cramer_rao_report(
-            reference_scenario(), m_experiments=2000, n_replicas=200, seed=3
+            reference_scenario(), m_experiments=2000, n_replicas=2000, seed=3
         )
         assert not report.no_information
         assert report.clamped_count == 0
@@ -518,7 +527,7 @@ class TestCramerRao:
         assert report.bound == pytest.approx(
             1.0 / (2000 * report.f_classical), rel=1e-15
         )
-        assert report.ratio == pytest.approx(1.084818458543799, rel=1e-12)
+        assert report.ratio == pytest.approx(1.0285510772244635, rel=1e-12)
         assert 0.8 <= report.ratio <= 1.3
 
     def test_deterministic(self):
@@ -662,18 +671,32 @@ class TestCramerRao:
         with pytest.raises(DomainError, match="0 < lo < hi"):
             _mle_inverse(s.spectrum, s.bath.gamma, s.init, 1.0, bracket)
 
+    @pytest.mark.parametrize("m", [100, 10000])
+    def test_a_longer_run_extends_a_shorter_one(self, monkeypatch, m):
+        # One stream from default_rng(seed): the first k counts of an
+        # n-replica run are the k-replica run's counts, under both of numpy's
+        # binomial algorithms (inversion for m p <= 30, BTPE above).
+        s = reference_scenario()
+        p2 = float(s._model.p2(s.init.a, s.bath.gamma * 1.0))
+        assert (m * p2 <= 30.0) == (m == 100)
+        drawn = []
+        real_counts = metrology._replica_counts
+
+        def recording_counts(*args):
+            drawn.append(real_counts(*args))
+            return drawn[-1]
+
+        monkeypatch.setattr(metrology, "_replica_counts", recording_counts)
+        for n in (5000, 1234):
+            cramer_rao_report(s, t=1.0, m_experiments=m, n_replicas=n, seed=11)
+        long_run, short_run = drawn
+        assert long_run[:1234].tolist() == short_run.tolist()
+
     @pytest.mark.parametrize("seed", [-1, -(2**64), 1.5, [1, 2]])
     def test_seed_must_be_a_nonnegative_integer(self, monkeypatch, seed):
         monkeypatch.setattr(metrology, "_replica_counts", _must_not_draw)
         with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
             cramer_rao_report(reference_scenario(), t=1.0, n_replicas=10, seed=seed)
-
-    def test_replicas_past_one_entropy_word_are_rejected_first(self, monkeypatch):
-        # Rejected before the optimal time is searched or anything is drawn.
-        monkeypatch.setattr(metrology, "_replica_counts", _must_not_draw)
-        monkeypatch.setattr(metrology, "maximize_qfi_over_time", _must_not_draw)
-        with pytest.raises(DomainError, match="n_replicas must be at most 2\\*\\*32"):
-            cramer_rao_report(reference_scenario(), n_replicas=2**32 + 1)
 
 
 def _must_not_draw(*args, **kwargs):
@@ -681,49 +704,4 @@ def _must_not_draw(*args, **kwargs):
 
 
 def _reference_counts(seed, n, m, p):
-    return [int(np.random.default_rng([seed, i]).binomial(m, p)) for i in range(n)]
-
-
-class TestReplicaStreams:
-    # One to six 32-bit entropy words, on both sides of the pool size 4 of
-    # SeedSequence (the replica index adds one word).
-    SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**128 - 1, 2**128, 2**160 + 17]
-
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_states_equal_numpy_seeding(self, seed):
-        # 9 x 11,112 = 100,008 (seed, i) pairs, incl. the last 32-bit indices
-        for start, stop in ((0, 11000), (2**32 - 112, 2**32)):
-            derived = _pcg64_states(seed, start, stop)
-            expected = []
-            for i in range(start, stop):
-                state = np.random.PCG64([seed, i]).state["state"]
-                expected.append((state["state"], state["inc"]))
-            assert derived == expected
-
-    @pytest.mark.parametrize(
-        "n", [_REPLICA_BLOCK - 1, _REPLICA_BLOCK, _REPLICA_BLOCK + 1, 2 * _REPLICA_BLOCK + 1]
-    )
-    def test_counts_equal_default_rng_draws_across_blocks(self, n):
-        s = reference_scenario()
-        t, m, seed = 0.7, 5000, 2**64 + 3
-        p2 = min(1.0, max(0.0, float(s._model.p2(s.init.a, s.bath.gamma * t))))
-        counts = _replica_counts(seed, n, m, p2)
-        assert counts.dtype == np.int64 and counts.shape == (n,)
-        assert counts.tolist() == _reference_counts(seed, n, m, p2)
-
-    @pytest.mark.parametrize(
-        "m,p",
-        [
-            (10, 0.5),  # m p <= 30: inversion
-            (10**6, 1e-9),  # inversion at a tiny p
-            (10**6, 0.5),  # BTPE
-            (10**6, 0.97),  # BTPE on q = 1 - p
-            (40, 0.9),  # inversion on q = 1 - p
-            (1000, 0.0),
-            (1000, 1.0),
-        ],
-    )
-    @pytest.mark.parametrize("seed", [0, 7, 2**128 + 5])
-    def test_counts_equal_default_rng_draws(self, m, p, seed):
-        n = 1000
-        assert _replica_counts(seed, n, m, p).tolist() == _reference_counts(seed, n, m, p)
+    return np.random.default_rng(seed).binomial(m, p, n).tolist()
