@@ -37,7 +37,7 @@ from thermoqfi import (
     thermal_ratio,
     transition_matrix,
 )
-from thermoqfi.dynamics import _eigendecompose
+from thermoqfi.dynamics import _default_t_max, _eigendecompose
 
 
 def _reference_parts():
@@ -318,6 +318,21 @@ class TestQubitState:
             atol=1e-10,
         )
         assert np.max(np.abs(rho_inf.elements - np.diag(rho_inf.populations))) <= 1e-12
+
+
+class TestDefaultWindow:
+    @pytest.mark.parametrize("beta_omega", [0.01, 1.0, 6.0, 6.5, 15.0, 30.0, 300.0])
+    def test_twenty_relaxation_times_or_fourteen_past_beta_omega(self, beta_omega):
+        # Twenty relaxation times up to beta*omega = 6; colder, the window
+        # ends where e^{lambda t} = e^{-14 - beta*omega}, about e^{-14} pi2.
+        spectrum, bath = Spectrum.qubit(2.0), Bath(beta=beta_omega / 2.0, gamma=0.7)
+        lam = qubit_relaxation_rate(spectrum, bath)
+        t_max = _default_t_max(spectrum, bath)
+        if beta_omega <= 6.0:
+            assert t_max == 20.0 / abs(lam)
+        else:
+            assert t_max == (14.0 + beta_omega) / abs(lam)
+            assert math.exp(lam * t_max) == pytest.approx(math.exp(-14.0 - beta_omega), rel=1e-12)
 
 
 class TestEvolveStateDerivative:

@@ -698,6 +698,20 @@ class TestCramerRao:
         with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
             cramer_rao_report(reference_scenario(), t=1.0, n_replicas=10, seed=seed)
 
+    def test_replicas_past_one_entropy_word_reach_the_draw(self, monkeypatch):
+        # n_replicas has no fixed cap: 2**32 + 1 passes the run checks and is
+        # handed to the draw unchanged, which memory alone bounds.
+        requested = []
+
+        def refuse_to_draw(seed, n_replicas, m_experiments, p):
+            requested.append(n_replicas)
+            raise MemoryError
+
+        monkeypatch.setattr(metrology, "_replica_counts", refuse_to_draw)
+        with pytest.raises(MemoryError):
+            cramer_rao_report(reference_scenario(), t=1.0, n_replicas=2**32 + 1)
+        assert requested == [2**32 + 1]
+
 
 def _must_not_draw(*args, **kwargs):
     raise AssertionError("called after invalid input")
@@ -705,3 +719,35 @@ def _must_not_draw(*args, **kwargs):
 
 def _reference_counts(seed, n, m, p):
     return np.random.default_rng(seed).binomial(m, p, n).tolist()
+
+
+# m p <= 30 and m q <= 30 use inversion, larger ones BTPE; p = 0 and 1 draw nothing.
+_BINOMIAL_CASES = [
+    (10, 0.5),  # m p <= 30: inversion
+    (10**6, 1e-9),  # inversion at a tiny p
+    (10**6, 0.5),  # BTPE
+    (10**6, 0.97),  # BTPE on q = 1 - p
+    (40, 0.9),  # inversion on q = 1 - p
+    (1000, 0.0),
+    (1000, 1.0),
+]
+
+
+class TestReplicaStreams:
+    @pytest.mark.parametrize("m,p", _BINOMIAL_CASES)
+    @pytest.mark.parametrize("seed", [0, 7, 2**128 + 5])
+    def test_counts_equal_default_rng_draws(self, m, p, seed):
+        n = 1000
+        counts = _replica_counts(seed, n, m, p)
+        assert counts.dtype == np.int64 and counts.shape == (n,)
+        assert counts.tolist() == _reference_counts(seed, n, m, p)
+        assert counts.min() >= 0 and counts.max() <= m
+
+    @pytest.mark.parametrize("m,p", _BINOMIAL_CASES)
+    def test_first_counts_do_not_depend_on_the_replica_count(self, m, p):
+        # The draws come in order from one stream, so a run of k replicas is
+        # the first k of a longer run at the same seed.
+        seed = 2**64 + 3
+        long_run = _replica_counts(seed, 3001, m, p)
+        for k in (2, 1000, 3000):
+            assert _replica_counts(seed, k, m, p).tolist() == long_run[:k].tolist()

@@ -413,6 +413,18 @@ class TestQfiSlope:
         assert float(_qfi_slope(m, 0.3, 1.0, 0.0)) == 0.0
 
 
+class TestQfiTerms:
+    def test_population_equals_the_model_population_bit_for_bit(self):
+        # The kernel forms p2 from its own e^{lam_hat s}; it must carry the
+        # bits of _QubitModel.p2, which evaluates the exponential itself.
+        s = np.concatenate([[0.0], np.geomspace(1e-12, 60.0, 400)])
+        a = np.linspace(0.0, 1.0, 11)[:, None]
+        for omega, beta in ((1.0, math.log(3.0)), (2.0, 1e-3), (1.0, 30.0)):
+            m = _qubit_model(omega, beta)
+            p2 = _qfi_terms(m, a, 0.5, s).p2
+            assert np.array_equal(p2, m.p2(a, s))
+
+
 class TestQfiValues:
     def test_matches_scalar_evaluation(self):
         rng = np.random.default_rng(17)
