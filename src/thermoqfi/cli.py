@@ -130,9 +130,10 @@ def _add_state_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--phi", type=float, default=0.0, help="coherence phase")
 
 
-def _add_output_args(p: argparse.ArgumentParser, fmt: str) -> None:
+def _add_output_args(p: argparse.ArgumentParser, fmt: str | None = None) -> None:
     p.add_argument("--out", default=None, help="output path ('-' or absent: stdout)")
-    p.add_argument("--format", choices=("csv", "json"), default=fmt)
+    if fmt is not None:
+        p.add_argument("--format", choices=("csv", "json"), default=fmt)
     p.add_argument("--config", default=None, help="JSON file with defaults for any flag")
 
 
@@ -171,7 +172,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
     p.add_argument(
         "--points", type=int, default=512, help="trace grid size (default %(default)s)"
     )
-    _add_output_args(p, "json")
+    _add_output_args(p)
 
     p = sub.add_parser("estimate", help="Cramer-Rao saturation report", allow_abbrev=False)
     _add_model_args(p)
@@ -190,8 +191,7 @@ def build_parser(parser_class=argparse.ArgumentParser) -> argparse.ArgumentParse
         dest="inject_fault",
         help="corrupt the inputs of this check to demonstrate detection",
     )
-    p.add_argument("--out", default=None)
-    p.add_argument("--config", default=None)
+    _add_output_args(p)
 
     return parser
 
@@ -519,8 +519,6 @@ def cmd_optimize(args: argparse.Namespace) -> int:
 def cmd_experiment(args: argparse.Namespace) -> int:
     from .metrology import _peak_times
 
-    if args.format != "json":
-        raise ConfigError("experiment emits a structured document; use --format json")
     omega12, tau_tilde, r, points = args.omega12, args.tau_tilde, args.r, args.points
     if points < 2:
         raise ConfigError("--points must be at least 2")

@@ -25,7 +25,7 @@ from .dynamics import (
     qubit_relaxation_rate,
 )
 from .errors import DomainError, EstimatorUndefinedError
-from .qfi import _qfi_kernel, _qfi_slope, qfi_values, thermal_qfi
+from .qfi import _qfi_kernel, _qfi_slope, _thermal_scale, qfi_values, thermal_qfi
 from .spectrum import MAX_EXP_BETA_OMEGA, Bath, Spectrum
 
 # Peaks closer to the tail value than this fraction of the asymptote are
@@ -163,9 +163,10 @@ def _peak_times(
 ) -> list[OptimalTime]:
     """Optimal measurement time of every initial state in one batched scan.
 
-    The model, the window and the asymptote are built once. The time grid is
-    evaluated in blocks of _SCAN_BLOCK states through the shared QFI kernel.
-    The closed-form dF/dt changes sign between the grid neighbours of each
+    The model, the window and the asymptote F_th are built once. The time grid
+    is evaluated in blocks of _SCAN_BLOCK states through the shared QFI kernel,
+    in units of F_th (f_star is F_th f), so the margin is ASYMPTOTIC_MARGIN.
+    The closed-form df/ds changes sign between the grid neighbours of each
     interior grid maximum; all peaks are bisected together on that sign down
     to adjacent floats. Every element takes the same steps as a one-state scan,
     so its peak is bit-identical to maximize_qfi_over_time on that state.
@@ -183,7 +184,7 @@ def _peak_times(
     n_grid = max(512, int(n_grid))
     times = np.linspace(0.0, t_max, n_grid)
     model, gamma = _qubit_model_of(spectrum, bath), bath.gamma
-    margin = ASYMPTOTIC_MARGIN * thermal_qfi(spectrum, bath.beta)
+    asymptote = thermal_qfi(spectrum, bath.beta)
     a = np.array([init.a for init in inits], dtype=float)
     r = np.array([init.r for init in inits], dtype=float)
     peak = np.empty(a.size, dtype=np.intp)
@@ -191,20 +192,21 @@ def _peak_times(
     tail = np.empty(a.size)
     for start in range(0, a.size, _SCAN_BLOCK):
         block = slice(start, start + _SCAN_BLOCK)
-        values = _qfi_kernel(model, gamma, a[block, None], r[block, None], times).total
+        values = _qfi_kernel(model, gamma, a[block, None], r[block, None], times).f
         i = np.argmax(values, axis=1)
         peak[block] = i
         f_peak[block] = values[np.arange(i.size), i]
         tail[block] = values[:, -1]
-    results = [OptimalTime(t_star=t_max, f_star=float(f), asymptotic=True) for f in tail]
-    interior = np.flatnonzero(~(f_peak - tail <= margin))
+    tail_qfi = _thermal_scale(asymptote, tail, times).tolist()
+    results = [OptimalTime(t_star=t_max, f_star=f, asymptotic=True) for f in tail_qfi]
+    interior = np.flatnonzero(~(f_peak - tail <= ASYMPTOTIC_MARGIN))
     if interior.size:
         i = peak[interior]
         a_in, r_in = a[interior], r[interior]
         t_star = _bisect(
             lambda t: _qfi_slope(model, a_in, r_in, gamma * t) > 0, times[i - 1], times[i + 1]
         )
-        f_star = _qfi_kernel(model, gamma, a_in, r_in, t_star).total
+        f_star = _thermal_scale(asymptote, _qfi_kernel(model, gamma, a_in, r_in, t_star).f, times)
         for k, t, f in zip(interior, t_star.tolist(), f_star.tolist()):
             results[k] = OptimalTime(t_star=t, f_star=f, asymptotic=False)
     return results
@@ -382,9 +384,6 @@ def cramer_rao_report(
     _check_run(m_experiments, n_replicas, seed)
     if t is None:
         t = maximize_qfi_over_time(scenario).t_star
-    else:
-        # the peak search forms the thermal QFI, which must be representable
-        thermal_qfi(scenario.spectrum, scenario.bath.beta)
     if t < 0:
         raise DomainError("t must be nonnegative")
     f_quantum = float(qfi_values(scenario.init, scenario.spectrum, scenario.bath, t))
@@ -401,7 +400,7 @@ def cramer_rao_report(
             no_information=not informative,
             bound_only=True,
         )
-    # At r = 0 the kernel's total is g^2/((1 - p2) p2), the Fisher information
+    # At r = 0 the kernel's F is g^2/((1 - p2) p2), the Fisher information
     # of the two-outcome population measurement: F_C = F_Q by construction.
     f_classical = f_quantum
     if not f_classical > 0.0:

@@ -5,9 +5,10 @@ general-N path has the thermal-state variance formula, the diagonal-state
 sum and the eigenbasis Lyapunov solver with the coherence decomposition
 F = F_d + Tr[rho Ltilde^2]. The qubit has one closed-form kernel,
 _qfi_terms: the only producer of a qubit's Fisher information, which for a
-diagonal start is also that of the population measurement. The closed-form
-evolved qubit state and its beta-derivative feed the Lyapunov solver for the
-qubit SLD.
+diagonal start is also that of the population measurement. It returns
+f = F/F_th from (beta omega, a, r, gamma t) alone; callers form F = F_th f. The
+closed-form evolved qubit state and its beta-derivative feed the Lyapunov
+solver for the qubit SLD.
 """
 
 from __future__ import annotations
@@ -31,21 +32,22 @@ EPS_GUARD = 1e-12
 
 
 class _Terms(NamedTuple):
-    """Per-time ingredients of the closed-form qubit QFI, SLD and derivative."""
+    """Per-time ingredients of the closed-form qubit QFI, SLD and derivative, free of dpi2."""
 
-    p2: np.ndarray      # excited population
-    mod2: np.ndarray    # |rho12|^2
-    alpha: np.ndarray   # coherence log-derivative: d rho12/d beta = alpha * rho12(t)
-    delta: np.ndarray   # relaxation weight: d p2/d beta = dpi2 * delta
-    g: np.ndarray       # d p2/d beta
-    denom: np.ndarray   # D = (1 - p2) p2 - |rho12|^2, a sum of nonnegative terms (_start)
-    total: np.ndarray   # the QFI; 0 only where D <= 0, at an exactly pure state
+    p2: np.ndarray          # excited population
+    mod2: np.ndarray        # |rho12|^2
+    alpha_hat: np.ndarray   # d rho12/d beta = dpi2 * alpha_hat * rho12(t), alpha_hat = -lam_hat^2 s
+    delta: np.ndarray       # relaxation weight: d p2/d beta = dpi2 * delta
+    denom: np.ndarray       # D = (1 - p2) p2 - |rho12|^2, a sum of nonnegative terms (_start)
+    decay: np.ndarray       # e = e^{lam_hat s}
+    u: np.ndarray           # 1 - e, from expm1
+    f: np.ndarray           # F/F_th; 0 only where D <= 0, at an exactly pure state
 
 
 def _scaled_time(gamma: float, t) -> np.ndarray:
     """The kernel's time s = gamma t of finite, nonnegative times t; inf where gamma t overflows.
 
-    At s = inf the kernel's total is nan, which _check_finite rejects naming t.
+    At s = inf the kernel's f is nan, which _check_finite rejects naming t.
     """
     t = np.asarray(t, dtype=float)
     if not np.all(np.isfinite(t)):
@@ -70,34 +72,35 @@ def _start(m: _QubitModel, a, r):
 
 
 def _clamp(denom, value):
-    """value, set to 0 where D <= 0: only an exactly pure state, where F and dF/ds tend to 0."""
+    """value, set to 0 where D <= 0: only an exactly pure state, where f and df/ds tend to 0."""
     return np.where(denom <= 0.0, 0.0, value)
 
 
 def _qfi_kernel(m: _QubitModel, gamma: float, a, r, t) -> _Terms:
-    """_qfi_terms at s = gamma t, raising DomainError where the total overflows double precision."""
+    """_qfi_terms at s = gamma t, raising DomainError where f overflows double precision."""
     terms = _qfi_terms(m, a, r, _scaled_time(gamma, t))
-    _check_finite(terms.total, t)
+    _check_finite(terms.f, t)
     return terms
 
 
 def _qfi_terms(m: _QubitModel, a, r, s) -> _Terms:
-    """Closed-form qubit QFI and its per-time terms, broadcast over states and scaled times.
+    """Closed-form qubit QFI over the thermal QFI, and its per-time terms, broadcast.
 
     a (initial excited population) and r (coherence fraction, |rho12(0)|^2 =
     r^2 a (1-a)) broadcast against the scaled times s = gamma t, e.g. shape
     (states, 1) against (n_times,). Every s-only factor (the exponentials,
-    alpha) is formed on s alone before it meets a, so each element carries the
-    same bits as a single-state call. An s so late that the closed form
+    alpha_hat) is formed on s alone before it meets a, so each element carries
+    the same bits as a single-state call. An s so late that the closed form
     overflows double precision gives inf or nan, which _qfi_kernel and
     trace_blocks reject.
 
     The QFI depends on gamma only through s: d lam/d beta = -(2 lam^2/gamma) dpi2
-    gives alpha = -lam_hat^2 s dpi2 and
-    delta = 1 - e^{lam_hat s} + 2 lam_hat^2 s e^{lam_hat s} (pi2 - a). The total
-    is g^2/D + 4 m (alpha^2 (1-p2) p2 - alpha (1-2 p2) g - g^2)/D with m = |rho12|^2
-    and D summed as in _start. At r = 0 it is g^2/((1-p2) p2), the Fisher
-    information of the two-outcome population measurement.
+    gives alpha_hat = -lam_hat^2 s and
+    delta = 1 - e^{lam_hat s} + 2 lam_hat^2 s e^{lam_hat s} (pi2 - a). As dpi2^2 =
+    F_th pi2 (1-pi2), F = F_th f with m = |rho12|^2, D summed as in _start and
+    f = pi2 (1-pi2) [delta^2 + 4 m (alpha_hat^2 (1-p2) p2 - alpha_hat (1-2 p2) delta - delta^2)]/D,
+    so no dpi2^2 ~ e^{-2 beta omega} is formed to underflow. At r = 0, F is
+    (dpi2 delta)^2/((1-p2) p2), the Fisher information of the population measurement.
     """
     mod2_0, d0, d1, d2 = _start(m, a, r)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -105,46 +108,38 @@ def _qfi_terms(m: _QubitModel, a, r, s) -> _Terms:
         u = -np.expm1(m.lam_hat * s)
         p2 = m.pi2 - decay * (m.pi2 - a)
         mod2 = mod2_0 * decay
-        alpha = -(m.lam_hat * m.lam_hat) * s * m.dpi2
+        alpha_hat = -(m.lam_hat * m.lam_hat) * s
         delta = u + 2.0 * (m.lam_hat * m.lam_hat) * s * decay * (m.pi2 - a)
-        g = m.dpi2 * delta
         denom = d0 * decay + d1 * (decay * u) + d2 * (u * u)
-        total = (
-            g**2 / denom
-            + 4.0
-            * mod2
-            * (alpha**2 * (1.0 - p2) * p2 - alpha * (1.0 - 2.0 * p2) * g - g**2)
-            / denom
-        )
-    return _Terms(p2, mod2, alpha, delta, g, denom, _clamp(denom, total))
+        q = alpha_hat**2 * (1.0 - p2) * p2 - alpha_hat * (1.0 - 2.0 * p2) * delta - delta**2
+        f = d2 * (delta**2 + 4.0 * mod2 * q) / denom
+    return _Terms(p2, mod2, alpha_hat, delta, denom, decay, u, _clamp(denom, f))
 
 
 def _qfi_slope(m: _QubitModel, a, r, s) -> np.ndarray:
-    """Exact s-derivative of the kernel's total, broadcast like it; 0 where it clamps.
+    """Exact s-derivative of the kernel's f, broadcast like it; 0 where it clamps.
 
-    It has the sign of dF/dt = gamma dF/ds. With e = e^{lam_hat s} and u = 1 - e:
-    p2' = -lam_hat e (pi2 - a), m' = lam_hat m, alpha' = -lam_hat^2 dpi2,
+    It has the sign of dF/dt = gamma F_th df/ds. With e = e^{lam_hat s} and u = 1 - e:
+    p2' = -lam_hat e (pi2 - a), m' = lam_hat m, alpha_hat' = -lam_hat^2,
     delta' = -lam_hat e + 2 lam_hat^2 (pi2 - a) e (1 + lam_hat s) and, from the
     terms of _start, D' = lam_hat (d0 e + d1 e (u - e) - 2 d2 e u).
     Kept out of the kernel so that only a refinement inside a checked grid pays for it.
     """
     k = _qfi_terms(m, a, r, s)
-    p2, mod2, alpha, g = k.p2, k.mod2, k.alpha, k.g
+    p2, mod2, alpha, delta, decay, u = k.p2, k.mod2, k.alpha_hat, k.delta, k.decay, k.u
     _, d0, d1, d2 = _start(m, a, r)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        decay = m.decay(s)
-        u = -np.expm1(m.lam_hat * s)
         dp2 = -m.lam_hat * decay * (m.pi2 - a)
         dmod2 = m.lam_hat * mod2
-        dalpha = -(m.lam_hat * m.lam_hat) * m.dpi2
-        dg = -m.dpi2 * m.lam_hat * (decay + 2.0 * (1.0 + m.lam_hat * s) * dp2)
+        dalpha = -(m.lam_hat * m.lam_hat)
+        ddelta = -m.lam_hat * (decay + 2.0 * (1.0 + m.lam_hat * s) * dp2)
         ddenom = m.lam_hat * (d0 * decay + d1 * (decay * (u - decay)) - 2.0 * d2 * (decay * u))
         w, v = 1.0 - 2.0 * p2, (1.0 - p2) * p2
-        q = alpha**2 * v - alpha * w * g - g**2
-        dq = (alpha * (2.0 * dalpha * v + alpha * w * dp2 + 2.0 * dp2 * g - w * dg)
-              - dalpha * w * g - 2.0 * g * dg)
-        dnum = 2.0 * g * dg + 4.0 * (dmod2 * q + mod2 * dq)
-        slope = (dnum - k.total * ddenom) / k.denom
+        q = alpha**2 * v - alpha * w * delta - delta**2
+        dq = (alpha * (2.0 * dalpha * v + alpha * w * dp2 + 2.0 * dp2 * delta - w * ddelta)
+              - dalpha * w * delta - 2.0 * delta * ddelta)
+        dnum = 2.0 * delta * ddelta + 4.0 * (dmod2 * q + mod2 * dq)
+        slope = (d2 * dnum - k.f * ddenom) / k.denom
     return _clamp(k.denom, slope)
 
 
@@ -156,14 +151,20 @@ def _check_finite(values, t) -> None:
         )
 
 
+def _thermal_scale(asymptote: float, f, t) -> np.ndarray:
+    """F = F_th f at the times t, raising DomainError where it overflows double precision."""
+    with np.errstate(over="ignore"):
+        values = asymptote * f
+    _check_finite(values, t)
+    return values
+
+
 def _qubit_point(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float):
-    """The kernel's terms (as floats) and rho12(t) of one state at one time."""
-    if t < 0:
-        raise DomainError("t must be nonnegative")
+    """The model, the kernel's terms (as floats) and rho12(t) of one state at one time."""
     m = _qubit_model_of(spectrum, bath)
     terms = _qfi_kernel(m, bath.gamma, init.a, init.r, t)
     rho12 = m.envelope(init.rho12_0, bath.gamma * t) * np.exp(1j * m.omega * t)
-    return _Terms(*map(float, terms)), complex(rho12)
+    return m, _Terms(*map(float, terms)), complex(rho12)
 
 
 @dataclass(frozen=True)
@@ -189,11 +190,12 @@ def beta_derivative_qubit(
     """The closed-form evolved qubit state rho(t) and its partial derivative d rho/d beta.
 
     d rho/d beta = [[-g, alpha rho12], [alpha rho12*, g]] with g = dpi2 * delta
-    the derivative of rho22 and dpi2 = -(1-pi2) pi2 omega: the same pair that
-    dynamics.evolve_state_derivative gives for any N without this closed form.
+    the derivative of rho22, alpha = alpha_hat * dpi2 and
+    dpi2 = -(1-pi2) pi2 omega: the same pair that dynamics.evolve_state_derivative
+    gives for any N without this closed form.
     """
-    terms, rho12 = _qubit_point(init, spectrum, bath, t)
-    p2, g, d12 = terms.p2, terms.g, terms.alpha * rho12
+    m, terms, rho12 = _qubit_point(init, spectrum, bath, t)
+    p2, g, d12 = terms.p2, m.dpi2 * terms.delta, terms.alpha_hat * m.dpi2 * rho12
     rho = DensityMatrix(elements=np.array([[1.0 - p2, rho12], [rho12.conjugate(), p2]]))
     return rho, np.array([[-g, d12], [d12.conjugate(), g]], dtype=complex)
 
@@ -311,11 +313,12 @@ def sld_general(rho: DensityMatrix | np.ndarray, drho) -> np.ndarray:
 def qfi_values(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> np.ndarray:
     """Vectorized qubit QFI over a time grid (totals only, no SLD assembly).
 
-    The single-state call of the shared kernel; NaN, infinite or negative
-    times raise DomainError.
+    The single-state call of the shared kernel, F = thermal_qfi * f. NaN, infinite or negative
+    times, an F_th that is not a positive normal double and an overflowing F raise DomainError.
     """
     model = _qubit_model_of(spectrum, bath)
-    return _qfi_kernel(model, bath.gamma, init.a, init.r, times).total
+    asymptote = thermal_qfi(spectrum, bath.beta)
+    return _thermal_scale(asymptote, _qfi_kernel(model, bath.gamma, init.a, init.r, times).f, times)
 
 
 def _trace_columns(model: _QubitModel, gamma: float, init: QubitInit, asymptote: float, t) -> dict:
@@ -325,12 +328,12 @@ def _trace_columns(model: _QubitModel, gamma: float, init: QubitInit, asymptote:
     with np.errstate(over="ignore", invalid="ignore"):
         return {
             "t": t,
-            "F": terms.total,
-            "F_norm": terms.total / asymptote,
+            "F": asymptote * terms.f,
+            "F_norm": terms.f,
             "p2": terms.p2,
             "abs_rho12": model.envelope(np.abs(init.rho12_0), s),
-            "dbeta_p2": terms.g,
-            "alpha": terms.alpha,
+            "dbeta_p2": model.dpi2 * terms.delta,
+            "alpha": terms.alpha_hat * model.dpi2,
             "delta": terms.delta,
         }
 

@@ -308,9 +308,9 @@ def _check_region_phenotypes(rng, inject: bool):
 
 
 def _check_thermal_asymptote(rng, inject: bool):
-    # beta*omega = ln 3 and two cold models, where the window outgrows 20/|lambda|
+    # beta*omega = ln 3 and three cold models, where the window outgrows 20/|lambda|
     worst = 0.0
-    for beta in (math.log(3.0), 15.0, 30.0):
+    for beta in (math.log(3.0), 15.0, 30.0, 400.0):
         for r in (0.0, 1.0):
             for a in (0.0, 0.1, 0.35, 0.8, 1.0):
                 s = Scenario.qubit(omega12=1.0, beta=beta, gamma=1.0, a=a, r=r)

@@ -66,16 +66,21 @@ def coherent_init(a: float, r: float = 1.0, phi: float = 0.0) -> QubitInit:
     return QubitInit(a=a, r=r, phi=phi)
 
 
-def mp_qfi(omega, beta, gamma, a, r, t, dps: int = 120) -> float:
-    """The qubit's QFI at time t, from its Bloch vector in mpmath at dps digits.
+def mp_qfi(omega, beta, gamma, a, r, t) -> float:
+    """The qubit's QFI at time t, from its Bloch vector in mpmath.
 
     Nothing of the package is used: the Bloch vector (x, z) = (2 |rho12|, 1 - 2 p2)
     is built from pi2 = 1/(1 + e^{beta omega}) and lambda = gamma/(2 pi2 - 1),
     mp.diff takes its beta-derivative, and F = |r'|^2 + (r . r')^2/(1 - |r|^2).
     mp.diff needs at least 80 digits near a pure state (at 60 it was off by 8e-6
     at gamma t = 1e-12), and 1 - |r|^2 spends as many digits as it is small.
+    Cold, 1 - |r|^2 is of order pi2 ~ e^{-beta omega}, which spends beta omega/ln 10
+    (0.43 beta omega) digits, and the beta-derivative of p2 ~ pi2 spends as many
+    again inside mp.diff's difference. So the working precision is
+    120 + 0.9 beta omega digits: at a fixed 120 digits, 1 - |r|^2 rounds to 0 at
+    beta omega = 400 and F is a ZeroDivisionError.
     """
-    with mpmath.workdps(dps):
+    with mpmath.workdps(120 + math.ceil(0.9 * beta * omega)):
         omega, beta, gamma, a, r, t = map(mpmath.mpf, (omega, beta, gamma, a, r, t))
 
         def bloch(b):

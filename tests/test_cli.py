@@ -222,6 +222,20 @@ class TestTrace:
         capsys.readouterr()
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_cold_band_trace_reaches_the_asymptote(self, capsys):
+        # At beta*omega = 400, dpi2^2 ~ e^{-800} underflows; F = F_th f does not.
+        # From t = 103.5 on, f is 1 to rounding and F the thermal QFI 1.9e-174.
+        rc, out, err = run_cli(capsys, ["trace", "--omega12", "1", "--beta", "400", "--gamma",
+                                        "1", "--a", "0", "--points", "5", "--format", "json"])
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        asymptote = doc["derived"]["asymptote"]
+        assert asymptote == 1.9151695967140057e-174
+        columns = dict(zip(doc["columns"], np.array(doc["rows"]).T))
+        assert columns["t"][0] == columns["F"][0] == columns["F_norm"][0] == 0.0
+        assert np.all(columns["F"][1:] == asymptote)
+        assert np.all(columns["F_norm"][1:] == 1.0)
+
     def test_stdout_matches_file_output(self, tmp_path, capsys):
         args = ["trace", *REF, "--a", "0", "--points", "16", "--format", "json"]
         path = tmp_path / "trace.json"
@@ -327,7 +341,7 @@ class TestStreamedTrace:
         "t_max,first_bad",
         [
             ("1e308", 1),  # overflows in the first block, whose largest time is not t_max
-            ("1.7878e154", 2 * _BLOCK_ROWS),  # only the last row, in the third block
+            ("3.352e153", 2 * _BLOCK_ROWS),  # only the last row, in the third block
         ],
     )
     @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -677,6 +691,20 @@ class TestArgumentRules:
                   "--t", "1"], "the thermal QFI")
                 for omega, beta in (("1e200", "1e-200"), ("1e-200", "1e200"))
             ],
+            # at beta*omega = 400 the peak search finds an informative time
+            # (F = F_th f > 0), so the run reaches the bracket check
+            (["estimate", "--omega12", "1", "--beta", "400", "--gamma", "1", "--a", "0"],
+             "beta*omega <= 709"),
+            # F_th = 2.5e307 is a normal double, but F = F_th f overflows near the peak
+            *[
+                ([command, "--omega12", "1e154", "--beta", "1e-156", "--gamma", "1", *state],
+                 "the closed form overflows double precision")
+                for command, state in (
+                    ("trace", ["--a", "0"]),
+                    ("optimize", []),
+                    ("estimate", ["--a", "0", "--t", "0.004"]),
+                )
+            ],
         ],
     )
     @pytest.mark.filterwarnings("error")
@@ -805,6 +833,18 @@ class TestOptimize:
         [ground] = [row for row in json.loads(out)["rows"] if row["a"] == 0.0]
         assert ground["region"] == "C"
         assert not ground["thermal_boundary"]
+
+    def test_cold_band_peaks_reach_the_asymptote(self, capsys):
+        # At beta*omega = 400 every state's f_star was 0 when F itself carried
+        # dpi2^2 ~ e^{-800}; now each reaches F_th = 1.9e-174 to the margin.
+        rc, out, err = run_cli(capsys, ["optimize", "--omega12", "1", "--beta", "400",
+                                        "--gamma", "1", "--a-steps", "11", "--r-steps", "3"])
+        assert (rc, err) == (0, "")
+        doc = json.loads(out)
+        asymptote = doc["derived"]["asymptote"]
+        assert len(doc["rows"]) == 33
+        for row in doc["rows"]:
+            assert row["f_star"] / asymptote >= 1.0 - 1e-6
 
 
 class TestEstimate:
@@ -994,10 +1034,11 @@ class TestExperiment:
                     best.t_star, best.f_star, best.asymptotic
                 )
 
-    def test_rejects_csv(self, capsys):
-        rc, _, err = run_cli(capsys, ["experiment", "--format", "csv"])
-        assert rc == 2
-        assert "json" in err
+    def test_format_flag_is_gone(self, capsys):
+        # experiment writes JSON only; it takes --out and --config, as validate does
+        rc, out, err = exit_of(capsys, ["experiment", "--format", "csv"])
+        assert (rc, out) == (2, "")
+        assert "unrecognized arguments: --format csv" in err
 
 
 class TestValidate:

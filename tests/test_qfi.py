@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermoqfi import (
     Bath,
@@ -40,17 +42,17 @@ class TestBetaDerivativeQubit:
     def test_ground_start_reference_values(self):
         # pi2 = 1/4, lam = -2: delta(1) = 1 - e^{-2} + 2 e^{-2} and
         # d p2 = -(1 - pi2) pi2 omega * delta.
-        terms, _ = _qubit_point(QubitInit(a=0.0), SPECTRUM, BATH, 1.0)
+        m, terms, _ = _qubit_point(QubitInit(a=0.0), SPECTRUM, BATH, 1.0)
         _, drho = beta_derivative_qubit(QubitInit(a=0.0), SPECTRUM, BATH, 1.0)
         assert terms.delta == pytest.approx(1.1353352832366128, rel=1e-15)
         assert float(drho[1, 1].real) == pytest.approx(-0.2128753656068649, rel=1e-15)
-        assert terms.alpha == pytest.approx(0.75, rel=1e-15)
+        assert terms.alpha_hat * m.dpi2 == pytest.approx(0.75, rel=1e-15)
         assert drho[0, 1] == 0j
         assert math.fsum(np.diag(drho).real) == 0.0
 
     def test_coherent_reference_values(self):
         init = QubitInit(a=0.1, r=1.0, phi=0.0)
-        terms, _ = _qubit_point(init, SPECTRUM, BATH, 1.0)
+        _, terms, _ = _qubit_point(init, SPECTRUM, BATH, 1.0)
         _, drho = beta_derivative_qubit(init, SPECTRUM, BATH, 1.0)
         assert terms.delta == pytest.approx(1.0270670566473226, rel=1e-15)
         assert float(drho[1, 1].real) == pytest.approx(-0.19257507312137298, rel=1e-15)
@@ -59,9 +61,9 @@ class TestBetaDerivativeQubit:
         )
 
     def test_delta_depends_on_gamma_t_product_only(self):
-        ref = _qubit_point(QubitInit(a=0.0), SPECTRUM, BATH, 1.0)[0].delta
+        ref = _qubit_point(QubitInit(a=0.0), SPECTRUM, BATH, 1.0)[1].delta
         for gamma in (0.5, 2.0, 7.0):
-            terms, _ = _qubit_point(
+            _, terms, _ = _qubit_point(
                 QubitInit(a=0.0), SPECTRUM, Bath(beta=BATH.beta, gamma=gamma), 1.0 / gamma
             )
             assert terms.delta == pytest.approx(ref, rel=1e-13)
@@ -84,7 +86,7 @@ class TestGeneralDerivative:
         for _ in range(40):
             s = random_scenario(rng)
             t = random_time(rng, s)
-            terms, _ = _qubit_point(s.init, s.spectrum, s.bath, t)
+            m, terms, _ = _qubit_point(s.init, s.spectrum, s.bath, t)
             _, closed = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
             rho, drho = evolve_state_derivative(
                 DensityMatrix.from_qubit_init(s.init), s.spectrum, s.bath, t
@@ -92,7 +94,7 @@ class TestGeneralDerivative:
             dpi2 = thermal_population_derivative(s.spectrum, s.bath.beta)[1]
             gaps = (
                 np.abs(closed - drho),
-                abs(terms.alpha * rho.elements[0, 1] - drho[0, 1]),
+                abs(terms.alpha_hat * m.dpi2 * rho.elements[0, 1] - drho[0, 1]),
                 abs(terms.delta * dpi2 - drho[1, 1].real),
             )
             scale = 1.0 + float(np.max(np.abs(closed)))
@@ -280,7 +282,8 @@ class TestQubitSld:
             s = random_scenario(rng)
             t = random_time(rng, s, lo=0.05)
             state, drho = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
-            alpha = _qubit_point(s.init, s.spectrum, s.bath, t)[0].alpha
+            m, terms, _ = _qubit_point(s.init, s.spectrum, s.bath, t)
+            alpha = terms.alpha_hat * m.dpi2
             p2, rho12 = state.rho22, complex(state.elements[0, 1])
             g, m = float(drho[1, 1].real), abs(rho12) ** 2
             d = (1.0 - p2) * p2 - m
@@ -367,6 +370,11 @@ _ORACLE_CASES = [
     (1.0, 1.0, 1.0, 0.3, 1.0, 1e-12),
     (1.0, 1.0, 1.0, 0.3, 1.0, 1e-14),
     (1.0, 30.0, 1.0, 0.3, 0.7, 30.0),
+    # cold: F = F_th f with F_th = 1.9e-174 and 9.9e-305, where dpi2^2 underflows
+    (1.0, 400.0, 1.0, 0.0, 0.0, 15.0),
+    (1.0, 400.0, 1.0, 0.3, 0.7, 400.0),
+    (1.0, 700.0, 1.0, 0.0, 0.0, 15.0),
+    (1.0, 700.0, 1.0, 0.3, 0.7, 700.0),
 ]
 
 
@@ -402,7 +410,7 @@ class TestQfiSlope:
     )
     def test_matches_central_difference(self, omega, beta, a, r, s, h):
         m = _qubit_model(omega, beta)
-        values = _qfi_terms(m, a, r, np.array([s - h, s + h])).total
+        values = _qfi_terms(m, a, r, np.array([s - h, s + h])).f
         difference = float(values[1] - values[0]) / (2.0 * h)
         slope = float(_qfi_slope(m, a, r, s))
         assert difference > 0.0
@@ -470,6 +478,35 @@ class TestScaledTime:
             np.testing.assert_allclose(actual, expected, rtol=1e-13, atol=0)
 
 
+class TestThermalUnits:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        omega=st.floats(min_value=0.1, max_value=10.0),
+        log10_beta_omega=st.floats(min_value=-3.0, max_value=math.log10(700.0)),
+        log10_gamma=st.floats(min_value=-3.0, max_value=3.0),
+        a=st.floats(min_value=0.0, max_value=1.0),
+        r=st.floats(min_value=0.0, max_value=1.0),
+        turns=st.floats(min_value=0.0, max_value=1.5),
+    )
+    @example(omega=1.0, log10_beta_omega=math.log10(700.0), log10_gamma=0.0, a=0.0, r=0.0,
+             turns=1.0)
+    def test_qfi_is_omega_squared_times_the_unit_model(
+        self, omega, log10_beta_omega, log10_gamma, a, r, turns
+    ):
+        # F(omega, beta, gamma, t) = omega^2 F(1, beta omega, 1, gamma t): the kernel's
+        # f depends on (beta omega, a, r, gamma t) alone, and omega enters only as
+        # F_th = omega^2 pi2 (1 - pi2). The unit model is given the products as
+        # the kernel forms them, so only the roundings of F_th and the products
+        # differ; a subnormal F keeps only an absolute accuracy.
+        beta = 10.0**log10_beta_omega / omega
+        gamma = 10.0**log10_gamma
+        t = turns * (14.0 + beta * omega) / gamma
+        init = QubitInit(a=a, r=r)
+        value = float(qfi_values(init, Spectrum.qubit(omega), Bath(beta=beta, gamma=gamma), t))
+        unit = float(qfi_values(init, SPECTRUM, Bath(beta=beta * omega, gamma=1.0), gamma * t))
+        assert value == pytest.approx(omega**2 * unit, rel=1e-14, abs=1e-320)
+
+
 class TestTraceBlocks:
     @pytest.mark.parametrize("rows", [1, 7, 64, 100, 101])
     def test_blocks_carry_the_whole_grid_bits(self, rows):
@@ -504,8 +541,8 @@ class TestDecomposition:
             s = random_scenario(rng)
             t = random_time(rng, s, lo=0.05)
             total = float(qfi_values(s.init, s.spectrum, s.bath, t))
-            terms, _ = _qubit_point(s.init, s.spectrum, s.bath, t)
-            gain = total - terms.g**2 / ((1.0 - terms.p2) * terms.p2)
+            m, terms, _ = _qubit_point(s.init, s.spectrum, s.bath, t)
+            gain = total - (m.dpi2 * terms.delta) ** 2 / ((1.0 - terms.p2) * terms.p2)
             res = qfi_decomposition(*beta_derivative_qubit(s.init, s.spectrum, s.bath, t))
             scale = max(total, 1e-12)
             assert abs(res.total - total) <= 1e-12 * scale
@@ -530,7 +567,8 @@ class TestDecomposition:
         # the coherence advantage is not a trivial reparameterization.
         init = QubitInit(a=0.1, r=1.0, phi=0.0)
         state, drho = beta_derivative_qubit(init, SPECTRUM, BATH, 1.0)
-        alpha = _qubit_point(init, SPECTRUM, BATH, 1.0)[0].alpha
+        m, terms, _ = _qubit_point(init, SPECTRUM, BATH, 1.0)
+        alpha = terms.alpha_hat * m.dpi2
         res = qfi_decomposition(state, drho)
         assert res.coherence_gain > 0.01
         l_d = np.diag(np.diag(drho).real / state.populations)
