@@ -37,9 +37,8 @@ _EXPORTS = {
         "qfi_values", "sld_general", "thermal_population_derivative", "thermal_qfi",
     ),
     "spectrum": (
-        "Bath", "RateMatrix", "SpectralReport", "Spectrum", "ThermalDistribution",
-        "TransitionMatrix", "rate_matrix", "spectral_report", "stationary_distribution",
-        "thermal_distribution", "thermal_ratio", "transition_matrix",
+        "Bath", "SpectralReport", "Spectrum", "rate_matrix", "spectral_report",
+        "stationary_distribution", "thermal_distribution", "thermal_ratio", "transition_matrix",
     ),
     "validate": ("CheckResult", "check_names", "run_checks"),
 }

@@ -24,7 +24,6 @@ from .spectrum import (
     Spectrum,
     _gibbs_underflow,
     _readonly,
-    rate_matrix,
     transition_matrix,
 )
 
@@ -283,8 +282,7 @@ def evolve_state_derivative(
         raise DomainError("t must be finite")
     if t < 0:
         raise DomainError("t must be nonnegative")
-    rates = rate_matrix(spectrum, bath)
-    gen = transition_matrix(rates).a
+    gen = transition_matrix(spectrum, bath)
     values, vectors = _eigendecompose(gen)
     p0 = state.populations
     c0 = np.linalg.solve(vectors, p0)
@@ -295,8 +293,14 @@ def evolve_state_derivative(
             raise ModelIntegrityError(f"propagated populations went negative: min {np.min(p):.3e}")
         p = np.clip(p, 0.0, None)
         p = p / math.fsum(p)
-    g, energies = rates.gamma_rates, np.asarray(spectrum.energies)
-    d_gen = -np.abs(energies[:, None] - energies[None, :]) * g * g.T / bath.gamma
+    g, energies = np.where(np.eye(len(gen), dtype=bool), 0.0, gen), np.asarray(spectrum.energies)
+    with np.errstate(over="ignore"):
+        d_gen = -np.abs(energies[:, None] - energies[None, :]) * g * g.T / bath.gamma
+    if not np.all(np.isfinite(d_gen)):
+        raise DomainError(
+            f"gamma = {bath.gamma:g} is too large: the generator's beta-derivative "
+            "|E_j - E_i| g_ij g_ji/gamma overflows double precision"
+        )
     d_gen -= np.diag(d_gen.sum(axis=0))
     b = np.linalg.solve(vectors, d_gen @ vectors)
     b[values == 0.0] = 0.0

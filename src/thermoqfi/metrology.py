@@ -197,7 +197,7 @@ def _peak_times(
         peak[block] = i
         f_peak[block] = values[np.arange(i.size), i]
         tail[block] = values[:, -1]
-    tail_qfi = _thermal_scale(asymptote, tail, times).tolist()
+    tail_qfi = _thermal_scale(asymptote, tail).tolist()
     results = [OptimalTime(t_star=t_max, f_star=f, asymptotic=True) for f in tail_qfi]
     interior = np.flatnonzero(~(f_peak - tail <= ASYMPTOTIC_MARGIN))
     if interior.size:
@@ -206,7 +206,7 @@ def _peak_times(
         t_star = _bisect(
             lambda t: _qfi_slope(model, a_in, r_in, gamma * t) > 0, times[i - 1], times[i + 1]
         )
-        f_star = _thermal_scale(asymptote, _qfi_kernel(model, gamma, a_in, r_in, t_star).f, times)
+        f_star = _thermal_scale(asymptote, _qfi_kernel(model, gamma, a_in, r_in, t_star).f)
         for k, t, f in zip(interior, t_star.tolist(), f_star.tolist()):
             results[k] = OptimalTime(t_star=t, f_star=f, asymptotic=False)
     return results

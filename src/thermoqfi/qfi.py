@@ -151,11 +151,15 @@ def _check_finite(values, t) -> None:
         )
 
 
-def _thermal_scale(asymptote: float, f, t) -> np.ndarray:
-    """F = F_th f at the times t, raising DomainError where it overflows double precision."""
+def _thermal_scale(asymptote: float, f) -> np.ndarray:
+    """F = F_th f of a finite f, raising DomainError where the product overflows."""
     with np.errstate(over="ignore"):
         values = asymptote * f
-    _check_finite(values, t)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(
+            "the closed form overflows double precision: the thermal QFI "
+            f"F_th = {asymptote:g} set by the gap leaves F = F_th f outside the double range"
+        )
     return values
 
 
@@ -202,7 +206,7 @@ def beta_derivative_qubit(
 
 def thermal_population_derivative(spectrum: Spectrum, beta_tilde: float) -> np.ndarray:
     """Total derivative of the Gibbs populations: d pi_j = (<H> - eps_j) pi_j."""
-    pi = thermal_distribution(spectrum, beta_tilde).pi
+    pi = thermal_distribution(spectrum, beta_tilde)
     eps = np.asarray(spectrum.energies, dtype=float)
     mean = math.fsum(eps * pi)
     return (mean - eps) * pi
@@ -216,7 +220,7 @@ def thermal_qfi(spectrum: Spectrum, beta_tilde: float) -> float:
     underflow) takes it out of the double range; where it is not a positive
     normal double, DomainError is raised.
     """
-    pi = thermal_distribution(spectrum, beta_tilde).pi
+    pi = thermal_distribution(spectrum, beta_tilde)
     eps = np.asarray(spectrum.energies, dtype=float)
     mean = math.fsum(eps * pi)
     with np.errstate(over="ignore"):
@@ -318,7 +322,7 @@ def qfi_values(init: QubitInit, spectrum: Spectrum, bath: Bath, times) -> np.nda
     """
     model = _qubit_model_of(spectrum, bath)
     asymptote = thermal_qfi(spectrum, bath.beta)
-    return _thermal_scale(asymptote, _qfi_kernel(model, bath.gamma, init.a, init.r, times).f, times)
+    return _thermal_scale(asymptote, _qfi_kernel(model, bath.gamma, init.a, init.r, times).f)
 
 
 def _trace_columns(model: _QubitModel, gamma: float, init: QubitInit, asymptote: float, t) -> dict:
@@ -344,8 +348,9 @@ def trace_blocks(init: QubitInit, spectrum: Spectrum, bath: Bath, times, rows: i
     Each dict is keyed by output column name; rows=len(times) gives the
     whole grid as one block. The kernel is elementwise, so the blocks carry
     the bits of one block on the whole grid. If any column overflows
-    anywhere, this raises DomainError naming the grid's largest time before
-    any block is handed out. The check computes each block and drops it; the
+    anywhere, this raises DomainError before any block is handed out: naming
+    the grid's largest time where the kernel overflows, or F_th where only
+    F = F_th f does. The check computes each block and drops it; the
     iterator computes it again as it is consumed, so no array longer than
     rows is held besides times itself.
     """
@@ -354,8 +359,11 @@ def trace_blocks(init: QubitInit, spectrum: Spectrum, bath: Bath, times, rows: i
     asymptote = thermal_qfi(spectrum, bath.beta)
     blocks = [t[start : start + rows] for start in range(0, len(t), rows)]
     for block in blocks:
-        for column in _trace_columns(model, bath.gamma, init, asymptote, block).values():
+        columns = _trace_columns(model, bath.gamma, init, asymptote, block)
+        del columns["F"]  # F_th f, checked by _thermal_scale once f is known finite
+        for column in columns.values():
             _check_finite(column, t)
+        _thermal_scale(asymptote, columns["F_norm"])
     return (_trace_columns(model, bath.gamma, init, asymptote, block) for block in blocks)
 
 

@@ -1,9 +1,10 @@
 """Thermal model of an N-level probe coupled to a bosonic bath.
 
-Energies, Bose occupation ratios, jump rates between energy eigenstates, the
-population transition matrix A_beta, its stationary (Gibbs) distribution, and
-spectral diagnostics: one null eigenvalue, N-1 decaying modes, Gershgorin
-disc data, detailed balance.
+Energies, Bose occupation ratios, and as read-only arrays the jump rates
+between energy eigenstates, the population transition matrix A_beta and the
+Gibbs distribution (built, or found as A_beta's null vector); spectral
+diagnostics: one null eigenvalue, N-1 decaying modes, Gershgorin disc data.
+Each builder checks what it builds as it builds it.
 """
 
 from __future__ import annotations
@@ -84,77 +85,6 @@ class Bath:
 
 
 @dataclass(frozen=True)
-class RateMatrix:
-    """Jump rates Gamma[i, j] from eigenstate j to eigenstate i, zero diagonal."""
-
-    gamma_rates: np.ndarray
-
-    def __post_init__(self) -> None:
-        g = np.asarray(self.gamma_rates, dtype=float)
-        if g.ndim != 2 or g.shape[0] != g.shape[1]:
-            raise DomainError("rate matrix must be square")
-        if np.any(np.diag(g) != 0.0):
-            raise DomainError("rate matrix diagonal must be zero")
-        off = g[~np.eye(g.shape[0], dtype=bool)]
-        if np.any(off < 0) or not np.all(np.isfinite(off)):
-            raise DomainError("rates must be finite and nonnegative")
-        # decays beat excitations: Gamma_ij = gamma(n+1) > Gamma_ji = gamma*n for i < j
-        n = g.shape[0]
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not g[i, j] > g[j, i]:
-                    raise DomainError(f"detailed-balance ordering violated at ({i + 1},{j + 1})")
-        object.__setattr__(self, "gamma_rates", _readonly(g))
-
-    @property
-    def n_levels(self) -> int:
-        return self.gamma_rates.shape[0]
-
-
-@dataclass(frozen=True)
-class TransitionMatrix:
-    """Population generator A_beta: off-diagonal rates, columns summing to zero."""
-
-    a: np.ndarray
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.a, dtype=float)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise DomainError("transition matrix must be square")
-        n = a.shape[0]
-        off = a[~np.eye(n, dtype=bool)]
-        if np.any(off <= 0):
-            raise DomainError("off-diagonal entries must be strictly positive")
-        # fsum-built diagonals land within 1e-14 for order-one rates; the bound is
-        # scale-aware so large physically valid rates are not rejected by ulp alone.
-        for j in range(n):
-            residual = abs(math.fsum(a[:, j]))
-            tol = max(1e-14, 8 * np.finfo(float).eps * float(np.sum(np.abs(a[:, j]))))
-            if residual > tol:
-                raise DomainError(f"column {j + 1} sums to {residual:.3e}, not zero")
-        object.__setattr__(self, "a", _readonly(a))
-
-
-@dataclass(frozen=True)
-class ThermalDistribution:
-    """Gibbs populations pi_k = exp(-beta*eps_k)/Z."""
-
-    pi: np.ndarray
-
-    def __post_init__(self) -> None:
-        p = np.asarray(self.pi, dtype=float)
-        if p.ndim != 1 or p.size < 2:
-            raise DomainError("pi must be a vector of length >= 2")
-        if np.any(p <= 0):
-            raise DomainError("thermal populations must be strictly positive")
-        if abs(math.fsum(p) - 1.0) > 1e-12:
-            raise DomainError("thermal populations must sum to one")
-        if np.any(np.diff(p) > 0):
-            raise DomainError("thermal populations must be nonincreasing in energy")
-        object.__setattr__(self, "pi", _readonly(p))
-
-
-@dataclass(frozen=True)
 class SpectralReport:
     """Eigenvalues of A_beta plus the diagnostics backing the decay guarantee."""
 
@@ -187,8 +117,19 @@ def _gibbs_underflow(beta_omega: float) -> DomainError:
     )
 
 
-def thermal_distribution(spectrum: Spectrum, beta: float) -> ThermalDistribution:
-    """Gibbs distribution over the spectrum at inverse temperature beta.
+def _gibbs(pi: np.ndarray) -> np.ndarray:
+    """pi, read-only: at least two populations, summing to one, nonincreasing in energy."""
+    if pi.size < 2:
+        raise DomainError("pi must be a vector of length >= 2")
+    if abs(math.fsum(pi) - 1.0) > 1e-12:
+        raise DomainError("thermal populations must sum to one")
+    if np.any(np.diff(pi) > 0):
+        raise DomainError("thermal populations must be nonincreasing in energy")
+    return _readonly(pi)
+
+
+def thermal_distribution(spectrum: Spectrum, beta: float) -> np.ndarray:
+    """Gibbs populations pi_k = exp(-beta*eps_k)/Z over the spectrum, as a read-only array.
 
     Energies are shifted by eps_1 before exponentiating so large energies cannot
     overflow; the populations are shift-invariant.
@@ -202,11 +143,11 @@ def thermal_distribution(spectrum: Spectrum, beta: float) -> ThermalDistribution
     if np.any(pi <= 0):
         # omega here is the top level's gap above the ground level
         raise _gibbs_underflow(beta * shifted[-1])
-    return ThermalDistribution(pi=pi)
+    return _gibbs(pi)
 
 
-def rate_matrix(spectrum: Spectrum, bath: Bath) -> RateMatrix:
-    """Jump rates between all level pairs: gamma(n+1) down, gamma*n up."""
+def rate_matrix(spectrum: Spectrum, bath: Bath) -> np.ndarray:
+    """Jump rates Gamma[i, j] from eigenstate j to i, read-only: gamma(n+1) down, gamma*n up."""
     n = spectrum.n_levels
     g = np.zeros((n, n))
     for i in range(1, n + 1):
@@ -214,20 +155,27 @@ def rate_matrix(spectrum: Spectrum, bath: Bath) -> RateMatrix:
             occupation = thermal_ratio(bath.beta, spectrum.gap(i, j))
             g[i - 1, j - 1] = bath.gamma * (occupation + 1.0)   # decay j -> i
             g[j - 1, i - 1] = bath.gamma * occupation           # excitation i -> j
-    return RateMatrix(gamma_rates=g)
+    if not np.all(np.isfinite(g)):
+        raise DomainError("rates must be finite and nonnegative")
+    # decays beat excitations: Gamma_ij = gamma(n+1) > Gamma_ji = gamma*n for i < j
+    rows, cols = np.nonzero(np.triu(~(g > g.T), 1))
+    if rows.size:
+        raise DomainError(f"detailed-balance ordering violated at ({rows[0] + 1},{cols[0] + 1})")
+    return _readonly(g)
 
 
-def transition_matrix(rates: RateMatrix) -> TransitionMatrix:
-    """Assemble A_beta: off-diagonal jump rates, diagonal -(column loss)."""
-    g = rates.gamma_rates
-    a = np.array(g, copy=True)
-    for j in range(rates.n_levels):
-        a[j, j] = -math.fsum(g[:, j])
-    return TransitionMatrix(a=a)
+def transition_matrix(spectrum: Spectrum, bath: Bath) -> np.ndarray:
+    """A_beta, read-only: strictly positive jump rates off the diagonal, -(column loss) on it."""
+    g = rate_matrix(spectrum, bath)
+    if np.any(g[~np.eye(len(g), dtype=bool)] <= 0):
+        raise DomainError("off-diagonal entries must be strictly positive")
+    a = np.array(g)
+    np.fill_diagonal(a, [-math.fsum(g[:, j]) for j in range(len(g))])
+    return _readonly(a)
 
 
-def stationary_distribution(a: np.ndarray) -> ThermalDistribution:
-    """Probability-normalized null vector of the generator array A_beta.
+def stationary_distribution(a: np.ndarray) -> np.ndarray:
+    """Probability-normalized null vector of the generator array A_beta, read-only.
 
     Computed by eigendecomposition; the null space is one-dimensional for valid
     generators, so no tie-breaking is needed.
@@ -251,8 +199,7 @@ def stationary_distribution(a: np.ndarray) -> ThermalDistribution:
     pi = vec / total
     if np.any(pi <= 0):
         raise ModelIntegrityError("stationary vector is not strictly positive")
-    pi = pi / math.fsum(pi)
-    return ThermalDistribution(pi=pi)
+    return _gibbs(pi / math.fsum(pi))
 
 
 def spectral_report(a: np.ndarray) -> SpectralReport:

@@ -35,7 +35,6 @@ from .qfi import (
 from .spectrum import (
     Bath,
     Spectrum,
-    rate_matrix,
     spectral_report,
     stationary_distribution,
     thermal_distribution,
@@ -79,7 +78,7 @@ def _check_column_sums(rng, inject: bool):
     worst = 0.0
     for _ in range(30):
         spectrum, bath = _random_model(rng)
-        a = transition_matrix(rate_matrix(spectrum, bath)).a
+        a = transition_matrix(spectrum, bath)
         if inject:
             a = a.copy()
             a[0, 0] += 1e-6
@@ -95,8 +94,8 @@ def _check_detailed_balance(rng, inject: bool):
     worst = 0.0
     for _ in range(30):
         spectrum, bath = _random_model(rng)
-        a = transition_matrix(rate_matrix(spectrum, bath)).a
-        pi = thermal_distribution(spectrum, bath.beta).pi
+        a = transition_matrix(spectrum, bath)
+        pi = thermal_distribution(spectrum, bath.beta)
         if inject:
             a = a.copy()
             a[0, 1] *= 1.0 + 1e-6
@@ -115,8 +114,8 @@ def _check_null_eigenvector(rng, inject: bool):
     worst = 0.0
     for _ in range(30):
         spectrum, bath = _random_model(rng)
-        a = transition_matrix(rate_matrix(spectrum, bath)).a
-        pi = thermal_distribution(spectrum, bath.beta).pi
+        a = transition_matrix(spectrum, bath)
+        pi = thermal_distribution(spectrum, bath.beta)
         scale = max(1.0, float(np.linalg.norm(a, np.inf)))
         worst = max(worst, float(np.max(np.abs(a @ pi))) / scale)
     passed = worst <= 1e-12
@@ -128,7 +127,7 @@ def _check_null_eigenvalue_count(rng, inject: bool):
     negative_ok = True
     for _ in range(30):
         spectrum, bath = _random_model(rng)
-        a = transition_matrix(rate_matrix(spectrum, bath)).a
+        a = transition_matrix(spectrum, bath)
         if inject:
             a = a.copy()
             a[0, 0] += 0.1
@@ -147,7 +146,7 @@ def _check_gershgorin(rng, inject: bool):
     worst = -math.inf
     for _ in range(30):
         spectrum, bath = _random_model(rng)
-        a = transition_matrix(rate_matrix(spectrum, bath)).a
+        a = transition_matrix(spectrum, bath)
         report = spectral_report(a)
         centers, radii = report.gershgorin_centers, report.gershgorin_radii
         slack = 1e-9 * (1.0 + float(np.linalg.norm(a, np.inf)))
@@ -162,9 +161,9 @@ def _check_stationary_gibbs(rng, inject: bool):
     worst = 0.0
     for _ in range(20):
         spectrum, bath = _random_model(rng)
-        a = transition_matrix(rate_matrix(spectrum, bath)).a
-        pi_num = stationary_distribution(a).pi
-        pi_ref = thermal_distribution(spectrum, bath.beta).pi
+        a = transition_matrix(spectrum, bath)
+        pi_num = stationary_distribution(a)
+        pi_ref = thermal_distribution(spectrum, bath.beta)
         worst = max(worst, float(np.max(np.abs(pi_num - pi_ref))))
     passed = worst <= 1e-10
     return passed, f"worst |stationary - Gibbs| = {worst:.3e} (tol 1e-10)"

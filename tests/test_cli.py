@@ -718,6 +718,20 @@ class TestArgumentRules:
         assert "Traceback" not in err
 
     @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "command,state",
+        [("trace", ["--a", "0"]), ("optimize", []), ("estimate", ["--a", "0", "--t", "0.004"])],
+    )
+    def test_overflowing_scale_names_the_thermal_qfi(self, capsys, command, state):
+        # f = F/F_th is finite on the default window; only F = F_th f overflows,
+        # so a shorter window would not help
+        argv = [command, "--omega12", "1e154", "--beta", "1e-156", "--gamma", "1", *state]
+        rc, out, err = run_cli(capsys, argv)
+        assert (rc, out) == (2, "")
+        assert "F_th = 2.49994e+307" in err
+        assert "shorten the time window" not in err
+
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("gamma", ["1e-307", "1e-200", "1e200", "5e307"])
     def test_extreme_gamma_trace_is_the_unit_gamma_trace_in_scaled_time(self, capsys, gamma):
         # The trace depends on gamma*t alone: at every gamma whose lambda and

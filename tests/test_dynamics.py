@@ -157,12 +157,12 @@ class TestPropagatePopulations:
         rng = np.random.default_rng(29)
         for _ in range(10):
             spectrum, bath = random_nlevel_model(rng)
-            a = transition_matrix(rate_matrix(spectrum, bath))
+            a = transition_matrix(spectrum, bath)
             n = spectrum.n_levels
             p0 = rng.uniform(0.1, 1.0, size=n)
             p0 /= p0.sum()
             t = float(rng.uniform(0.0, 3.0))
-            expected = expm(a.a * t) @ p0
+            expected = expm(a * t) @ p0
             np.testing.assert_allclose(
                 _propagated(spectrum, bath, p0, t), expected, rtol=0, atol=1e-12
             )
@@ -179,7 +179,7 @@ class TestPropagatePopulations:
         p = _propagated(spectrum, bath, p0, t)
         assert math.fsum(p) == pytest.approx(1.0, abs=1e-12)
         np.testing.assert_allclose(
-            p, thermal_distribution(spectrum, bath.beta).pi, rtol=0, atol=1e-10
+            p, thermal_distribution(spectrum, bath.beta), rtol=0, atol=1e-10
         )
 
     def test_defective_cascade_is_rejected(self):
@@ -203,9 +203,9 @@ class TestPropagatePopulations:
 
     def test_low_temperature_models_match_matrix_exponential(self):
         for spectrum, bath, p0, t in _low_temperature_models(60):
-            a = transition_matrix(rate_matrix(spectrum, bath))
+            a = transition_matrix(spectrum, bath)
             np.testing.assert_allclose(
-                _propagated(spectrum, bath, p0, t), expm(a.a * t) @ p0, rtol=0, atol=1e-12
+                _propagated(spectrum, bath, p0, t), expm(a * t) @ p0, rtol=0, atol=1e-12
             )
 
 
@@ -226,7 +226,7 @@ class TestCoherence:
         rng = np.random.default_rng(37)
         for _ in range(10):
             spectrum, bath = random_nlevel_model(rng)
-            g = rate_matrix(spectrum, bath).gamma_rates
+            g = rate_matrix(spectrum, bath)
             rho0 = random_mixed_state(rng, spectrum.n_levels)
             t = float(rng.uniform(0.0, 3.0))
             rho, _ = evolve_state_derivative(rho0, spectrum, bath, t)
@@ -313,7 +313,7 @@ class TestQubitState:
         rho_inf, _ = evolve_state_derivative(rho0, spectrum, bath, 200.0)
         np.testing.assert_allclose(
             rho_inf.populations,
-            thermal_distribution(spectrum, bath.beta).pi,
+            thermal_distribution(spectrum, bath.beta),
             rtol=0,
             atol=1e-10,
         )
@@ -403,7 +403,7 @@ class TestEvolveStateDerivative:
                 atol=1e-13,
             )
             np.testing.assert_allclose(
-                rho.populations, thermal_distribution(spectrum, bath.beta).pi, rtol=0, atol=1e-13
+                rho.populations, thermal_distribution(spectrum, bath.beta), rtol=0, atol=1e-13
             )
 
     def test_derivative_is_hermitian(self):
@@ -429,6 +429,22 @@ class TestEvolveStateDerivative:
         rho0 = DensityMatrix.from_populations([0.5, 0.5])
         with pytest.raises(DomainError, match=message):
             evolve_state_derivative(rho0, spectrum, bath, t)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize(
+        "beta,gamma,message",
+        [
+            (1e-10, 1e300, "^rates must be finite and nonnegative$"),
+            (1e-300, 1.0, r"^detailed-balance ordering violated at \(1,2\)$"),
+            (800.0, 1.0, "^off-diagonal entries must be strictly positive$"),
+            # rates near 1e303 are finite, but the product g_12 g_21 in dA/d beta is not
+            (1e-3, 1e300, r"^gamma = 1e\+300 is too large"),
+        ],
+    )
+    def test_rejects_models_past_double_precision(self, beta, gamma, message):
+        rho0 = DensityMatrix.from_populations([0.5, 0.5])
+        with pytest.raises(DomainError, match=message):
+            evolve_state_derivative(rho0, Spectrum.qubit(1.0), Bath(beta=beta, gamma=gamma), 1.0)
 
 
 class TestConversions:
