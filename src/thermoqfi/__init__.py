@@ -18,7 +18,7 @@ __version__ = "0.1.0"
 # The public names, by the module that defines them.
 _EXPORTS = {
     "dynamics": (
-        "DensityMatrix", "GadChannel", "QubitInit", "beta_from_thermal_ratio",
+        "GadChannel", "QubitInit", "beta_from_thermal_ratio",
         "evolve_state_derivative", "gad_apply", "gad_fixed_point", "gad_kraus_operators",
         "gad_master_comparison", "gad_params", "gad_stationary_diagnostic",
         "gamma_from_tau_tilde", "qubit_relaxation_rate",

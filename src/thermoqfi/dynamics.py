@@ -66,6 +66,12 @@ class QubitInit:
     def rho12_0(self) -> complex:
         return math.sqrt((1.0 - self.a) * self.a) * self.r * cmath.exp(1j * self.phi)
 
+    @property
+    def rho0(self) -> np.ndarray:
+        """The initial state [[1 - a, rho12(0)], [rho12(0)*, a]] as a read-only complex array."""
+        c = self.rho12_0
+        return _readonly(np.array([[1.0 - self.a, c], [c.conjugate(), self.a]]))
+
     @classmethod
     def from_theta(cls, theta: float, r: float = 0.0, phi: float = 0.0) -> "QubitInit":
         if not (0.0 <= theta <= math.pi):
@@ -73,55 +79,20 @@ class QubitInit:
         return cls(a=math.sin(theta / 2.0) ** 2, r=r, phi=phi)
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
-    """N x N Hermitian, unit-trace, positive-semidefinite state."""
-
-    elements: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.asarray(self.elements, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise DomainError("state must be a square matrix")
-        if not np.all(np.isfinite(m)):
-            raise DomainError("state must be finite")
-        if np.max(np.abs(m - m.conj().T)) > 1e-12:
-            raise DomainError("state must be Hermitian within 1e-12")
-        if abs(np.trace(m).real - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
-            raise DomainError("state must have unit trace within 1e-12")
-        if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)) < -1e-12:
-            raise DomainError("state must be positive semidefinite within 1e-12")
-        object.__setattr__(self, "elements", _readonly(m))
-
-    @property
-    def n_levels(self) -> int:
-        return self.elements.shape[0]
-
-    @property
-    def populations(self) -> np.ndarray:
-        return np.diag(self.elements).real.copy()
-
-    @property
-    def rho22(self) -> float:
-        if self.n_levels != 2:
-            raise DomainError("rho22 is defined for qubits only")
-        return float(self.elements[1, 1].real)
-
-    @classmethod
-    def from_populations(cls, p) -> "DensityMatrix":
-        return cls(elements=np.diag(np.asarray(p, dtype=float)).astype(complex))
-
-    @classmethod
-    def from_qubit_init(cls, init: QubitInit) -> "DensityMatrix":
-        c = init.rho12_0
-        return cls(elements=np.array([[1.0 - init.a, c], [c.conjugate(), init.a]]))
-
-
-def as_state(rho: DensityMatrix | np.ndarray) -> DensityMatrix:
-    """Coerce an array-like to a validated DensityMatrix."""
-    if isinstance(rho, DensityMatrix):
-        return rho
-    return DensityMatrix(elements=np.asarray(rho, dtype=complex))
+def _state(rho) -> np.ndarray:
+    """A caller's array-like state as a read-only complex array, checked once where it enters."""
+    m = np.asarray(rho, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DomainError("state must be a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise DomainError("state must be finite")
+    if np.max(np.abs(m - m.conj().T)) > 1e-12:
+        raise DomainError("state must be Hermitian within 1e-12")
+    if abs(np.trace(m).real - 1.0) > 1e-12 or abs(np.trace(m).imag) > 1e-12:
+        raise DomainError("state must have unit trace within 1e-12")
+    if np.min(np.linalg.eigvalsh((m + m.conj().T) / 2.0)) < -1e-12:
+        raise DomainError("state must be positive semidefinite within 1e-12")
+    return _readonly(m)
 
 
 def _eigendecompose(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,11 +221,12 @@ def _default_t_max(spectrum: Spectrum, bath: Bath) -> float:
 
 
 def evolve_state_derivative(
-    rho0: DensityMatrix | np.ndarray, spectrum: Spectrum, bath: Bath, t: float
-) -> tuple[DensityMatrix, np.ndarray]:
+    rho0, spectrum: Spectrum, bath: Bath, t: float
+) -> tuple[np.ndarray, np.ndarray]:
     """The evolved N-level state rho(t) and its exact derivative d rho(t)/d beta at fixed rho0.
 
-    One array pass over the generator A and its eigendecomposition A = V diag(l) V^-1
+    rho0 may be any array-like state; it is checked once (_state). One array
+    pass over the generator A and its eigendecomposition A = V diag(l) V^-1
     (_eigendecompose rejects a defective one). The time must be finite and
     nonnegative. Level j loses population at the rate loss_j = -A_jj =
     sum_k Gamma_kj, and each coherence decays at the mean loss of its two
@@ -274,9 +246,14 @@ def evolve_state_derivative(
     otherwise grow like t. V^-1 p0 is solved once for p(t) and its derivative.
     The coherences give d rho/d beta = -t (loss'_i + loss'_j)/2 o rho(t) with
     loss' = -diag(A'), and the diagonal is the populations' derivative.
+
+    rho(t) is returned read-only and not checked again: it is a state, as
+    rho(t) = (rho0 o C) + diag(p(t) - rho0_ii e^{-loss_i t}) with C = c c^dag,
+    c_i = e^{-loss_i t/2 - i E_i t}, rank-1 positive semidefinite, and the added
+    diagonal is >= 0 because p_i(t) >= rho0_ii e^{-loss_i t}; p(t) sums to one.
     """
-    state = as_state(rho0)
-    if state.n_levels != spectrum.n_levels:
+    state = _state(rho0)
+    if len(state) != spectrum.n_levels:
         raise DomainError("state size must match the spectrum")
     if not math.isfinite(t):
         raise DomainError("t must be finite")
@@ -284,7 +261,7 @@ def evolve_state_derivative(
         raise DomainError("t must be nonnegative")
     gen = transition_matrix(spectrum, bath)
     values, vectors = _eigendecompose(gen)
-    p0 = state.populations
+    p0 = np.diag(state).real
     c0 = np.linalg.solve(vectors, p0)
     p = p0
     if t > 0.0:
@@ -312,12 +289,12 @@ def evolve_state_derivative(
         phi = np.exp(np.where(flip, values[None, :], values[:, None]) * t) * ratio
     dp = (vectors @ ((phi * b) @ c0)).real
     loss, dloss = -np.diag(gen), -np.diag(d_gen)
-    rho = state.elements * np.exp(-(loss[:, None] + loss[None, :]) / 2.0 * t)
+    rho = state * np.exp(-(loss[:, None] + loss[None, :]) / 2.0 * t)
     rho *= np.exp(1j * (energies[None, :] - energies[:, None]) * t)
     drho = -t * (dloss[:, None] + dloss[None, :]) / 2.0 * rho
     np.fill_diagonal(rho, p)
     np.fill_diagonal(drho, dp)
-    return DensityMatrix(elements=rho), drho
+    return _readonly(rho), drho
 
 
 @dataclass(frozen=True)
@@ -366,16 +343,17 @@ def gad_kraus_operators(ch: GadChannel) -> list[np.ndarray]:
     return kraus
 
 
-def gad_apply(ch: GadChannel, rho: DensityMatrix | np.ndarray) -> DensityMatrix:
-    """Apply the channel: rho' = sum_k K_k rho K_k^dag."""
-    state = as_state(rho)
-    if state.n_levels != 2:
+def gad_apply(ch: GadChannel, rho) -> np.ndarray:
+    """Apply the channel to any array-like qubit state rho, checked once (_state).
+
+    rho' = sum_k K_k rho K_k^dag is returned read-only and not checked again: each
+    term is positive semidefinite and the asserted Kraus completeness keeps the trace.
+    """
+    state = _state(rho)
+    if len(state) != 2:
         raise DomainError("the damping channel acts on qubits")
-    out = np.zeros((2, 2), dtype=complex)
-    for k in gad_kraus_operators(ch):
-        out += k @ state.elements @ k.conj().T
-    out = (out + out.conj().T) / 2.0
-    return DensityMatrix(elements=out)
+    out = sum(k @ state @ k.conj().T for k in gad_kraus_operators(ch))
+    return _readonly((out + out.conj().T) / 2.0)
 
 
 def gad_fixed_point(ch: GadChannel) -> np.ndarray:
@@ -410,8 +388,7 @@ def gad_master_comparison(n12: float, tau_tilde: float, omega12: float) -> dict:
     and their relative difference, starting from the ground state (a0 = 0).
     """
     ch = gad_params(n12, tau_tilde)
-    rho0 = DensityMatrix.from_populations([1.0, 0.0])
-    p2_gad = gad_apply(ch, rho0).rho22
+    p2_gad = float(gad_apply(ch, np.diag([1.0, 0.0]))[1, 1].real)
 
     beta = beta_from_thermal_ratio(n12, omega12)
     gamma = gamma_from_tau_tilde(tau_tilde, omega12)

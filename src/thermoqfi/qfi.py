@@ -15,14 +15,13 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .dynamics import DensityMatrix, QubitInit, _qubit_model_of, _QubitModel, as_state
+from .dynamics import QubitInit, _qubit_model_of, _QubitModel, _state
 from .errors import DomainError, ModelIntegrityError
-from .spectrum import Bath, Spectrum, thermal_distribution
+from .spectrum import Bath, Spectrum, _readonly, thermal_distribution
 
 # Eigenvalue pairs of rho with p_m + p_n at or below this guard are outside
 # the numerical support of the general-N path (sld_general, diagonal_qfi,
@@ -171,36 +170,28 @@ def _qubit_point(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float):
     return m, _Terms(*map(float, terms)), complex(rho12)
 
 
-@dataclass(frozen=True)
-class QfiResult:
-    """QFI split into the populations' part F_d and the coherence gain F - F_d."""
+class QfiResult(NamedTuple):
+    """QFI split into the populations' part F_d and the coherence gain F - F_d; a plain record."""
 
     total: float
     diagonal_part: float
     coherence_gain: float
 
-    def __post_init__(self) -> None:
-        for name in ("total", "diagonal_part", "coherence_gain"):
-            if getattr(self, name) < -1e-12:
-                raise ModelIntegrityError(f"{name} must be nonnegative (within -1e-12)")
-        mismatch = abs(self.total - (self.diagonal_part + self.coherence_gain))
-        if mismatch > 1e-9 * max(abs(self.total), 1e-12):
-            raise ModelIntegrityError("QFI parts do not sum to the total")
-
 
 def beta_derivative_qubit(
     init: QubitInit, spectrum: Spectrum, bath: Bath, t: float
-) -> tuple[DensityMatrix, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """The closed-form evolved qubit state rho(t) and its partial derivative d rho/d beta.
 
     d rho/d beta = [[-g, alpha rho12], [alpha rho12*, g]] with g = dpi2 * delta
     the derivative of rho22, alpha = alpha_hat * dpi2 and
     dpi2 = -(1-pi2) pi2 omega: the same pair that dynamics.evolve_state_derivative
-    gives for any N without this closed form.
+    gives for any N without this closed form. rho is returned read-only and unchecked,
+    a state as p2 lies between a and pi2 and (1 - p2) p2 - |rho12|^2 = D >= 0 (_start).
     """
     m, terms, rho12 = _qubit_point(init, spectrum, bath, t)
     p2, g, d12 = terms.p2, m.dpi2 * terms.delta, terms.alpha_hat * m.dpi2 * rho12
-    rho = DensityMatrix(elements=np.array([[1.0 - p2, rho12], [rho12.conjugate(), p2]]))
+    rho = _readonly(np.array([[1.0 - p2, rho12], [rho12.conjugate(), p2]]))
     return rho, np.array([[-g, d12], [d12.conjugate(), g]], dtype=complex)
 
 
@@ -277,19 +268,20 @@ def _validate_drho(drho: np.ndarray) -> np.ndarray:
     return d
 
 
-def sld_general(rho: DensityMatrix | np.ndarray, drho) -> np.ndarray:
+def sld_general(rho, drho) -> np.ndarray:
     """Solve the Lyapunov equation d rho = (L rho + rho L)/2 in the eigenbasis of rho.
 
+    rho may be any array-like state; it is checked once (_state).
     L_mn = 2 (drho)_mn / (p_m + p_n) over eigenvalue pairs inside the support;
     pairs with p_m + p_n <= EPS_GUARD are zeroed (support convention). L is
     returned Hermitian, and its Lyapunov residual must stay below
     1e-9 (1 + ||drho||_F), or ModelIntegrityError is raised.
     """
-    state = as_state(rho)
+    state = _state(rho)
     d = _validate_drho(drho)
-    if d.shape != state.elements.shape:
+    if d.shape != state.shape:
         raise DomainError("drho must match the state dimension")
-    values, vectors = np.linalg.eigh(state.elements)
+    values, vectors = np.linalg.eigh(state)
     d_eig = vectors.conj().T @ d @ vectors
     pair_sums = values[:, None] + values[None, :]
     supported = pair_sums > EPS_GUARD
@@ -303,7 +295,7 @@ def sld_general(rho: DensityMatrix | np.ndarray, drho) -> np.ndarray:
         l_eig = np.where(supported, 2.0 * d_eig / np.where(supported, pair_sums, 1.0), 0.0)
         l = vectors @ l_eig @ vectors.conj().T
         l = (l + l.conj().T) / 2.0
-        lyapunov = (l @ state.elements + state.elements @ l) / 2.0
+        lyapunov = (l @ state + state @ l) / 2.0
         residual = float(np.linalg.norm((d - lyapunov) * scale))
         tol = 1e-9 * (scale + float(np.linalg.norm(d * scale)))
     if not residual <= tol:
@@ -367,24 +359,25 @@ def trace_blocks(init: QubitInit, spectrum: Spectrum, bath: Bath, times, rows: i
     return (_trace_columns(model, bath.gamma, init, asymptote, block) for block in blocks)
 
 
-def qfi_decomposition(rho: DensityMatrix | np.ndarray, drho) -> QfiResult:
+def qfi_decomposition(rho, drho) -> QfiResult:
     """Decompose the QFI of (rho, drho) into diagonal information plus gain.
 
-    Solves the full Lyapunov problem for L, the diagonal problem for L_d,
-    forms Ltilde = L - L_d, and checks F = F_d + Tr[rho Ltilde^2] to 1e-9
-    relative. The gain is nonnegative: {rho, Ltilde} is hollow, so the cross
-    terms of the expansion vanish.
+    rho may be any array-like state; it is checked once (_state). Solves the
+    full Lyapunov problem for L, the diagonal problem for L_d, forms
+    Ltilde = L - L_d, and checks F = F_d + Tr[rho Ltilde^2] to 1e-9 relative
+    (the one check of the QfiResult record). The gain is nonnegative:
+    {rho, Ltilde} is hollow, so the cross terms of the expansion vanish.
     """
-    state = as_state(rho)
+    state = _state(rho)
     sld = sld_general(state, drho)
     d = np.asarray(drho, dtype=complex)
-    p = state.populations
+    p = np.diag(state).real
     dp = np.diag(d).real
     total = float(np.trace(d @ sld).real)
     diagonal_part = diagonal_qfi(p, dp)
     l_d = np.where(p > EPS_GUARD, dp / np.where(p > EPS_GUARD, p, 1.0), 0.0)
     l_tilde = sld - np.diag(l_d)
-    gain = float(np.trace(state.elements @ l_tilde @ l_tilde).real)
+    gain = float(np.trace(state @ l_tilde @ l_tilde).real)
     if gain < -1e-12:
         raise ModelIntegrityError(f"coherence gain {gain:.3e} is negative beyond tolerance")
     mismatch = abs(total - (diagonal_part + gain))

@@ -118,9 +118,7 @@ def _gibbs_underflow(beta_omega: float) -> DomainError:
 
 
 def _gibbs(pi: np.ndarray) -> np.ndarray:
-    """pi, read-only: at least two populations, summing to one, nonincreasing in energy."""
-    if pi.size < 2:
-        raise DomainError("pi must be a vector of length >= 2")
+    """pi, read-only: populations summing to one, nonincreasing in energy."""
     if abs(math.fsum(pi) - 1.0) > 1e-12:
         raise DomainError("thermal populations must sum to one")
     if np.any(np.diff(pi) > 0):
@@ -146,6 +144,14 @@ def thermal_distribution(spectrum: Spectrum, beta: float) -> np.ndarray:
     return _gibbs(pi)
 
 
+def _at_edge(spectrum: Spectrum, beta: float, i: int, j: int) -> str:
+    """Pair (i, j) (1-based), its beta*omega and the range its rates support, for an error."""
+    return (
+        f"pair ({i},{j}) at beta*omega = {beta * spectrum.gap(i, j):g}; the supported "
+        f"range is {MIN_BETA_OMEGA:g} <= beta*omega <= {MAX_EXP_BETA_OMEGA:g}"
+    )
+
+
 def rate_matrix(spectrum: Spectrum, bath: Bath) -> np.ndarray:
     """Jump rates Gamma[i, j] from eigenstate j to i, read-only: gamma(n+1) down, gamma*n up."""
     n = spectrum.n_levels
@@ -160,18 +166,43 @@ def rate_matrix(spectrum: Spectrum, bath: Bath) -> np.ndarray:
     # decays beat excitations: Gamma_ij = gamma(n+1) > Gamma_ji = gamma*n for i < j
     rows, cols = np.nonzero(np.triu(~(g > g.T), 1))
     if rows.size:
-        raise DomainError(f"detailed-balance ordering violated at ({rows[0] + 1},{cols[0] + 1})")
+        i, j = rows[0] + 1, cols[0] + 1
+        raise DomainError(
+            "detailed-balance ordering violated: the decay rate gamma (n+1) rounds to the "
+            f"excitation rate gamma n of {_at_edge(spectrum, bath.beta, i, j)}"
+        )
     return _readonly(g)
 
 
 def transition_matrix(spectrum: Spectrum, bath: Bath) -> np.ndarray:
     """A_beta, read-only: strictly positive jump rates off the diagonal, -(column loss) on it."""
     g = rate_matrix(spectrum, bath)
-    if np.any(g[~np.eye(len(g), dtype=bool)] <= 0):
-        raise DomainError("off-diagonal entries must be strictly positive")
+    # a decay rate gamma (n+1) is at least gamma; an excitation rate g[j, i] = gamma n (i < j)
+    # is 0 where n is (beta*omega > MAX_EXP_BETA_OMEGA) or where gamma n underflows
+    rows, cols = np.nonzero(np.triu(g.T <= 0, 1))
+    if rows.size:
+        i, j = rows[0] + 1, cols[0] + 1
+        n = thermal_ratio(bath.beta, spectrum.gap(i, j))
+        cause = f"underflows to 0 at gamma = {bath.gamma:g} for" if n > 0 else "is 0 for"
+        raise DomainError(
+            "off-diagonal entries must be strictly positive: the excitation rate gamma n "
+            f"{cause} {_at_edge(spectrum, bath.beta, i, j)}"
+        )
     a = np.array(g)
     np.fill_diagonal(a, [-math.fsum(g[:, j]) for j in range(len(g))])
     return _readonly(a)
+
+
+def _generator(a) -> np.ndarray:
+    """A caller's generator array-like as floats, checked real, finite and square of size >= 2."""
+    mat = np.asarray(a)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or len(mat) < 2:
+        raise DomainError("the generator must be a square array of size >= 2")
+    if mat.dtype.kind not in "biuf":
+        raise DomainError("the generator must be real")
+    if not np.all(np.isfinite(mat)):
+        raise DomainError("the generator must be finite")
+    return np.asarray(mat, dtype=float)
 
 
 def stationary_distribution(a: np.ndarray) -> np.ndarray:
@@ -180,7 +211,7 @@ def stationary_distribution(a: np.ndarray) -> np.ndarray:
     Computed by eigendecomposition; the null space is one-dimensional for valid
     generators, so no tie-breaking is needed.
     """
-    mat = np.asarray(a, dtype=float)
+    mat = _generator(a)
     eigenvalues, eigenvectors = np.linalg.eig(mat)
     norm = float(np.linalg.norm(mat, 2))
     idx = int(np.argmin(np.abs(eigenvalues)))
@@ -209,7 +240,7 @@ def spectral_report(a: np.ndarray) -> SpectralReport:
     eigenvalues with strictly negative real part; returns Gershgorin disc data
     (column discs: centers a_jj, radii R_j) for diagnostics.
     """
-    mat = np.asarray(a, dtype=float)
+    mat = _generator(a)
     n = mat.shape[0]
     eigenvalues = np.linalg.eigvals(mat)
     norm = float(np.linalg.norm(mat, 2))

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (
-    DensityMatrix,
     QubitInit,
     _qubit_model,
     evolve_state_derivative,
@@ -175,21 +174,20 @@ def _check_derivative_oracle(rng, inject: bool):
         s = _random_scenario(rng)
         t = float(rng.uniform(0.0, 10.0 / abs(s.relaxation_rate)))
         _, closed = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
-        rho0 = DensityMatrix.from_qubit_init(s.init)
-        _, drho = evolve_state_derivative(rho0, s.spectrum, s.bath, t)
+        _, drho = evolve_state_derivative(s.init.rho0, s.spectrum, s.bath, t)
         gap = float(np.max(np.abs(closed - drho)))
         worst = max(worst, gap / (1.0 + float(np.max(np.abs(closed)))))
     passed = worst <= 1e-12
     return passed, f"worst |closed-form - general-N| = {worst:.3e} of scale (tol 1e-12)"
 
 
-def _mixed_state(rng, n: int) -> DensityMatrix:
+def _mixed_state(rng, n: int) -> np.ndarray:
     p = rng.uniform(0.2, 1.0, size=n)
     p /= p.sum()
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     psi /= np.linalg.norm(psi)
     mat = 0.7 * np.diag(p).astype(complex) + 0.3 * np.outer(psi, psi.conj())
-    return DensityMatrix(elements=(mat + mat.conj().T) / 2.0)
+    return (mat + mat.conj().T) / 2.0
 
 
 def _check_decomposition(rng, inject: bool):
@@ -203,8 +201,7 @@ def _check_decomposition(rng, inject: bool):
     for _ in range(20):
         s = _random_scenario(rng)
         t = float(rng.uniform(0.05, 10.0 / abs(s.relaxation_rate)))
-        rho0 = DensityMatrix.from_qubit_init(s.init)
-        result = qfi_decomposition(*evolve_state_derivative(rho0, s.spectrum, s.bath, t))
+        result = qfi_decomposition(*evolve_state_derivative(s.init.rho0, s.spectrum, s.bath, t))
         closed = float(qfi_values(s.init, s.spectrum, s.bath, t))
         worst_gain = min(worst_gain, result.coherence_gain)
         worst_mismatch = max(worst_mismatch, abs(result.total - closed) / max(abs(closed), 1e-12))
@@ -346,7 +343,7 @@ def _check_gad_fixed_point(rng, inject: bool):
             channel = gad_params(n12, tau)
             fixed = gad_fixed_point(channel)
             mapped = gad_apply(channel, fixed)
-            worst = max(worst, float(np.max(np.abs(mapped.elements - fixed))))
+            worst = max(worst, float(np.max(np.abs(mapped - fixed))))
     passed = worst <= 1e-12
     return passed, f"worst |E(rho*) - rho*| = {worst:.3e} (tol 1e-12)"
 

@@ -14,7 +14,7 @@ import math
 import mpmath
 import numpy as np
 
-from thermoqfi import Bath, DensityMatrix, QubitInit, Scenario, Spectrum, beta_derivative_qubit
+from thermoqfi import Bath, QubitInit, Scenario, Spectrum, beta_derivative_qubit
 
 
 def random_scenario(rng) -> Scenario:
@@ -34,7 +34,7 @@ def random_time(rng, scenario: Scenario, lo: float = 0.0) -> float:
     return float(rng.uniform(lo, 10.0 / abs(scenario.relaxation_rate)))
 
 
-def closed_form_state(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> DensityMatrix:
+def closed_form_state(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> np.ndarray:
     """The closed-form qubit state rho(t): the p2 and rho12 that the QFI kernel uses."""
     return beta_derivative_qubit(init, spectrum, bath, t)[0]
 
@@ -47,14 +47,14 @@ def random_nlevel_model(rng, n_max: int = 8):
     return spectrum, bath
 
 
-def random_mixed_state(rng, n: int) -> DensityMatrix:
+def random_mixed_state(rng, n: int) -> np.ndarray:
     """Full-rank N-level state: 0.7 x random populations + 0.3 x a random pure state."""
     p = rng.uniform(0.2, 1.0, size=n)
     p /= p.sum()
     psi = rng.normal(size=n) + 1j * rng.normal(size=n)
     psi /= np.linalg.norm(psi)
     mat = 0.7 * np.diag(p).astype(complex) + 0.3 * np.outer(psi, psi.conj())
-    return DensityMatrix(elements=(mat + mat.conj().T) / 2.0)
+    return (mat + mat.conj().T) / 2.0
 
 
 def reference_scenario(a: float = 0.0, r: float = 0.0, phi: float = 0.0) -> Scenario:

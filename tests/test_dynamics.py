@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -17,10 +18,11 @@ from conftest import (
 )
 from thermoqfi import (
     Bath,
-    DensityMatrix,
     DomainError,
     QubitInit,
+    Scenario,
     Spectrum,
+    beta_derivative_qubit,
     beta_from_thermal_ratio,
     evolve_state_derivative,
     gad_apply,
@@ -30,14 +32,17 @@ from thermoqfi import (
     gad_params,
     gad_stationary_diagnostic,
     gamma_from_tau_tilde,
+    qfi_decomposition,
     qubit_relaxation_rate,
     rate_matrix,
+    sld_general,
+    spectral_report,
     thermal_distribution,
     thermal_population_derivative,
     thermal_ratio,
     transition_matrix,
 )
-from thermoqfi.dynamics import _default_t_max, _eigendecompose
+from thermoqfi.dynamics import _default_t_max, _eigendecompose, _state
 
 
 def _reference_parts():
@@ -84,8 +89,26 @@ def _mp_populations(spectrum: Spectrum, beta, gamma, p0, t):
 
 def _propagated(spectrum: Spectrum, bath: Bath, p0, t: float) -> np.ndarray:
     """exp(A t) p0 as the library propagates it: the populations of the evolved state."""
-    rho, _ = evolve_state_derivative(DensityMatrix.from_populations(p0), spectrum, bath, t)
-    return rho.populations
+    rho, _ = evolve_state_derivative(np.diag(p0), spectrum, bath, t)
+    return np.diag(rho).real
+
+
+def _exactly(message: str) -> str:
+    """A match= pattern for the whole message and nothing else."""
+    return f"^{re.escape(message)}$"
+
+
+_RANGE = "the supported range is 2e-15 <= beta*omega <= 709"
+
+# The public functions that take a caller's state, each applied to one
+_ENTRY_POINTS = {
+    "evolve_state_derivative": lambda rho: evolve_state_derivative(
+        rho, Spectrum.qubit(1.0), Bath(beta=math.log(3.0), gamma=1.0), 1.0
+    ),
+    "gad_apply": lambda rho: gad_apply(gad_params(5.5, 0.05), rho),
+    "sld_general": lambda rho: sld_general(rho, np.diag([0.1, -0.1])),
+    "qfi_decomposition": lambda rho: qfi_decomposition(rho, np.diag([0.1, -0.1])),
+}
 
 
 class TestQubitInit:
@@ -114,23 +137,30 @@ class TestQubitInit:
         with pytest.raises(DomainError):
             QubitInit.from_theta(-0.1)
 
+    def test_initial_state(self):
+        rho = QubitInit(a=0.25, r=1.0).rho0
+        assert rho[1, 1] == pytest.approx(0.25)
+        assert rho[0, 1] == pytest.approx(math.sqrt(0.75 * 0.25))
+        assert rho.dtype == complex and not rho.flags.writeable
 
-class TestDensityMatrix:
-    def test_from_qubit_init(self):
-        rho = DensityMatrix.from_qubit_init(QubitInit(a=0.25, r=1.0))
-        assert rho.rho22 == pytest.approx(0.25)
-        assert rho.elements[0, 1] == pytest.approx(math.sqrt(0.75 * 0.25))
 
-    def test_rejects_invalid_states(self):
-        with pytest.raises(DomainError):
-            DensityMatrix(elements=np.array([[0.5, 0.5], [0.1, 0.5]]))  # not Hermitian
-        with pytest.raises(DomainError):
-            DensityMatrix(elements=np.array([[0.6, 0.0], [0.0, 0.6]]))  # trace
-        with pytest.raises(DomainError):
-            DensityMatrix(elements=np.array([[1.2, 0.0], [0.0, -0.2]]))  # not PSD
-        with pytest.raises(DomainError):
-            DensityMatrix(elements=np.array([[0.5, 0.6], [0.6, 0.5]]))  # not PSD
+class TestStateCheck:
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
+    @pytest.mark.parametrize(
+        "elements,message",
+        [
+            ([[0.5, 0.5], [0.1, 0.5]], "state must be Hermitian within 1e-12"),
+            ([[0.6, 0.0], [0.0, 0.6]], "state must have unit trace within 1e-12"),
+            ([[1.2, 0.0], [0.0, -0.2]], "state must be positive semidefinite within 1e-12"),
+            ([[0.5, 0.6], [0.6, 0.5]], "state must be positive semidefinite within 1e-12"),
+            ([0.5, 0.5], "state must be a square matrix"),
+        ],
+    )
+    def test_rejects_invalid_states(self, entry, elements, message):
+        with pytest.raises(DomainError, match=_exactly(message)):
+            _ENTRY_POINTS[entry](np.array(elements))
 
+    @pytest.mark.parametrize("entry", _ENTRY_POINTS)
     @pytest.mark.parametrize(
         "elements",
         [
@@ -139,9 +169,49 @@ class TestDensityMatrix:
             [[math.nan, 0.0], [0.0, math.nan]],
         ],
     )
-    def test_rejects_non_finite_entries(self, elements):
+    def test_rejects_non_finite_entries(self, entry, elements):
         with pytest.raises(DomainError, match="^state must be finite$"):
-            DensityMatrix(elements=np.array(elements))
+            _ENTRY_POINTS[entry](np.array(elements))
+
+    def test_accepts_array_likes(self):
+        for entry in _ENTRY_POINTS.values():
+            entry([[0.75, 0.0], [0.0, 0.25]])
+
+    def test_library_built_states_pass_the_check(self):
+        # The states the library builds are returned without a second check;
+        # this is the check they would meet, over the edges of each builder.
+        rng = np.random.default_rng(61)
+        built = []
+        for n in range(2, 9):
+            gaps = rng.uniform(0.3, 2.0, size=n - 1)
+            spectrum = Spectrum(energies=tuple(np.concatenate([[0.0], np.cumsum(gaps)])))
+            bath = Bath(beta=float(rng.uniform(0.2, 1.5)), gamma=float(rng.uniform(0.2, 3.0)))
+            slowest = abs(spectral_report(transition_matrix(spectrum, bath)).eigenvalues[1].real)
+            p = rng.uniform(0.0, 1.0, size=n)
+            for rho0 in (random_mixed_state(rng, n), np.diag(p / p.sum()), np.diag(np.eye(n)[-1])):
+                for turns in (0.0, 0.1, 1.0, 5.0, 50.0):
+                    built.append(evolve_state_derivative(rho0, spectrum, bath, turns / slowest)[0])
+        for n12 in (1.0, 5.5, 9.5):
+            for tau in (0.01, 0.5, 5.0):
+                for r in (float(rng.uniform(0.0, 1.0)), 1.0):
+                    a, phi = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 2.0 * math.pi))
+                    init = QubitInit(a=a, r=r, phi=phi)
+                    built.append(gad_apply(gad_params(n12, tau), init.rho0))
+        for t in (1e-12, 1e-6, 1.0):
+            for _ in range(10):
+                omega = float(rng.uniform(0.3, 3.0))
+                s = Scenario.qubit(
+                    omega12=omega,
+                    beta=float(rng.uniform(0.2, 3.0)) / omega,
+                    gamma=float(rng.uniform(0.2, 3.0)),
+                    a=float(rng.uniform(0.0, 1.0)),
+                    r=1.0,
+                    phi=float(rng.uniform(0.0, 2.0 * math.pi)),
+                )
+                built.append(beta_derivative_qubit(s.init, s.spectrum, s.bath, t)[0])
+        for rho in built:
+            assert not rho.flags.writeable
+            np.testing.assert_array_equal(_state(rho), rho)
 
 
 class TestPropagatePopulations:
@@ -213,11 +283,11 @@ class TestCoherence:
     def test_reference_decay_and_rotation(self):
         # c_12 = (Gamma_12 + Gamma_21)/2 = (1.5 + 0.5)/2 = -lambda/2 = 1, omega = 1
         spectrum, bath = _reference_parts()
-        rho0 = DensityMatrix.from_qubit_init(QubitInit(a=0.25, r=0.8, phi=0.4))
-        c0 = rho0.elements[0, 1]
+        rho0 = QubitInit(a=0.25, r=0.8, phi=0.4).rho0
+        c0 = rho0[0, 1]
         for t in (0.0, 0.3, 1.5, 4.0):
             rho, _ = evolve_state_derivative(rho0, spectrum, bath, t)
-            c = rho.elements[0, 1]
+            c = rho[0, 1]
             assert abs(c) == pytest.approx(abs(c0) * math.exp(-t), rel=1e-14)
             assert cmath.phase(c / c0) == pytest.approx(math.remainder(t, 2.0 * math.pi), abs=1e-14)
 
@@ -236,7 +306,7 @@ class TestCoherence:
                     if i == j:
                         continue
                     c = 0.5 * (math.fsum(g[:, i]) + math.fsum(g[:, j]))
-                    c0, ct = rho0.elements[i, j], rho.elements[i, j]
+                    c0, ct = rho0[i, j], rho[i, j]
                     assert abs(ct) == pytest.approx(abs(c0) * math.exp(-c * t), rel=1e-13)
                     omega = spectrum.energies[j] - spectrum.energies[i]
                     assert cmath.phase(ct / c0) == pytest.approx(
@@ -263,10 +333,10 @@ class TestQubitState:
     def test_reference_population_trajectory(self):
         spectrum, bath = _reference_parts()
         ground = QubitInit(a=0.0)
-        assert closed_form_state(ground, spectrum, bath, 1.0).rho22 == pytest.approx(
+        assert closed_form_state(ground, spectrum, bath, 1.0)[1, 1].real == pytest.approx(
             0.25 * (1.0 - math.exp(-2.0)), rel=1e-14
         )
-        assert closed_form_state(ground, spectrum, bath, 0.5).rho22 == pytest.approx(
+        assert closed_form_state(ground, spectrum, bath, 0.5)[1, 1].real == pytest.approx(
             0.25 * (1.0 - math.exp(-1.0)), rel=1e-14
         )
 
@@ -276,7 +346,7 @@ class TestQubitState:
         t = 1.3
         rho = closed_form_state(init, spectrum, bath, t)
         expected = init.rho12_0 * math.exp(-t) * cmath.exp(1j * t)
-        assert rho.elements[0, 1] == pytest.approx(expected, rel=1e-13)
+        assert rho[0, 1] == pytest.approx(expected, rel=1e-13)
 
     def test_agrees_with_general_evolution(self):
         rng = np.random.default_rng(41)
@@ -284,12 +354,8 @@ class TestQubitState:
             s = random_scenario(rng)
             t = random_time(rng, s)
             direct = closed_form_state(s.init, s.spectrum, s.bath, t)
-            general, _ = evolve_state_derivative(
-                DensityMatrix.from_qubit_init(s.init), s.spectrum, s.bath, t
-            )
-            np.testing.assert_allclose(
-                direct.elements, general.elements, rtol=0, atol=1e-12
-            )
+            general, _ = evolve_state_derivative(s.init.rho0, s.spectrum, s.bath, t)
+            np.testing.assert_allclose(direct, general, rtol=0, atol=1e-12)
 
     def test_three_level_evolution_preserves_state_structure(self):
         rng = np.random.default_rng(43)
@@ -299,25 +365,25 @@ class TestQubitState:
         psi = rng.normal(size=3) + 1j * rng.normal(size=3)
         psi /= np.linalg.norm(psi)
         mat = 0.8 * np.diag(p).astype(complex) + 0.2 * np.outer(psi, psi.conj())
-        rho0 = DensityMatrix(elements=(mat + mat.conj().T) / 2.0)
+        rho0 = (mat + mat.conj().T) / 2.0
         rho_t, _ = evolve_state_derivative(rho0, spectrum, bath, 1.7)
-        assert abs(np.trace(rho_t.elements) - 1.0) <= 1e-12
+        assert abs(np.trace(rho_t) - 1.0) <= 1e-12
         # populations follow the generator irrespective of coherences
         np.testing.assert_allclose(
-            rho_t.populations,
-            _propagated(spectrum, bath, rho0.populations, 1.7),
+            np.diag(rho_t).real,
+            _propagated(spectrum, bath, np.diag(rho0).real, 1.7),
             rtol=0,
             atol=1e-12,
         )
         # far future: Gibbs diagonal, coherences gone
         rho_inf, _ = evolve_state_derivative(rho0, spectrum, bath, 200.0)
         np.testing.assert_allclose(
-            rho_inf.populations,
+            np.diag(rho_inf).real,
             thermal_distribution(spectrum, bath.beta),
             rtol=0,
             atol=1e-10,
         )
-        assert np.max(np.abs(rho_inf.elements - np.diag(rho_inf.populations))) <= 1e-12
+        assert np.max(np.abs(rho_inf - np.diag(np.diag(rho_inf)))) <= 1e-12
 
 
 class TestDefaultWindow:
@@ -347,9 +413,7 @@ class TestEvolveStateDerivative:
                 beta, gamma = mpmath.mpf(bath.beta), mpmath.mpf(bath.gamma)
                 up = _mp_populations(spectrum, beta + h, gamma, p0, t)
                 dn = _mp_populations(spectrum, beta - h, gamma, p0, t)
-                _, drho = evolve_state_derivative(
-                    DensityMatrix.from_populations(p0), spectrum, bath, t
-                )
+                _, drho = evolve_state_derivative(np.diag(p0), spectrum, bath, t)
                 for k in range(spectrum.n_levels):
                     expected = float((up[k] - dn[k]) / (2 * h))
                     worst = max(worst, abs(drho[k, k].real - expected))
@@ -380,7 +444,7 @@ class TestEvolveStateDerivative:
                         decay_dn = mpmath.exp((dn[i, i] + dn[j, j]) * t / 2)
                         omega = spectrum.energies[j] - spectrum.energies[i]
                         expected = (
-                            complex(rho0.elements[i, j])
+                            complex(rho0[i, j])
                             * cmath.exp(1j * omega * t)
                             * float((decay_up - decay_dn) / (2 * h))
                         )
@@ -403,7 +467,7 @@ class TestEvolveStateDerivative:
                 atol=1e-13,
             )
             np.testing.assert_allclose(
-                rho.populations, thermal_distribution(spectrum, bath.beta), rtol=0, atol=1e-13
+                np.diag(rho).real, thermal_distribution(spectrum, bath.beta), rtol=0, atol=1e-13
             )
 
     def test_derivative_is_hermitian(self):
@@ -426,7 +490,7 @@ class TestEvolveStateDerivative:
     )
     def test_rejects_bad_time(self, t, message):
         spectrum, bath = _reference_parts()
-        rho0 = DensityMatrix.from_populations([0.5, 0.5])
+        rho0 = np.diag([0.5, 0.5])
         with pytest.raises(DomainError, match=message):
             evolve_state_derivative(rho0, spectrum, bath, t)
 
@@ -435,14 +499,35 @@ class TestEvolveStateDerivative:
         "beta,gamma,message",
         [
             (1e-10, 1e300, "^rates must be finite and nonnegative$"),
-            (1e-300, 1.0, r"^detailed-balance ordering violated at \(1,2\)$"),
-            (800.0, 1.0, "^off-diagonal entries must be strictly positive$"),
+            pytest.param(1e-300, 1.0, _exactly(
+                "detailed-balance ordering violated: the decay rate gamma (n+1) rounds to the "
+                f"excitation rate gamma n of pair (1,2) at beta*omega = 1e-300; {_RANGE}"
+            ), id="beta_omega=1e-300"),
+            pytest.param(800.0, 1.0, _exactly(
+                "off-diagonal entries must be strictly positive: the excitation rate gamma n "
+                f"is 0 for pair (1,2) at beta*omega = 800; {_RANGE}"
+            ), id="beta_omega=800"),
+            # 1/(e^{beta omega} - 1) is a positive double up to beta*omega = 745 or so,
+            # but thermal_ratio returns 0 past 709, where expm1 overflows
+            pytest.param(720.0, 1.0, _exactly(
+                "off-diagonal entries must be strictly positive: the excitation rate gamma n "
+                f"is 0 for pair (1,2) at beta*omega = 720; {_RANGE}"
+            ), id="beta_omega=720"),
+            pytest.param(745.0, 1.0, _exactly(
+                "off-diagonal entries must be strictly positive: the excitation rate gamma n "
+                f"is 0 for pair (1,2) at beta*omega = 745; {_RANGE}"
+            ), id="beta_omega=745"),
+            # n = 9.9e-305 is a double, gamma n = 9.9e-325 is not
+            pytest.param(700.0, 1e-20, _exactly(
+                "off-diagonal entries must be strictly positive: the excitation rate gamma n "
+                f"underflows to 0 at gamma = 1e-20 for pair (1,2) at beta*omega = 700; {_RANGE}"
+            ), id="gamma_n_underflow"),
             # rates near 1e303 are finite, but the product g_12 g_21 in dA/d beta is not
             (1e-3, 1e300, r"^gamma = 1e\+300 is too large"),
         ],
     )
     def test_rejects_models_past_double_precision(self, beta, gamma, message):
-        rho0 = DensityMatrix.from_populations([0.5, 0.5])
+        rho0 = np.diag([0.5, 0.5])
         with pytest.raises(DomainError, match=message):
             evolve_state_derivative(rho0, Spectrum.qubit(1.0), Bath(beta=beta, gamma=gamma), 1.0)
 
@@ -486,7 +571,7 @@ class TestGadChannel:
             ch = gad_params(n12, 0.05)
             fixed = gad_fixed_point(ch)
             mapped = gad_apply(ch, fixed)
-            np.testing.assert_allclose(mapped.elements, fixed, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(mapped, fixed, rtol=0, atol=1e-14)
 
     def test_preserves_trace_and_positivity(self):
         rng = np.random.default_rng(47)
@@ -494,9 +579,9 @@ class TestGadChannel:
         for _ in range(10):
             a0 = float(rng.uniform(0.0, 1.0))
             r = float(rng.uniform(0.0, 1.0))
-            rho = DensityMatrix.from_qubit_init(QubitInit(a=a0, r=r))
-            out = gad_apply(ch, rho)  # DensityMatrix validation checks both
-            assert abs(np.trace(out.elements) - 1.0) <= 1e-12
+            out = gad_apply(ch, QubitInit(a=a0, r=r).rho0)
+            assert abs(np.trace(out) - 1.0) <= 1e-12
+            assert np.min(np.linalg.eigvalsh(out)) >= -1e-12
 
     def test_requires_inverted_ground_weight(self):
         # p1 = n/(2n - 1) lies in (0, 1] only for n >= 1

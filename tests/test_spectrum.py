@@ -1,6 +1,7 @@
 """Spectrum, bath, thermal state, and generator structure."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -20,6 +21,16 @@ from thermoqfi import (
     transition_matrix,
 )
 from thermoqfi.spectrum import NULL_EIGENVALUE_RTOL
+
+_RANGE = "the supported range is 2e-15 <= beta*omega <= 709"
+
+
+def _ordering_violated(pair: str, beta_omega: str) -> str:
+    """The whole message of a detailed-balance ordering violation, as a match= pattern."""
+    return "^" + re.escape(
+        "detailed-balance ordering violated: the decay rate gamma (n+1) rounds to the "
+        f"excitation rate gamma n of pair {pair} at beta*omega = {beta_omega}; {_RANGE}"
+    ) + "$"
 
 
 class TestSpectrum:
@@ -149,11 +160,12 @@ class TestRates:
             (Spectrum.qubit(1.0), Bath(beta=1e-10, gamma=1e300),
              "rates must be finite and nonnegative"),
             # n = 1e300, so n + 1 rounds to n
-            (Spectrum.qubit(1.0), Bath(beta=1e-300, gamma=1.0),
-             r"detailed-balance ordering violated at \(1,2\)"),
+            pytest.param(Spectrum.qubit(1.0), Bath(beta=1e-300, gamma=1.0),
+                         _ordering_violated("(1,2)", "1e-300"), id="beta_omega=1e-300"),
             # the gap (2,3) is one ulp of 1: n = 1.8e16 there, and n + 1 rounds to n
-            (Spectrum(energies=(0.0, 1.0, math.nextafter(1.0, 2.0))), Bath(beta=0.25, gamma=1.0),
-             r"detailed-balance ordering violated at \(2,3\)"),
+            pytest.param(Spectrum(energies=(0.0, 1.0, math.nextafter(1.0, 2.0))),
+                         Bath(beta=0.25, gamma=1.0), _ordering_violated("(2,3)", "5.55112e-17"),
+                         id="one_ulp_gap"),
         ],
     )
     def test_rejects_rates_past_double_precision(self, spectrum, bath, message):
@@ -180,7 +192,22 @@ class TestTransitionMatrix:
         # at beta*omega = 800 the occupation n, and with it the excitation rate, is 0
         spectrum, bath = Spectrum.qubit(1.0), Bath(beta=800.0, gamma=1.0)
         assert rate_matrix(spectrum, bath)[1, 0] == 0.0
-        with pytest.raises(DomainError, match="off-diagonal entries must be strictly positive"):
+        message = (
+            "off-diagonal entries must be strictly positive: the excitation rate gamma n "
+            f"is 0 for pair (1,2) at beta*omega = 800; {_RANGE}"
+        )
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            transition_matrix(spectrum, bath)
+
+    def test_names_gamma_where_the_excitation_rate_underflows(self):
+        # pair (1,3) has n = 1/(e^{650} - 1) = 5e-283, and gamma n underflows to 0
+        spectrum, bath = Spectrum(energies=(0.0, 0.5, 650.0)), Bath(beta=1.0, gamma=1e-50)
+        assert rate_matrix(spectrum, bath)[2, 0] == 0.0
+        message = (
+            "off-diagonal entries must be strictly positive: the excitation rate gamma n "
+            f"underflows to 0 at gamma = 1e-50 for pair (1,3) at beta*omega = 650; {_RANGE}"
+        )
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             transition_matrix(spectrum, bath)
 
     def test_matrix_is_readonly(self):
@@ -216,7 +243,7 @@ class TestStationaryDistribution:
             stationary_distribution(np.array([[-1.0, 0.5], [0.3, -2.0]]))
 
     def test_single_level_generator_raises(self):
-        with pytest.raises(DomainError, match="pi must be a vector of length >= 2"):
+        with pytest.raises(DomainError, match="^the generator must be a square array of size >= 2$"):
             stationary_distribution(np.array([[0.0]]))
 
     def test_distribution_is_readonly(self):
@@ -225,6 +252,31 @@ class TestStationaryDistribution:
         )
         with pytest.raises(ValueError):
             pi[0] = 0.0
+
+
+class TestGeneratorCheck:
+    # the two public functions that take a caller's generator check it where it enters
+    @pytest.mark.parametrize("function", [stationary_distribution, spectral_report])
+    @pytest.mark.parametrize(
+        "a,message",
+        [
+            (np.zeros((2, 3)), "the generator must be a square array of size >= 2"),
+            (np.zeros(4), "the generator must be a square array of size >= 2"),
+            (np.array([[0.0]]), "the generator must be a square array of size >= 2"),
+            (np.array([[-1.0, math.nan], [1.0, -1.0]]), "the generator must be finite"),
+            (np.array([[-1.0, 1.0], [math.inf, -1.0]]), "the generator must be finite"),
+            (np.array([[-1.0, 1.0], [1.0, -1.0]], dtype=complex), "the generator must be real"),
+            ([["-1", "1"], ["1", "-1"]], "the generator must be real"),
+        ],
+    )
+    def test_rejects_a_malformed_generator(self, function, a, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            function(a)
+
+    def test_accepts_an_array_like(self):
+        a = [[-0.5, 1.5], [0.5, -1.5]]
+        np.testing.assert_allclose(stationary_distribution(a), [0.75, 0.25], rtol=0, atol=1e-15)
+        assert spectral_report(a).null_count == 1
 
 
 class TestSpectralReport:
