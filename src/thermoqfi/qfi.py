@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import sys
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -170,7 +171,8 @@ def _qubit_point(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float):
     return m, _Terms(*map(float, terms)), complex(rho12)
 
 
-class QfiResult(NamedTuple):
+@dataclass(frozen=True)
+class QfiResult:
     """QFI split into the populations' part F_d and the coherence gain F - F_d; a plain record."""
 
     total: float
@@ -362,14 +364,14 @@ def trace_blocks(init: QubitInit, spectrum: Spectrum, bath: Bath, times, rows: i
 def qfi_decomposition(rho, drho) -> QfiResult:
     """Decompose the QFI of (rho, drho) into diagonal information plus gain.
 
-    rho may be any array-like state; it is checked once (_state). Solves the
-    full Lyapunov problem for L, the diagonal problem for L_d, forms
+    rho may be any array-like state; sld_general checks it once (_state). Solves
+    the full Lyapunov problem for L, the diagonal problem for L_d, forms
     Ltilde = L - L_d, and checks F = F_d + Tr[rho Ltilde^2] to 1e-9 relative
     (the one check of the QfiResult record). The gain is nonnegative:
     {rho, Ltilde} is hollow, so the cross terms of the expansion vanish.
     """
-    state = _state(rho)
-    sld = sld_general(state, drho)
+    sld = sld_general(rho, drho)
+    state = np.asarray(rho, dtype=complex)  # the array _state checked, with the same bits
     d = np.asarray(drho, dtype=complex)
     p = np.diag(state).real
     dp = np.diag(d).real

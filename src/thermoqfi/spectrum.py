@@ -145,11 +145,14 @@ def thermal_distribution(spectrum: Spectrum, beta: float) -> np.ndarray:
 
 
 def _at_edge(spectrum: Spectrum, beta: float, i: int, j: int) -> str:
-    """Pair (i, j) (1-based), its beta*omega and the range its rates support, for an error."""
-    return (
-        f"pair ({i},{j}) at beta*omega = {beta * spectrum.gap(i, j):g}; the supported "
-        f"range is {MIN_BETA_OMEGA:g} <= beta*omega <= {MAX_EXP_BETA_OMEGA:g}"
-    )
+    """Pair (i, j) (1-based) and its beta*omega, for an error."""
+    return f"pair ({i},{j}) at beta*omega = {beta * spectrum.gap(i, j):g}"
+
+
+# The beta*omega range of ordered, nonzero N-level rates. Below about 2.2e-16,
+# n = 1/expm1(beta*omega) exceeds 2^52 and gamma (n+1) can round to gamma n
+# for some gamma; above MAX_EXP_BETA_OMEGA, thermal_ratio returns n = 0.
+_RATE_RANGE = f"the N-level rates support about 2.2e-16 <= beta*omega <= {MAX_EXP_BETA_OMEGA:g}"
 
 
 def rate_matrix(spectrum: Spectrum, bath: Bath) -> np.ndarray:
@@ -169,7 +172,7 @@ def rate_matrix(spectrum: Spectrum, bath: Bath) -> np.ndarray:
         i, j = rows[0] + 1, cols[0] + 1
         raise DomainError(
             "detailed-balance ordering violated: the decay rate gamma (n+1) rounds to the "
-            f"excitation rate gamma n of {_at_edge(spectrum, bath.beta, i, j)}"
+            f"excitation rate gamma n of {_at_edge(spectrum, bath.beta, i, j)}; {_RATE_RANGE}"
         )
     return _readonly(g)
 
@@ -184,9 +187,10 @@ def transition_matrix(spectrum: Spectrum, bath: Bath) -> np.ndarray:
         i, j = rows[0] + 1, cols[0] + 1
         n = thermal_ratio(bath.beta, spectrum.gap(i, j))
         cause = f"underflows to 0 at gamma = {bath.gamma:g} for" if n > 0 else "is 0 for"
+        need = f"gamma n must be at least {math.ulp(0.0):g}" if n > 0 else _RATE_RANGE
         raise DomainError(
             "off-diagonal entries must be strictly positive: the excitation rate gamma n "
-            f"{cause} {_at_edge(spectrum, bath.beta, i, j)}"
+            f"{cause} {_at_edge(spectrum, bath.beta, i, j)}; {need}"
         )
     a = np.array(g)
     np.fill_diagonal(a, [-math.fsum(g[:, j]) for j in range(len(g))])

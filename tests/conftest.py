@@ -10,11 +10,20 @@ of some thousands of ulps.
 """
 
 import math
+import re
 
 import mpmath
 import numpy as np
 
 from thermoqfi import Bath, QubitInit, Scenario, Spectrum, beta_derivative_qubit
+
+# The beta*omega range of the N-level rates, as the edge errors state it
+RATE_RANGE = "the N-level rates support about 2.2e-16 <= beta*omega <= 709"
+
+
+def exactly(message: str) -> str:
+    """A match= pattern for the whole message and nothing else."""
+    return f"^{re.escape(message)}$"
 
 
 def random_scenario(rng) -> Scenario:

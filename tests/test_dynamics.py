@@ -2,7 +2,6 @@
 
 import cmath
 import math
-import re
 
 import mpmath
 import numpy as np
@@ -10,7 +9,9 @@ import pytest
 from scipy.linalg import expm
 
 from conftest import (
+    RATE_RANGE,
     closed_form_state,
+    exactly,
     random_mixed_state,
     random_nlevel_model,
     random_scenario,
@@ -93,13 +94,6 @@ def _propagated(spectrum: Spectrum, bath: Bath, p0, t: float) -> np.ndarray:
     return np.diag(rho).real
 
 
-def _exactly(message: str) -> str:
-    """A match= pattern for the whole message and nothing else."""
-    return f"^{re.escape(message)}$"
-
-
-_RANGE = "the supported range is 2e-15 <= beta*omega <= 709"
-
 # The public functions that take a caller's state, each applied to one
 _ENTRY_POINTS = {
     "evolve_state_derivative": lambda rho: evolve_state_derivative(
@@ -157,7 +151,7 @@ class TestStateCheck:
         ],
     )
     def test_rejects_invalid_states(self, entry, elements, message):
-        with pytest.raises(DomainError, match=_exactly(message)):
+        with pytest.raises(DomainError, match=exactly(message)):
             _ENTRY_POINTS[entry](np.array(elements))
 
     @pytest.mark.parametrize("entry", _ENTRY_POINTS)
@@ -499,28 +493,29 @@ class TestEvolveStateDerivative:
         "beta,gamma,message",
         [
             (1e-10, 1e300, "^rates must be finite and nonnegative$"),
-            pytest.param(1e-300, 1.0, _exactly(
+            pytest.param(1e-300, 1.0, exactly(
                 "detailed-balance ordering violated: the decay rate gamma (n+1) rounds to the "
-                f"excitation rate gamma n of pair (1,2) at beta*omega = 1e-300; {_RANGE}"
+                f"excitation rate gamma n of pair (1,2) at beta*omega = 1e-300; {RATE_RANGE}"
             ), id="beta_omega=1e-300"),
-            pytest.param(800.0, 1.0, _exactly(
+            pytest.param(800.0, 1.0, exactly(
                 "off-diagonal entries must be strictly positive: the excitation rate gamma n "
-                f"is 0 for pair (1,2) at beta*omega = 800; {_RANGE}"
+                f"is 0 for pair (1,2) at beta*omega = 800; {RATE_RANGE}"
             ), id="beta_omega=800"),
             # 1/(e^{beta omega} - 1) is a positive double up to beta*omega = 745 or so,
             # but thermal_ratio returns 0 past 709, where expm1 overflows
-            pytest.param(720.0, 1.0, _exactly(
+            pytest.param(720.0, 1.0, exactly(
                 "off-diagonal entries must be strictly positive: the excitation rate gamma n "
-                f"is 0 for pair (1,2) at beta*omega = 720; {_RANGE}"
+                f"is 0 for pair (1,2) at beta*omega = 720; {RATE_RANGE}"
             ), id="beta_omega=720"),
-            pytest.param(745.0, 1.0, _exactly(
+            pytest.param(745.0, 1.0, exactly(
                 "off-diagonal entries must be strictly positive: the excitation rate gamma n "
-                f"is 0 for pair (1,2) at beta*omega = 745; {_RANGE}"
+                f"is 0 for pair (1,2) at beta*omega = 745; {RATE_RANGE}"
             ), id="beta_omega=745"),
             # n = 9.9e-305 is a double, gamma n = 9.9e-325 is not
-            pytest.param(700.0, 1e-20, _exactly(
+            pytest.param(700.0, 1e-20, exactly(
                 "off-diagonal entries must be strictly positive: the excitation rate gamma n "
-                f"underflows to 0 at gamma = 1e-20 for pair (1,2) at beta*omega = 700; {_RANGE}"
+                "underflows to 0 at gamma = 1e-20 for pair (1,2) at beta*omega = 700; "
+                "gamma n must be at least 4.94066e-324"
             ), id="gamma_n_underflow"),
             # rates near 1e303 are finite, but the product g_12 g_21 in dA/d beta is not
             (1e-3, 1e300, r"^gamma = 1e\+300 is too large"),

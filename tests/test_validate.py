@@ -1,8 +1,11 @@
 """Invariant-check framework: full run, selection, injection, determinism."""
 
+import dataclasses
+
 import pytest
 
 from thermoqfi import CheckResult, DomainError, check_names, run_checks
+from thermoqfi import validate
 from thermoqfi.validate import INJECTABLE_CHECKS
 
 
@@ -42,6 +45,19 @@ class TestRunChecks:
         r2 = run_checks(names=("derivative-oracle",), seed=2)
         assert r1[0].passed and r2[0].passed
         assert r1[0].detail != r2[0].detail
+
+    def test_decomposition_row_checks_the_population_part(self, monkeypatch):
+        # F_d off by 1e-6 relative, F and the gain untouched: only the F_d comparison sees it
+        decompose = validate.qfi_decomposition
+
+        def skewed(rho, drho):
+            result = decompose(rho, drho)
+            return dataclasses.replace(result, diagonal_part=result.diagonal_part * (1.0 + 1e-6))
+
+        monkeypatch.setattr(validate, "qfi_decomposition", skewed)
+        (result,) = run_checks(names=("decomposition-identity",))
+        assert not result.passed
+        assert result.detail.endswith("rel (tol 1e-9), worst F_d mismatch 1.000e-06 rel (tol 1e-9)")
 
     def test_unknown_name_rejected(self):
         with pytest.raises(DomainError, match="unknown checks"):
