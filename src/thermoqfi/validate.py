@@ -218,7 +218,7 @@ def _check_decomposition(rng, inject: bool):
         f"min gain {worst_gain:.3e} (>= -1e-12), "
         f"worst closed-form mismatch {worst_mismatch:.3e} rel (tol 1e-9)"
     )
-    if worst_pop > 1e-9:  # named only when it fails, so a passing row reads as before
+    if worst_pop > 1e-9:  # the F_d gap is named only where it fails the row
         detail += f", worst F_d mismatch {worst_pop:.3e} rel (tol 1e-9)"
     return passed, detail
 
