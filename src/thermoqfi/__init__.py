@@ -28,8 +28,8 @@ _EXPORTS = {
         "NoStationaryStateError",
     ),
     "metrology": (
-        "CramerRaoReport", "OptimalTime", "RegionLabel", "Scenario",
-        "StateRanking", "classify_region", "cramer_rao_report", "maximize_qfi_over_time",
+        "CramerRaoReport", "OptimalTime", "RegionLabel", "StateRanking",
+        "classify_region", "cramer_rao_report", "maximize_qfi_over_time",
         "optimize_initial_state",
     ),
     "qfi": (

@@ -536,7 +536,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
         t_max = _default_t_max(spectrum, bath)
         times = np.linspace(0.0, t_max, points)
         # one batched scan; each state gets the bits of maximize_qfi_over_time
-        peaks = _peak_times(spectrum, bath, inits)
+        peaks = _peak_times(inits, spectrum, bath)
         traces = [
             {
                 "theta": theta,
@@ -590,30 +590,22 @@ def cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def cmd_estimate(args: argparse.Namespace) -> int:
-    from .metrology import Scenario, cramer_rao_report
+    from .metrology import cramer_rao_report
 
     spectrum = _resolve_spectrum(args)
     bath = _resolve_bath(args, spectrum)
     init = _resolve_init(args)
     m_experiments, replicas, seed = args.m_experiments, args.replicas, args.seed
     report = cramer_rao_report(
-        Scenario(spectrum=spectrum, bath=bath, init=init),
+        init,
+        spectrum,
+        bath,
         t=None if args.t is None else _finite(args.t, "--t"),
         m_experiments=m_experiments,
         n_replicas=replicas,
         seed=seed,
     )
-    results = {
-        "measurement_time": report.measurement_time,
-        "f_classical": report.f_classical,
-        "f_quantum": report.f_quantum,
-        "bound": report.bound,
-        "variance": report.variance,
-        "ratio": report.ratio,
-        "clamped_count": report.clamped_count,
-        "no_information": report.no_information,
-        "bound_only": report.bound_only,
-    }
+    results = {name: getattr(report, name) for name in ESTIMATE_COLUMNS}
     if args.format == "csv":
         columns = [[results[name]] for name in ESTIMATE_COLUMNS]
         _emit_csv(ESTIMATE_COLUMNS, _blocks(columns), args.out)

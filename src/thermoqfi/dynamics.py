@@ -82,8 +82,8 @@ class QubitInit:
 def _state(rho) -> np.ndarray:
     """A caller's array-like state as a read-only complex array, checked once where it enters."""
     m = np.asarray(rho, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError("state must be a square matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise DomainError("state must be a nonempty square matrix")
     if not np.all(np.isfinite(m)):
         raise DomainError("state must be finite")
     if np.max(np.abs(m - m.conj().T)) > 1e-12:
@@ -160,8 +160,7 @@ def _qubit_model(omega: float, beta) -> _QubitModel:
     temperature, so below TANH_BETA_OMEGA it is taken from the tanh form.
     """
     x = beta * omega
-    batch = isinstance(x, np.ndarray)
-    x_lo, x_hi = (x.min(), x.max()) if batch else (x, x)
+    x_lo, x_hi = np.min(x), np.max(x)
     if x_lo < MIN_BETA_OMEGA:
         raise DomainError(
             f"beta*omega = {x_lo:g} is too small: both thermal populations round to 1/2 "
@@ -172,15 +171,10 @@ def _qubit_model(omega: float, beta) -> _QubitModel:
         raise _gibbs_underflow(x_hi)
     w = np.exp(-x)
     pi2 = w / (1.0 + w)
-    gap = 2.0 * pi2 - 1.0
-    hot = x < TANH_BETA_OMEGA
-    if batch:
-        gap = np.where(hot, -np.tanh(x / 2.0), gap)
-    elif hot:
-        gap = -np.tanh(x / 2.0)
+    gap = np.where(x < TANH_BETA_OMEGA, -np.tanh(x / 2.0), 2.0 * pi2 - 1.0)
     lam_hat = 1.0 / gap
     dpi2 = -(1.0 - pi2) * pi2 * omega
-    if batch:
+    if isinstance(x, np.ndarray):
         return _QubitModel(omega, pi2, lam_hat, dpi2)
     return _QubitModel(omega, float(pi2), float(lam_hat), float(dpi2))
 

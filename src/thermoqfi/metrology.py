@@ -21,8 +21,6 @@ from .dynamics import (
     _default_t_max,
     _qubit_model,
     _qubit_model_of,
-    _QubitModel,
-    qubit_relaxation_rate,
 )
 from .errors import DomainError, EstimatorUndefinedError
 from .qfi import _qfi_kernel, _qfi_slope, _thermal_scale, qfi_values, thermal_qfi
@@ -36,55 +34,15 @@ ASYMPTOTIC_MARGIN = 1e-6
 # 1/2), so the thermal boundary keeps its width at low temperature.
 BOUNDARY_RTOL = 1e-12
 
+# Points of the time grid that a peak-time scan evaluates before it refines
+# an interior maximum by bisection.
+_SCAN_POINTS = 2048
+
 # States per block when a scan evaluates its time grid: the block's
-# temporaries (about ten arrays of _SCAN_BLOCK x n_grid doubles) stay near the
-# size of one trace, so peak memory does not grow with the number of states.
+# temporaries (about ten arrays of _SCAN_BLOCK x _SCAN_POINTS doubles) stay
+# near the size of one trace, so peak memory does not grow with the number of
+# states.
 _SCAN_BLOCK = 8
-
-
-@dataclass(frozen=True)
-class Scenario:
-    """A two-level thermometer: spectrum, bath parameters, initial state."""
-
-    spectrum: Spectrum
-    bath: Bath
-    init: QubitInit
-
-    def __post_init__(self) -> None:
-        if self.spectrum.n_levels != 2:
-            raise DomainError("scenario requires a two-level spectrum")
-
-    @classmethod
-    def qubit(
-        cls,
-        omega12: float,
-        beta: float,
-        gamma: float,
-        a: float,
-        r: float = 0.0,
-        phi: float = 0.0,
-    ) -> "Scenario":
-        return cls(
-            spectrum=Spectrum.qubit(omega12),
-            bath=Bath(beta=beta, gamma=gamma),
-            init=QubitInit(a=a, r=r, phi=phi),
-        )
-
-    @property
-    def _model(self) -> _QubitModel:
-        return _qubit_model_of(self.spectrum, self.bath)
-
-    @property
-    def relaxation_rate(self) -> float:
-        return qubit_relaxation_rate(self.spectrum, self.bath)
-
-    @property
-    def asymptote(self) -> float:
-        return thermal_qfi(self.spectrum, self.bath.beta)
-
-    @property
-    def default_t_max(self) -> float:
-        return _default_t_max(self.spectrum, self.bath)
 
 
 @dataclass(frozen=True)
@@ -155,16 +113,14 @@ class OptimalTime:
 
 
 def _peak_times(
-    spectrum: Spectrum,
-    bath: Bath,
-    inits: list[QubitInit],
-    t_max: float | None = None,
-    n_grid: int = 2048,
+    inits: list[QubitInit], spectrum: Spectrum, bath: Bath, t_max: float | None = None
 ) -> list[OptimalTime]:
     """Optimal measurement time of every initial state in one batched scan.
 
-    The model, the window and the asymptote F_th are built once. The time grid
-    is evaluated in blocks of _SCAN_BLOCK states through the shared QFI kernel,
+    The states come first, then the spectrum and bath they share, in the
+    (init, spectrum, bath) order of every qubit entry. The model, the window
+    and the asymptote F_th are built once. The _SCAN_POINTS time grid is
+    evaluated in blocks of _SCAN_BLOCK states through the shared QFI kernel,
     in units of F_th (f_star is F_th f), so the margin is ASYMPTOTIC_MARGIN.
     The closed-form df/ds changes sign between the grid neighbours of each
     interior grid maximum; all peaks are bisected together on that sign down
@@ -181,8 +137,7 @@ def _peak_times(
         raise DomainError(
             "t_max must cover at least the default window max(20, 14 + beta*omega)/|lambda|"
         )
-    n_grid = max(512, int(n_grid))
-    times = np.linspace(0.0, t_max, n_grid)
+    times = np.linspace(0.0, t_max, _SCAN_POINTS)
     model, gamma = _qubit_model_of(spectrum, bath), bath.gamma
     asymptote = thermal_qfi(spectrum, bath.beta)
     a = np.array([init.a for init in inits], dtype=float)
@@ -213,7 +168,7 @@ def _peak_times(
 
 
 def maximize_qfi_over_time(
-    scenario: Scenario, t_max: float | None = None, n_grid: int = 2048
+    init: QubitInit, spectrum: Spectrum, bath: Bath, t_max: float | None = None
 ) -> OptimalTime:
     """Grid scan of the QFI over time, an interior peak refined as a root of dF/dt.
 
@@ -226,7 +181,7 @@ def maximize_qfi_over_time(
     itself could only resolve about sqrt(eps). This is the one-state call of
     the batched scan behind optimize_initial_state, so both agree bit for bit.
     """
-    return _peak_times(scenario.spectrum, scenario.bath, [scenario.init], t_max, n_grid)[0]
+    return _peak_times([init], spectrum, bath, t_max)[0]
 
 
 @dataclass(frozen=True)
@@ -263,7 +218,7 @@ def optimize_initial_state(
     a_grid = np.linspace(0.0, 1.0, a_steps).tolist()
     r_grid = np.linspace(0.0, 1.0, r_steps).tolist() if r_steps > 1 else [0.0]
     states = [(a, r) for r in r_grid for a in a_grid]
-    peaks = _peak_times(spectrum, bath, [QubitInit(a=a, r=r) for a, r in states], t_max)
+    peaks = _peak_times([QubitInit(a=a, r=r) for a, r in states], spectrum, bath, t_max)
     rows = [
         StateRanking(
             a=a,
@@ -359,7 +314,9 @@ class CramerRaoReport:
 
 
 def cramer_rao_report(
-    scenario: Scenario,
+    init: QubitInit,
+    spectrum: Spectrum,
+    bath: Bath,
     t: float | None = None,
     m_experiments: int = 10000,
     n_replicas: int = 1000,
@@ -383,11 +340,11 @@ def cramer_rao_report(
     """
     _check_run(m_experiments, n_replicas, seed)
     if t is None:
-        t = maximize_qfi_over_time(scenario).t_star
+        t = maximize_qfi_over_time(init, spectrum, bath).t_star
     if t < 0:
         raise DomainError("t must be nonnegative")
-    f_quantum = float(qfi_values(scenario.init, scenario.spectrum, scenario.bath, t))
-    if scenario.init.r != 0.0:
+    f_quantum = float(qfi_values(init, spectrum, bath, t))
+    if init.r != 0.0:
         informative = f_quantum > 0.0
         return CramerRaoReport(
             measurement_time=float(t),
@@ -415,12 +372,12 @@ def cramer_rao_report(
             no_information=True,
             bound_only=False,
         )
-    beta_true = scenario.bath.beta
+    beta_true = bath.beta
     if bracket is None:
         bracket = (beta_true / 4.0, beta_true * 4.0)
-    invert = _mle_inverse(scenario.spectrum, scenario.bath.gamma, scenario.init, t, bracket)
-    s = scenario.bath.gamma * t
-    p2_true = min(1.0, max(0.0, float(scenario._model.p2(scenario.init.a, s))))
+    invert = _mle_inverse(spectrum, bath.gamma, init, t, bracket)
+    s = bath.gamma * t
+    p2_true = min(1.0, max(0.0, float(_qubit_model_of(spectrum, bath).p2(init.a, s))))
     counts = _replica_counts(int(seed), n_replicas, m_experiments, p2_true)
     distinct, replica_of = np.unique(counts, return_inverse=True)
     by_count, clamped_by_count = invert([k / m_experiments for k in distinct.tolist()])

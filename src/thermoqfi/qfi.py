@@ -258,11 +258,11 @@ def diagonal_qfi(p, dp) -> float:
 
 def _validate_drho(drho: np.ndarray) -> np.ndarray:
     d = np.asarray(drho, dtype=complex)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise DomainError("drho must be a square matrix")
+    if d.ndim != 2 or d.shape[0] != d.shape[1] or d.size == 0:
+        raise DomainError("drho must be a nonempty square matrix")
     if not np.all(np.isfinite(d)):
         raise DomainError("drho must be finite")
-    scale = max(1.0, float(np.max(np.abs(d)))) if d.size else 1.0
+    scale = max(1.0, float(np.max(np.abs(d))))
     if np.max(np.abs(d - d.conj().T)) > 1e-12 * scale:
         raise DomainError("drho must be Hermitian")
     if abs(np.trace(d)) > 1e-8 * scale:

@@ -15,21 +15,25 @@ import numpy as np
 
 from .dynamics import (
     QubitInit,
+    _default_t_max,
     _qubit_model,
+    _qubit_model_of,
     evolve_state_derivative,
     gad_apply,
     gad_fixed_point,
     gad_master_comparison,
     gad_params,
+    qubit_relaxation_rate,
 )
 from .errors import DomainError, ModelIntegrityError
-from .metrology import Scenario, _bisect, maximize_qfi_over_time
+from .metrology import _bisect, maximize_qfi_over_time
 from .qfi import (
     _qfi_slope,
     beta_derivative_qubit,
     qfi_decomposition,
     qfi_values,
     thermal_population_derivative,
+    thermal_qfi,
 )
 from .spectrum import (
     Bath,
@@ -60,17 +64,20 @@ def _random_model(rng, n_max: int = 8):
     return spectrum, bath
 
 
-def _random_scenario(rng) -> Scenario:
+def _random_qubit(rng) -> tuple[QubitInit, Spectrum, Bath]:
+    """A random qubit thermometer (init, spectrum, bath) with beta*omega in [0.2, 3].
+
+    The draws keep the order omega, beta, gamma, a, r, phi, which the seeded rows depend on.
+    """
     omega = float(rng.uniform(0.3, 3.0))
     beta = float(rng.uniform(0.2, 3.0)) / omega
-    return Scenario.qubit(
-        omega12=omega,
-        beta=beta,
-        gamma=float(rng.uniform(0.2, 3.0)),
+    bath = Bath(beta=beta, gamma=float(rng.uniform(0.2, 3.0)))
+    init = QubitInit(
         a=float(rng.uniform(0.0, 1.0)),
         r=float(rng.uniform(0.0, 1.0)),
         phi=float(rng.uniform(0.0, 2.0 * math.pi)),
     )
+    return init, Spectrum.qubit(omega), bath
 
 
 def _check_column_sums(rng, inject: bool):
@@ -171,10 +178,10 @@ def _check_stationary_gibbs(rng, inject: bool):
 def _check_derivative_oracle(rng, inject: bool):
     worst = 0.0
     for _ in range(25):
-        s = _random_scenario(rng)
-        t = float(rng.uniform(0.0, 10.0 / abs(s.relaxation_rate)))
-        _, closed = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
-        _, drho = evolve_state_derivative(s.init.rho0, s.spectrum, s.bath, t)
+        init, spectrum, bath = _random_qubit(rng)
+        t = float(rng.uniform(0.0, 10.0 / abs(qubit_relaxation_rate(spectrum, bath))))
+        _, closed = beta_derivative_qubit(init, spectrum, bath, t)
+        _, drho = evolve_state_derivative(init.rho0, spectrum, bath, t)
         gap = float(np.max(np.abs(closed - drho)))
         worst = max(worst, gap / (1.0 + float(np.max(np.abs(closed)))))
     passed = worst <= 1e-12
@@ -197,12 +204,12 @@ def _check_decomposition(rng, inject: bool):
     worst_gain = math.inf
     worst_mismatch = worst_pop = 0.0
     for _ in range(20):
-        s = _random_scenario(rng)
-        t = float(rng.uniform(0.05, 10.0 / abs(s.relaxation_rate)))
-        result = qfi_decomposition(*evolve_state_derivative(s.init.rho0, s.spectrum, s.bath, t))
-        closed = float(qfi_values(s.init, s.spectrum, s.bath, t))
+        init, spectrum, bath = _random_qubit(rng)
+        t = float(rng.uniform(0.05, 10.0 / abs(qubit_relaxation_rate(spectrum, bath))))
+        result = qfi_decomposition(*evolve_state_derivative(init.rho0, spectrum, bath, t))
+        closed = float(qfi_values(init, spectrum, bath, t))
         # the populations do not depend on r, so F_d is the closed form of the start at r = 0
-        pop = float(qfi_values(QubitInit(a=s.init.a), s.spectrum, s.bath, t))
+        pop = float(qfi_values(QubitInit(a=init.a), spectrum, bath, t))
         worst_gain = min(worst_gain, result.coherence_gain)
         worst_mismatch = max(worst_mismatch, abs(result.total - closed) / max(abs(closed), 1e-12))
         worst_pop = max(worst_pop, abs(result.diagonal_part - pop) / max(abs(pop), 1e-12))
@@ -226,8 +233,7 @@ def _check_decomposition(rng, inject: bool):
 def _check_zero_time_qfi(rng, inject: bool):
     worst = 0.0
     for _ in range(50):
-        s = _random_scenario(rng)
-        worst = max(worst, abs(float(qfi_values(s.init, s.spectrum, s.bath, 0.0))))
+        worst = max(worst, abs(float(qfi_values(*_random_qubit(rng), 0.0))))
     passed = worst <= 1e-14
     return passed, f"worst |F(0)| = {worst:.3e} (tol 1e-14)"
 
@@ -241,65 +247,59 @@ def _check_phase_invariance(rng, inject: bool):
         a = float(rng.uniform(0.05, 0.95))
         r = float(rng.uniform(0.2, 1.0))
         t = float(rng.uniform(0.1, 5.0))
+        spectrum, bath = Spectrum.qubit(omega), Bath(beta=beta, gamma=gamma)
         totals = []
         for phi in (0.0, math.pi / 4.0, math.pi / 2.0, math.pi):
-            s = Scenario.qubit(omega, beta, gamma, a, r=r, phi=phi)
-            totals.append(float(qfi_values(s.init, s.spectrum, s.bath, t)))
+            totals.append(float(qfi_values(QubitInit(a=a, r=r, phi=phi), spectrum, bath, t)))
         spread = max(totals) - min(totals)
         worst = max(worst, spread / max(abs(max(totals)), 1e-12))
     passed = worst <= 1e-12
     return passed, f"worst relative spread over phases {worst:.3e} (tol 1e-12)"
 
 
-def _region_scenario(a: float, r: float = 0.0) -> Scenario:
-    return Scenario.qubit(omega12=1.0, beta=math.log(3.0), gamma=1.0, a=a, r=r)
-
-
-def _default_window_qfi(s: Scenario) -> tuple[np.ndarray, np.ndarray]:
-    """The QFI of s on 2048 points of its default window [0, s.default_t_max]."""
-    times = np.linspace(0.0, s.default_t_max, 2048)
-    return times, qfi_values(s.init, s.spectrum, s.bath, times)
+def _region_model() -> tuple[Spectrum, Bath]:
+    """The region rows' spectrum and bath: omega12 = 1, pi2 = 1/4 (beta = ln 3), gamma = 1."""
+    return Spectrum.qubit(1.0), Bath(beta=math.log(3.0), gamma=1.0)
 
 
 def _check_region_phenotypes(rng, inject: bool):
     notes = []
     ok = True
+    spectrum, bath = _region_model()
+    asymptote = thermal_qfi(spectrum, bath.beta)
+    # 2048 points of the default window, which the three starts share
+    times = np.linspace(0.0, _default_t_max(spectrum, bath), 2048)
 
-    cold = _region_scenario(0.1)
-    best = maximize_qfi_over_time(cold)
-    cold_ok = (not best.asymptotic) and best.f_star > cold.asymptote
+    best = maximize_qfi_over_time(QubitInit(a=0.1), spectrum, bath)
+    cold_ok = (not best.asymptotic) and best.f_star > asymptote
     ok = ok and cold_ok
-    notes.append(f"C: peak/asymptote {best.f_star / cold.asymptote:.4f} at t={best.t_star:.3f}")
+    notes.append(f"C: peak/asymptote {best.f_star / asymptote:.4f} at t={best.t_star:.3f}")
 
-    hot = _region_scenario(0.35)
-    _, v = _default_window_qfi(hot)
+    v = qfi_values(QubitInit(a=0.35), spectrum, bath, times)
     diffs = np.diff(v)
-    sup = float(np.max(v / hot.asymptote))
-    hot_ok = bool(np.all(diffs >= -1e-10 * hot.asymptote) and sup <= 1.0 + 1e-10)
+    sup = float(np.max(v / asymptote))
+    hot_ok = bool(np.all(diffs >= -1e-10 * asymptote) and sup <= 1.0 + 1e-10)
     ok = ok and hot_ok
     notes.append(f"H: min step {float(np.min(diffs)):.2e}, sup {sup:.6f}")
 
-    inv = _region_scenario(0.8)
-    times, v = _default_window_qfi(inv)
+    inv = QubitInit(a=0.8)
+    v = qfi_values(inv, spectrum, bath, times)
     local_max = None
     for i in range(1, v.size - 1):
         if v[i] >= v[i - 1] and v[i] >= v[i + 1]:
             local_max = i
             break
-    inv_ok = local_max is not None and v[local_max] < inv.asymptote
+    inv_ok = local_max is not None and v[local_max] < asymptote
     if inv_ok:
         j = local_max + int(np.argmin(v[local_max:]))
-        model, a, r = inv._model, inv.init.a, inv.init.r
-        gamma, bracket = inv.bath.gamma, (times[j - 1], times[j + 1])
+        model, a, r = _qubit_model_of(spectrum, bath), inv.a, inv.r
+        gamma, bracket = bath.gamma, (times[j - 1], times[j + 1])
         t_dip = float(_bisect(lambda t: _qfi_slope(model, a, r, gamma * t) < 0, *bracket))
-        f_dip = float(qfi_values(inv.init, inv.spectrum, inv.bath, np.array([t_dip]))[0])
-        inv_ok = (
-            f_dip <= 1e-8 * inv.asymptote
-            and abs(v[-1] - inv.asymptote) <= 1e-6 * inv.asymptote
-        )
+        f_dip = float(qfi_values(inv, spectrum, bath, np.array([t_dip]))[0])
+        inv_ok = f_dip <= 1e-8 * asymptote and abs(v[-1] - asymptote) <= 1e-6 * asymptote
         notes.append(
-            f"I: local peak {v[local_max] / inv.asymptote:.4f}, "
-            f"dip {f_dip / inv.asymptote:.2e} at t={t_dip:.4f}, tail {v[-1] / inv.asymptote:.6f}"
+            f"I: local peak {v[local_max] / asymptote:.4f}, "
+            f"dip {f_dip / asymptote:.2e} at t={t_dip:.4f}, tail {v[-1] / asymptote:.6f}"
         )
     else:
         notes.append("I: no interior local maximum found")
@@ -310,13 +310,15 @@ def _check_region_phenotypes(rng, inject: bool):
 def _check_thermal_asymptote(rng, inject: bool):
     # beta*omega = ln 3 and three cold models, where the window outgrows 20/|lambda|
     worst = 0.0
+    spectrum = Spectrum.qubit(1.0)
     for beta in (math.log(3.0), 15.0, 30.0, 400.0):
+        bath = Bath(beta=beta, gamma=1.0)
+        t_end = np.array([_default_t_max(spectrum, bath)])
+        asymptote = thermal_qfi(spectrum, beta)
         for r in (0.0, 1.0):
             for a in (0.0, 0.1, 0.35, 0.8, 1.0):
-                s = Scenario.qubit(omega12=1.0, beta=beta, gamma=1.0, a=a, r=r)
-                t_end = s.default_t_max
-                f_end = float(qfi_values(s.init, s.spectrum, s.bath, np.array([t_end]))[0])
-                worst = max(worst, abs(f_end - s.asymptote) / s.asymptote)
+                f_end = float(qfi_values(QubitInit(a=a, r=r), spectrum, bath, t_end)[0])
+                worst = max(worst, abs(f_end - asymptote) / asymptote)
     passed = worst <= 1e-6
     return passed, f"worst |F(t_max) - F_inf| / F_inf = {worst:.3e} (tol 1e-6)"
 
@@ -365,16 +367,13 @@ def _check_gad_master(rng, inject: bool):
 
 
 def _check_coherence_advantage(rng, inject: bool):
-    t_max = _region_scenario(0.0).default_t_max
-    times = np.linspace(0.0, t_max, 2048)
+    spectrum, bath = _region_model()
+    times = np.linspace(0.0, _default_t_max(spectrum, bath), 2048)
     ok = True
     notes = []
     for a in (0.0, 0.1, 0.35, 0.8):
-        flat = _region_scenario(a, r=0.0)
-        coherent = _region_scenario(a, r=1.0)
-        diff = qfi_values(coherent.init, coherent.spectrum, coherent.bath, times) - qfi_values(
-            flat.init, flat.spectrum, flat.bath, times
-        )
+        coherent = qfi_values(QubitInit(a=a, r=1.0), spectrum, bath, times)
+        diff = coherent - qfi_values(QubitInit(a=a), spectrum, bath, times)
         if a == 0.0:
             ok = ok and float(np.max(np.abs(diff))) <= 1e-12
         else:

@@ -15,7 +15,7 @@ import re
 import mpmath
 import numpy as np
 
-from thermoqfi import Bath, QubitInit, Scenario, Spectrum, beta_derivative_qubit
+from thermoqfi import Bath, QubitInit, Spectrum, beta_derivative_qubit, qubit_relaxation_rate
 
 # The beta*omega range of the N-level rates, as the edge errors state it
 RATE_RANGE = "the N-level rates support about 2.2e-16 <= beta*omega <= 709"
@@ -26,10 +26,15 @@ def exactly(message: str) -> str:
     return f"^{re.escape(message)}$"
 
 
-def random_scenario(rng) -> Scenario:
+def qubit(omega12, beta, gamma, a, r=0.0, phi=0.0) -> tuple[QubitInit, Spectrum, Bath]:
+    """The qubit thermometer (init, spectrum, bath) of these parameters."""
+    return QubitInit(a=a, r=r, phi=phi), Spectrum.qubit(omega12), Bath(beta=beta, gamma=gamma)
+
+
+def random_qubit(rng) -> tuple[QubitInit, Spectrum, Bath]:
     omega = float(rng.uniform(0.3, 3.0))
     beta = float(rng.uniform(0.2, 3.0)) / omega
-    return Scenario.qubit(
+    return qubit(
         omega12=omega,
         beta=beta,
         gamma=float(rng.uniform(0.2, 3.0)),
@@ -39,8 +44,8 @@ def random_scenario(rng) -> Scenario:
     )
 
 
-def random_time(rng, scenario: Scenario, lo: float = 0.0) -> float:
-    return float(rng.uniform(lo, 10.0 / abs(scenario.relaxation_rate)))
+def random_time(rng, spectrum: Spectrum, bath: Bath, lo: float = 0.0) -> float:
+    return float(rng.uniform(lo, 10.0 / abs(qubit_relaxation_rate(spectrum, bath))))
 
 
 def closed_form_state(init: QubitInit, spectrum: Spectrum, bath: Bath, t: float) -> np.ndarray:
@@ -66,9 +71,9 @@ def random_mixed_state(rng, n: int) -> np.ndarray:
     return (mat + mat.conj().T) / 2.0
 
 
-def reference_scenario(a: float = 0.0, r: float = 0.0, phi: float = 0.0) -> Scenario:
-    """omega12 = 1, pi2 = 1/4 (beta = ln 3), gamma = 1: the worked example."""
-    return Scenario.qubit(omega12=1.0, beta=math.log(3.0), gamma=1.0, a=a, r=r, phi=phi)
+def reference_qubit(a: float = 0.0, r: float = 0.0, phi: float = 0.0):
+    """The worked example as (init, spectrum, bath): omega12 = 1, pi2 = 1/4, gamma = 1."""
+    return qubit(omega12=1.0, beta=math.log(3.0), gamma=1.0, a=a, r=r, phi=phi)
 
 
 def coherent_init(a: float, r: float = 1.0, phi: float = 0.0) -> QubitInit:

@@ -14,7 +14,6 @@ import pytest
 from thermoqfi import (
     Bath,
     QubitInit,
-    Scenario,
     Spectrum,
     beta_derivative_qubit,
     beta_from_thermal_ratio,
@@ -29,19 +28,22 @@ from thermoqfi import (
     maximize_qfi_over_time,
     qfi_decomposition,
     qfi_values,
+    qubit_relaxation_rate,
     spectral_report,
     stationary_distribution,
+    thermal_qfi,
     transition_matrix,
 )
 from thermoqfi.metrology import _bisect
+from thermoqfi.dynamics import _qubit_model_of
 from thermoqfi.qfi import _qfi_slope
 
 from conftest import (
     random_mixed_state,
     random_nlevel_model,
-    random_scenario,
+    random_qubit,
     random_time,
-    reference_scenario,
+    reference_qubit,
 )
 
 
@@ -74,15 +76,15 @@ class _Criterion:
 
 def test_criterion_01_thermal_asymptote():
     with _Criterion(1, 1.0, "QFI converges to the thermal variance") as c:
-        s = reference_scenario()
+        _, spectrum, bath = reference_qubit()
         asymptote = 0.1875
-        assert s.asymptote == pytest.approx(asymptote, rel=1e-15)
-        t_end = 20.0 / abs(s.relaxation_rate)
+        assert thermal_qfi(spectrum, bath.beta) == pytest.approx(asymptote, rel=1e-15)
+        t_end = 20.0 / abs(qubit_relaxation_rate(spectrum, bath))
         worst = 0.0
         for a in (0.0, 0.1, 0.25, 0.35, 0.5, 0.8, 1.0):
             for r in (0.0, 1.0):
                 init = QubitInit(a=a, r=r)
-                f_end = float(qfi_values(init, s.spectrum, s.bath, [t_end])[0])
+                f_end = float(qfi_values(init, spectrum, bath, [t_end])[0])
                 worst = max(worst, abs(f_end - asymptote) / asymptote)
         assert worst <= 1e-6
         c.detail = f"worst relative deviation {worst:.3e} <= 1e-6 at t = 20/|lambda|"
@@ -93,12 +95,9 @@ def test_criterion_02_zero_time_null_information():
         rng = np.random.default_rng(20260801)
         worst = 0.0
         for _ in range(100):
-            s = random_scenario(rng)
-            worst = max(worst, abs(float(qfi_values(s.init, s.spectrum, s.bath, 0.0))))
-            worst = max(
-                worst,
-                abs(float(qfi_values(s.init, s.spectrum, s.bath, [0.0])[0])),
-            )
+            s = random_qubit(rng)
+            worst = max(worst, abs(float(qfi_values(*s, 0.0))))
+            worst = max(worst, abs(float(qfi_values(*s, [0.0])[0])))
         assert worst <= 1e-14
         c.detail = f"worst |F(0)| = {worst:.3e} <= 1e-14 over 100 scenarios"
 
@@ -109,9 +108,9 @@ def test_criterion_03_decomposition_theorem():
         min_gain = math.inf
         worst_rel = 0.0
         for _ in range(100):
-            s = random_scenario(rng)
-            t = random_time(rng, s, lo=0.05)
-            res = qfi_decomposition(*beta_derivative_qubit(s.init, s.spectrum, s.bath, t))
+            init, spectrum, bath = random_qubit(rng)
+            t = random_time(rng, spectrum, bath, lo=0.05)
+            res = qfi_decomposition(*beta_derivative_qubit(init, spectrum, bath, t))
             min_gain = min(min_gain, res.coherence_gain)
             worst_rel = max(
                 worst_rel,
@@ -145,10 +144,10 @@ def test_criterion_04_derivative_oracle():
         rng = np.random.default_rng(20260804)
         worst = 0.0
         for _ in range(100):
-            s = random_scenario(rng)
-            t = random_time(rng, s)
-            _, closed = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
-            _, drho = evolve_state_derivative(s.init.rho0, s.spectrum, s.bath, t)
+            init, spectrum, bath = random_qubit(rng)
+            t = random_time(rng, spectrum, bath)
+            _, closed = beta_derivative_qubit(init, spectrum, bath, t)
+            _, drho = evolve_state_derivative(init.rho0, spectrum, bath, t)
             worst = max(
                 worst, float(np.max(np.abs(closed - drho))) / (1.0 + float(np.max(np.abs(closed))))
             )
@@ -189,22 +188,21 @@ def test_criterion_06_region_phenotypes():
         asymptote = 0.1875
         times = np.linspace(0.0, 10.0, 2048)
 
-        cold = reference_scenario(a=0.1)
-        values = qfi_values(cold.init, cold.spectrum, cold.bath, times)
+        cold = reference_qubit(a=0.1)
+        values = qfi_values(*cold, times)
         i = int(np.argmax(values))
         assert 0 < i < times.size - 1
-        best = maximize_qfi_over_time(cold)
+        best = maximize_qfi_over_time(*cold)
         assert not best.asymptotic
         assert best.f_star / asymptote > 1.0
         assert best.f_star / asymptote == pytest.approx(1.1241011132034258, rel=1e-6)
 
-        hot = reference_scenario(a=0.35)
-        values = qfi_values(hot.init, hot.spectrum, hot.bath, times)
+        values = qfi_values(*reference_qubit(a=0.35), times)
         assert np.all(np.diff(values) >= -1e-12 * asymptote)
         assert float(values.max()) / asymptote <= 1.0 + 1e-10
 
-        inverted = reference_scenario(a=0.8)
-        values = qfi_values(inverted.init, inverted.spectrum, inverted.bath, times)
+        inverted = reference_qubit(a=0.8)
+        values = qfi_values(*inverted, times)
         interior = (values[1:-1] > values[:-2]) & (values[1:-1] > values[2:])
         local_maxima = np.nonzero(interior)[0] + 1
         assert local_maxima.size > 0
@@ -213,13 +211,14 @@ def test_criterion_06_region_phenotypes():
         j = peak + int(np.argmin(values[peak:]))
         assert j < times.size - 1
 
-        model, gamma = inverted._model, inverted.bath.gamma
+        _, spectrum, bath = inverted
+        model, gamma = _qubit_model_of(spectrum, bath), bath.gamma
         t_dip = float(
             _bisect(
                 lambda t: _qfi_slope(model, 0.8, 0.0, gamma * t) < 0, times[j - 1], times[j + 1]
             )
         )
-        f_dip = float(qfi_values(inverted.init, inverted.spectrum, inverted.bath, [t_dip])[0])
+        f_dip = float(qfi_values(*inverted, [t_dip])[0])
         assert f_dip <= 1e-8 * asymptote
         tail = float(values[-1])
         assert tail > values[j]
@@ -232,16 +231,16 @@ def test_criterion_06_region_phenotypes():
 
 def test_criterion_07_coherence_advantage():
     with _Criterion(7, 2.0, "coherence never hurts and strictly helps off the poles") as c:
-        s = reference_scenario()
+        _, spectrum, bath = reference_qubit()
         times = np.linspace(0.0, 10.0, 2048)
         for a in (0.1, 0.35, 0.8):
-            f0 = qfi_values(QubitInit(a=a, r=0.0), s.spectrum, s.bath, times)
-            f1 = qfi_values(QubitInit(a=a, r=1.0), s.spectrum, s.bath, times)
+            f0 = qfi_values(QubitInit(a=a, r=0.0), spectrum, bath, times)
+            f1 = qfi_values(QubitInit(a=a, r=1.0), spectrum, bath, times)
             diff = f1 - f0
             assert float(diff.min()) >= -1e-12
             assert float(diff.max()) > 1e-3
-        f0 = qfi_values(QubitInit(a=0.0, r=0.0), s.spectrum, s.bath, times)
-        f1 = qfi_values(QubitInit(a=0.0, r=1.0), s.spectrum, s.bath, times)
+        f0 = qfi_values(QubitInit(a=0.0, r=0.0), spectrum, bath, times)
+        f1 = qfi_values(QubitInit(a=0.0, r=1.0), spectrum, bath, times)
         assert float(np.max(np.abs(f1 - f0))) <= 1e-12
         c.detail = (
             "F_{r=1} >= F_{r=0} - 1e-12 on 2048-point grids for a in {0.1, 0.35, 0.8}, "
@@ -267,10 +266,8 @@ def test_criterion_08_experiment_mapping():
             bath = Bath(beta=beta, gamma=gamma)
             peaks = []
             for theta in thetas:
-                scenario = Scenario(
-                    spectrum=spectrum, bath=bath, init=QubitInit.from_theta(theta, r=1.0)
-                )
-                peaks.append(maximize_qfi_over_time(scenario).f_star)
+                init = QubitInit.from_theta(theta, r=1.0)
+                peaks.append(maximize_qfi_over_time(init, spectrum, bath).f_star)
             assert peaks[0] == max(peaks), f"theta=0 must win for the {label} bath"
         c.detail = (
             f"beta_cold={beta_cold:.5f} (0.03340 +- 1e-4), "
@@ -307,18 +304,16 @@ def test_criterion_09_gad_consistency():
 
 def test_criterion_10_cramer_rao_saturation():
     with _Criterion(10, 30.0, "binomial MLE saturates the Cramer-Rao bound") as c:
-        s = reference_scenario()
-        report = cramer_rao_report(
-            s, m_experiments=10000, n_replicas=1000, seed=0
-        )
+        s = reference_qubit()
+        report = cramer_rao_report(*s, m_experiments=10000, n_replicas=1000, seed=0)
         assert not report.no_information
         assert 0.9 <= report.ratio <= 1.3
         assert report.f_classical == report.f_quantum
         # the population measurement's Fisher information, sum_k dp_k^2/p_k
-        state, drho = beta_derivative_qubit(s.init, s.spectrum, s.bath, report.measurement_time)
+        state, drho = beta_derivative_qubit(*s, report.measurement_time)
         fc = diagonal_qfi(np.diag(state).real, np.diag(drho).real)
         assert fc == pytest.approx(report.f_classical, rel=1e-12)
-        again = cramer_rao_report(s, m_experiments=10000, n_replicas=1000, seed=0)
+        again = cramer_rao_report(*s, m_experiments=10000, n_replicas=1000, seed=0)
         assert again.ratio == report.ratio
         c.detail = (
             f"Var(beta_hat) M F = {report.ratio:.4f} in [0.9, 1.3] "
@@ -331,14 +326,12 @@ def test_criterion_11_phase_invariance():
         rng = np.random.default_rng(20260811)
         worst = 0.0
         for _ in range(25):
-            s = random_scenario(rng)
-            t = random_time(rng, s, lo=0.05)
-            ref = float(qfi_values(
-                QubitInit(a=s.init.a, r=s.init.r, phi=0.0), s.spectrum, s.bath, t
-            ))
+            init, spectrum, bath = random_qubit(rng)
+            t = random_time(rng, spectrum, bath, lo=0.05)
+            ref = float(qfi_values(QubitInit(a=init.a, r=init.r, phi=0.0), spectrum, bath, t))
             for phi in (math.pi / 4.0, math.pi / 2.0, math.pi):
                 val = float(qfi_values(
-                    QubitInit(a=s.init.a, r=s.init.r, phi=phi), s.spectrum, s.bath, t
+                    QubitInit(a=init.a, r=init.r, phi=phi), spectrum, bath, t
                 ))
                 worst = max(worst, abs(val - ref) / (1.0 + abs(ref)))
         assert worst <= 1e-12
@@ -347,13 +340,13 @@ def test_criterion_11_phase_invariance():
 
 def test_criterion_12_partial_vs_total_derivative():
     with _Criterion(12, 1.0, "thermal start isolates the relaxation factor") as c:
-        s = reference_scenario(a=0.25)
+        init, spectrum, bath = reference_qubit(a=0.25)
         dpi2 = -0.1875  # total derivative of the thermal population
         worst = 0.0
         for t in (0.3, 1.0, 2.7):
-            factor = -math.expm1(s.relaxation_rate * t)  # 1 - e^{lam t}
-            closed = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)[1][1, 1].real
-            _, drho = evolve_state_derivative(s.init.rho0, s.spectrum, s.bath, t)
+            factor = -math.expm1(qubit_relaxation_rate(spectrum, bath) * t)  # 1 - e^{lam t}
+            closed = beta_derivative_qubit(init, spectrum, bath, t)[1][1, 1].real
+            _, drho = evolve_state_derivative(init.rho0, spectrum, bath, t)
             for dp2 in (float(closed), float(drho[1, 1].real)):
                 worst = max(worst, abs(dp2 - factor * dpi2))
                 assert dp2 / dpi2 == pytest.approx(factor, abs=1e-9)

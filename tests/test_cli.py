@@ -20,8 +20,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import thermoqfi
-from thermoqfi import QubitInit, Scenario, cli
-from thermoqfi.dynamics import _qubit_model
+from thermoqfi import QubitInit, cli, qubit_relaxation_rate, thermal_qfi
+from thermoqfi.dynamics import _default_t_max, _qubit_model, _qubit_model_of
 from thermoqfi.errors import DomainError
 from thermoqfi.qfi import trace_blocks
 from thermoqfi.cli import (
@@ -40,7 +40,7 @@ from thermoqfi.cli import (
     main,
 )
 
-from conftest import mp_qfi
+from conftest import mp_qfi, qubit
 
 REF = ["--omega12", "1", "--beta", "1.0986122886681098", "--gamma", "1"]
 
@@ -110,14 +110,11 @@ TRACE_STATE = ["--a", "0.3", "--r", "0.5", "--phi", "0.7"]
 
 def reference_trace(points: int, fmt: str) -> str:
     """The trace document of REF + TRACE_STATE, built row by row from the library."""
-    scenario = Scenario.qubit(
+    init, spectrum, bath = qubit(
         omega12=1.0, beta=1.0986122886681098, gamma=1.0, a=0.3, r=0.5, phi=0.7
     )
-    init = QubitInit(a=0.3, r=0.5, phi=0.7)
-    t_max = scenario.default_t_max
-    [cols] = trace_blocks(
-        init, scenario.spectrum, scenario.bath, np.linspace(0.0, t_max, points), points
-    )
+    t_max = _default_t_max(spectrum, bath)
+    [cols] = trace_blocks(init, spectrum, bath, np.linspace(0.0, t_max, points), points)
     if fmt == "csv":
         return reference_csv(TRACE_COLUMNS, zip(*(cols[name] for name in TRACE_COLUMNS)))
     return reference_json(
@@ -135,9 +132,9 @@ def reference_trace(points: int, fmt: str) -> str:
                 "points": points,
             },
             "derived": {
-                "pi2": scenario._model.pi2,
-                "lambda": scenario.relaxation_rate,
-                "asymptote": scenario.asymptote,
+                "pi2": _qubit_model_of(spectrum, bath).pi2,
+                "lambda": qubit_relaxation_rate(spectrum, bath),
+                "asymptote": thermal_qfi(spectrum, bath.beta),
             },
             "columns": list(TRACE_COLUMNS),
             "rows": [[float(cols[name][i]) for name in TRACE_COLUMNS] for i in range(points)],
@@ -349,13 +346,13 @@ class TestStreamedTrace:
         self, tmp_path, capsys, t_max, first_bad, fmt
     ):
         points = 2 * _BLOCK_ROWS + 1
-        scenario = Scenario.qubit(
+        thermometer = qubit(
             omega12=1.0, beta=1.0986122886681098, gamma=1.0, a=0.3, r=0.5, phi=0.7
         )
         grid = np.linspace(0.0, float(t_max), points)
-        trace_blocks(scenario.init, scenario.spectrum, scenario.bath, grid[:first_bad], first_bad)
+        trace_blocks(*thermometer, grid[:first_bad], first_bad)
         with pytest.raises(DomainError):
-            trace_blocks(scenario.init, scenario.spectrum, scenario.bath, grid[first_bad:][:1], 1)
+            trace_blocks(*thermometer, grid[first_bad:][:1], 1)
         argv = ["trace", *REF, *TRACE_STATE, "--points", str(points), "--t-max", t_max,
                 "--format", fmt]
         expected = (
@@ -939,7 +936,7 @@ class TestEstimate:
         argv = ["estimate", *REF, *state]
         args = build_parser().parse_args(argv)
         report = thermoqfi.cramer_rao_report(
-            Scenario.qubit(args.omega12, args.beta, args.gamma, args.a, args.r, args.phi),
+            *qubit(args.omega12, args.beta, args.gamma, args.a, args.r, args.phi),
             m_experiments=args.m_experiments,
             n_replicas=args.replicas,
             seed=args.seed,
@@ -1037,13 +1034,13 @@ class TestExperiment:
         doc = json.loads(out)
         for bath in doc["baths"]:
             for trace in bath["traces"]:
-                scenario = Scenario(
-                    spectrum=thermoqfi.Spectrum.qubit(doc["params"]["omega12"]),
-                    bath=thermoqfi.Bath(beta=bath["beta"], gamma=bath["gamma"]),
-                    init=QubitInit.from_theta(trace["theta"], r=doc["params"]["r"]),
+                init = QubitInit.from_theta(trace["theta"], r=doc["params"]["r"])
+                best = thermoqfi.maximize_qfi_over_time(
+                    init,
+                    thermoqfi.Spectrum.qubit(doc["params"]["omega12"]),
+                    thermoqfi.Bath(beta=bath["beta"], gamma=bath["gamma"]),
                 )
-                best = thermoqfi.maximize_qfi_over_time(scenario)
-                assert scenario.init.a == trace["a"]
+                assert init.a == trace["a"]
                 assert (trace["t_peak"], trace["f_peak"], trace["asymptotic"]) == (
                     best.t_star, best.f_star, best.asymptotic
                 )

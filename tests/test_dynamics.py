@@ -14,14 +14,14 @@ from conftest import (
     exactly,
     random_mixed_state,
     random_nlevel_model,
-    random_scenario,
+    qubit,
+    random_qubit,
     random_time,
 )
 from thermoqfi import (
     Bath,
     DomainError,
     QubitInit,
-    Scenario,
     Spectrum,
     beta_derivative_qubit,
     beta_from_thermal_ratio,
@@ -43,7 +43,13 @@ from thermoqfi import (
     thermal_ratio,
     transition_matrix,
 )
-from thermoqfi.dynamics import _default_t_max, _eigendecompose, _state
+from thermoqfi.dynamics import (
+    TANH_BETA_OMEGA,
+    _default_t_max,
+    _eigendecompose,
+    _qubit_model,
+    _state,
+)
 
 
 def _reference_parts():
@@ -147,7 +153,8 @@ class TestStateCheck:
             ([[0.6, 0.0], [0.0, 0.6]], "state must have unit trace within 1e-12"),
             ([[1.2, 0.0], [0.0, -0.2]], "state must be positive semidefinite within 1e-12"),
             ([[0.5, 0.6], [0.6, 0.5]], "state must be positive semidefinite within 1e-12"),
-            ([0.5, 0.5], "state must be a square matrix"),
+            ([0.5, 0.5], "state must be a nonempty square matrix"),
+            (np.zeros((0, 0)), "state must be a nonempty square matrix"),
         ],
     )
     def test_rejects_invalid_states(self, entry, elements, message):
@@ -194,7 +201,7 @@ class TestStateCheck:
         for t in (1e-12, 1e-6, 1.0):
             for _ in range(10):
                 omega = float(rng.uniform(0.3, 3.0))
-                s = Scenario.qubit(
+                pure = qubit(
                     omega12=omega,
                     beta=float(rng.uniform(0.2, 3.0)) / omega,
                     gamma=float(rng.uniform(0.2, 3.0)),
@@ -202,7 +209,7 @@ class TestStateCheck:
                     r=1.0,
                     phi=float(rng.uniform(0.0, 2.0 * math.pi)),
                 )
-                built.append(beta_derivative_qubit(s.init, s.spectrum, s.bath, t)[0])
+                built.append(beta_derivative_qubit(*pure, t)[0])
         for rho in built:
             assert not rho.flags.writeable
             np.testing.assert_array_equal(_state(rho), rho)
@@ -324,6 +331,46 @@ class TestQubitState:
                     exact = -mpmath.mpf(gamma) / mpmath.tanh(mpmath.mpf(beta) * omega / 2)
                     assert abs((lam - exact) / exact) <= 3e-16, x
 
+    def test_scalar_and_array_beta_take_one_path(self):
+        # pi2, lam_hat and dpi2 are formed on one path for scalar and array
+        # beta. A scalar call must give the floats of the two-branch scalar
+        # form below, and an array call the same bits elementwise, over the
+        # whole range, at its ends and on both sides of the tanh switch.
+        def two_branch(omega, beta):
+            x = beta * omega
+            w = np.exp(-x)
+            pi2 = w / (1.0 + w)
+            gap = -np.tanh(x / 2.0) if x < TANH_BETA_OMEGA else 2.0 * pi2 - 1.0
+            return float(pi2), float(1.0 / gap), float(-(1.0 - pi2) * pi2 * omega)
+
+        rng = np.random.default_rng(30)
+        xs = np.exp(rng.uniform(math.log(2.5e-15), math.log(630.0), 20000)).tolist()
+        switch = TANH_BETA_OMEGA
+        xs += [2e-15, math.nextafter(switch, 0.0), switch, math.nextafter(switch, 1.0)]
+        xs += [0.2, 3.0, 745.0]
+        for omega in (1.0, 2.5, 1e-3):
+            betas = [x / omega for x in xs]
+            expected = [tuple(v.hex() for v in two_branch(omega, beta)) for beta in betas]
+            scalar = [_qubit_model(omega, beta)[1:] for beta in betas]
+            assert all(type(v) is float for model in scalar for v in model)
+            assert [tuple(v.hex() for v in model) for model in scalar] == expected
+            batch = np.column_stack(_qubit_model(omega, np.array(betas))[1:])
+            assert [tuple(v.hex() for v in row) for row in batch.tolist()] == expected
+
+    @pytest.mark.parametrize("shape", [float, lambda beta: np.array([1.0, beta])])
+    def test_range_errors_name_the_offending_beta_omega(self, shape):
+        with pytest.raises(DomainError, match=exactly(
+            "beta*omega = 1e-16 is too small: both thermal populations round to 1/2 and the "
+            "relaxation rate gamma/(pi2 - pi1) is undefined; the supported range is "
+            "2e-15 <= beta*omega <= 745"
+        )):
+            _qubit_model(1.0, shape(1e-16))
+        with pytest.raises(DomainError, match=exactly(
+            "Gibbs weights underflow to zero at beta*omega = 800; "
+            "the supported range is beta*omega <= 745"
+        )):
+            _qubit_model(1.0, shape(800.0))
+
     def test_reference_population_trajectory(self):
         spectrum, bath = _reference_parts()
         ground = QubitInit(a=0.0)
@@ -345,10 +392,10 @@ class TestQubitState:
     def test_agrees_with_general_evolution(self):
         rng = np.random.default_rng(41)
         for _ in range(25):
-            s = random_scenario(rng)
-            t = random_time(rng, s)
-            direct = closed_form_state(s.init, s.spectrum, s.bath, t)
-            general, _ = evolve_state_derivative(s.init.rho0, s.spectrum, s.bath, t)
+            init, spectrum, bath = random_qubit(rng)
+            t = random_time(rng, spectrum, bath)
+            direct = closed_form_state(init, spectrum, bath, t)
+            general, _ = evolve_state_derivative(init.rho0, spectrum, bath, t)
             np.testing.assert_allclose(direct, general, rtol=0, atol=1e-12)
 
     def test_three_level_evolution_preserves_state_structure(self):

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from thermoqfi import QubitInit, Scenario
+from thermoqfi import Bath, QubitInit, Spectrum
 from thermoqfi._floatrepr import _tables, fast_cells, render
 from thermoqfi.cli import TRACE_COLUMNS
+from thermoqfi.dynamics import _default_t_max
 from thermoqfi.qfi import trace_blocks
 
 
@@ -100,12 +101,10 @@ def test_digit_table_matches_its_int64_construction():
 def test_fast_path_covers_a_dense_trace():
     # A kernel that sends every cell to repr is still correct, only slow:
     # this bounds the share of cells it may leave to repr on a real trace.
-    scenario = Scenario.qubit(
-        omega12=1.0, beta=1.0986122886681098, gamma=1.0, a=0.3, r=0.5, phi=0.7
-    )
+    spectrum, bath = Spectrum.qubit(1.0), Bath(beta=1.0986122886681098, gamma=1.0)
     init = QubitInit(a=0.3, r=0.5, phi=0.7)
-    times = np.linspace(0.0, scenario.default_t_max, 200_000)
-    [cols] = trace_blocks(init, scenario.spectrum, scenario.bath, times, len(times))
+    times = np.linspace(0.0, _default_t_max(spectrum, bath), 200_000)
+    [cols] = trace_blocks(init, spectrum, bath, times, len(times))
     cells = slow = 0
     for name in TRACE_COLUMNS:
         column = np.asarray(cols[name], dtype=np.float64)

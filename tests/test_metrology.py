@@ -16,19 +16,20 @@ from thermoqfi import (
     EstimatorUndefinedError,
     QubitInit,
     RegionLabel,
-    Scenario,
     Spectrum,
     classify_region,
     cramer_rao_report,
     maximize_qfi_over_time,
     optimize_initial_state,
     qfi_values,
+    qubit_relaxation_rate,
+    thermal_qfi,
 )
 from thermoqfi import metrology
-from thermoqfi.dynamics import _qubit_model
+from thermoqfi.dynamics import _default_t_max, _qubit_model, _qubit_model_of
 from thermoqfi.metrology import _bisect, _mle_inverse, _replica_counts
 
-from conftest import reference_scenario
+from conftest import qubit, reference_qubit
 
 
 def _scalar_mle(target, omega, gamma, a, t, lo, hi):
@@ -55,21 +56,19 @@ def _p2_closed_form(beta, omega, gamma, a, t):
     return pi2 - math.exp(lam * t) * (pi2 - a)
 
 
-class TestScenario:
+class TestQubitThermometer:
     def test_reference_quantities(self):
-        s = reference_scenario()
-        assert s._model.pi2 == pytest.approx(0.25, rel=1e-15)
-        assert s.relaxation_rate == pytest.approx(-2.0, rel=1e-15)
-        assert s.asymptote == pytest.approx(0.1875, rel=1e-15)
-        assert s.default_t_max == pytest.approx(10.0, rel=1e-12)
+        _, spectrum, bath = reference_qubit()
+        assert _qubit_model_of(spectrum, bath).pi2 == pytest.approx(0.25, rel=1e-15)
+        assert qubit_relaxation_rate(spectrum, bath) == pytest.approx(-2.0, rel=1e-15)
+        assert thermal_qfi(spectrum, bath.beta) == pytest.approx(0.1875, rel=1e-15)
+        assert _default_t_max(spectrum, bath) == pytest.approx(10.0, rel=1e-12)
 
-    def test_requires_two_levels(self):
+    @pytest.mark.parametrize("entry", [maximize_qfi_over_time, cramer_rao_report])
+    def test_requires_two_levels(self, entry):
+        three_levels = Spectrum(energies=(0.0, 1.0, 2.0))
         with pytest.raises(DomainError, match="two-level"):
-            Scenario(
-                spectrum=Spectrum(energies=(0.0, 1.0, 2.0)),
-                bath=Bath(beta=1.0, gamma=1.0),
-                init=QubitInit(a=0.0),
-            )
+            entry(QubitInit(a=0.0), three_levels, Bath(beta=1.0, gamma=1.0))
 
 
 class TestRegionClassification:
@@ -179,15 +178,15 @@ class TestBisect:
             _bisect(above, 0.0, 1.0, math.nan)
 
 
-def _mp_peak_time(scenario: Scenario, t0: float) -> float:
+def _mp_peak_time(init: QubitInit, spectrum: Spectrum, bath: Bath, t0: float) -> float:
     """The mpmath root of dF/dt within 1e-3 relative of t0, F in Bloch-vector form.
 
     F = |d_beta r|^2 + (r . d_beta r)^2/(1 - |r|^2) for the Bloch vector
     r = (2|rho12|, 0, 1 - 2 p2) of the relaxing qubit at fixed initial state;
     both derivatives are taken numerically at 40 digits.
     """
-    omega, beta, gamma = scenario.spectrum.gap(1, 2), scenario.bath.beta, scenario.bath.gamma
-    a, r = scenario.init.a, scenario.init.r
+    omega, beta, gamma = spectrum.gap(1, 2), bath.beta, bath.gamma
+    a, r = init.a, init.r
     with mpmath.workdps(40):
         omega, beta, gamma, a, r = map(mpmath.mpf, (omega, beta, gamma, a, r))
 
@@ -221,64 +220,66 @@ INTERIOR_PEAKS = [
 
 class TestMaximizeQfi:
     def test_ground_start_interior_peak(self):
-        best = maximize_qfi_over_time(reference_scenario())
+        best = maximize_qfi_over_time(*reference_qubit())
         assert not best.asymptotic
         assert best.t_star == pytest.approx(0.72422736049842, rel=1e-14)
         assert best.f_star == pytest.approx(0.27769162815121534, rel=1e-10)
 
     def test_cold_region_peak_beats_asymptote(self):
-        s = reference_scenario(a=0.1)
-        best = maximize_qfi_over_time(s)
+        init, spectrum, bath = reference_qubit(a=0.1)
+        best = maximize_qfi_over_time(init, spectrum, bath)
         assert not best.asymptotic
         assert best.t_star == pytest.approx(1.1417526467733779, rel=1e-14)
-        assert best.f_star / s.asymptote == pytest.approx(1.1241011132034258, rel=1e-9)
+        ratio = best.f_star / thermal_qfi(spectrum, bath.beta)
+        assert ratio == pytest.approx(1.1241011132034258, rel=1e-9)
 
     def test_hot_region_is_asymptotic(self):
-        s = reference_scenario(a=0.35)
-        best = maximize_qfi_over_time(s)
+        init, spectrum, bath = reference_qubit(a=0.35)
+        best = maximize_qfi_over_time(init, spectrum, bath)
         assert best.asymptotic
-        assert best.t_star == s.default_t_max
-        assert best.f_star == pytest.approx(s.asymptote, rel=1e-6)
+        assert best.t_star == _default_t_max(spectrum, bath)
+        assert best.f_star == pytest.approx(thermal_qfi(spectrum, bath.beta), rel=1e-6)
 
     def test_inverted_region_supremum_is_asymptote(self):
-        s = reference_scenario(a=0.8)
-        best = maximize_qfi_over_time(s)
+        init, spectrum, bath = reference_qubit(a=0.8)
+        best = maximize_qfi_over_time(init, spectrum, bath)
         assert best.asymptotic
-        assert best.f_star == pytest.approx(s.asymptote, rel=1e-6)
+        assert best.f_star == pytest.approx(thermal_qfi(spectrum, bath.beta), rel=1e-6)
 
     def test_rejects_short_window(self):
         with pytest.raises(DomainError, match="at least the default window max"):
-            maximize_qfi_over_time(reference_scenario(), t_max=2.0)
+            maximize_qfi_over_time(*reference_qubit(), t_max=2.0)
 
     @pytest.mark.parametrize("t_max", [math.inf, math.nan])
     def test_rejects_non_finite_window(self, t_max):
         with pytest.raises(DomainError, match="finite"):
-            maximize_qfi_over_time(reference_scenario(), t_max=t_max)
+            maximize_qfi_over_time(*reference_qubit(), t_max=t_max)
 
     @pytest.mark.parametrize("omega,beta,gamma,a,r", INTERIOR_PEAKS)
     def test_peak_time_is_the_root_of_the_slope(self, omega, beta, gamma, a, r):
-        s = Scenario.qubit(omega, beta, gamma, a, r=r)
-        best = maximize_qfi_over_time(s)
+        s = qubit(omega, beta, gamma, a, r=r)
+        best = maximize_qfi_over_time(*s)
         assert not best.asymptotic
-        assert best.t_star == pytest.approx(_mp_peak_time(s, best.t_star), rel=1e-14)
-        assert best.f_star == float(qfi_values(s.init, s.spectrum, s.bath, [best.t_star])[0])
+        assert best.t_star == pytest.approx(_mp_peak_time(*s, best.t_star), rel=1e-14)
+        assert best.f_star == float(qfi_values(*s, [best.t_star])[0])
 
     @pytest.mark.parametrize("omega,beta,gamma,a,r", INTERIOR_PEAKS)
-    def test_peak_time_ignores_the_grid(self, omega, beta, gamma, a, r):
-        s = Scenario.qubit(omega, beta, gamma, a, r=r)
-        best = maximize_qfi_over_time(s)
-        for moved in (
-            maximize_qfi_over_time(s, t_max=np.nextafter(s.default_t_max, math.inf)),
-            maximize_qfi_over_time(s, n_grid=4096),
-        ):
-            assert not moved.asymptotic
-            assert moved.t_star == pytest.approx(best.t_star, rel=1e-14)
+    def test_peak_time_ignores_the_grid(self, monkeypatch, omega, beta, gamma, a, r):
+        init, spectrum, bath = qubit(omega, beta, gamma, a, r=r)
+        best = maximize_qfi_over_time(init, spectrum, bath)
+        wider = np.nextafter(_default_t_max(spectrum, bath), math.inf)
+        moved = [maximize_qfi_over_time(init, spectrum, bath, t_max=wider)]
+        monkeypatch.setattr(metrology, "_SCAN_POINTS", 4096)  # a finer grid
+        moved.append(maximize_qfi_over_time(init, spectrum, bath))
+        for peak in moved:
+            assert not peak.asymptotic
+            assert peak.t_star == pytest.approx(best.t_star, rel=1e-14)
 
 
 class TestOptimizeInitialState:
     def test_ranking_order_and_ties(self):
-        s = reference_scenario()
-        rows = optimize_initial_state(s.spectrum, s.bath, a_steps=5, r_steps=2)
+        _, spectrum, bath = reference_qubit()
+        rows = optimize_initial_state(spectrum, bath, a_steps=5, r_steps=2)
         assert len(rows) == 10
         f_stars = [row.f_star for row in rows]
         assert f_stars == sorted(f_stars, reverse=True)
@@ -294,11 +295,11 @@ class TestOptimizeInitialState:
         "gamma", [1e-307, 1e-305, 1e-300, 1e-200, 1e-100, 1e100, 1e200, 1e300, 1e307, 5e307]
     )
     def test_peaks_depend_on_gamma_t_alone(self, gamma):
-        s = reference_scenario()
+        _, spectrum, bath = reference_qubit()
         unit = {(row.a, row.r): row for row in optimize_initial_state(
-            s.spectrum, s.bath, a_steps=11, r_steps=3)}
+            spectrum, bath, a_steps=11, r_steps=3)}
         rows = optimize_initial_state(
-            s.spectrum, Bath(beta=s.bath.beta, gamma=gamma), a_steps=11, r_steps=3
+            spectrum, Bath(beta=bath.beta, gamma=gamma), a_steps=11, r_steps=3
         )
         assert any(not row.asymptotic for row in rows)
         for row in rows:
@@ -310,32 +311,31 @@ class TestOptimizeInitialState:
             assert row.f_star == pytest.approx(ref.f_star, rel=1e-13)
 
     def test_thermal_boundary_row_flagged(self):
-        s = reference_scenario()
-        rows = optimize_initial_state(s.spectrum, s.bath, a_steps=5, r_steps=2)
+        _, spectrum, bath = reference_qubit()
+        rows = optimize_initial_state(spectrum, bath, a_steps=5, r_steps=2)
         boundary = [row for row in rows if row.a == 0.25]
         assert boundary and all(row.region.thermal_boundary for row in boundary)
         assert all(row.region.region == "H" for row in boundary)
 
     def test_deterministic(self):
-        s = reference_scenario()
-        rows1 = optimize_initial_state(s.spectrum, s.bath, a_steps=4, r_steps=1)
-        rows2 = optimize_initial_state(s.spectrum, s.bath, a_steps=4, r_steps=1)
+        _, spectrum, bath = reference_qubit()
+        rows1 = optimize_initial_state(spectrum, bath, a_steps=4, r_steps=1)
+        rows2 = optimize_initial_state(spectrum, bath, a_steps=4, r_steps=1)
         assert rows1 == rows2
 
     @pytest.mark.parametrize("t_max", [None, 17.5])
     def test_rows_equal_per_state_maximization(self, t_max):
         # 13 x 3 = 39 states is not a multiple of the scan block, and the grid
         # holds r = 1 and the boundary rows a = pi2 = 1/4 and a = 1/2.
-        s = reference_scenario()
-        rows = optimize_initial_state(s.spectrum, s.bath, t_max=t_max, a_steps=13, r_steps=3)
+        _, spectrum, bath = reference_qubit()
+        rows = optimize_initial_state(spectrum, bath, t_max=t_max, a_steps=13, r_steps=3)
         assert len(rows) == 39
         assert any(row.region.thermal_boundary for row in rows)
         assert any(row.region.inversion_boundary for row in rows)
         assert {row.r for row in rows} == {0.0, 0.5, 1.0}
         assert any(not row.asymptotic for row in rows) and any(row.asymptotic for row in rows)
         for row in rows:
-            scenario = Scenario(spectrum=s.spectrum, bath=s.bath, init=QubitInit(a=row.a, r=row.r))
-            best = maximize_qfi_over_time(scenario, t_max=t_max)
+            best = maximize_qfi_over_time(QubitInit(a=row.a, r=row.r), spectrum, bath, t_max=t_max)
             assert row.t_star == best.t_star
             assert row.f_star == best.f_star
             assert row.asymptotic == best.asymptotic
@@ -344,41 +344,41 @@ class TestOptimizeInitialState:
     def test_cold_default_window_reaches_the_asymptote(self, beta):
         # Above beta*omega = 6 the default window grows as (14 + beta*omega)/|lambda|:
         # the tail of a = 1/2 and a = 1 must reach F_th, which 20/|lambda| does not.
-        rows = optimize_initial_state(
-            Spectrum.qubit(1.0), Bath(beta=beta, gamma=1.0), a_steps=3, r_steps=1
-        )
-        asymptote = Scenario.qubit(1.0, beta, 1.0, 0.0).asymptote
+        spectrum = Spectrum.qubit(1.0)
+        rows = optimize_initial_state(spectrum, Bath(beta=beta, gamma=1.0), a_steps=3, r_steps=1)
+        asymptote = thermal_qfi(spectrum, beta)
         late = [row for row in rows if row.a in (0.5, 1.0)]
         assert len(late) == 2
         for row in late:
             assert row.f_star / asymptote >= 1.0 - 1e-6
 
     def test_validation(self):
-        s = reference_scenario()
+        _, spectrum, bath = reference_qubit()
         with pytest.raises(DomainError):
-            optimize_initial_state(s.spectrum, s.bath, a_steps=1)
+            optimize_initial_state(spectrum, bath, a_steps=1)
         with pytest.raises(DomainError):
-            optimize_initial_state(s.spectrum, s.bath, r_steps=0)
+            optimize_initial_state(spectrum, bath, r_steps=0)
 
 
 class TestClassicalFisher:
     def test_equals_qfi_for_population_states(self):
         # At r = 0 the kernel's total is the population measurement's Fisher
         # information, so the report carries one value for both.
-        s = reference_scenario()
+        s = reference_qubit()
         for t in (0.3, 0.7242273401034078, 2.0):
-            report = cramer_rao_report(s, t=t, m_experiments=500, n_replicas=10)
+            report = cramer_rao_report(*s, t=t, m_experiments=500, n_replicas=10)
             assert report.f_classical == report.f_quantum
-            assert report.f_quantum == float(qfi_values(s.init, s.spectrum, s.bath, t))
+            assert report.f_quantum == float(qfi_values(*s, t))
 
 
 _LARGE_BETA_MLE = """
-from thermoqfi import Scenario
+from thermoqfi import QubitInit, Spectrum
+from thermoqfi.dynamics import _qubit_model
 from thermoqfi.metrology import _mle_inverse
-s = Scenario.qubit(omega12=1e-6, beta=2e6, gamma=1.0, a=0.0)
 m = 10**6
-counts = round(m * float(s._model.p2(0.0, 1.0)))
-[beta_hat], [clamped] = _mle_inverse(s.spectrum, 1.0, s.init, 1.0, (5e5, 8e6))([counts / m])
+counts = round(m * float(_qubit_model(1e-6, 2e6).p2(0.0, 1.0)))
+invert = _mle_inverse(Spectrum.qubit(1e-6), 1.0, QubitInit(a=0.0), 1.0, (5e5, 8e6))
+[beta_hat], [clamped] = invert([counts / m])
 print(beta_hat, clamped)
 """
 
@@ -409,10 +409,10 @@ class TestMleBeta:
         assert clamped == "False"
 
     def test_inverts_population_map(self):
-        s = reference_scenario()
+        init, spectrum, _ = reference_qubit()
         m = 10**6
         k = 216166
-        beta_hat, clamped = _mle(k, m, s.spectrum, 1.0, s.init, 1.0, self.BRACKET)
+        beta_hat, clamped = _mle(k, m, spectrum, 1.0, init, 1.0, self.BRACKET)
         assert not clamped
         assert _p2_closed_form(beta_hat, 1.0, 1.0, 0.0, 1.0) == pytest.approx(
             k / m, abs=1e-9
@@ -421,31 +421,30 @@ class TestMleBeta:
     def test_recovers_true_beta_from_exact_population(self):
         # Feed the estimator a count whose frequency matches p2(beta_true) to
         # within 1/(2m); the inversion error is then dominated by rounding.
-        s = reference_scenario()
+        init, spectrum, bath = reference_qubit()
         m = 10**7
-        p2 = _p2_closed_form(s.bath.beta, 1.0, 1.0, 0.0, 1.0)
-        beta_hat, _ = _mle(round(p2 * m), m, s.spectrum, 1.0, s.init, 1.0, self.BRACKET)
-        assert beta_hat == pytest.approx(s.bath.beta, abs=1e-6)
+        p2 = _p2_closed_form(bath.beta, 1.0, 1.0, 0.0, 1.0)
+        beta_hat, _ = _mle(round(p2 * m), m, spectrum, 1.0, init, 1.0, self.BRACKET)
+        assert beta_hat == pytest.approx(bath.beta, abs=1e-6)
 
     def test_clamps_at_bracket_edges(self):
-        s = reference_scenario()
-        assert _mle(0, 100, s.spectrum, 1.0, s.init, 1.0, (0.3, 4.0)) == (4.0, True)
-        assert _mle(100, 100, s.spectrum, 1.0, s.init, 1.0, (0.3, 4.0)) == (0.3, True)
+        init, spectrum, _ = reference_qubit()
+        assert _mle(0, 100, spectrum, 1.0, init, 1.0, (0.3, 4.0)) == (4.0, True)
+        assert _mle(100, 100, spectrum, 1.0, init, 1.0, (0.3, 4.0)) == (0.3, True)
 
     def test_undefined_at_zero_time(self):
         # At t = 0 the population is the initial one for every beta: a count
         # carries no information and the estimate is not identifiable.
-        s = reference_scenario()
+        init, spectrum, _ = reference_qubit()
         with pytest.raises(EstimatorUndefinedError, match="not strictly monotone"):
-            _mle_inverse(s.spectrum, 1.0, s.init, 0.0, self.BRACKET)
+            _mle_inverse(spectrum, 1.0, init, 0.0, self.BRACKET)
 
     def test_undefined_when_population_not_monotone(self):
         # Inverted-region initial state at its derivative zero crossing: p2 is
         # not injective in beta there, so identifiability fails.
-        s = reference_scenario()
         with pytest.raises(EstimatorUndefinedError, match="not strictly monotone"):
             _mle_inverse(
-                s.spectrum,
+                Spectrum.qubit(1.0),
                 1.0,
                 QubitInit(a=0.8),
                 0.7066,
@@ -453,11 +452,11 @@ class TestMleBeta:
             )
 
     def test_validation(self):
-        s = reference_scenario()
+        init, spectrum, _ = reference_qubit()
         with pytest.raises(DomainError):
-            _mle_inverse(s.spectrum, 1.0, s.init, 1.0, (1.0, 0.5))
+            _mle_inverse(spectrum, 1.0, init, 1.0, (1.0, 0.5))
         with pytest.raises(DomainError):
-            _mle_inverse(s.spectrum, 1.0, s.init, 1.0, (0.0, 1.0))
+            _mle_inverse(spectrum, 1.0, init, 1.0, (0.0, 1.0))
 
     @pytest.mark.parametrize("k", [18, 20, 24])
     def test_each_target_stops_where_the_scalar_loop_does(self, k):
@@ -482,10 +481,10 @@ class TestCramerRao:
         # r != 0: the population measurement no longer attains F_Q, so the
         # report carries 1/(M F_Q) alone and draws nothing.
         monkeypatch.setattr(metrology, "_replica_counts", _must_not_draw)
-        s = reference_scenario(a=0.1, r=0.6, phi=0.4)
-        report = cramer_rao_report(s, t=t, m_experiments=500, n_replicas=10)
-        t_used = maximize_qfi_over_time(s).t_star if t is None else t
-        f_quantum = float(qfi_values(s.init, s.spectrum, s.bath, t_used))
+        s = reference_qubit(a=0.1, r=0.6, phi=0.4)
+        report = cramer_rao_report(*s, t=t, m_experiments=500, n_replicas=10)
+        t_used = maximize_qfi_over_time(*s).t_star if t is None else t
+        f_quantum = float(qfi_values(*s, t_used))
         assert report.bound_only
         assert report.variance is None and report.f_classical is None
         assert report.ratio is None and report.clamped_count is None
@@ -499,17 +498,17 @@ class TestCramerRao:
 
     def test_coherent_state_checks_the_run_first(self, monkeypatch):
         monkeypatch.setattr(metrology, "maximize_qfi_over_time", _must_not_draw)
-        s = reference_scenario(a=0.1, r=1.0)
+        s = reference_qubit(a=0.1, r=1.0)
         with pytest.raises(DomainError, match="m_experiments must be a positive integer"):
-            cramer_rao_report(s, m_experiments=0)
+            cramer_rao_report(*s, m_experiments=0)
         with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
-            cramer_rao_report(s, seed=-1)
+            cramer_rao_report(*s, seed=-1)
         with pytest.raises(DomainError, match="^t must be nonnegative$"):
-            cramer_rao_report(s, t=-1.0)
+            cramer_rao_report(*s, t=-1.0)
 
     def test_population_state_is_not_bound_only(self):
         report = cramer_rao_report(
-            reference_scenario(), t=1.0, m_experiments=100, n_replicas=10, seed=2
+            *reference_qubit(), t=1.0, m_experiments=100, n_replicas=10, seed=2
         )
         assert not report.bound_only
         assert report.variance is not None
@@ -519,7 +518,7 @@ class TestCramerRao:
         # 2000 replicas put the sample variance's spread sqrt(2/(R-1)) at 0.032,
         # so [0.8, 1.3] holds for any seed, not only for a lucky one.
         report = cramer_rao_report(
-            reference_scenario(), m_experiments=2000, n_replicas=2000, seed=3
+            *reference_qubit(), m_experiments=2000, n_replicas=2000, seed=3
         )
         assert not report.no_information
         assert report.clamped_count == 0
@@ -532,17 +531,17 @@ class TestCramerRao:
 
     def test_deterministic(self):
         r1 = cramer_rao_report(
-            reference_scenario(), m_experiments=500, n_replicas=50, seed=9
+            *reference_qubit(), m_experiments=500, n_replicas=50, seed=9
         )
         r2 = cramer_rao_report(
-            reference_scenario(), m_experiments=500, n_replicas=50, seed=9
+            *reference_qubit(), m_experiments=500, n_replicas=50, seed=9
         )
         assert r1.ratio == r2.ratio
         assert r1.variance == r2.variance
 
     def test_no_information_at_zero_time(self):
         report = cramer_rao_report(
-            reference_scenario(), t=0.0, m_experiments=100, n_replicas=10, seed=1
+            *reference_qubit(), t=0.0, m_experiments=100, n_replicas=10, seed=1
         )
         assert report.no_information
         assert report.variance is None
@@ -551,29 +550,29 @@ class TestCramerRao:
 
     def test_defaults_to_optimal_time(self):
         report = cramer_rao_report(
-            reference_scenario(), m_experiments=200, n_replicas=20, seed=5
+            *reference_qubit(), m_experiments=200, n_replicas=20, seed=5
         )
         assert report.measurement_time == pytest.approx(0.72422736049842, rel=1e-14)
 
     def test_validation(self):
         with pytest.raises(DomainError, match="n_replicas"):
-            cramer_rao_report(reference_scenario(), n_replicas=1)
+            cramer_rao_report(*reference_qubit(), n_replicas=1)
 
     def test_estimates_equal_per_replica_mle(self):
         # A bracket this narrow clamps many replicas at either edge, so the
         # count memo serves clamped and bisected estimates alike.
-        s = reference_scenario()
+        init, spectrum, bath = reference_qubit()
         t, m, n, seed = 1.0, 200, 150, 4
         bracket = (1.05, 1.15)
         report = cramer_rao_report(
-            s, t=t, m_experiments=m, n_replicas=n, seed=seed, bracket=bracket
+            init, spectrum, bath, t=t, m_experiments=m, n_replicas=n, seed=seed, bracket=bracket
         )
-        p2 = min(1.0, max(0.0, float(s._model.p2(s.init.a, s.bath.gamma * t))))
+        p2 = min(1.0, max(0.0, float(_qubit_model_of(spectrum, bath).p2(init.a, bath.gamma * t))))
         expected = [
-            _mle(c, m, s.spectrum, s.bath.gamma, s.init, t, bracket)
+            _mle(c, m, spectrum, bath.gamma, init, t, bracket)
             for c in _reference_counts(seed, n, m, p2)
         ]
-        invert = _mle_inverse(s.spectrum, s.bath.gamma, s.init, t, bracket)
+        invert = _mle_inverse(spectrum, bath.gamma, init, t, bracket)
         estimates, _ = invert(_replica_counts(seed, n, m, p2) / m)
         assert estimates.tolist() == [e[0] for e in expected]
         assert report.variance == float(np.var(estimates, ddof=1))
@@ -591,22 +590,23 @@ class TestCramerRao:
             omega = float(rng.uniform(0.3, 3.0))
             x = 0.01 * float(rng.uniform(0.5, 2.0)) if k % 4 == 0 else float(rng.uniform(0.2, 3.0))
             beta, gamma = x / omega, float(rng.uniform(0.2, 3.0))
-            a = float(rng.uniform(0.1, 0.95)) * Scenario.qubit(omega, 4 * beta, gamma, 0.0)._model.pi2
-            s = Scenario.qubit(omega, beta, gamma, a)
-            t = float(rng.uniform(0.05, 3.0)) / abs(s.relaxation_rate)
+            a = float(rng.uniform(0.1, 0.95)) * _qubit_model(omega, 4 * beta).pi2
+            init, spectrum, bath = qubit(omega, beta, gamma, a)
+            t = float(rng.uniform(0.05, 3.0)) / abs(qubit_relaxation_rate(spectrum, bath))
             lo, hi = (beta / 4.0, 4.0 * beta) if k % 3 else (0.97 * beta, 1.03 * beta)
             m, n, seed = int(rng.integers(100, 10**6)), 300, int(rng.integers(2**32))
             report = cramer_rao_report(
-                s, t=t, m_experiments=m, n_replicas=n, seed=seed, bracket=(lo, hi)
+                init, spectrum, bath, t=t, m_experiments=m, n_replicas=n, seed=seed,
+                bracket=(lo, hi),
             )
-            p2 = min(1.0, max(0.0, float(s._model.p2(s.init.a, s.bath.gamma * t))))
+            p2 = min(1.0, max(0.0, float(_qubit_model(omega, beta).p2(a, gamma * t))))
             by_count = {}
             expected = []
             for c in _reference_counts(seed, n, m, p2):
                 if c not in by_count:
                     by_count[c] = _scalar_mle(c / m, omega, gamma, a, t, lo, hi)
                 expected.append(by_count[c])
-            invert = _mle_inverse(s.spectrum, gamma, s.init, t, (lo, hi))
+            invert = _mle_inverse(spectrum, gamma, init, t, (lo, hi))
             estimates, _ = invert(_replica_counts(seed, n, m, p2) / m)
             assert estimates.tolist() == [e[0] for e in expected]
             assert report.variance == float(np.var(estimates, ddof=1))
@@ -627,9 +627,10 @@ class TestCramerRao:
             beta = float(rng.uniform(0.2, 3.0)) / omega
             gamma = float(rng.uniform(0.2, 3.0))
             # region C over the whole bracket keeps p2 monotone in beta
-            a = float(rng.uniform(0.1, 0.95)) * Scenario.qubit(omega, 2 * beta, gamma, 0.0)._model.pi2
-            s = Scenario.qubit(omega, beta, gamma, a)
-            cases.append((s, float(rng.uniform(0.05, 5.0)) / abs(s.relaxation_rate)))
+            a = float(rng.uniform(0.1, 0.95)) * _qubit_model(omega, 2 * beta).pi2
+            init, spectrum, bath = qubit(omega, beta, gamma, a)
+            t = float(rng.uniform(0.05, 5.0)) / abs(qubit_relaxation_rate(spectrum, bath))
+            cases.append((init, spectrum, bath, t))
 
         drawn = []
         real_counts = metrology._replica_counts
@@ -640,44 +641,47 @@ class TestCramerRao:
 
         monkeypatch.setattr(metrology, "_replica_counts", recording_counts)
         m = 2**80
-        for s, t in cases:
-            beta = s.bath.beta
+        for init, spectrum, bath, t in cases:
+            beta = bath.beta
             drawn.clear()
             cramer_rao_report(
-                s, t=t, m_experiments=10, n_replicas=2, bracket=(beta / 2.0, 2.0 * beta)
+                init, spectrum, bath, t=t, m_experiments=10, n_replicas=2,
+                bracket=(beta / 2.0, 2.0 * beta),
             )
             counts = int(drawn[0] * m)
             assert counts / m == drawn[0]
             for bracket in ((beta / 2.0, beta), (beta, 2.0 * beta)):
-                assert _mle(counts, m, s.spectrum, s.bath.gamma, s.init, t, bracket) == (beta, True)
+                assert _mle(counts, m, spectrum, bath.gamma, init, t, bracket) == (beta, True)
 
     def test_bracket_beyond_exp_range_is_a_domain_error(self, monkeypatch):
         # cramer_rao_report checks the bracket before it draws any replica
         monkeypatch.setattr(metrology, "_replica_counts", _must_not_draw)
-        s = Scenario.qubit(omega12=1.0, beta=200.0, gamma=1.0, a=0.0)
+        init, spectrum, bath = qubit(omega12=1.0, beta=200.0, gamma=1.0, a=0.0)
         with pytest.raises(DomainError, match="709"):
-            cramer_rao_report(s, t=1.0, m_experiments=100, n_replicas=10)
+            cramer_rao_report(init, spectrum, bath, t=1.0, m_experiments=100, n_replicas=10)
         with pytest.raises(DomainError, match="709"):
-            _mle_inverse(s.spectrum, 1.0, s.init, 1.0, (100.0, 710.0))
+            _mle_inverse(spectrum, 1.0, init, 1.0, (100.0, 710.0))
 
     @pytest.mark.parametrize("bracket", [(2.0, 0.5), (1.0, 1.0), (0.0, 2.0), (-1.0, 2.0)])
     def test_reversed_or_nonpositive_bracket_is_rejected_before_drawing(
         self, monkeypatch, bracket
     ):
         monkeypatch.setattr(metrology, "_replica_counts", _must_not_draw)
-        s = reference_scenario()
+        init, spectrum, bath = reference_qubit()
         with pytest.raises(DomainError, match="0 < lo < hi"):
-            cramer_rao_report(s, t=1.0, m_experiments=100, n_replicas=10, bracket=bracket)
+            cramer_rao_report(
+                init, spectrum, bath, t=1.0, m_experiments=100, n_replicas=10, bracket=bracket
+            )
         with pytest.raises(DomainError, match="0 < lo < hi"):
-            _mle_inverse(s.spectrum, s.bath.gamma, s.init, 1.0, bracket)
+            _mle_inverse(spectrum, bath.gamma, init, 1.0, bracket)
 
     @pytest.mark.parametrize("m", [100, 10000])
     def test_a_longer_run_extends_a_shorter_one(self, monkeypatch, m):
         # One stream from default_rng(seed): the first k counts of an
         # n-replica run are the k-replica run's counts, under both of numpy's
         # binomial algorithms (inversion for m p <= 30, BTPE above).
-        s = reference_scenario()
-        p2 = float(s._model.p2(s.init.a, s.bath.gamma * 1.0))
+        init, spectrum, bath = reference_qubit()
+        p2 = float(_qubit_model_of(spectrum, bath).p2(init.a, bath.gamma * 1.0))
         assert (m * p2 <= 30.0) == (m == 100)
         drawn = []
         real_counts = metrology._replica_counts
@@ -688,7 +692,7 @@ class TestCramerRao:
 
         monkeypatch.setattr(metrology, "_replica_counts", recording_counts)
         for n in (5000, 1234):
-            cramer_rao_report(s, t=1.0, m_experiments=m, n_replicas=n, seed=11)
+            cramer_rao_report(init, spectrum, bath, t=1.0, m_experiments=m, n_replicas=n, seed=11)
         long_run, short_run = drawn
         assert long_run[:1234].tolist() == short_run.tolist()
 
@@ -696,7 +700,7 @@ class TestCramerRao:
     def test_seed_must_be_a_nonnegative_integer(self, monkeypatch, seed):
         monkeypatch.setattr(metrology, "_replica_counts", _must_not_draw)
         with pytest.raises(DomainError, match="seed must be a nonnegative integer"):
-            cramer_rao_report(reference_scenario(), t=1.0, n_replicas=10, seed=seed)
+            cramer_rao_report(*reference_qubit(), t=1.0, n_replicas=10, seed=seed)
 
     def test_replicas_past_one_entropy_word_reach_the_draw(self, monkeypatch):
         # n_replicas has no fixed cap: 2**32 + 1 passes the run checks and is
@@ -709,7 +713,7 @@ class TestCramerRao:
 
         monkeypatch.setattr(metrology, "_replica_counts", refuse_to_draw)
         with pytest.raises(MemoryError):
-            cramer_rao_report(reference_scenario(), t=1.0, n_replicas=2**32 + 1)
+            cramer_rao_report(*reference_qubit(), t=1.0, n_replicas=2**32 + 1)
         assert requested == [2**32 + 1]
 
 

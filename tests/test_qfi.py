@@ -18,6 +18,7 @@ from thermoqfi import (
     evolve_state_derivative,
     qfi_decomposition,
     qfi_values,
+    qubit_relaxation_rate,
     sld_general,
     thermal_population_derivative,
     thermal_qfi,
@@ -25,7 +26,7 @@ from thermoqfi import (
 from thermoqfi.dynamics import _qubit_model
 from thermoqfi.qfi import EPS_GUARD, _qfi_slope, _qfi_terms, _qubit_point, trace_blocks
 
-from conftest import mp_qfi, random_mixed_state, random_scenario, random_time
+from conftest import mp_qfi, random_mixed_state, random_qubit, random_time
 
 SPECTRUM = Spectrum.qubit(1.0)
 BATH = Bath(beta=math.log(3.0), gamma=1.0)
@@ -82,12 +83,12 @@ class TestGeneralDerivative:
         rng = np.random.default_rng(11)
         worst = 0.0
         for _ in range(40):
-            s = random_scenario(rng)
-            t = random_time(rng, s)
-            m, terms, _ = _qubit_point(s.init, s.spectrum, s.bath, t)
-            _, closed = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
-            rho, drho = evolve_state_derivative(s.init.rho0, s.spectrum, s.bath, t)
-            dpi2 = thermal_population_derivative(s.spectrum, s.bath.beta)[1]
+            init, spectrum, bath = random_qubit(rng)
+            t = random_time(rng, spectrum, bath)
+            m, terms, _ = _qubit_point(init, spectrum, bath, t)
+            _, closed = beta_derivative_qubit(init, spectrum, bath, t)
+            rho, drho = evolve_state_derivative(init.rho0, spectrum, bath, t)
+            dpi2 = thermal_population_derivative(spectrum, bath.beta)[1]
             gaps = (
                 np.abs(closed - drho),
                 abs(terms.alpha_hat * m.dpi2 * rho[0, 1] - drho[0, 1]),
@@ -243,6 +244,8 @@ class TestSldGeneral:
             sld_general(rho, np.diag([0.5, 0.5]).astype(complex))
         with pytest.raises(DomainError, match="dimension"):
             sld_general(rho, np.zeros((3, 3), dtype=complex))
+        with pytest.raises(DomainError, match="^drho must be a nonempty square matrix$"):
+            sld_general(rho, np.zeros((0, 0)))
 
 
 class TestQubitSld:
@@ -260,10 +263,10 @@ class TestQubitSld:
         # which does not use the qubit closed forms.
         rng = np.random.default_rng(5)
         for _ in range(30):
-            s = random_scenario(rng)
-            t = random_time(rng, s, lo=0.05)
-            closed = sld_general(*beta_derivative_qubit(s.init, s.spectrum, s.bath, t))
-            general = sld_general(*evolve_state_derivative(s.init.rho0, s.spectrum, s.bath, t))
+            init, spectrum, bath = random_qubit(rng)
+            t = random_time(rng, spectrum, bath, lo=0.05)
+            closed = sld_general(*beta_derivative_qubit(init, spectrum, bath, t))
+            general = sld_general(*evolve_state_derivative(init.rho0, spectrum, bath, t))
             assert float(np.max(np.abs(closed - general))) <= 1e-10
 
     def test_matches_paper_closed_form(self):
@@ -274,10 +277,10 @@ class TestQubitSld:
         #   l12 = (2 alpha (1 - rho22) rho22 - (1 - 2 rho22) g)/D * rho12
         rng = np.random.default_rng(41)
         for _ in range(200):
-            s = random_scenario(rng)
-            t = random_time(rng, s, lo=0.05)
-            state, drho = beta_derivative_qubit(s.init, s.spectrum, s.bath, t)
-            m, terms, _ = _qubit_point(s.init, s.spectrum, s.bath, t)
+            init, spectrum, bath = random_qubit(rng)
+            t = random_time(rng, spectrum, bath, lo=0.05)
+            state, drho = beta_derivative_qubit(init, spectrum, bath, t)
+            m, terms, _ = _qubit_point(init, spectrum, bath, t)
             alpha = terms.alpha_hat * m.dpi2
             p2, rho12 = float(state[1, 1].real), complex(state[0, 1])
             g, m = float(drho[1, 1].real), abs(rho12) ** 2
@@ -386,10 +389,10 @@ class TestHighPrecisionOracle:
     def test_well_conditioned_box(self):
         rng = np.random.default_rng(53)
         for _ in range(10):
-            s = random_scenario(rng)
-            t = random_time(rng, s, lo=0.05)
-            value = float(qfi_values(s.init, s.spectrum, s.bath, t))
-            exact = mp_qfi(s.spectrum.gap(1, 2), s.bath.beta, s.bath.gamma, s.init.a, s.init.r, t)
+            init, spectrum, bath = random_qubit(rng)
+            t = random_time(rng, spectrum, bath, lo=0.05)
+            value = float(qfi_values(init, spectrum, bath, t))
+            exact = mp_qfi(spectrum.gap(1, 2), bath.beta, bath.gamma, init.a, init.r, t)
             assert abs(value - exact) <= 1e-13 * exact
 
 
@@ -432,12 +435,12 @@ class TestQfiValues:
     def test_matches_scalar_evaluation(self):
         rng = np.random.default_rng(17)
         for _ in range(5):
-            s = random_scenario(rng)
-            times = np.linspace(0.0, 8.0 / abs(s.relaxation_rate), 50)
-            grid = qfi_values(s.init, s.spectrum, s.bath, times)
+            init, spectrum, bath = random_qubit(rng)
+            times = np.linspace(0.0, 8.0 / abs(qubit_relaxation_rate(spectrum, bath)), 50)
+            grid = qfi_values(init, spectrum, bath, times)
             for t, v in zip(times, grid):
                 assert v == pytest.approx(
-                    float(qfi_values(s.init, s.spectrum, s.bath, float(t))), abs=1e-12
+                    float(qfi_values(init, spectrum, bath, float(t))), abs=1e-12
                 )
 
     def test_zero_at_pure_start(self):
@@ -464,11 +467,12 @@ class TestScaledTime:
         # underflows or overflows on the way.
         rng = np.random.default_rng(47)
         for _ in range(20):
-            s = random_scenario(rng)
-            unit = Bath(beta=s.bath.beta, gamma=1.0)
-            scaled = np.linspace(0.0, 10.0 / abs(s.relaxation_rate / s.bath.gamma), 33)
-            expected = qfi_values(s.init, s.spectrum, unit, scaled)
-            actual = qfi_values(s.init, s.spectrum, Bath(beta=s.bath.beta, gamma=gamma),
+            init, spectrum, bath = random_qubit(rng)
+            unit = Bath(beta=bath.beta, gamma=1.0)
+            lam_hat = qubit_relaxation_rate(spectrum, bath) / bath.gamma
+            scaled = np.linspace(0.0, 10.0 / abs(lam_hat), 33)
+            expected = qfi_values(init, spectrum, unit, scaled)
+            actual = qfi_values(init, spectrum, Bath(beta=bath.beta, gamma=gamma),
                                 scaled / gamma)
             np.testing.assert_allclose(actual, expected, rtol=1e-13, atol=0)
 
@@ -506,10 +510,10 @@ class TestTraceBlocks:
     @pytest.mark.parametrize("rows", [1, 7, 64, 100, 101])
     def test_blocks_carry_the_whole_grid_bits(self, rows):
         rng = np.random.default_rng(23)
-        s = random_scenario(rng)
-        times = np.linspace(0.0, 8.0 / abs(s.relaxation_rate), 101)
-        [whole] = trace_blocks(s.init, s.spectrum, s.bath, times, len(times))
-        blocks = list(trace_blocks(s.init, s.spectrum, s.bath, times, rows))
+        init, spectrum, bath = random_qubit(rng)
+        times = np.linspace(0.0, 8.0 / abs(qubit_relaxation_rate(spectrum, bath)), 101)
+        [whole] = trace_blocks(init, spectrum, bath, times, len(times))
+        blocks = list(trace_blocks(init, spectrum, bath, times, rows))
         assert [len(b["t"]) for b in blocks] == [len(c) for c in np.array_split(
             times, range(rows, len(times), rows))]
         for name, column in whole.items():
@@ -533,12 +537,12 @@ class TestDecomposition:
     def test_matches_closed_form_qubit(self):
         rng = np.random.default_rng(7)
         for _ in range(30):
-            s = random_scenario(rng)
-            t = random_time(rng, s, lo=0.05)
-            total = float(qfi_values(s.init, s.spectrum, s.bath, t))
-            m, terms, _ = _qubit_point(s.init, s.spectrum, s.bath, t)
+            init, spectrum, bath = random_qubit(rng)
+            t = random_time(rng, spectrum, bath, lo=0.05)
+            total = float(qfi_values(init, spectrum, bath, t))
+            m, terms, _ = _qubit_point(init, spectrum, bath, t)
             gain = total - (m.dpi2 * terms.delta) ** 2 / ((1.0 - terms.p2) * terms.p2)
-            res = qfi_decomposition(*beta_derivative_qubit(s.init, s.spectrum, s.bath, t))
+            res = qfi_decomposition(*beta_derivative_qubit(init, spectrum, bath, t))
             scale = max(total, 1e-12)
             assert abs(res.total - total) <= 1e-12 * scale
             assert abs(res.coherence_gain - gain) <= 1e-11 * scale
