@@ -14,9 +14,10 @@ are rendered with repr (shortest round-trip) and JSON keys are sorted.
 Start-up: no subcommand builds a matrix larger than 8x8 (validate's N-level
 checks), so a BLAS thread pool only adds start-up time. Unless numpy is
 already loaded or one of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS or
-OMP_NUM_THREADS is set, importing this module sets OPENBLAS_NUM_THREADS=1
-before numpy starts its pool; setting any of the three overrides that. Each
-subcommand imports only the layers it runs.
+OMP_NUM_THREADS is set to a non-empty value, importing this module sets
+OPENBLAS_NUM_THREADS=1 before numpy starts its pool; setting any of the three
+to a non-empty value overrides that. Each subcommand imports only the layers
+it runs, and only the table writer loads the float kernel.
 """
 
 from __future__ import annotations
@@ -31,13 +32,12 @@ from typing import NamedTuple
 
 # Before the first numpy import, which starts OpenBLAS's thread pool (see above).
 if "numpy" not in sys.modules and not any(
-    var in os.environ for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+    os.environ.get(var) for var in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 ):
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
-from . import _floatrepr
 from .dynamics import (
     QubitInit,
     _default_t_max,
@@ -335,15 +335,8 @@ def _is_float(column) -> bool:
     return isinstance(column, np.ndarray) and column.dtype.kind == "f"
 
 
-def _slots(column, nonfinite: str | None) -> np.ndarray:
-    """The cells of one column slice as NUL-padded bytes, one row of slots each.
-
-    A float array is rendered by the shortest round-trip kernel (the bytes of
-    repr, as _cell renders each float); any other column keeps _cell's
-    per-value rules for bool, None, int and str.
-    """
-    if _is_float(column):
-        return _floatrepr.render(column, nonfinite)
+def _slots(column) -> np.ndarray:
+    """A non-float column slice's cells as NUL-padded bytes, by _cell's rules."""
     cells = np.array([_cell(value).encode() for value in column], dtype=bytes)
     return cells.view(np.uint8).reshape(len(cells), -1)
 
@@ -361,18 +354,19 @@ def _table(columns, layout: _RowLayout, skip: int) -> bytearray:
 
     The rows are laid out in one bytearray and filled in place: the layout's
     constant texts, then each column's slots as soon as they are rendered (a
-    float column's WIDTH slots; any other column is rendered first, since it
-    is as wide as its widest cell). The first skip bytes, the separator
-    before the first row, are left NUL, and one translate drops every NUL.
+    float array's WIDTH slots, the bytes of repr from the shortest round-trip
+    kernel; any other column is rendered first, by _slots, since it is as wide
+    as its widest cell). The first skip bytes, the separator before the first
+    row, are left NUL, and one translate drops every NUL.
     """
+    from . import _floatrepr
+
     first, sep, suffix = (
         np.frombuffer(text.encode(), dtype=np.uint8)
         for text in (layout.between + layout.prefix, layout.sep, layout.suffix)
     )
     rows = len(columns[0])
-    rendered = [
-        None if _is_float(column) else _slots(column, layout.nonfinite) for column in columns
-    ]
+    rendered = [None if _is_float(column) else _slots(column) for column in columns]
     widths = [_floatrepr.WIDTH if cells is None else cells.shape[1] for cells in rendered]
     texts = [first, *[sep] * (len(columns) - 1)]
     width = sum(text.size for text in texts) + sum(widths) + suffix.size
@@ -383,7 +377,7 @@ def _table(columns, layout: _RowLayout, skip: int) -> bytearray:
         table[:, at : at + text.size] = text
         at += text.size
         if cells is None:
-            cells = _slots(column, layout.nonfinite)
+            cells = _floatrepr.render(column, layout.nonfinite)
         table[:, at : at + cell_width] = cells
         at += cell_width
     table[:, at:] = suffix

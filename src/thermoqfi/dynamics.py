@@ -291,68 +291,35 @@ def evolve_state_derivative(
     return _readonly(rho), drho
 
 
-@dataclass(frozen=True)
-class GadChannel:
-    """Generalized amplitude damping with mixing weight p1 and transfer p2."""
-
-    p1: float
-    p2: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.p1 <= 1.0 and 0.0 <= self.p2 <= 1.0):
-            raise DomainError("channel probabilities must lie in [0, 1]")
-
-
-def gad_params(n12: float, tau_tilde: float) -> GadChannel:
-    """Channel parameters from the occupation number and dimensionless duration.
+def gad_params(n12: float, tau_tilde: float) -> tuple[float, float]:
+    """The channel's (p1, p2) from the occupation number and dimensionless duration.
 
     Implements p1 = n12/(2*n12 - 1) verbatim; that weight leaves [0, 1] for
     n12 < 1, which is outside the parameterization's regime of use. p2 is tied
-    to the duration by p2 = 1 - exp(-(1+n12)*tau_tilde).
+    to the duration by p2 = 1 - exp(-(1+n12)*tau_tilde). On the accepted
+    inputs both lie in [0, 1].
     """
     if not n12 >= 1.0:
         raise DomainError("n12 must be at least 1 for the channel parameterization")
-    if tau_tilde < 0:
+    if not math.isfinite(n12):
+        raise DomainError("n12 must be finite")
+    if not tau_tilde >= 0:
         raise DomainError("tau_tilde must be nonnegative")
     p1 = n12 / (2.0 * n12 - 1.0)
     p2 = -math.expm1(-(1.0 + n12) * tau_tilde)
-    return GadChannel(p1=p1, p2=p2)
+    return p1, p2
 
 
-def gad_kraus_operators(ch: GadChannel) -> list[np.ndarray]:
-    """The four Kraus operators; completeness sum(K^dag K) = 1 is asserted."""
-    s1 = math.sqrt(ch.p1)
-    s1c = math.sqrt(1.0 - ch.p1)
-    s2 = math.sqrt(ch.p2)
-    s2c = math.sqrt(1.0 - ch.p2)
-    kraus = [
-        s1 * np.array([[1.0, 0.0], [0.0, s2c]], dtype=complex),
-        s1 * np.array([[0.0, s2], [0.0, 0.0]], dtype=complex),
-        s1c * np.array([[s2c, 0.0], [0.0, 1.0]], dtype=complex),
-        s1c * np.array([[0.0, 0.0], [s2, 0.0]], dtype=complex),
-    ]
-    completeness = sum(k.conj().T @ k for k in kraus)
-    if np.max(np.abs(completeness - np.eye(2))) > 1e-12:
-        raise ModelIntegrityError("Kraus completeness sum(K^dag K) = 1 violated")
-    return kraus
+def _gad_excited(p1: float, p2: float, q: float) -> float:
+    """The excited population after the channel, from the excited population q before.
 
-
-def gad_apply(ch: GadChannel, rho) -> np.ndarray:
-    """Apply the channel to any array-like qubit state rho, checked once (_state).
-
-    rho' = sum_k K_k rho K_k^dag is returned read-only and not checked again: each
-    term is positive semidefinite and the asserted Kraus completeness keeps the trace.
+    On a qubit, generalized amplitude damping with mixing weight p1 and
+    transfer p2 is the map q' = (1-p2)*q + p2*(1-p1), rho12' = sqrt(1-p2)*rho12
+    (Nielsen & Chuang, section 8.3.5): q relaxes toward the fixed point 1 - p1
+    by the factor 1 - p2. This is the one place the channel acts; no caller
+    needs rho12'.
     """
-    state = _state(rho)
-    if len(state) != 2:
-        raise DomainError("the damping channel acts on qubits")
-    out = sum(k @ state @ k.conj().T for k in gad_kraus_operators(ch))
-    return _readonly((out + out.conj().T) / 2.0)
-
-
-def gad_fixed_point(ch: GadChannel) -> np.ndarray:
-    """The channel's stationary state diag(p1, 1-p1), invariant for any p2."""
-    return np.diag([ch.p1, 1.0 - ch.p1]).astype(complex)
+    return (1.0 - p2) * q + p2 * (1.0 - p1)
 
 
 def beta_from_thermal_ratio(n12: float, omega12: float) -> float:
@@ -381,8 +348,8 @@ def gad_master_comparison(n12: float, tau_tilde: float, omega12: float) -> dict:
     the mapping gamma = tau_tilde*omega12/2. Returns both excited populations
     and their relative difference, starting from the ground state (a0 = 0).
     """
-    ch = gad_params(n12, tau_tilde)
-    p2_gad = float(gad_apply(ch, np.diag([1.0, 0.0]))[1, 1].real)
+    p1, p2 = gad_params(n12, tau_tilde)
+    p2_gad = _gad_excited(p1, p2, 0.0)
 
     beta = beta_from_thermal_ratio(n12, omega12)
     gamma = gamma_from_tau_tilde(tau_tilde, omega12)
@@ -412,13 +379,13 @@ def gad_stationary_diagnostic(n12: float) -> dict:
     ground population (n12+1)/(2*n12+1); both approach 1/2 for large n12. This
     reports both, without deciding which was intended.
     """
-    ch = gad_params(n12, 0.0)
+    p1, _ = gad_params(n12, 0.0)
     ground_thermal = (n12 + 1.0) / (2.0 * n12 + 1.0)
     excited_thermal = n12 / (2.0 * n12 + 1.0)
-    excited_fixed = 1.0 - ch.p1
+    excited_fixed = 1.0 - p1
     return {
         "n12": n12,
-        "ground_fixed_point": ch.p1,
+        "ground_fixed_point": p1,
         "ground_thermal": ground_thermal,
         "excited_fixed_point": excited_fixed,
         "excited_thermal": excited_thermal,

@@ -1117,19 +1117,40 @@ assert "thermoqfi._floatrepr" in sys.modules
 assert "fractions" not in sys.modules and "decimal" not in sys.modules
 """
 
+# Runs in a fresh interpreter: the subcommands that write no table (JSON
+# optimize and estimate, experiment, validate) leave the float kernel
+# unloaded, and trace loads it.
+_FLOAT_KERNEL_PROBE = """
+import sys
+import thermoqfi.cli
+ref = ["--omega12", "1", "--beta", "1.0986122886681098", "--gamma", "1"]
+for argv in (["optimize", *ref], ["experiment"], ["estimate", *ref, "--a", "0"], ["validate"]):
+    assert thermoqfi.cli.main(argv) == 0, argv
+    assert "thermoqfi._floatrepr" not in sys.modules, argv
+assert thermoqfi.cli.main(["trace", *ref, "--a", "0.3", "--points", "4"]) == 0
+assert "thermoqfi._floatrepr" in sys.modules
+"""
+
 _SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_probe(probe: str) -> None:
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env={**os.environ, "PYTHONPATH": str(_SRC)},
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestImportFootprint:
     def test_scipy_is_never_loaded(self):
-        proc = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE],
-            capture_output=True,
-            text=True,
-            timeout=120,
-            env={**os.environ, "PYTHONPATH": str(_SRC)},
-        )
-        assert proc.returncode == 0, proc.stderr
+        _run_probe(_IMPORT_PROBE)
+
+    def test_float_kernel_loads_only_where_a_table_is_written(self):
+        _run_probe(_FLOAT_KERNEL_PROBE)
 
     def test_lazy_namespace(self):
         assert len(thermoqfi.__all__) == len(set(thermoqfi.__all__))
@@ -1186,6 +1207,13 @@ class TestBlasThreadPin:
         probe = _env_probe("import thermoqfi.cli", {var: "2"})
         assert probe["changed"] == {}
         assert probe["numpy"]
+
+    @pytest.mark.parametrize("var", _THREAD_VARS)
+    def test_empty_setting_still_pins_one_thread(self, var):
+        # OpenBLAS reads an empty variable as unset
+        probe = _env_probe("import thermoqfi.cli", {var: ""})
+        assert probe["changed"] == {"OPENBLAS_NUM_THREADS": "1"}
+        assert probe["threads"] in (None, 1)
 
     def test_library_leaves_environment_alone(self):
         probe = _env_probe("import thermoqfi; thermoqfi.qfi_values", {})

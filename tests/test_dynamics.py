@@ -26,9 +26,6 @@ from thermoqfi import (
     beta_derivative_qubit,
     beta_from_thermal_ratio,
     evolve_state_derivative,
-    gad_apply,
-    gad_fixed_point,
-    gad_kraus_operators,
     gad_master_comparison,
     gad_params,
     gad_stationary_diagnostic,
@@ -47,6 +44,7 @@ from thermoqfi.dynamics import (
     TANH_BETA_OMEGA,
     _default_t_max,
     _eigendecompose,
+    _gad_excited,
     _qubit_model,
     _state,
 )
@@ -105,7 +103,6 @@ _ENTRY_POINTS = {
     "evolve_state_derivative": lambda rho: evolve_state_derivative(
         rho, Spectrum.qubit(1.0), Bath(beta=math.log(3.0), gamma=1.0), 1.0
     ),
-    "gad_apply": lambda rho: gad_apply(gad_params(5.5, 0.05), rho),
     "sld_general": lambda rho: sld_general(rho, np.diag([0.1, -0.1])),
     "qfi_decomposition": lambda rho: qfi_decomposition(rho, np.diag([0.1, -0.1])),
 }
@@ -192,12 +189,6 @@ class TestStateCheck:
             for rho0 in (random_mixed_state(rng, n), np.diag(p / p.sum()), np.diag(np.eye(n)[-1])):
                 for turns in (0.0, 0.1, 1.0, 5.0, 50.0):
                     built.append(evolve_state_derivative(rho0, spectrum, bath, turns / slowest)[0])
-        for n12 in (1.0, 5.5, 9.5):
-            for tau in (0.01, 0.5, 5.0):
-                for r in (float(rng.uniform(0.0, 1.0)), 1.0):
-                    a, phi = float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 2.0 * math.pi))
-                    init = QubitInit(a=a, r=r, phi=phi)
-                    built.append(gad_apply(gad_params(n12, tau), init.rho0))
         for t in (1e-12, 1e-6, 1.0):
             for _ in range(10):
                 omega = float(rng.uniform(0.3, 3.0))
@@ -595,35 +586,53 @@ class TestConversions:
             gamma_from_tau_tilde(-0.1, 1.0)
 
 
+def _kraus_excited(p1: float, p2: float, q: float) -> float:
+    """Reference: the excited population after the four-operator Kraus sum on diag(1-q, q)."""
+    s1, s1c, s2, s2c = (math.sqrt(x) for x in (p1, 1.0 - p1, p2, 1.0 - p2))
+    kraus = [
+        s1 * np.array([[1.0, 0.0], [0.0, s2c]], dtype=complex),
+        s1 * np.array([[0.0, s2], [0.0, 0.0]], dtype=complex),
+        s1c * np.array([[s2c, 0.0], [0.0, 1.0]], dtype=complex),
+        s1c * np.array([[0.0, 0.0], [s2, 0.0]], dtype=complex),
+    ]
+    np.testing.assert_allclose(sum(k.conj().T @ k for k in kraus), np.eye(2), rtol=0, atol=1e-14)
+    rho = np.diag([1.0 - q, q]).astype(complex)
+    return float(sum(k @ rho @ k.conj().T for k in kraus)[1, 1].real)
+
+
+# Inputs the channel's [0, 1] check on (p1, p2) used to reject, each one call.
+_GAD_NON_FINITE = {
+    "params-n12-inf": lambda: gad_params(math.inf, 0.05),
+    "params-tau-nan": lambda: gad_params(5.5, math.nan),
+    "comparison-n12-inf": lambda: gad_master_comparison(math.inf, 0.05, omega12=5.0),
+    "comparison-tau-nan": lambda: gad_master_comparison(5.5, math.nan, omega12=5.0),
+    "diagnostic-n12-inf": lambda: gad_stationary_diagnostic(math.inf),
+}
+
+
 class TestGadChannel:
     def test_reference_parameters(self):
-        ch = gad_params(5.5, 0.05)
-        assert ch.p1 == pytest.approx(5.5 / 10.0, rel=1e-15)
-        assert ch.p2 == pytest.approx(1.0 - math.exp(-6.5 * 0.05), rel=1e-14)
+        p1, p2 = gad_params(5.5, 0.05)
+        assert p1 == pytest.approx(5.5 / 10.0, rel=1e-15)
+        assert p2 == pytest.approx(1.0 - math.exp(-6.5 * 0.05), rel=1e-14)
 
-    def test_kraus_completeness(self):
-        for n12 in (1.0, 5.5, 9.5):
-            for tau in (0.01, 0.05, 0.5):
-                ops = gad_kraus_operators(gad_params(n12, tau))
-                total = sum(k.conj().T @ k for k in ops)
-                np.testing.assert_allclose(total, np.eye(2), rtol=0, atol=1e-14)
+    @pytest.mark.parametrize("n12", [1.0, 5.5, 9.5])
+    def test_map_matches_the_kraus_sum(self, n12):
+        # within 1e-15 relative, so exactly where the sum is 0 (n12 = 1, q = 0)
+        for tau in (0.01, 0.05, 0.5, 5.0):
+            p1, p2 = gad_params(n12, tau)
+            for q in (0.0, 0.3, 1.0 - p1, 1.0):
+                expected = _kraus_excited(p1, p2, q)
+                got = _gad_excited(p1, p2, q)
+                assert abs(got - expected) <= 1e-15 * expected, (tau, q)
+            expected = _kraus_excited(p1, p2, 0.0)
+            got = gad_master_comparison(n12, tau, omega12=5.0)["p2_gad"]
+            assert abs(got - expected) <= 1e-15 * expected, tau
 
-    def test_fixed_point_is_invariant(self):
-        for n12 in (5.5, 9.5):
-            ch = gad_params(n12, 0.05)
-            fixed = gad_fixed_point(ch)
-            mapped = gad_apply(ch, fixed)
-            np.testing.assert_allclose(mapped, fixed, rtol=0, atol=1e-14)
-
-    def test_preserves_trace_and_positivity(self):
-        rng = np.random.default_rng(47)
-        ch = gad_params(5.5, 0.3)
-        for _ in range(10):
-            a0 = float(rng.uniform(0.0, 1.0))
-            r = float(rng.uniform(0.0, 1.0))
-            out = gad_apply(ch, QubitInit(a=a0, r=r).rho0)
-            assert abs(np.trace(out) - 1.0) <= 1e-12
-            assert np.min(np.linalg.eigvalsh(out)) >= -1e-12
+    @pytest.mark.parametrize("call", _GAD_NON_FINITE)
+    def test_rejects_non_finite_inputs(self, call):
+        with pytest.raises(DomainError):
+            _GAD_NON_FINITE[call]()
 
     def test_requires_inverted_ground_weight(self):
         # p1 = n/(2n - 1) lies in (0, 1] only for n >= 1
