@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, ModelIntegrityError
+from .errors import DomainError
 from .spectrum import (
     MAX_GIBBS_BETA_OMEGA,
     MIN_BETA_OMEGA,
@@ -33,10 +33,6 @@ from .spectrum import (
 # loses at most a few ulps and is kept, so lam, and every window and trace
 # formed from it, is unchanged across the conditioned range beta*omega >= 0.2.
 TANH_BETA_OMEGA = 1e-2
-
-# Eigenvector-matrix condition number beyond which the eigendecomposition
-# propagator rejects the generator as defective or too ill-conditioned.
-EIG_CONDITION_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -95,27 +91,49 @@ def _state(rho) -> np.ndarray:
     return _readonly(m)
 
 
-def _eigendecompose(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and eigenvectors of a generator, its null eigenvalue set to exactly 0.
+def _uniformized(
+    gen: np.ndarray, d_gen: np.ndarray, p0: np.ndarray, t: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The populations p(t) = e^{A t} p0 and their derivative along A' = d_gen.
 
-    Detailed-balance generators are similar to symmetric matrices and always
-    diagonalize with a well-conditioned eigenvector matrix. A generator whose
-    eigenvector matrix has condition number beyond EIG_CONDITION_LIMIT is
-    defective or too close to it (such as an equal-rate decay cascade) and is
-    rejected with DomainError. The columns sum to zero, so 0 is an eigenvalue;
-    eig returns it as about +-eps ||A||, which e^{lam t} would turn into an
-    overflow or a vanishing steady state once t exceeds about 700/(eps ||A||).
+    Uniformization (Jensen 1953): with L = max_j |A_jj|, held fixed, P = I + A/L
+    is entrywise nonnegative and e^{A t} = (e^{-x} e^{x P})^(2^k) with
+    x = L t/2^k <= 1/4. The series F = e^{-x} sum_j x^j P^j/j! stops at j = 16
+    (0.25^17/17! ~ 2e-25) and is squared k times. Every product is of
+    nonnegative matrices, so each entry of F, however small, keeps its
+    relative accuracy, and no population from a nonnegative p0 comes out
+    negative. The derivative runs alongside in forward mode. In the series,
+    the block step [[P, 0], [P', P]] with P' = A'/L takes the stacked pair
+    [P^(j-1); d(P^(j-1))] to [P^j; P' P^(j-1) + P d(P^(j-1))]; its zero block
+    keeps the signed derivative out of P^j. Each squaring takes
+    dF <- dF F + F dF, and would double a rounding in the column sums, so
+    after it F's columns are rescaled to sum to 1 and dF is moved by
+    -F 1^T dF (the derivative of that rescaling) to sum to 0. L t may
+    overflow while x does not, so x and k are formed from the exponents of L
+    and t. At t = 0, x = 0 and F = I, so p0 comes back exactly and its
+    derivative is 0.
     """
-    values, vectors = np.linalg.eig(mat)
-    condition = np.linalg.cond(vectors)
-    if not condition <= EIG_CONDITION_LIMIT:
-        raise DomainError(
-            "the generator is defective or too ill-conditioned to eigendecompose "
-            f"(eigenvector condition number {condition:.3g} > {EIG_CONDITION_LIMIT:g}); "
-            "detailed-balance generators from transition_matrix always diagonalize"
-        )
-    values[np.argmin(np.abs(values))] = 0.0
-    return values, vectors
+    rate = float(np.max(-np.diag(gen)))
+    (m_rate, e_rate), (m_t, e_t) = math.frexp(rate), math.frexp(t)
+    squarings = max(0, e_rate + e_t + 2)
+    x = math.ldexp(m_rate * m_t, e_rate + e_t - squarings)
+    n = len(gen)
+    step = np.block([[gen, np.zeros_like(gen)], [d_gen, gen]]) / rate + np.eye(2 * n)
+    term = series = np.eye(2 * n, n)
+    for j in range(1, 17):
+        term = x / j * (step @ term)
+        series = series + term
+    f, df = math.exp(-x) * series[:n], math.exp(-x) * series[n:]
+    for _ in range(squarings):
+        f, df = f @ f, df @ f + f @ df
+        f /= f.sum(axis=0)
+        df -= f * df.sum(axis=0)
+    p, dp = f @ p0, df @ p0
+    # a population near 1 keeps only absolute accuracy: its derivative is minus the others' sum
+    largest = np.argmax(p)
+    dp[largest] = 0.0
+    dp[largest] = -math.fsum(dp)
+    return p, dp
 
 
 class _QubitModel(NamedTuple):
@@ -219,32 +237,26 @@ def evolve_state_derivative(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The evolved N-level state rho(t) and its exact derivative d rho(t)/d beta at fixed rho0.
 
-    rho0 may be any array-like state; it is checked once (_state). One array
-    pass over the generator A and its eigendecomposition A = V diag(l) V^-1
-    (_eigendecompose rejects a defective one). The time must be finite and
-    nonnegative. Level j loses population at the rate loss_j = -A_jj =
-    sum_k Gamma_kj, and each coherence decays at the mean loss of its two
-    levels while it rotates at their gap (o is the elementwise product):
-    rho(t) = rho0 o e^{-(loss_i + loss_j) t/2} o e^{i (E_j - E_i) t}, its
-    diagonal replaced by the populations p(t) = V e^{l t} V^-1 p0, clipped at 0
-    and renormalized.
+    rho0 may be any array-like state; it is checked once (_state). The time
+    must be finite and nonnegative. Level j loses population at the rate
+    loss_j = -A_jj = sum_k Gamma_kj, and each coherence decays at the mean loss
+    of its two levels while it rotates at their gap (o is the elementwise
+    product): rho(t) = rho0 o e^{-(loss_i + loss_j) t/2} o e^{i (E_j - E_i) t},
+    its diagonal replaced by the populations p(t) = e^{A t} p0.
 
     A pair's rates g_ij = gamma (n+1) and g_ji = gamma n both move by
     gamma dn/d beta = -omega gamma n (n+1) = -omega g_ij g_ji/gamma: that is A' = dA/d beta.
-    The populations take the Frechet derivative of e^{At} along A' in the
-    generator's eigenbasis (Najfeld & Havel, Adv. Appl. Math. 16, 321 (1995)):
-    V (Phi o V^-1 A' V) V^-1 p0 with Phi_ij = (e^{l_i t} - e^{l_j t})/(l_i - l_j),
-    t e^{l_i t} on the diagonal, formed as e^{max(l_i, l_j) t} times an expm1
-    ratio so that no factor overflows. The null eigenvalue's row of V^-1 A' V
-    is 0 because 1^T A' = 0; it is zeroed exactly, since its rounding would
-    otherwise grow like t. V^-1 p0 is solved once for p(t) and its derivative.
-    The coherences give d rho/d beta = -t (loss'_i + loss'_j)/2 o rho(t) with
-    loss' = -diag(A'), and the diagonal is the populations' derivative.
+    The populations and their derivative come from _uniformized, which forms
+    e^{A t} from products of nonnegative matrices only, so every population
+    keeps its relative accuracy, however cold the band; at t = 0 they are p0
+    and 0 exactly. The coherences give d rho/d beta = -t (loss'_i + loss'_j)/2 o rho(t)
+    with loss' = -diag(A'), and the diagonal is the populations' derivative.
 
     rho(t) is returned read-only and not checked again: it is a state, as
     rho(t) = (rho0 o C) + diag(p(t) - rho0_ii e^{-loss_i t}) with C = c c^dag,
     c_i = e^{-loss_i t/2 - i E_i t}, rank-1 positive semidefinite, and the added
-    diagonal is >= 0 because p_i(t) >= rho0_ii e^{-loss_i t}; p(t) sums to one.
+    diagonal is >= 0 because p_i(t) >= rho0_ii e^{-loss_i t}; p(t) sums to one to
+    rounding.
     """
     state = _state(rho0)
     if len(state) != spectrum.n_levels:
@@ -254,16 +266,6 @@ def evolve_state_derivative(
     if t < 0:
         raise DomainError("t must be nonnegative")
     gen = transition_matrix(spectrum, bath)
-    values, vectors = _eigendecompose(gen)
-    p0 = np.diag(state).real
-    c0 = np.linalg.solve(vectors, p0)
-    p = p0
-    if t > 0.0:
-        p = (vectors @ (np.exp(values * t) * c0)).real
-        if np.min(p) < -1e-10:
-            raise ModelIntegrityError(f"propagated populations went negative: min {np.min(p):.3e}")
-        p = np.clip(p, 0.0, None)
-        p = p / math.fsum(p)
     g, energies = np.where(np.eye(len(gen), dtype=bool), 0.0, gen), np.asarray(spectrum.energies)
     with np.errstate(over="ignore"):
         d_gen = -np.abs(energies[:, None] - energies[None, :]) * g * g.T / bath.gamma
@@ -273,19 +275,12 @@ def evolve_state_derivative(
             "|E_j - E_i| g_ij g_ji/gamma overflows double precision"
         )
     d_gen -= np.diag(d_gen.sum(axis=0))
-    b = np.linalg.solve(vectors, d_gen @ vectors)
-    b[values == 0.0] = 0.0
-    diff = values[:, None] - values[None, :]
-    flip = diff.real < 0.0  # order each pair so that its exponent difference decays
-    gap = np.where(flip, -diff, diff)
-    with np.errstate(over="ignore"):
-        ratio = np.divide(-np.expm1(-gap * t), gap, out=np.full_like(gap, t), where=gap != 0)
-        phi = np.exp(np.where(flip, values[None, :], values[:, None]) * t) * ratio
-    dp = (vectors @ ((phi * b) @ c0)).real
+    p, dp = _uniformized(gen, d_gen, np.diag(state).real, t)
     loss, dloss = -np.diag(gen), -np.diag(d_gen)
-    rho = state * np.exp(-(loss[:, None] + loss[None, :]) / 2.0 * t)
+    with np.errstate(over="ignore"):  # a decay exponent past the double range decays to 0
+        rho = state * np.exp(-(loss[:, None] + loss[None, :]) / 2.0 * t)
     rho *= np.exp(1j * (energies[None, :] - energies[:, None]) * t)
-    drho = -t * (dloss[:, None] + dloss[None, :]) / 2.0 * rho
+    drho = -(dloss[:, None] + dloss[None, :]) / 2.0 * (t * rho)  # t loss' may overflow, t rho not
     np.fill_diagonal(rho, p)
     np.fill_diagonal(drho, dp)
     return _readonly(rho), drho
@@ -303,6 +298,8 @@ def gad_params(n12: float, tau_tilde: float) -> tuple[float, float]:
         raise DomainError("n12 must be at least 1 for the channel parameterization")
     if not math.isfinite(n12):
         raise DomainError("n12 must be finite")
+    if not math.isfinite(2.0 * n12):
+        raise DomainError(f"n12 = {n12:g} is too large: 2*n12 overflows double precision")
     if not tau_tilde >= 0:
         raise DomainError("tau_tilde must be nonnegative")
     p1 = n12 / (2.0 * n12 - 1.0)

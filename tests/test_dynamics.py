@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import sys
 
 import mpmath
 import numpy as np
@@ -43,7 +44,6 @@ from thermoqfi import (
 from thermoqfi.dynamics import (
     TANH_BETA_OMEGA,
     _default_t_max,
-    _eigendecompose,
     _gad_excited,
     _qubit_model,
     _state,
@@ -90,6 +90,15 @@ def _mp_populations(spectrum: Spectrum, beta, gamma, p0, t):
     """expm(A t) p0 at the working mpmath precision."""
     a = _mp_generator(spectrum, beta, gamma)
     return mpmath.expm(a * t) * mpmath.matrix([mpmath.mpf(x) for x in p0])
+
+
+# (energies, beta, t) at gamma = 1, where a propagator that sums eigenmodes
+# of mixed sign loses the small populations
+_COLD_BAND_MODELS = [
+    ((0.0, 1.0, 2.2, 2.7), 30.0, 10.0),
+    ((0.0, 1.0, 2.2, 2.7), 100.0, 40.0),
+    ((0.0, 0.5, 1.1), 200.0, 60.0),
+]
 
 
 def _propagated(spectrum: Spectrum, bath: Bath, p0, t: float) -> np.ndarray:
@@ -229,8 +238,8 @@ class TestPropagatePopulations:
                 _propagated(spectrum, bath, p0, t), expected, rtol=0, atol=1e-12
             )
 
-    # at t = 1e300 the rounding of eig's null eigenvalue, times t, would
-    # overflow e^{lam t} or make the steady state vanish
+    # at t = 1e300 the propagator squares about a thousand times; a rounding
+    # of the column sums left in place would double at each squaring
     @pytest.mark.parametrize("t", [80.0, 1e300])
     def test_conserves_probability_and_reaches_gibbs(self, t):
         rng = np.random.default_rng(31)
@@ -243,14 +252,6 @@ class TestPropagatePopulations:
         np.testing.assert_allclose(
             p, thermal_distribution(spectrum, bath.beta), rtol=0, atol=1e-10
         )
-
-    def test_defective_cascade_is_rejected(self):
-        # The equal-rate decay chain 3 -> 2 -> 1 is the textbook defective
-        # generator: its secular t*exp(-t) term has no eigendecomposition, so
-        # the propagator must refuse it rather than return a wrong vector.
-        a = np.array([[0.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 0.0, -1.0]])
-        with pytest.raises(DomainError, match="defective or too ill-conditioned"):
-            _eigendecompose(a)
 
     def test_domain(self):
         spectrum, bath = _reference_parts()
@@ -502,6 +503,56 @@ class TestEvolveStateDerivative:
                 np.diag(rho).real, thermal_distribution(spectrum, bath.beta), rtol=0, atol=1e-13
             )
 
+    @pytest.mark.parametrize("energies,beta,t", _COLD_BAND_MODELS)
+    @pytest.mark.parametrize("start", ["ground", "uniform"])
+    def test_cold_band_matches_a_250_digit_expm(self, energies, beta, t, start):
+        # Populations down to 1e-118 keep their relative accuracy. The
+        # reference derivative is a central difference with h = 1e-100
+        # (truncation h^2, rounding 1e-250/h). The largest population's
+        # derivative is minus the sum of the others, so the derivatives are
+        # held to the scale of the vector, not elementwise.
+        spectrum, bath = Spectrum(energies=energies), Bath(beta=beta, gamma=1.0)
+        n = spectrum.n_levels
+        p0 = np.eye(n)[0] if start == "ground" else np.full(n, 1.0 / n)
+        rho, drho = evolve_state_derivative(np.diag(p0), spectrum, bath, t)
+        with mpmath.workdps(250):
+            h, beta_mp = mpmath.mpf("1e-100"), mpmath.mpf(beta)
+            exact = _mp_populations(spectrum, beta_mp, 1, p0, t)
+            up = _mp_populations(spectrum, beta_mp + h, 1, p0, t)
+            dn = _mp_populations(spectrum, beta_mp - h, 1, p0, t)
+            exact_p = np.array([float(x) for x in exact])
+            exact_dp = np.array([float((u - d) / (2 * h)) for u, d in zip(up, dn)])
+        np.testing.assert_allclose(np.diag(rho).real, exact_p, rtol=1e-12, atol=0)
+        assert np.max(np.abs(np.diag(drho).real - exact_dp)) <= 1e-11 * np.max(np.abs(exact_dp))
+
+    def test_zero_time_returns_the_initial_state_exactly(self):
+        rng = np.random.default_rng(67)
+        for _ in range(10):
+            spectrum, bath = random_nlevel_model(rng)
+            rho0 = random_mixed_state(rng, spectrum.n_levels)
+            rho, drho = evolve_state_derivative(rho0, spectrum, bath, 0.0)
+            assert rho.tobytes() == rho0.astype(complex).tobytes()
+            assert not np.any(drho)
+
+    def test_rates_times_time_past_the_double_range_reach_gibbs(self):
+        # Lambda t is about 1e350, past the double range: the populations
+        # still reach the Gibbs state and its derivative, and the coherences,
+        # whose decay exponents overflow too, decay to 0 without a NaN.
+        spectrum, bath = Spectrum(energies=(0.0, 0.5, 1.1)), Bath(beta=1.0, gamma=1e150)
+        rho0 = random_mixed_state(np.random.default_rng(71), 3)
+        rho, drho = evolve_state_derivative(rho0, spectrum, bath, 1e200)
+        np.testing.assert_allclose(
+            np.diag(rho).real, thermal_distribution(spectrum, bath.beta), rtol=0, atol=1e-13
+        )
+        np.testing.assert_allclose(
+            np.diag(drho).real,
+            thermal_population_derivative(spectrum, bath.beta),
+            rtol=0,
+            atol=1e-13,
+        )
+        off = ~np.eye(3, dtype=bool)
+        assert not np.any(rho[off]) and not np.any(drho[off])
+
     def test_derivative_is_hermitian(self):
         rng = np.random.default_rng(53)
         for _ in range(20):
@@ -600,9 +651,13 @@ def _kraus_excited(p1: float, p2: float, q: float) -> float:
     return float(sum(k @ rho @ k.conj().T for k in kraus)[1, 1].real)
 
 
-# Inputs the channel's [0, 1] check on (p1, p2) used to reject, each one call.
+# Inputs the channel's [0, 1] check on (p1, p2) used to reject, and an n12
+# whose double overflows (p1 = n12/(2*n12 - 1) would read 0, and the thermal
+# excited population n12/(2*n12 + 1) 0), each one call.
 _GAD_NON_FINITE = {
     "params-n12-inf": lambda: gad_params(math.inf, 0.05),
+    "params-2n12-inf": lambda: gad_params(1e308, 0.05),
+    "diagnostic-2n12-inf": lambda: gad_stationary_diagnostic(1e308),
     "params-tau-nan": lambda: gad_params(5.5, math.nan),
     "comparison-n12-inf": lambda: gad_master_comparison(math.inf, 0.05, omega12=5.0),
     "comparison-tau-nan": lambda: gad_master_comparison(5.5, math.nan, omega12=5.0),
@@ -633,6 +688,12 @@ class TestGadChannel:
     def test_rejects_non_finite_inputs(self, call):
         with pytest.raises(DomainError):
             _GAD_NON_FINITE[call]()
+
+    def test_accepts_the_largest_n12_whose_double_is_finite(self):
+        n12 = sys.float_info.max / 2.0
+        assert gad_params(n12, 0.05) == (0.5, 1.0)
+        diag = gad_stationary_diagnostic(n12)
+        assert diag["excited_fixed_point"] == 0.5 and diag["excited_thermal"] == 0.5
 
     def test_requires_inverted_ground_weight(self):
         # p1 = n/(2n - 1) lies in (0, 1] only for n >= 1
