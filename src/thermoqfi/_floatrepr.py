@@ -18,14 +18,12 @@ Ryu (Adams, PLDI 2018), found with fixed-width arithmetic instead of bignums:
 The double-double error is below 2e-14 grid units, so a decision taken more
 than _MARGIN from a grid boundary is exact. A value that comes closer (a
 floor, a tie or an interval end), 0, nan, inf, and magnitudes outside
-[_SMALLEST, _LARGEST] are rendered by repr itself (or by the caller's text
-for nan and inf).
+[_SMALLEST, _LARGEST] are rendered by repr itself.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from typing import NamedTuple
 
 import numpy as np
@@ -147,18 +145,12 @@ def _off_grid(v):
     return np.abs(v - np.rint(v)) > _MARGIN
 
 
-def render(values, nonfinite: str | None = None) -> np.ndarray:
-    """The (n, WIDTH) uint8 slots of repr(float(v)) for each v of a 1-D array.
-
-    nan and inf cells hold nonfinite instead, when it is given.
-    """
+def render(values) -> np.ndarray:
+    """The (n, WIDTH) uint8 slots of repr(float(v)) for each v of a 1-D array."""
     x = np.asarray(values, dtype=np.float64)
     out, slow = fast_cells(x)
     if slow.size:
-        cells = [
-            nonfinite if nonfinite is not None and not math.isfinite(v) else repr(v)
-            for v in x.take(slow).tolist()
-        ]
+        cells = [repr(v) for v in x.take(slow).tolist()]
         out[slow] = np.array(cells, dtype=f"S{WIDTH}").view(np.uint8).reshape(-1, WIDTH)
     return out
 

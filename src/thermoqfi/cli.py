@@ -48,7 +48,7 @@ from .dynamics import (
     gamma_from_tau_tilde,
     qubit_relaxation_rate,
 )
-from .errors import DomainError, EstimatorUndefinedError, ModelIntegrityError
+from .errors import DomainError, EstimatorUndefinedError, ModelIntegrityError, _addressable
 from .qfi import qfi_values, thermal_qfi, trace_blocks
 from .spectrum import Bath, Spectrum
 
@@ -314,21 +314,20 @@ class _RowLayout(NamedTuple):
     """How _write_rows joins cells into rows.
 
     A row is prefix + sep.join(cells) + suffix, and rows are separated by
-    between. nonfinite replaces nan/inf float cells; None keeps their repr,
-    as _cell does.
+    between. Float cells are repr's, as _cell's are: a table's float columns
+    come from trace_blocks, which has rejected every nan and inf.
     """
 
     prefix: str
     sep: str
     suffix: str
     between: str
-    nonfinite: str | None
 
 
-_CSV_ROWS = _RowLayout("", ",", "\n", "", None)
+_CSV_ROWS = _RowLayout("", ",", "\n", "")
 
 # A row of a top-level "rows" array exactly as json.dumps(indent=2) lays it out.
-_JSON_ROWS = _RowLayout("    [\n      ", ",\n      ", "\n    ]", ",\n", "null")
+_JSON_ROWS = _RowLayout("    [\n      ", ",\n      ", "\n    ]", ",\n")
 
 
 def _is_float(column) -> bool:
@@ -377,7 +376,7 @@ def _table(columns, layout: _RowLayout, skip: int) -> bytearray:
         table[:, at : at + text.size] = text
         at += text.size
         if cells is None:
-            cells = _floatrepr.render(column, layout.nonfinite)
+            cells = _floatrepr.render(column)
         table[:, at : at + cell_width] = cells
         at += cell_width
     table[:, at:] = suffix
@@ -420,7 +419,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     t_max = _default_t_max(spectrum, bath) if args.t_max is None else _finite(args.t_max, "--t-max")
     if t_max <= 0:
         raise ConfigError("--t-max must be positive")
-    if args.points < 2:
+    if _addressable(args.points, "--points") < 2:
         raise ConfigError("--points must be at least 2")
     # The grid is built whole (its bits are linspace's); every column is
     # computed, rendered and written one block at a time, after trace_blocks
@@ -514,7 +513,7 @@ def cmd_experiment(args: argparse.Namespace) -> int:
     from .metrology import _peak_times
 
     omega12, tau_tilde, r, points = args.omega12, args.tau_tilde, args.r, args.points
-    if points < 2:
+    if _addressable(points, "--points") < 2:
         raise ConfigError("--points must be at least 2")
     n12_values = [args.n12] if args.n12 is not None else [5.5, 9.5]
     spectrum = Spectrum.qubit(omega12)

@@ -242,7 +242,9 @@ def evolve_state_derivative(
     loss_j = -A_jj = sum_k Gamma_kj, and each coherence decays at the mean loss
     of its two levels while it rotates at their gap (o is the elementwise
     product): rho(t) = rho0 o e^{-(loss_i + loss_j) t/2} o e^{i (E_j - E_i) t},
-    its diagonal replaced by the populations p(t) = e^{A t} p0.
+    its diagonal replaced by the populations p(t) = e^{A t} p0. A coherence
+    that has decayed to 0 stays 0 whatever its angle (E_j - E_i) t; one that
+    survives while its angle overflows double precision is a DomainError.
 
     A pair's rates g_ij = gamma (n+1) and g_ji = gamma n both move by
     gamma dn/d beta = -omega gamma n (n+1) = -omega g_ij g_ji/gamma: that is A' = dA/d beta.
@@ -277,9 +279,17 @@ def evolve_state_derivative(
     d_gen -= np.diag(d_gen.sum(axis=0))
     p, dp = _uniformized(gen, d_gen, np.diag(state).real, t)
     loss, dloss = -np.diag(gen), -np.diag(d_gen)
-    with np.errstate(over="ignore"):  # a decay exponent past the double range decays to 0
+    with np.errstate(over="ignore"):  # a decay exponent or angle past the double range
         rho = state * np.exp(-(loss[:, None] + loss[None, :]) / 2.0 * t)
-    rho *= np.exp(1j * (energies[None, :] - energies[:, None]) * t)
+        angle = (energies[None, :] - energies[:, None]) * t
+    turned = np.isfinite(angle)  # a coherence that has decayed to 0 needs no phase
+    if not np.all(turned | (rho == 0)):
+        gap = float(np.max(np.abs(energies[None, :] - energies[:, None])[~turned & (rho != 0)]))
+        raise DomainError(
+            f"the phase (E_j - E_i) t of a surviving coherence overflows double "
+            f"precision at gap {gap:g} and t = {t:g}"
+        )
+    rho *= np.exp(1j * np.where(turned, angle, 0.0))
     drho = -(dloss[:, None] + dloss[None, :]) / 2.0 * (t * rho)  # t loss' may overflow, t rho not
     np.fill_diagonal(rho, p)
     np.fill_diagonal(drho, dp)

@@ -22,7 +22,7 @@ from .dynamics import (
     _qubit_model,
     _qubit_model_of,
 )
-from .errors import DomainError, EstimatorUndefinedError
+from .errors import DomainError, EstimatorUndefinedError, _addressable
 from .qfi import _qfi_kernel, _qfi_slope, _thermal_scale, qfi_values, thermal_qfi
 from .spectrum import MAX_EXP_BETA_OMEGA, Bath, Spectrum
 
@@ -167,21 +167,19 @@ def _peak_times(
     return results
 
 
-def maximize_qfi_over_time(
-    init: QubitInit, spectrum: Spectrum, bath: Bath, t_max: float | None = None
-) -> OptimalTime:
+def maximize_qfi_over_time(init: QubitInit, spectrum: Spectrum, bath: Bath) -> OptimalTime:
     """Grid scan of the QFI over time, an interior peak refined as a root of dF/dt.
 
-    The window must cover at least the default max(20, 14 + beta omega)/|lambda|
-    so the tail is a faithful stand-in for the asymptote. When no interior
+    The window is the default max(20, 14 + beta omega)/|lambda|, long enough
+    for the tail to stand in for the asymptote. When no interior
     point beats the tail by more than ASYMPTOTIC_MARGIN * asymptote, the
-    supremum is reported at t_max with the asymptotic flag (monotone
-    hot-region traces; inverted traces whose local peak stays below the
-    asymptote). Otherwise t_star is found to a few ulps, where a search on F
+    supremum is reported at the window's end with the asymptotic flag
+    (monotone hot-region traces; inverted traces whose local peak stays below
+    the asymptote). Otherwise t_star is found to a few ulps, where a search on F
     itself could only resolve about sqrt(eps). This is the one-state call of
     the batched scan behind optimize_initial_state, so both agree bit for bit.
     """
-    return _peak_times([init], spectrum, bath, t_max)[0]
+    return _peak_times([init], spectrum, bath)[0]
 
 
 @dataclass(frozen=True)
@@ -215,6 +213,7 @@ def optimize_initial_state(
     if a_steps < 2 or r_steps < 1:
         raise DomainError("need a_steps >= 2 and r_steps >= 1")
     pi2 = _qubit_model_of(spectrum, bath).pi2
+    a_steps, r_steps = _addressable(a_steps, "a_steps"), _addressable(r_steps, "r_steps")
     a_grid = np.linspace(0.0, 1.0, a_steps).tolist()
     r_grid = np.linspace(0.0, 1.0, r_steps).tolist() if r_steps > 1 else [0.0]
     states = [(a, r) for r in r_grid for a in a_grid]
@@ -236,23 +235,24 @@ def optimize_initial_state(
 
 def _replica_counts(seed: int, n_replicas: int, m_experiments: int, p: float) -> np.ndarray:
     """n_replicas iid Binomial(m_experiments, p) counts, drawn in order from default_rng(seed)."""
+    n_replicas = _addressable(n_replicas, "n_replicas")  # the draw holds one int64 per replica
     return np.random.default_rng(seed).binomial(m_experiments, p, n_replicas)
 
 
 def _mle_inverse(spectrum, gamma, init, t, bracket):
     """The inverse of p2(t; beta) on the bracket, for arrays of targets.
 
-    The bracket must satisfy 0 < lo < hi and p2 must be strictly monotone in
-    beta on it; both are checked here (monotonicity on 65 samples) before any
-    target is drawn. The returned function bisects each target on its own
+    The bracket must satisfy 0 < lo < hi, which cramer_rao_report's
+    (beta/4, 4 beta) does once the model has accepted beta*omega >= 2e-15.
+    p2 must be strictly monotone in beta on it; that is checked here (on 65
+    samples), with the bracket's reach in beta*omega, before any target is
+    drawn. The returned function bisects each target on its own
     copy of the bracket until it is no wider than 1e-10 in beta or is two
     adjacent floats (wider than 1e-10 above beta = 2**19); targets outside
     the attainable range clamp to the nearer bracket edge. It returns the
     estimates and the clamped flags.
     """
     omega, a, s, (lo, hi) = spectrum.gap(1, 2), init.a, gamma * t, map(float, bracket)
-    if not (0.0 < lo < hi):
-        raise DomainError("bracket must satisfy 0 < lo < hi")
     if hi * omega > MAX_EXP_BETA_OMEGA:
         raise DomainError(
             f"the beta bracket reaches beta*omega = {hi * omega:g}; the MLE supports "
@@ -321,7 +321,6 @@ def cramer_rao_report(
     m_experiments: int = 10000,
     n_replicas: int = 1000,
     seed: int = 0,
-    bracket: tuple[float, float] | None = None,
 ) -> CramerRaoReport:
     """The Cramer-Rao report of any initial state; t defaults to the QFI peak.
 
@@ -333,65 +332,42 @@ def cramer_rao_report(
 
     The replica counts are n_replicas iid binomial draws from one
     np.random.default_rng(seed) stream, so the report is deterministic for a
-    fixed seed, which must be an integer >= 0. The estimate depends on the
-    count alone, so the distinct counts (a few hundred cover tens of
-    thousands of replicas) are bisected together, once each, and shared by
-    every replica that drew them.
+    fixed seed, which must be an integer >= 0. The MLE searches the bracket
+    (beta/4, 4 beta). The estimate depends on the count alone, so the
+    distinct counts (a few hundred cover tens of thousands of replicas) are
+    bisected together, once each, and shared by every replica that drew them.
     """
     _check_run(m_experiments, n_replicas, seed)
     if t is None:
         t = maximize_qfi_over_time(init, spectrum, bath).t_star
     if t < 0:
         raise DomainError("t must be nonnegative")
-    f_quantum = float(qfi_values(init, spectrum, bath, t))
-    if init.r != 0.0:
-        informative = f_quantum > 0.0
-        return CramerRaoReport(
-            measurement_time=float(t),
-            variance=None,
-            f_classical=None,
-            f_quantum=f_quantum,
-            bound=1.0 / (m_experiments * f_quantum) if informative else None,
-            ratio=None,
-            clamped_count=None,
-            no_information=not informative,
-            bound_only=True,
-        )
     # At r = 0 the kernel's F is g^2/((1 - p2) p2), the Fisher information
     # of the two-outcome population measurement: F_C = F_Q by construction.
-    f_classical = f_quantum
-    if not f_classical > 0.0:
-        return CramerRaoReport(
-            measurement_time=float(t),
-            variance=None,
-            f_classical=f_classical,
-            f_quantum=f_quantum,
-            bound=None,
-            ratio=None,
-            clamped_count=0,
-            no_information=True,
-            bound_only=False,
-        )
-    beta_true = bath.beta
-    if bracket is None:
-        bracket = (beta_true / 4.0, beta_true * 4.0)
-    invert = _mle_inverse(spectrum, bath.gamma, init, t, bracket)
-    s = bath.gamma * t
-    p2_true = min(1.0, max(0.0, float(_qubit_model_of(spectrum, bath).p2(init.a, s))))
-    counts = _replica_counts(int(seed), n_replicas, m_experiments, p2_true)
-    distinct, replica_of = np.unique(counts, return_inverse=True)
-    by_count, clamped_by_count = invert([k / m_experiments for k in distinct.tolist()])
-    estimates = by_count[replica_of]
-    clamped = int(np.count_nonzero(clamped_by_count[replica_of]))
-    variance = float(np.var(estimates, ddof=1))
+    f_quantum = float(qfi_values(init, spectrum, bath, t))
+    informative, bound_only = f_quantum > 0.0, init.r != 0.0
+    variance = ratio = None
+    clamped = None if bound_only else 0
+    if informative and not bound_only:
+        beta = bath.beta
+        invert = _mle_inverse(spectrum, bath.gamma, init, t, (beta / 4.0, beta * 4.0))
+        s = bath.gamma * t
+        p2_true = min(1.0, max(0.0, float(_qubit_model_of(spectrum, bath).p2(init.a, s))))
+        counts = _replica_counts(int(seed), n_replicas, m_experiments, p2_true)
+        distinct, replica_of = np.unique(counts, return_inverse=True)
+        by_count, clamped_by_count = invert([k / m_experiments for k in distinct.tolist()])
+        estimates = by_count[replica_of]
+        clamped = int(np.count_nonzero(clamped_by_count[replica_of]))
+        variance = float(np.var(estimates, ddof=1))
+        ratio = variance * m_experiments * f_quantum
     return CramerRaoReport(
         measurement_time=float(t),
         variance=variance,
-        f_classical=f_classical,
+        f_classical=None if bound_only else f_quantum,
         f_quantum=f_quantum,
-        bound=1.0 / (m_experiments * f_classical),
-        ratio=variance * m_experiments * f_classical,
+        bound=1.0 / (m_experiments * f_quantum) if informative else None,
+        ratio=ratio,
         clamped_count=clamped,
-        no_information=False,
-        bound_only=False,
+        no_information=not informative,
+        bound_only=bound_only,
     )

@@ -27,7 +27,6 @@ from thermoqfi.qfi import trace_blocks
 from thermoqfi.cli import (
     _BLOCK_ROWS,
     _CSV_ROWS,
-    _JSON_ROWS,
     ESTIMATE_COLUMNS,
     OPTIMIZE_COLUMNS,
     SCHEMA_VERSION,
@@ -297,11 +296,6 @@ class TestBlockWriter:
             first[i] = value
             second[n - 1 - i] = value
         rows = list(zip(first.tolist(), second.tolist()))
-        json_out = io.StringIO()
-        _write_rows(json_out.write, _blocks([first, second]), _JSON_ROWS)
-        document = reference_json({"rows": rows})
-        assert document == '{\n  "rows": [\n' + json_out.getvalue() + "\n  ]\n}\n"
-        assert "null" in json_out.getvalue()
         csv_out = io.StringIO()
         csv_out.write("x,y\n")
         _write_rows(csv_out.write, _blocks([first, second]), _CSV_ROWS)
@@ -700,6 +694,18 @@ class TestArgumentRules:
                     ("trace", ["--a", "0"]),
                     ("optimize", []),
                     ("estimate", ["--a", "0", "--t", "0.004"]),
+                )
+            ],
+            # sizes past any array numpy can make: refused before any memory is asked for
+            *[
+                (argv, f"{argv[0]} needs more memory than is available")
+                for argv in (
+                    ["trace", *REF, "--a", "0.1", "--points", "1000000000000000000000"],
+                    ["trace", *REF, "--a", "0.1", "--points", "9223372036854775808"],
+                    ["experiment", "--points", "1000000000000000000000"],
+                    ["optimize", *REF, "--a-steps", "1000000000000000000000"],
+                    ["optimize", *REF, "--r-steps", "1000000000000000000000"],
+                    ["estimate", *REF, "--a", "0", "--replicas", "1000000000000000000000"],
                 )
             ],
         ],

@@ -553,6 +553,27 @@ class TestEvolveStateDerivative:
         off = ~np.eye(3, dtype=bool)
         assert not np.any(rho[off]) and not np.any(drho[off])
 
+    def test_decayed_coherence_ignores_an_overflowing_angle(self):
+        # The angle 1e10 * 1e300 is past the double range, but the decay has
+        # taken the coherence to exactly 0, so it is 0 with no NaN or warning.
+        rho, drho = evolve_state_derivative(
+            [[0.5, 0.5], [0.5, 0.5]], Spectrum(energies=(0.0, 1e10)), Bath(beta=1e-10, gamma=1.0),
+            1e300,
+        )
+        assert rho[0, 1] == 0 and rho[1, 0] == 0
+        assert drho[0, 1] == 0 and drho[1, 0] == 0
+
+    def test_surviving_coherence_with_an_overflowing_angle_is_rejected(self):
+        # At gamma = 1e-300 the coherence keeps e^{-1.08} of itself, but its
+        # phase angle of 1e310 rad is not a double.
+        with pytest.raises(DomainError, match=r"overflows .* at gap 1e\+10 and t = 1e\+300"):
+            evolve_state_derivative(
+                [[0.5, 0.5], [0.5, 0.5]],
+                Spectrum(energies=(0.0, 1e10)),
+                Bath(beta=1e-10, gamma=1e-300),
+                1e300,
+            )
+
     def test_derivative_is_hermitian(self):
         rng = np.random.default_rng(53)
         for _ in range(20):

@@ -10,9 +10,9 @@ from thermoqfi.dynamics import _default_t_max
 from thermoqfi.qfi import trace_blocks
 
 
-def rendered(values, nonfinite=None) -> list[str]:
+def rendered(values) -> list[str]:
     """The text of each cell of render(values), its NUL slots dropped."""
-    cells = render(values, nonfinite)
+    cells = render(values)
     ends = np.full((len(cells), 1), ord("\n"), dtype=np.uint8)
     text = np.concatenate([cells, ends], axis=1).tobytes().translate(None, b"\0")
     return text.decode().split("\n")[:-1]
@@ -79,9 +79,6 @@ class TestNonfinite:
 
     def test_csv_layout_keeps_repr(self):
         assert rendered(self.VALUES) == ["nan", "1.5", "inf", "-inf", "-0.0"]
-
-    def test_json_layout_writes_its_text(self):
-        assert rendered(self.VALUES, "null") == ["null", "1.5", "null", "null", "-0.0"]
 
 
 def test_digit_table_matches_its_int64_construction():

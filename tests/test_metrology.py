@@ -27,7 +27,7 @@ from thermoqfi import (
 )
 from thermoqfi import metrology
 from thermoqfi.dynamics import _default_t_max, _qubit_model, _qubit_model_of
-from thermoqfi.metrology import _bisect, _mle_inverse, _replica_counts
+from thermoqfi.metrology import _bisect, _mle_inverse, _peak_times, _replica_counts
 
 from conftest import qubit, reference_qubit
 
@@ -246,14 +246,17 @@ class TestMaximizeQfi:
         assert best.asymptotic
         assert best.f_star == pytest.approx(thermal_qfi(spectrum, bath.beta), rel=1e-6)
 
+    # A window is set through optimize --t-max, which reaches _peak_times.
     def test_rejects_short_window(self):
+        init, spectrum, bath = reference_qubit()
         with pytest.raises(DomainError, match="at least the default window max"):
-            maximize_qfi_over_time(*reference_qubit(), t_max=2.0)
+            _peak_times([init], spectrum, bath, 2.0)
 
     @pytest.mark.parametrize("t_max", [math.inf, math.nan])
     def test_rejects_non_finite_window(self, t_max):
+        init, spectrum, bath = reference_qubit()
         with pytest.raises(DomainError, match="finite"):
-            maximize_qfi_over_time(*reference_qubit(), t_max=t_max)
+            _peak_times([init], spectrum, bath, t_max)
 
     @pytest.mark.parametrize("omega,beta,gamma,a,r", INTERIOR_PEAKS)
     def test_peak_time_is_the_root_of_the_slope(self, omega, beta, gamma, a, r):
@@ -268,7 +271,7 @@ class TestMaximizeQfi:
         init, spectrum, bath = qubit(omega, beta, gamma, a, r=r)
         best = maximize_qfi_over_time(init, spectrum, bath)
         wider = np.nextafter(_default_t_max(spectrum, bath), math.inf)
-        moved = [maximize_qfi_over_time(init, spectrum, bath, t_max=wider)]
+        moved = [_peak_times([init], spectrum, bath, wider)[0]]
         monkeypatch.setattr(metrology, "_SCAN_POINTS", 4096)  # a finer grid
         moved.append(maximize_qfi_over_time(init, spectrum, bath))
         for peak in moved:
@@ -335,7 +338,11 @@ class TestOptimizeInitialState:
         assert {row.r for row in rows} == {0.0, 0.5, 1.0}
         assert any(not row.asymptotic for row in rows) and any(row.asymptotic for row in rows)
         for row in rows:
-            best = maximize_qfi_over_time(QubitInit(a=row.a, r=row.r), spectrum, bath, t_max=t_max)
+            init = QubitInit(a=row.a, r=row.r)
+            if t_max is None:
+                best = maximize_qfi_over_time(init, spectrum, bath)
+            else:
+                best = _peak_times([init], spectrum, bath, t_max)[0]
             assert row.t_star == best.t_star
             assert row.f_star == best.f_star
             assert row.asymptotic == best.asymptotic
@@ -452,10 +459,9 @@ class TestMleBeta:
             )
 
     def test_validation(self):
+        # a bracket that reaches beta = 0 leaves the model's beta*omega range
         init, spectrum, _ = reference_qubit()
-        with pytest.raises(DomainError):
-            _mle_inverse(spectrum, 1.0, init, 1.0, (1.0, 0.5))
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"beta\*omega = 0 is too small"):
             _mle_inverse(spectrum, 1.0, init, 1.0, (0.0, 1.0))
 
     @pytest.mark.parametrize("k", [18, 20, 24])
@@ -559,13 +565,14 @@ class TestCramerRao:
             cramer_rao_report(*reference_qubit(), n_replicas=1)
 
     def test_estimates_equal_per_replica_mle(self):
-        # A bracket this narrow clamps many replicas at either edge, so the
-        # count memo serves clamped and bisected estimates alike.
+        # With M = 10 a count of 0 lies below p2(4 beta) and one of 5 or more
+        # above p2(beta/4), so replicas clamp at both edges of the report's
+        # bracket and the count memo serves clamped and bisected estimates alike.
         init, spectrum, bath = reference_qubit()
-        t, m, n, seed = 1.0, 200, 150, 4
-        bracket = (1.05, 1.15)
+        t, m, n, seed = 1.0, 10, 150, 4
+        bracket = (bath.beta / 4.0, bath.beta * 4.0)
         report = cramer_rao_report(
-            init, spectrum, bath, t=t, m_experiments=m, n_replicas=n, seed=seed, bracket=bracket
+            init, spectrum, bath, t=t, m_experiments=m, n_replicas=n, seed=seed
         )
         p2 = min(1.0, max(0.0, float(_qubit_model_of(spectrum, bath).p2(init.a, bath.gamma * t))))
         expected = [
@@ -578,12 +585,14 @@ class TestCramerRao:
         assert report.variance == float(np.var(estimates, ddof=1))
         assert report.clamped_count == sum(e[1] for e in expected)
         assert 0 < report.clamped_count < n
+        assert set(bracket) <= set(estimates.tolist())
 
     def test_estimates_equal_scalar_bisection(self):
         # The distinct counts are bisected as one array; every estimate must
         # equal the scalar loop's bit for bit, including models whose bracket
         # straddles the tanh switch of the relaxation rate (beta*omega = 1e-2)
-        # and narrow brackets that clamp replicas at either edge.
+        # and narrow brackets that clamp replicas at either edge. On the
+        # report's own bracket (beta/4, 4 beta) the report must match too.
         rng = np.random.default_rng(2411)
         clamped = 0
         for k in range(40):
@@ -595,10 +604,6 @@ class TestCramerRao:
             t = float(rng.uniform(0.05, 3.0)) / abs(qubit_relaxation_rate(spectrum, bath))
             lo, hi = (beta / 4.0, 4.0 * beta) if k % 3 else (0.97 * beta, 1.03 * beta)
             m, n, seed = int(rng.integers(100, 10**6)), 300, int(rng.integers(2**32))
-            report = cramer_rao_report(
-                init, spectrum, bath, t=t, m_experiments=m, n_replicas=n, seed=seed,
-                bracket=(lo, hi),
-            )
             p2 = min(1.0, max(0.0, float(_qubit_model(omega, beta).p2(a, gamma * t))))
             by_count = {}
             expected = []
@@ -607,11 +612,16 @@ class TestCramerRao:
                     by_count[c] = _scalar_mle(c / m, omega, gamma, a, t, lo, hi)
                 expected.append(by_count[c])
             invert = _mle_inverse(spectrum, gamma, init, t, (lo, hi))
-            estimates, _ = invert(_replica_counts(seed, n, m, p2) / m)
+            estimates, flags = invert(_replica_counts(seed, n, m, p2) / m)
             assert estimates.tolist() == [e[0] for e in expected]
-            assert report.variance == float(np.var(estimates, ddof=1))
-            assert report.clamped_count == sum(e[1] for e in expected)
-            clamped += report.clamped_count
+            assert flags.tolist() == [e[1] for e in expected]
+            if k % 3:
+                report = cramer_rao_report(
+                    init, spectrum, bath, t=t, m_experiments=m, n_replicas=n, seed=seed
+                )
+                assert report.variance == float(np.var(estimates, ddof=1))
+                assert report.clamped_count == int(flags.sum())
+            clamped += int(flags.sum())
         assert clamped > 0
 
     def test_mle_inverts_the_population_counts_are_drawn_from(self, monkeypatch):
@@ -627,7 +637,7 @@ class TestCramerRao:
             beta = float(rng.uniform(0.2, 3.0)) / omega
             gamma = float(rng.uniform(0.2, 3.0))
             # region C over the whole bracket keeps p2 monotone in beta
-            a = float(rng.uniform(0.1, 0.95)) * _qubit_model(omega, 2 * beta).pi2
+            a = float(rng.uniform(0.1, 0.95)) * _qubit_model(omega, 4 * beta).pi2
             init, spectrum, bath = qubit(omega, beta, gamma, a)
             t = float(rng.uniform(0.05, 5.0)) / abs(qubit_relaxation_rate(spectrum, bath))
             cases.append((init, spectrum, bath, t))
@@ -644,10 +654,7 @@ class TestCramerRao:
         for init, spectrum, bath, t in cases:
             beta = bath.beta
             drawn.clear()
-            cramer_rao_report(
-                init, spectrum, bath, t=t, m_experiments=10, n_replicas=2,
-                bracket=(beta / 2.0, 2.0 * beta),
-            )
+            cramer_rao_report(init, spectrum, bath, t=t, m_experiments=10, n_replicas=2)
             counts = int(drawn[0] * m)
             assert counts / m == drawn[0]
             for bracket in ((beta / 2.0, beta), (beta, 2.0 * beta)):
@@ -661,19 +668,6 @@ class TestCramerRao:
             cramer_rao_report(init, spectrum, bath, t=1.0, m_experiments=100, n_replicas=10)
         with pytest.raises(DomainError, match="709"):
             _mle_inverse(spectrum, 1.0, init, 1.0, (100.0, 710.0))
-
-    @pytest.mark.parametrize("bracket", [(2.0, 0.5), (1.0, 1.0), (0.0, 2.0), (-1.0, 2.0)])
-    def test_reversed_or_nonpositive_bracket_is_rejected_before_drawing(
-        self, monkeypatch, bracket
-    ):
-        monkeypatch.setattr(metrology, "_replica_counts", _must_not_draw)
-        init, spectrum, bath = reference_qubit()
-        with pytest.raises(DomainError, match="0 < lo < hi"):
-            cramer_rao_report(
-                init, spectrum, bath, t=1.0, m_experiments=100, n_replicas=10, bracket=bracket
-            )
-        with pytest.raises(DomainError, match="0 < lo < hi"):
-            _mle_inverse(spectrum, bath.gamma, init, 1.0, bracket)
 
     @pytest.mark.parametrize("m", [100, 10000])
     def test_a_longer_run_extends_a_shorter_one(self, monkeypatch, m):
